@@ -38,9 +38,11 @@ using bench_util::Workload;
 using Clock = std::chrono::steady_clock;
 
 // Like bench_util::MakeWorkload, but the relations declare no primary
-// key: Relation::Insert's key check is O(rows), which makes building a
-// 128K-row keyed workload quadratic. KEY values are unique anyway, so
-// the workload is identical for the scans measured here.
+// key. The key check is an O(1) identity-index probe now, so a keyed
+// load would be linear too; the keyless scheme is kept so that the
+// numbers stay comparable with the committed BENCH_vectorized.json.
+// KEY values are unique anyway, so the workload is identical for the
+// scans measured here.
 std::unique_ptr<Workload> MakeScanWorkload(int relations, int rows,
                                            int views_per_relation) {
   auto w = std::make_unique<Workload>();

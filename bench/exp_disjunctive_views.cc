@@ -46,7 +46,7 @@ int main() {
                                Value::String("manager"),
                                Value::Int64(26000)})));
   bool brown_absent = true;
-  for (const Tuple& row : result->answer.rows()) {
+  for (const Tuple& row : result->answer) {
     if (row.at(0) == Value::String("Brown")) brown_absent = false;
   }
   checker.Check("rows outside every branch stay hidden", brown_absent);

@@ -78,7 +78,7 @@ int main() {
   checker.Check("without self-joins: not full access",
                 !restricted->full_access);
   bool salaries_masked = true;
-  for (const Tuple& row : restricted->answer.rows()) {
+  for (const Tuple& row : restricted->answer) {
     if (!row.at(1).is_null() || !row.at(3).is_null()) {
       salaries_masked = false;
     }

@@ -162,13 +162,13 @@ int main() {
     ++scenarios_run;
 
     const Relation* base = db.GetRelation("R").value();
-    for (const Tuple& answer_row : result->answer.rows()) {
+    for (const Tuple& answer_row : result->answer) {
       for (size_t i = 0; i < target_columns.size(); ++i) {
         if (answer_row.at(static_cast<int>(i)).is_null()) continue;
         ++cells_checked;
         const int column = target_columns[i];
         bool justified = false;
-        for (const Tuple& base_row : base->rows()) {
+        for (const Tuple& base_row : *base) {
           bool projects = true;
           for (size_t j = 0; j < target_columns.size(); ++j) {
             const Value& cell = answer_row.at(static_cast<int>(j));
@@ -291,11 +291,11 @@ int main() {
     Relation expected(result->raw_answer.schema());
     const Relation* r1 = db.GetRelation("R1").value();
     const Relation* r2 = db.GetRelation("R2").value();
-    for (const Tuple& a : r1->rows()) {
+    for (const Tuple& a : *r1) {
       if (!a.at(1).Satisfies(Comparator::kGe, Value::Int64(query_lo))) {
         continue;
       }
-      for (const Tuple& b : r2->rows()) {
+      for (const Tuple& b : *r2) {
         if (!(a.at(0) == b.at(0))) continue;
         expected.InsertUnchecked(Tuple({a.at(0), a.at(1), b.at(1)}));
       }

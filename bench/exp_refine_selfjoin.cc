@@ -33,7 +33,7 @@ int main() {
   const char* query = "retrieve (EMPLOYEE.TITLE, EMPLOYEE.SALARY)";
 
   auto has_full_pair = [&engine]() {
-    for (const Tuple& row : engine.last_result()->answer.rows()) {
+    for (const Tuple& row : engine.last_result()->answer) {
       if (!row.at(0).is_null() && !row.at(1).is_null()) return true;
     }
     return false;
@@ -81,7 +81,7 @@ int main() {
   keyless.SetSessionUser("clerk");
   auto no_key = keyless.Execute(query);
   bool keyless_pair = false;
-  for (const Tuple& row : keyless.last_result()->answer.rows()) {
+  for (const Tuple& row : keyless.last_result()->answer) {
     if (!row.at(0).is_null() && !row.at(1).is_null()) keyless_pair = true;
   }
   checker.Check("keyless relation: join not inferred, association hidden",

@@ -28,7 +28,7 @@ Result<std::vector<Tuple>> EvalNode(const PlanNode& node,
           !meter.Flush()) {
         return ctx->status();
       }
-      return rel->rows();
+      return std::vector<Tuple>(rel->begin(), rel->end());
     }
     case PlanNodeKind::kProduct: {
       VIEWAUTH_ASSIGN_OR_RETURN(std::vector<Tuple> left,

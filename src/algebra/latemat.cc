@@ -70,7 +70,7 @@ Result<Relation> EvaluateLateMaterialized(const ConjunctiveQuery& query,
   // `row_base`.
   auto value_at = [&](size_t row_base, int atom, int attr) -> const Value& {
     return base[atom]
-        ->rows()[current[row_base + static_cast<size_t>(slot_of_atom[atom])]]
+        ->row(current[row_base + static_cast<size_t>(slot_of_atom[atom])])
         .at(attr);
   };
 
@@ -184,7 +184,7 @@ Result<Relation> EvaluateLateMaterialized(const ConjunctiveQuery& query,
       KeyView key;
       key.Reserve(keys.size());
       for (uint32_t id : inputs[next]) {
-        const Tuple& row = base[next]->rows()[id];
+        const Tuple& row = base[next]->row(id);
         key.Clear();
         for (const JoinKey& k : keys) key.Add(row.at(k.next_attr));
         table.emplace_back(key.Hash(), id);
@@ -217,7 +217,7 @@ Result<Relation> EvaluateLateMaterialized(const ConjunctiveQuery& query,
           // Verify the candidate: strict component-wise Value equality
           // (the semantics of the projected-key Tuple comparison this
           // replaces).
-          const Tuple& build_row = base[next]->rows()[it->second];
+          const Tuple& build_row = base[next]->row(it->second);
           bool match = true;
           for (size_t k = 0; k < keys.size(); ++k) {
             if (!(key.at(k) == build_row.at(keys[k].next_attr))) {

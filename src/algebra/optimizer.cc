@@ -62,7 +62,7 @@ Result<Relation> EvaluateOptimized(const ConjunctiveQuery& query,
         SelectRowIds(*rel, query.atom_schema(i), local[i], stats, ctx);
     if (ctx != nullptr && !ctx->ok()) return ctx->status();
     inputs[i].reserve(ids.size());
-    for (uint32_t id : ids) inputs[i].push_back(rel->rows()[id]);
+    for (uint32_t id : ids) inputs[i].push_back(rel->row(id));
     if (ctx != nullptr &&
         !ctx->TickBytes(static_cast<long long>(ids.size()) *
                         ApproxTupleBytes(query.atom_schema(i).arity()))) {

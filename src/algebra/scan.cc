@@ -77,52 +77,55 @@ std::vector<uint32_t> SelectRowIds(const Relation& rel,
           : FindRangeAtom(schema, pred, &range_op, &range_value);
 
   if (probe_column >= 0) {
-    const Relation::ColumnIndex& index = rel.IndexOn(probe_column);
-    auto [lo, hi] = index.equal_range(probe_value);
-    for (auto it = lo; it != hi; ++it) {
-      const uint32_t id = static_cast<uint32_t>(it->second);
-      if (!ChargeScannedRows(stats, &meter, 1)) break;
-      if (pred.Matches(rel.rows()[id])) out.push_back(id);
-    }
+    rel.IndexOn(probe_column).ForEach(probe_value, [&](RowId id) {
+      if (!ChargeScannedRows(stats, &meter, 1)) return false;
+      if (pred.Matches(rel.row(id))) out.push_back(id);
+      return true;
+    });
   } else if (range_column >= 0) {
-    const Relation::OrderedIndex& index = rel.OrderedIndexOn(range_column);
-    auto value_less = [](const std::pair<Value, int>& entry,
+    // Every chunk's ordered index is binary-searched on its own, so ids
+    // come out chunk by chunk, in value order within a chunk.
+    auto value_less = [](const std::pair<Value, uint32_t>& entry,
                          const Value& probe) { return entry.first < probe; };
     auto probe_less = [](const Value& probe,
-                         const std::pair<Value, int>& entry) {
+                         const std::pair<Value, uint32_t>& entry) {
       return probe < entry.first;
     };
-    Relation::OrderedIndex::const_iterator begin = index.begin();
-    Relation::OrderedIndex::const_iterator end = index.end();
-    switch (range_op) {
-      case Comparator::kGe:
-        begin = std::lower_bound(index.begin(), index.end(), range_value,
-                                 value_less);
-        break;
-      case Comparator::kGt:
-        begin = std::upper_bound(index.begin(), index.end(), range_value,
+    for (int c = 0; c < rel.num_chunks(); ++c) {
+      const OrderedIndex& index = rel.OrderedIndexOn(c, range_column);
+      OrderedIndex::const_iterator begin = index.begin();
+      OrderedIndex::const_iterator end = index.end();
+      switch (range_op) {
+        case Comparator::kGe:
+          begin = std::lower_bound(index.begin(), index.end(), range_value,
+                                   value_less);
+          break;
+        case Comparator::kGt:
+          begin = std::upper_bound(index.begin(), index.end(), range_value,
+                                   probe_less);
+          break;
+        case Comparator::kLe:
+          end = std::upper_bound(index.begin(), index.end(), range_value,
                                  probe_less);
-        break;
-      case Comparator::kLe:
-        end = std::upper_bound(index.begin(), index.end(), range_value,
-                               probe_less);
-        break;
-      case Comparator::kLt:
-        end = std::lower_bound(index.begin(), index.end(), range_value,
-                               value_less);
-        break;
-      default:
-        break;
-    }
-    for (auto it = begin; it != end; ++it) {
-      const uint32_t id = static_cast<uint32_t>(it->second);
-      if (!ChargeScannedRows(stats, &meter, 1)) break;
-      if (pred.Matches(rel.rows()[id])) out.push_back(id);
+          break;
+        case Comparator::kLt:
+          end = std::lower_bound(index.begin(), index.end(), range_value,
+                                 value_less);
+          break;
+        default:
+          break;
+      }
+      const RowId base = static_cast<RowId>(c) << kChunkShift;
+      for (auto it = begin; it != end; ++it) {
+        if (!ChargeScannedRows(stats, &meter, 1)) return out;
+        const RowId id = base | it->second;
+        if (pred.Matches(rel.row(id))) out.push_back(id);
+      }
     }
   } else {
-    for (uint32_t id = 0; id < static_cast<uint32_t>(rel.size()); ++id) {
+    for (RowId id = 0; id < static_cast<RowId>(rel.size()); ++id) {
       if (!ChargeScannedRows(stats, &meter, 1)) break;
-      if (pred.Matches(rel.rows()[id])) out.push_back(id);
+      if (pred.Matches(rel.row(id))) out.push_back(id);
     }
   }
   return out;

@@ -1,11 +1,11 @@
 // Index-aware single-relation scans shared by the data-side evaluation
 // strategies (optimizer.cc, latemat.cc, and vectorized.cc).
 //
-// SelectRowIds returns the indices (into rel.rows()) of the rows matching
-// a conjunctive predicate, using the relation's lazy hash index for an
-// exact-typed equality-with-constant atom, or its ordered index for an
-// exact-typed one-sided range atom, and falling back to a full scan
-// otherwise.
+// SelectRowIds returns the ids (Relation::row) of the rows matching a
+// conjunctive predicate, using the relation's lazy hash index for an
+// exact-typed equality-with-constant atom, or its per-chunk ordered
+// indexes for an exact-typed one-sided range atom, and falling back to a
+// full scan otherwise.
 //
 // rows_scanned accounting contract (asserted by tests/latemat_test.cc
 // and tests/vectorized_test.cc): the counter means "rows fetched from

@@ -32,43 +32,33 @@ std::vector<uint32_t> VectorizedSelectRowIds(const Relation& rel,
     return SelectRowIds(rel, schema, pred, stats, ctx);
   }
 
-  // Full scans kernel directly over the relation's cached columnar
-  // image (Relation::ColumnOn): the flat per-column arrays are built
-  // once per relation version, so the per-scan cost is the kernels
-  // alone — no per-window cell gathering. Selection entries are
-  // absolute row indices, which the kernels use as-is.
-  struct AtomColumns {
-    const ColumnVector* lhs;
-    const ColumnVector* rhs;  // null for constant comparisons
-  };
-  std::vector<AtomColumns> cols;
-  cols.reserve(pred.atoms().size());
-  for (const SelectionAtom& atom : pred.atoms()) {
-    cols.push_back(AtomColumns{
-        &rel.ColumnOn(atom.lhs_column),
-        atom.rhs_is_column ? &rel.ColumnOn(atom.rhs_column) : nullptr});
-  }
-
+  // Full scans run the kernels chunk by chunk directly over the
+  // relation's cached columnar images (Relation::ColumnOn): a sealed
+  // chunk's flat per-column arrays are built once and shared by every
+  // snapshot holding the chunk, so the per-scan cost is the kernels
+  // alone — no per-window cell gathering. Selection entries are offsets
+  // in the chunk.
   std::vector<uint32_t> out;
   ExecMeter meter(ctx);
   std::vector<uint32_t> sel;
-  const size_t total = rel.size();
-  for (size_t wb = 0; wb < total; wb += kColumnBatchRows) {
-    const size_t n = std::min<size_t>(kColumnBatchRows, total - wb);
-    // Every row of the window is fetched and examined, whether or not
-    // any kernel keeps it.
+  for (int c = 0; c < rel.num_chunks(); ++c) {
+    const size_t n = rel.chunk(c).size();
+    // Every row of the chunk is fetched and examined, whether or not any
+    // kernel keeps it.
     if (!ChargeScannedRows(stats, &meter, static_cast<long long>(n))) break;
-    sel.resize(n);
-    for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(wb + i);
+    ResetSelection(&sel, n);
     for (size_t a = 0; a < pred.atoms().size() && !sel.empty(); ++a) {
       const SelectionAtom& atom = pred.atoms()[a];
+      const ColumnVector& lhs = rel.ColumnOn(c, atom.lhs_column);
       if (atom.rhs_is_column) {
-        FilterColumnColumn(*cols[a].lhs, atom.op, *cols[a].rhs, &sel);
+        FilterColumnColumn(lhs, atom.op, rel.ColumnOn(c, atom.rhs_column),
+                           &sel);
       } else {
-        FilterColumnConst(*cols[a].lhs, atom.op, atom.rhs_const, &sel);
+        FilterColumnConst(lhs, atom.op, atom.rhs_const, &sel);
       }
     }
-    out.insert(out.end(), sel.begin(), sel.end());
+    const RowId chunk_base = static_cast<RowId>(c) << kChunkShift;
+    for (uint32_t offset : sel) out.push_back(chunk_base | offset);
     if (stats != nullptr) ++stats->batches_evaluated;
   }
   return out;
@@ -121,7 +111,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
 
   auto value_at = [&](size_t row_base, int atom, int attr) -> const Value& {
     return base[atom]
-        ->rows()[current[row_base + static_cast<size_t>(slot_of_atom[atom])]]
+        ->row(current[row_base + static_cast<size_t>(slot_of_atom[atom])])
         .at(attr);
   };
 
@@ -155,8 +145,10 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
           lhs_ids[i] = current[(wb + i) * static_cast<size_t>(stride) +
                                lhs_slot];
         }
-        lhs_col.GatherIds(base[c.lhs.atom]->rows(), lhs_ids.data(), n,
-                          c.lhs.attr);
+        const Relation& lhs_rel = *base[c.lhs.atom];
+        lhs_col.Gather(n, c.lhs.attr, [&](size_t i) -> const Tuple& {
+          return lhs_rel.row(lhs_ids[i]);
+        });
         ResetSelection(&sel, n);
         if (c.rhs_is_column) {
           const size_t rhs_slot =
@@ -166,8 +158,10 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
             rhs_ids[i] = current[(wb + i) * static_cast<size_t>(stride) +
                                  rhs_slot];
           }
-          rhs_col.GatherIds(base[c.rhs_column.atom]->rows(), rhs_ids.data(),
-                            n, c.rhs_column.attr);
+          const Relation& rhs_rel = *base[c.rhs_column.atom];
+          rhs_col.Gather(n, c.rhs_column.attr, [&](size_t i) -> const Tuple& {
+            return rhs_rel.row(rhs_ids[i]);
+          });
           FilterColumnColumn(lhs_col, c.op, rhs_col, &sel);
         } else {
           FilterColumnConst(lhs_col, c.op, c.rhs_const, &sel);
@@ -263,7 +257,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
       KeyView key;
       key.Reserve(keys.size());
       for (uint32_t id : inputs[next]) {
-        const Tuple& row = base[next]->rows()[id];
+        const Tuple& row = base[next]->row(id);
         key.Clear();
         for (const JoinKey& k : keys) key.Add(row.at(k.next_attr));
         table.emplace_back(key.Hash(), id);
@@ -294,7 +288,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
             });
         for (auto it = lo; it != hi; ++it) {
           // Verify the candidate: strict component-wise Value equality.
-          const Tuple& build_row = base[next]->rows()[it->second];
+          const Tuple& build_row = base[next]->row(it->second);
           bool match = true;
           for (size_t k = 0; k < keys.size(); ++k) {
             if (!(key.at(k) == build_row.at(keys[k].next_attr))) {

@@ -642,7 +642,7 @@ Relation Authorizer::ApplyMask(const Relation& answer,
   // their association, which is derivable from the permitted views only
   // when a (self-)joined mask tuple grants the combination explicitly.
   ExecMeter meter(ctx);
-  for (const Tuple& row : answer.rows()) {
+  for (const Tuple& row : answer) {
     if (!meter.TickRows(1)) break;
     bool any = false;
     for (const CompiledMaskTuple& tuple : mask.tuples) {
@@ -682,11 +682,11 @@ Relation Authorizer::ApplyMaskVectorized(const Relation& answer,
   ColumnBatch batch;
   std::vector<uint32_t> sel;
   ExecMeter meter(ctx);
-  const std::vector<Tuple>& rows = answer.rows();
-  for (size_t wb = 0; wb < rows.size(); wb += kColumnBatchRows) {
-    const size_t n = std::min<size_t>(kColumnBatchRows, rows.size() - wb);
+  for (int c = 0; c < answer.num_chunks(); ++c) {
+    const std::span<const Tuple> rows = answer.chunk(c);
+    const size_t n = rows.size();
     if (!meter.TickRows(static_cast<long long>(n))) break;
-    batch.ResetDense(rows, wb, n, arity);
+    batch.Reset(rows, arity);
     std::fill(bits.begin(), bits.end(), 0);
     bool any_delivery = false;
     for (size_t t = 0; t < num_tuples; ++t) {
@@ -703,7 +703,7 @@ Relation Authorizer::ApplyMaskVectorized(const Relation& answer,
     if (!any_delivery && drop_fully_masked_rows) continue;
     for (size_t i = 0; i < n; ++i) {
       bool any = false;
-      const Tuple& row = rows[wb + i];
+      const Tuple& row = rows[i];
       for (size_t t = 0; t < num_tuples; ++t) {
         if (((bits[t * words + i / 64] >> (i % 64)) & 1) == 0) continue;
         any = true;
@@ -759,7 +759,7 @@ Relation Authorizer::ApplyWideMask(const Relation& wide_answer,
   }
 
   ExecMeter meter(ctx);
-  for (const Tuple& wide_row : wide_answer.rows()) {
+  for (const Tuple& wide_row : wide_answer) {
     if (!meter.TickRows(1)) break;
     bool any = false;
     for (size_t t = 0; t < wide_mask.tuples.size(); ++t) {
@@ -814,11 +814,11 @@ Relation Authorizer::ApplyWideMaskVectorized(
   ColumnBatch batch;
   std::vector<uint32_t> sel;
   ExecMeter meter(ctx);
-  const std::vector<Tuple>& rows = wide_answer.rows();
-  for (size_t wb = 0; wb < rows.size(); wb += kColumnBatchRows) {
-    const size_t n = std::min<size_t>(kColumnBatchRows, rows.size() - wb);
+  for (int c = 0; c < wide_answer.num_chunks(); ++c) {
+    const std::span<const Tuple> rows = wide_answer.chunk(c);
+    const size_t n = rows.size();
     if (!meter.TickRows(static_cast<long long>(n))) break;
-    batch.ResetDense(rows, wb, n, wide_arity);
+    batch.Reset(rows, wide_arity);
     std::fill(bits.begin(), bits.end(), 0);
     bool any_delivery = false;
     for (size_t t = 0; t < num_tuples; ++t) {
@@ -834,7 +834,7 @@ Relation Authorizer::ApplyWideMaskVectorized(
     if (!any_delivery && drop_fully_masked_rows) continue;
     for (size_t i = 0; i < n; ++i) {
       bool any = false;
-      const Tuple& wide_row = rows[wb + i];
+      const Tuple& wide_row = rows[i];
       for (size_t t = 0; t < num_tuples; ++t) {
         if (((bits[t * words + i / 64] >> (i % 64)) & 1) == 0) continue;
         any = true;
@@ -1089,7 +1089,7 @@ Result<AuthorizationResult> Authorizer::RetrieveExtended(
       ApproxTupleBytes(static_cast<int>(target_columns.size()));
   {
     ExecMeter meter(ctx);
-    for (const Tuple& row : wide_answer.rows()) {
+    for (const Tuple& row : wide_answer) {
       if (!meter.Tick(1, answer_bytes)) return ctx->status();
       result.raw_answer.InsertUnchecked(row.Project(target_columns));
     }

@@ -104,7 +104,7 @@ Result<UpdateGuard::DeleteDecision> UpdateGuard::AuthorizeDelete(
   }
 
   DeleteDecision decision;
-  for (const Tuple& row : rel->rows()) {
+  for (const Tuple& row : *rel) {
     if (!predicate.Matches(row)) continue;
     bool allowed = false;
     for (const MetaTuple* window : windows) {
@@ -212,7 +212,7 @@ Result<UpdateGuard::ModifyDecision> UpdateGuard::AuthorizeModify(
   }
 
   ModifyDecision decision;
-  for (const Tuple& row : rel->rows()) {
+  for (const Tuple& row : *rel) {
     if (!predicate.Matches(row)) continue;
     Tuple updated = row;
     for (const auto& [index, value] : resolved) {

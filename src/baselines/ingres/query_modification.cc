@@ -137,7 +137,7 @@ Result<Relation> IngresAuthorizer::Retrieve(
       result = std::move(partial);
       first = false;
     } else {
-      for (const Tuple& row : partial.rows()) {
+      for (const Tuple& row : partial) {
         result.InsertUnchecked(row);
       }
     }

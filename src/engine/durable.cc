@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/str_util.h"
@@ -430,7 +431,6 @@ Status DurableEngine::RecoverFramed(const std::string& contents,
           "statement log '" + path_ + "' record " + std::to_string(i + 1) +
           " does not replay cleanly: " + executed.ToString());
     }
-    durable_statements_.push_back(StatementToString(*stmt));
   }
   if (scan.damaged) {
     VIEWAUTH_RETURN_NOT_OK(fs_->TruncateFile(path_, scan.valid_bytes));
@@ -490,7 +490,6 @@ Status DurableEngine::RecoverLegacy(const std::string& contents) {
                               "' does not replay cleanly: " +
                               executed.status().ToString());
     }
-    durable_statements_.push_back(StatementToString(stmt));
   }
   if (salvaged_tail) {
     VIEWAUTH_RETURN_NOT_OK(fs_->TruncateFile(path_, effective.size()));
@@ -517,7 +516,7 @@ void DurableEngine::EnterDegradedLocked(const std::string& reason,
   // silently and the next Open salvages instead.
   (void)fs_->TruncateFile(path_, log_bytes_);
   pending_buffer_.clear();
-  pending_lines_.clear();
+  pending_records_ = 0;
   // The aborted mutations already executed against the engine's staged
   // head; discard it so they are not visible as committed. Readers keep
   // the last published (durable) snapshot.
@@ -644,7 +643,6 @@ Result<std::string> DurableEngine::CommitSingleLocked(
         "mutation was not committed (log append failed: " +
         appended.ToString() + "); the engine is now read-only");
   }
-  durable_statements_.push_back(line);
   engine_->PublishStaged();
   return output;
 }
@@ -653,11 +651,10 @@ Result<std::string> DurableEngine::CommitBatchedLocked(
     std::unique_lock<std::mutex>& lock, const Statement& stmt,
     std::string output) {
   // Stage this mutation's frame into the forming batch.
-  const std::string line = StatementToString(stmt);
   const uint64_t seq = next_seq_++;
-  if (pending_lines_.empty()) pending_first_seq_ = seq;
-  pending_buffer_ += FrameRecord(seq, line);
-  pending_lines_.push_back(line);
+  if (pending_records_ == 0) pending_first_seq_ = seq;
+  pending_buffer_ += FrameRecord(seq, StatementToString(stmt));
+  ++pending_records_;
   const uint64_t my_epoch = pending_epoch_;
   cv_.notify_all();
 
@@ -682,8 +679,7 @@ Result<std::string> DurableEngine::CommitBatchedLocked(
       WaitForStragglersLocked(lock);
       std::string batch = std::move(pending_buffer_);
       pending_buffer_.clear();
-      std::vector<std::string> lines = std::move(pending_lines_);
-      pending_lines_.clear();
+      const size_t records = std::exchange(pending_records_, 0);
       batch += FrameMarker(pending_first_seq_, next_seq_ - 1);
       const uint64_t epoch = pending_epoch_++;
       const uint64_t durable_offset = log_bytes_;
@@ -701,15 +697,12 @@ Result<std::string> DurableEngine::CommitBatchedLocked(
       resolved_epoch_ = epoch;
       if (written.ok()) {
         durable_epoch_ = epoch;
-        for (std::string& committed : lines) {
-          durable_statements_.push_back(std::move(committed));
-        }
         log_bytes_ += batch.size();
         ++appends_;
         append_bytes_ += batch.size();
         ++commit_batches_;
-        batched_records_ += lines.size();
-        fsyncs_saved_ += lines.size() - 1;
+        batched_records_ += records;
+        fsyncs_saved_ += records - 1;
         engine_->PublishStaged();
       } else {
         // The whole batch aborts: no waiter is acknowledged, the staged
@@ -736,12 +729,12 @@ void DurableEngine::WaitForStragglersLocked(
                         std::chrono::microseconds(window_us);
   const auto slice = std::chrono::microseconds(
       std::max<long long>(1, window_us / 4));
-  size_t seen = pending_lines_.size();
-  while (static_cast<int>(pending_lines_.size()) < max_batch &&
+  size_t seen = pending_records_;
+  while (static_cast<int>(pending_records_) < max_batch &&
          std::chrono::steady_clock::now() < deadline) {
     cv_.wait_for(lock, slice);
-    if (pending_lines_.size() == seen) break;  // arrivals dried up
-    seen = pending_lines_.size();
+    if (pending_records_ == seen) break;  // arrivals dried up
+    seen = pending_records_;
   }
 }
 
@@ -758,7 +751,7 @@ Status DurableEngine::Compact() {
   // the entry gate; the in-flight batch (if any) resolves and staged
   // frames drain through their leader before the rewrite starts.
   compacting_ = true;
-  cv_.wait(lock, [this] { return !leader_active_ && pending_lines_.empty(); });
+  cv_.wait(lock, [this] { return !leader_active_ && pending_records_ == 0; });
 
   auto compact_locked = [&]() -> Status {
     if (degraded_) {
@@ -770,13 +763,9 @@ Status DurableEngine::Compact() {
     VIEWAUTH_ASSIGN_OR_RETURN(std::vector<Statement> statements,
                               ParseProgram(script));
     std::string buffer(kMagicV3);
-    std::vector<std::string> lines;
-    lines.reserve(statements.size());
     uint64_t seq = 0;
     for (const Statement& stmt : statements) {
-      std::string line = StatementToString(stmt);
-      buffer += FrameRecord(++seq, line);
-      lines.push_back(std::move(line));
+      buffer += FrameRecord(++seq, StatementToString(stmt));
     }
     // One marker commits the whole dump.
     if (seq > 0) buffer += FrameMarker(1, seq);
@@ -813,7 +802,6 @@ Status DurableEngine::Compact() {
     // append handle points at the unlinked previous file; swap it out.
     if (log_ != nullptr) (void)log_->Close();
     log_.reset();
-    durable_statements_ = std::move(lines);
     next_seq_ = seq + 1;
     format_ = LogFormat::kFramedV3;
     log_bytes_ = buffer.size();

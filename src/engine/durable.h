@@ -272,7 +272,7 @@ class DurableEngine {
 
   // Replays a framed (V2/V3) / legacy plain-text log body, applying the
   // configured recovery mode (salvage truncates a damaged tail on disk)
-  // and filling in recovery_, durable_statements_, next_seq_, log_bytes_.
+  // and filling in recovery_, next_seq_, log_bytes_.
   Status RecoverFramed(const std::string& contents, LogFormat format);
   Status RecoverLegacy(const std::string& contents);
 
@@ -288,8 +288,6 @@ class DurableEngine {
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<WritableFile> log_;
   LogFormat format_ = LogFormat::kFramedV3;
-  // Normalized text of every statement durably in the log, in order.
-  std::vector<std::string> durable_statements_;
   uint64_t next_seq_ = 1;
   // Bytes of the log known to be durable (the append offset).
   uint64_t log_bytes_ = 0;
@@ -307,9 +305,9 @@ class DurableEngine {
   uint64_t transient_recoveries_ = 0;
 
   // --- group-commit state (all under mu_) -------------------------------
-  // Frames and statement texts staged for the next batch.
+  // Frames staged for the next batch, and how many records they hold.
   std::string pending_buffer_;
-  std::vector<std::string> pending_lines_;
+  size_t pending_records_ = 0;
   uint64_t pending_first_seq_ = 0;
   // Epoch of the batch currently forming; each waiter remembers the
   // epoch it staged into. resolved advances when a leader finishes a

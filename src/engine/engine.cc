@@ -402,7 +402,7 @@ Result<std::string> Engine::ExecuteDelete(const DeleteStmt& stmt) {
       }
     }
     std::vector<Tuple> matching;
-    for (const Tuple& row : rel->rows()) {
+    for (const Tuple& row : *rel) {
       if (predicate.Matches(row)) matching.push_back(row);
     }
     for (const Tuple& row : matching) rel->Erase(row);
@@ -484,7 +484,7 @@ Result<std::string> Engine::ExecuteModify(const ModifyStmt& stmt) {
             SelectionAtom::ColumnConst(lhs, cond.op, cond.rhs.constant));
       }
     }
-    for (const Tuple& row : rel->rows()) {
+    for (const Tuple& row : *rel) {
       if (!predicate.Matches(row)) continue;
       Tuple updated = row;
       for (const auto& [index, value] : resolved) {
@@ -796,10 +796,10 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
         result = branch_result;
         first = false;
       } else {
-        for (const Tuple& row : branch_result.answer.rows()) {
+        for (const Tuple& row : branch_result.answer) {
           result.answer.InsertUnchecked(row);
         }
-        for (const Tuple& row : branch_result.raw_answer.rows()) {
+        for (const Tuple& row : branch_result.raw_answer) {
           result.raw_answer.InsertUnchecked(row);
         }
         // Branch masks combine only when their column layouts agree;

@@ -45,7 +45,8 @@ std::string PrintRelation(const Relation& relation,
     header.push_back(attr.name);
   }
   std::vector<Tuple> data =
-      options.sorted ? relation.SortedRows() : relation.rows();
+      options.sorted ? relation.SortedRows()
+                     : std::vector<Tuple>(relation.begin(), relation.end());
   std::vector<std::vector<std::string>> rows;
   rows.reserve(data.size());
   for (const Tuple& tuple : data) {

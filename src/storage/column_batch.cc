@@ -79,62 +79,18 @@ void ColumnVector::Classify() {
   }
 }
 
-void ColumnVector::GatherDense(const std::vector<Tuple>& rows, size_t begin,
-                               size_t count, int col) {
-  boxed_.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    boxed_[i] = &rows[begin + i].values()[col];
-  }
-  Classify();
-}
-
-void ColumnVector::GatherIds(const std::vector<Tuple>& rows,
-                             const uint32_t* ids, size_t count, int col) {
-  boxed_.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    boxed_[i] = &rows[ids[i]].values()[col];
-  }
-  Classify();
-}
-
-void ColumnBatch::ResetDense(const std::vector<Tuple>& rows, size_t begin,
-                             size_t count, int arity) {
-  rows_ = &rows;
-  begin_ = begin;
-  ids_ = nullptr;
-  count_ = count;
-  columns_.resize(arity);
-  gathered_.assign(arity, 0);
-}
-
-void ColumnBatch::ResetIds(const std::vector<Tuple>& rows, const uint32_t* ids,
-                           size_t count, int arity) {
-  rows_ = &rows;
-  begin_ = 0;
-  ids_ = ids;
-  count_ = count;
-  columns_.resize(arity);
-  gathered_.assign(arity, 0);
+void ColumnBatch::Reset(std::span<const Tuple> rows, int arity) {
+  rows_ = rows;
+  columns_.resize(static_cast<size_t>(arity));
+  gathered_.assign(static_cast<size_t>(arity), 0);
 }
 
 const ColumnVector& ColumnBatch::column(int col) {
   if (gathered_[col] == 0) {
-    if (ids_ != nullptr) {
-      columns_[col].GatherIds(*rows_, ids_, count_, col);
-    } else {
-      columns_[col].GatherDense(*rows_, begin_, count_, col);
-    }
+    columns_[col].Gather(rows_, col);
     gathered_[col] = 1;
   }
   return columns_[col];
-}
-
-Tuple ColumnBatch::ProjectRow(size_t i, const std::vector<int>& cols) const {
-  std::vector<Value> values;
-  values.reserve(cols.size());
-  const Tuple& r = row(i);
-  for (int c : cols) values.push_back(r.values()[c]);
-  return Tuple(std::move(values));
 }
 
 void ResetSelection(std::vector<uint32_t>* sel, size_t n) {

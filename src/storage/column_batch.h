@@ -1,14 +1,14 @@
 // Columnar batches for the vectorized data plan (DESIGN.md §17).
 //
-// A ColumnBatch is a window of up to kColumnBatchRows rows over a
-// Relation's tuple store — either a dense range [begin, begin+n) or an
-// explicit row-id list — with lazy per-column gathering into
-// ColumnVectors. A ColumnVector classifies the gathered window: when
-// every cell is non-null and of one concrete type it exposes a flat
-// typed array (int64_t / double / const std::string*) that the
-// predicate kernels below iterate with branch-light, SIMD-friendly
-// loops; otherwise it degrades to kMixed and the kernels fall back to
-// per-row Value::Satisfies through boxed pointers (never copies).
+// A ColumnBatch is a window of up to kColumnBatchRows contiguous rows —
+// one chunk of a Relation (storage/relation.h) — with lazy per-column
+// gathering into ColumnVectors. A ColumnVector classifies the gathered
+// window: when every cell is non-null and of one concrete type it
+// exposes a flat typed array (int64_t / double / const std::string*)
+// that the predicate kernels below iterate with branch-light,
+// SIMD-friendly loops; otherwise it degrades to kMixed and the kernels
+// fall back to per-row Value::Satisfies through boxed pointers (never
+// copies).
 //
 // The kernels filter a selection vector — a vector of row ordinals
 // into the batch — in place, compacting it to the ordinals whose rows
@@ -22,6 +22,7 @@
 #define VIEWAUTH_STORAGE_COLUMN_BATCH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -29,9 +30,10 @@
 
 namespace viewauth {
 
-// Rows per batch. 1024 keeps the working set (a handful of gathered
-// columns plus the selection vector) inside L1/L2 while amortizing
-// per-batch overhead (governor ticks, kernel dispatch) to noise.
+// Rows per batch, equal to the rows per relation chunk so a batch is a
+// chunk. 1024 keeps the working set (a handful of gathered columns plus
+// the selection vector) inside L1/L2 while amortizing per-batch overhead
+// (governor ticks, kernel dispatch) to noise.
 inline constexpr uint32_t kColumnBatchRows = 1024;
 
 // Classification of a gathered column window.
@@ -47,13 +49,21 @@ enum class ColumnClass {
 // holds a flat typed array when the window is uniform.
 class ColumnVector {
  public:
-  // Gathers `count` cells of column `col` from rows
-  // [begin, begin + count) of `rows`.
-  void GatherDense(const std::vector<Tuple>& rows, size_t begin, size_t count,
-                   int col);
-  // Gathers `count` cells of column `col` from rows ids[0..count).
-  void GatherIds(const std::vector<Tuple>& rows, const uint32_t* ids,
-                 size_t count, int col);
+  // Gathers column `col` of `count` rows, row i being `row_at(i)`.
+  template <typename RowAt>
+  void Gather(size_t count, int col, RowAt row_at) {
+    boxed_.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      boxed_[i] = &row_at(i).values()[static_cast<size_t>(col)];
+    }
+    Classify();
+  }
+  // Gathers column `col` of every row of `rows`.
+  void Gather(std::span<const Tuple> rows, int col) {
+    Gather(rows.size(), col, [rows](size_t i) -> const Tuple& {
+      return rows[i];
+    });
+  }
 
   ColumnClass cls() const { return cls_; }
   size_t size() const { return boxed_.size(); }
@@ -74,25 +84,15 @@ class ColumnVector {
   std::vector<const std::string*> str_;
 };
 
-// A window of rows over a Relation's tuple vector with per-column
-// lazily gathered ColumnVectors. Reusable: Reset* keeps column
-// capacity across batches.
+// A window of contiguous rows with per-column lazily gathered
+// ColumnVectors. Reusable: Reset keeps column capacity across batches.
 class ColumnBatch {
  public:
-  // Dense window over rows [begin, begin + count).
-  void ResetDense(const std::vector<Tuple>& rows, size_t begin, size_t count,
-                  int arity);
-  // Window over the listed row ids (pointer must stay valid while the
-  // batch is in use).
-  void ResetIds(const std::vector<Tuple>& rows, const uint32_t* ids,
-                size_t count, int arity);
+  // Window over `rows` (which must outlive the batch's use).
+  void Reset(std::span<const Tuple> rows, int arity);
 
-  size_t size() const { return count_; }
-  // Source row index (into the relation) of batch ordinal `i`.
-  uint32_t row_id(size_t i) const {
-    return ids_ != nullptr ? ids_[i] : static_cast<uint32_t>(begin_ + i);
-  }
-  const Tuple& row(size_t i) const { return (*rows_)[row_id(i)]; }
+  size_t size() const { return rows_.size(); }
+  const Tuple& row(size_t i) const { return rows_[i]; }
 
   // Column `col`, gathered on first access per Reset.
   const ColumnVector& column(int col);
@@ -101,15 +101,8 @@ class ColumnBatch {
     return row(i).values()[col];
   }
 
-  // Materializes batch ordinal `i` projected onto `cols` (the adapter
-  // back to tuple-land at plan output boundaries).
-  Tuple ProjectRow(size_t i, const std::vector<int>& cols) const;
-
  private:
-  const std::vector<Tuple>* rows_ = nullptr;
-  size_t begin_ = 0;
-  const uint32_t* ids_ = nullptr;
-  size_t count_ = 0;
+  std::span<const Tuple> rows_;
   std::vector<ColumnVector> columns_;
   std::vector<char> gathered_;
 };

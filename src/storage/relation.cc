@@ -4,41 +4,86 @@
 
 namespace viewauth {
 
+const ColumnVector& ChunkImages::ColumnOn(std::span<const Tuple> rows,
+                                          int column) {
+  // Map nodes are stable, so the returned reference outlives the lock.
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = columns_.find(column);
+  if (it == columns_.end()) {
+    it = columns_.emplace(column, ColumnVector()).first;
+    it->second.Gather(rows, column);
+  }
+  return it->second;
+}
+
+const OrderedIndex& ChunkImages::OrderedIndexOn(std::span<const Tuple> rows,
+                                                int column) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = ordered_.find(column);
+  if (it == ordered_.end()) {
+    OrderedIndex built;
+    built.reserve(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      built.emplace_back(rows[i].values()[static_cast<size_t>(column)],
+                         static_cast<uint32_t>(i));
+    }
+    std::sort(built.begin(), built.end(),
+              [](const std::pair<Value, uint32_t>& a,
+                 const std::pair<Value, uint32_t>& b) {
+                if (a.first < b.first) return true;
+                if (b.first < a.first) return false;
+                return a.second < b.second;
+              });
+    it = ordered_.emplace(column, std::move(built)).first;
+  }
+  return it->second;
+}
+
+void ChunkImages::Clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  columns_.clear();
+  ordered_.clear();
+}
+
 Relation::Relation(const Relation& other)
     : schema_(other.schema_),
-      rows_(other.rows_),
-      index_(other.index_),
-      version_(other.version_) {}
+      chunks_(other.chunks_),
+      size_(other.size_),
+      identity_(other.identity_) {
+  // Readers of `other` may be building a column index right now.
+  std::lock_guard<std::mutex> lock(other.index_mutex_);
+  column_indexes_ = other.column_indexes_;
+}
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
   schema_ = other.schema_;
-  rows_ = other.rows_;
-  index_ = other.index_;
-  version_ = other.version_;
-  indexed_version_ = -1;
-  column_indexes_.clear();
-  ordered_indexes_.clear();
-  column_cache_.clear();
+  chunks_ = other.chunks_;
+  size_ = other.size_;
+  identity_ = other.identity_;
+  {
+    std::lock_guard<std::mutex> lock(other.index_mutex_);
+    column_indexes_ = other.column_indexes_;
+  }
+  tail_images_.Clear();
   return *this;
 }
 
 Relation::Relation(Relation&& other) noexcept
     : schema_(std::move(other.schema_)),
-      rows_(std::move(other.rows_)),
-      index_(std::move(other.index_)),
-      version_(other.version_) {}
+      chunks_(std::move(other.chunks_)),
+      size_(std::exchange(other.size_, 0)),
+      identity_(std::move(other.identity_)),
+      column_indexes_(std::move(other.column_indexes_)) {}
 
 Relation& Relation::operator=(Relation&& other) noexcept {
   if (this == &other) return *this;
   schema_ = std::move(other.schema_);
-  rows_ = std::move(other.rows_);
-  index_ = std::move(other.index_);
-  version_ = other.version_;
-  indexed_version_ = -1;
-  column_indexes_.clear();
-  ordered_indexes_.clear();
-  column_cache_.clear();
+  chunks_ = std::move(other.chunks_);
+  size_ = std::exchange(other.size_, 0);
+  identity_ = std::move(other.identity_);
+  column_indexes_ = std::move(other.column_indexes_);
+  tail_images_.Clear();
   return *this;
 }
 
@@ -65,131 +110,197 @@ Status Relation::ValidateTuple(const Tuple& tuple) const {
   return Status::OK();
 }
 
+size_t Relation::IdentityHash(const Tuple& tuple) const {
+  if (!KeyedIdentity(tuple)) return tuple.Hash();
+  // Tuple::Hash's combine over the key columns, without projecting.
+  size_t h = 0x345678;
+  for (int c : schema_.key()) {
+    h = h * 1000003 ^ tuple.values()[static_cast<size_t>(c)].Hash();
+  }
+  return h;
+}
+
+bool Relation::SameIdentity(const Tuple& a, const Tuple& b) const {
+  if (!KeyedIdentity(a) || !KeyedIdentity(b)) return a == b;
+  return std::all_of(schema_.key().begin(), schema_.key().end(), [&](int c) {
+    return a.values()[static_cast<size_t>(c)] ==
+           b.values()[static_cast<size_t>(c)];
+  });
+}
+
+size_t Relation::ProbeHash(const Tuple& tuple) const {
+  return size_ > kScanRows ? IdentityHash(tuple) : 0;
+}
+
+template <typename Visit>
+void Relation::ForEachIdentityCandidate(size_t probe_hash,
+                                        Visit visit) const {
+  if (size_ > kScanRows) {
+    identity_.ForEach(probe_hash, visit);
+    return;
+  }
+  for (RowId id = 0; id < size_; ++id) {
+    if (!visit(id)) return;
+  }
+}
+
+RowId Relation::Find(const Tuple& tuple, size_t probe_hash) const {
+  RowId found = size_;
+  ForEachIdentityCandidate(probe_hash, [&](RowId id) {
+    if (row(id) != tuple) return true;
+    found = id;
+    return false;
+  });
+  return found;
+}
+
 Status Relation::Insert(Tuple tuple) {
   VIEWAUTH_RETURN_NOT_OK(ValidateTuple(tuple));
-  if (schema_.has_key()) {
-    // Reject a second tuple with the same key but different payload.
-    Tuple key_values = tuple.Project(schema_.key());
-    for (const Tuple& row : rows_) {
-      if (row.Project(schema_.key()) == key_values && row != tuple) {
-        return Status::SchemaMismatch("primary-key violation in relation '" +
-                                      schema_.name() + "' for key " +
-                                      key_values.ToString());
-      }
+  // One identity probe decides all three outcomes: a row with the same
+  // key and a different payload is a violation, an identical row is
+  // absorbed, and otherwise the tuple is new.
+  const size_t hash = ProbeHash(tuple);
+  bool duplicate = false;
+  bool conflict = false;
+  ForEachIdentityCandidate(hash, [&](RowId id) {
+    const Tuple& existing = row(id);
+    if (existing == tuple) {
+      duplicate = true;
+    } else if (SameIdentity(existing, tuple)) {
+      conflict = true;
     }
+    return true;
+  });
+  if (conflict) {
+    return Status::SchemaMismatch("primary-key violation in relation '" +
+                                  schema_.name() + "' for key " +
+                                  tuple.Project(schema_.key()).ToString());
   }
-  InsertUnchecked(std::move(tuple));
+  if (!duplicate) Append(std::move(tuple), hash);
   return Status::OK();
 }
 
 bool Relation::InsertUnchecked(Tuple tuple) {
-  auto [it, inserted] = index_.insert(tuple);
-  if (inserted) {
-    rows_.push_back(std::move(tuple));
-    ++version_;
+  const size_t hash = ProbeHash(tuple);
+  if (Find(tuple, hash) != size_) return false;
+  Append(std::move(tuple), hash);
+  return true;
+}
+
+void Relation::Append(Tuple tuple, size_t probe_hash) {
+  const RowId id = size_;
+  const uint32_t offset = id & (kChunkRows - 1);
+  // A new chunk starts with a few slots and doubles as it fills.
+  if (offset == 0) chunks_.push_back(std::make_shared<Chunk>(4));
+  std::shared_ptr<Chunk>& tail = chunks_.back();
+  if (!tail->Claim(offset)) {
+    // The chunk is full, or a relation sharing it appended first and
+    // took the slot: continue in a private chunk with room to grow. Its
+    // rows move over when nothing else holds the old chunk.
+    const bool sole_holder = tail.use_count() == 1;
+    auto grown = std::make_shared<Chunk>(std::min(kChunkRows, 2 * offset));
+    for (uint32_t i = 0; i < offset; ++i) {
+      grown->Claim(i);
+      if (sole_holder) {
+        grown->slot(i) = std::move(tail->slot(i));
+      } else {
+        grown->slot(i) = tail->row(i);
+      }
+    }
+    grown->Claim(offset);
+    tail = std::move(grown);
   }
-  return inserted;
+  for (auto& [column, index] : column_indexes_) {
+    index.Add(tuple.values()[static_cast<size_t>(column)].Hash(), id);
+  }
+  tail->slot(offset) = std::move(tuple);
+  ++size_;
+  tail_images_.Clear();
+  if (size_ == kScanRows + 1) {
+    // Outgrew the scan: index every row so far.
+    std::vector<size_t> hashes(size_);
+    for (RowId r = 0; r < size_; ++r) hashes[r] = IdentityHash(row(r));
+    identity_ = RowIndex::Build(hashes);
+  } else if (size_ > kScanRows) {
+    identity_.Add(probe_hash, id);
+  }
 }
 
 bool Relation::Erase(const Tuple& tuple) {
-  auto it = index_.find(tuple);
-  if (it == index_.end()) return false;
-  index_.erase(it);
-  rows_.erase(std::find(rows_.begin(), rows_.end(), tuple));
-  ++version_;
+  const RowId found = Find(tuple, ProbeHash(tuple));
+  if (found == size_) return false;
+  // Rebuild from the erased row's chunk onward; earlier chunks and their
+  // images stay shared.
+  const size_t first_chunk = found >> kChunkShift;
+  const RowId first = static_cast<RowId>(first_chunk) << kChunkShift;
+  std::vector<Tuple> moved;
+  moved.reserve(size_ - first - 1);
+  for (RowId id = first; id < size_; ++id) {
+    if (id != found) moved.push_back(row(id));
+  }
+  chunks_.resize(first_chunk);
+  size_ = first;
+  identity_.Truncate(first);
+  for (auto& [column, index] : column_indexes_) index.Truncate(first);
+  for (Tuple& t : moved) {
+    const size_t hash = ProbeHash(t);
+    Append(std::move(t), hash);
+  }
+  tail_images_.Clear();
   return true;
 }
 
 void Relation::Clear() {
-  rows_.clear();
-  index_.clear();
-  ++version_;
-}
-
-const Relation::ColumnIndex& Relation::IndexOn(int column) const {
-  // Serialize lazy builds: concurrent read-only sessions may race to
-  // index the same relation. Map nodes are stable, so the returned
-  // reference stays valid after unlock as long as no mutation intervenes
-  // (mutations are externally excluded from readers).
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (indexed_version_ != version_) {
-    column_indexes_.clear();
-    ordered_indexes_.clear();
-    column_cache_.clear();
-    indexed_version_ = version_;
-  }
-  auto it = column_indexes_.find(column);
-  if (it == column_indexes_.end()) {
-    ColumnIndex built;
-    built.reserve(rows_.size());
-    for (int row = 0; row < static_cast<int>(rows_.size()); ++row) {
-      built.emplace(rows_[static_cast<size_t>(row)].at(column), row);
-    }
-    it = column_indexes_.emplace(column, std::move(built)).first;
-  }
-  return it->second;
-}
-
-const Relation::OrderedIndex& Relation::OrderedIndexOn(int column) const {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (indexed_version_ != version_) {
-    column_indexes_.clear();
-    ordered_indexes_.clear();
-    column_cache_.clear();
-    indexed_version_ = version_;
-  }
-  auto it = ordered_indexes_.find(column);
-  if (it == ordered_indexes_.end()) {
-    OrderedIndex built;
-    built.reserve(rows_.size());
-    for (int row = 0; row < static_cast<int>(rows_.size()); ++row) {
-      built.emplace_back(rows_[static_cast<size_t>(row)].at(column), row);
-    }
-    std::sort(built.begin(), built.end(),
-              [](const std::pair<Value, int>& a,
-                 const std::pair<Value, int>& b) {
-                if (a.first < b.first) return true;
-                if (b.first < a.first) return false;
-                return a.second < b.second;
-              });
-    it = ordered_indexes_.emplace(column, std::move(built)).first;
-  }
-  return it->second;
-}
-
-const ColumnVector& Relation::ColumnOn(int column) const {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (indexed_version_ != version_) {
-    column_indexes_.clear();
-    ordered_indexes_.clear();
-    column_cache_.clear();
-    indexed_version_ = version_;
-  }
-  auto it = column_cache_.find(column);
-  if (it == column_cache_.end()) {
-    ColumnVector built;
-    built.GatherDense(rows_, 0, rows_.size(), column);
-    it = column_cache_.emplace(column, std::move(built)).first;
-  }
-  return it->second;
+  chunks_.clear();
+  size_ = 0;
+  identity_ = RowIndex();
+  column_indexes_.clear();
+  tail_images_.Clear();
 }
 
 bool Relation::Contains(const Tuple& tuple) const {
-  return index_.contains(tuple);
+  return Find(tuple, ProbeHash(tuple)) != size_;
+}
+
+Relation::ColumnIndex Relation::IndexOn(int column) const {
+  // Serialize lazy builds: concurrent read-only sessions may race to
+  // index the same relation. Map nodes are stable, so the view stays
+  // valid after unlock as long as no mutation intervenes.
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  auto it = column_indexes_.find(column);
+  if (it == column_indexes_.end()) {
+    std::vector<size_t> hashes(size_);
+    for (RowId id = 0; id < size_; ++id) {
+      hashes[id] = row(id).values()[static_cast<size_t>(column)].Hash();
+    }
+    it = column_indexes_.emplace(column, RowIndex::Build(hashes)).first;
+  }
+  return ColumnIndex(this, &it->second, static_cast<size_t>(column));
+}
+
+ChunkImages& Relation::ImagesOf(int c) const {
+  return ChunkSize(c) == kChunkRows ? chunks_[static_cast<size_t>(c)]->images()
+                                    : tail_images_;
+}
+
+const OrderedIndex& Relation::OrderedIndexOn(int chunk, int column) const {
+  return ImagesOf(chunk).OrderedIndexOn(this->chunk(chunk), column);
+}
+
+const ColumnVector& Relation::ColumnOn(int chunk, int column) const {
+  return ImagesOf(chunk).ColumnOn(this->chunk(chunk), column);
 }
 
 std::vector<Tuple> Relation::SortedRows() const {
-  std::vector<Tuple> sorted = rows_;
+  std::vector<Tuple> sorted(begin(), end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
 
 bool Relation::SameTuples(const Relation& other) const {
   if (size() != other.size()) return false;
-  for (const Tuple& row : rows_) {
-    if (!other.Contains(row)) return false;
-  }
-  return true;
+  return std::all_of(begin(), end(),
+                     [&](const Tuple& t) { return other.Contains(t); });
 }
 
 DatabaseSchema& DatabaseInstance::MutableSchema() {
@@ -224,11 +335,11 @@ Result<Relation*> DatabaseInstance::GetRelation(std::string_view name) {
                             "' does not exist");
   }
   // Copy-on-write: a use count above one means a snapshot still reads
-  // this relation object; give the writer its own clone. (Refcounts only
-  // move under the engine's exclusive mutation lock or when a reader
-  // releases its snapshot — a concurrent release can at worst leave the
-  // count momentarily high, causing a spurious clone, never a shared
-  // mutation.)
+  // this relation object; give the writer its own copy, which shares the
+  // chunks and index shards. (Refcounts only move under the engine's
+  // exclusive mutation lock or when a reader releases its snapshot — a
+  // concurrent release can at worst leave the count momentarily high,
+  // causing a spurious copy, never a shared mutation.)
   if (it->second.use_count() > 1) {
     it->second = std::make_shared<Relation>(*it->second);
   }

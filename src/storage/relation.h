@@ -1,32 +1,101 @@
 // In-memory relations with set semantics (the relational model of the
 // paper: a relation is a *set* of tuples over the scheme's domains), and
 // the database instance holding one relation per relation scheme.
+//
+// Storage layout (DESIGN.md §16): a relation is a directory of chunks of
+// kChunkRows rows each, held by shared_ptr, plus one identity index. A
+// copy shares every chunk and every index shard; a write touches the
+// tail chunk and one shard per index, never the whole relation.
 
 #ifndef VIEWAUTH_STORAGE_RELATION_H_
 #define VIEWAUTH_STORAGE_RELATION_H_
 
+#include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "schema/schema.h"
 #include "storage/column_batch.h"
+#include "storage/row_index.h"
 #include "storage/tuple.h"
 
 namespace viewauth {
+
+// Rows per chunk; a row's id is chunk << kChunkShift | offset. A chunk
+// is one vectorized batch.
+inline constexpr int kChunkShift = 10;
+inline constexpr uint32_t kChunkRows = uint32_t{1} << kChunkShift;
+static_assert(kChunkRows == kColumnBatchRows);
+
+// An ordered index over one column of one chunk: (value, offset in the
+// chunk) pairs sorted by value (Value's total order), then offset.
+using OrderedIndex = std::vector<std::pair<Value, uint32_t>>;
+
+// Read structures derived from one fixed run of rows, built lazily under
+// their own mutex so concurrent readers may share them. References stay
+// valid until Clear.
+class ChunkImages {
+ public:
+  const ColumnVector& ColumnOn(std::span<const Tuple> rows, int column);
+  const OrderedIndex& OrderedIndexOn(std::span<const Tuple> rows, int column);
+  void Clear();
+
+ private:
+  std::mutex mutex_;
+  std::map<int, ColumnVector> columns_;
+  std::map<int, OrderedIndex> ordered_;
+};
+
+// Up to kChunkRows rows in fixed slots. Relations sharing a chunk each
+// see their own prefix of it, so a chunk is append-only: whoever claims
+// the next free slot fills it, and every other sharer, which cannot see
+// that slot, clones the chunk before appending (Relation::Append). A
+// full chunk is sealed — immutable — and carries its derived images.
+class Chunk {
+ public:
+  explicit Chunk(uint32_t capacity)
+      : rows_(std::make_unique<Tuple[]>(capacity)), capacity_(capacity) {}
+
+  const Tuple& row(uint32_t offset) const { return rows_[offset]; }
+  std::span<const Tuple> rows(uint32_t count) const {
+    return {rows_.get(), count};
+  }
+
+  // Claims slot `offset` for writing. Fails when the slot is taken (a
+  // sharer appended first) or past capacity.
+  bool Claim(uint32_t offset) {
+    uint32_t expected = offset;
+    return offset < capacity_ &&
+           claimed_.compare_exchange_strong(expected, offset + 1);
+  }
+  Tuple& slot(uint32_t offset) { return rows_[offset]; }
+
+  // Images of a sealed chunk (all kChunkRows rows), shared by every
+  // relation holding it.
+  ChunkImages& images() const { return images_; }
+
+ private:
+  std::unique_ptr<Tuple[]> rows_;
+  const uint32_t capacity_;
+  std::atomic<uint32_t> claimed_{0};
+  mutable ChunkImages images_;
+};
 
 class Relation {
  public:
   Relation() = default;
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
 
-  // Copies and moves transfer the data but not the lazily-built indexes
-  // (each copy rebuilds its own on demand, under its own lock).
+  // Copies share the chunks and index shards with the original (each
+  // side clones what it later writes) and rebuild only the tail chunk's
+  // images. Moves transfer everything but the tail images.
   Relation(const Relation& other);
   Relation& operator=(const Relation& other);
   Relation(Relation&& other) noexcept;
@@ -43,46 +112,122 @@ class Relation {
   // tuple was new.
   bool InsertUnchecked(Tuple tuple);
 
-  // Removes a tuple if present; returns true if it was removed.
+  // Removes a tuple if present; returns true if it was removed. Rows
+  // after it move up one id: the chunks from the erased row's onward
+  // are rebuilt, so an erase is O(rows after it).
   bool Erase(const Tuple& tuple);
   void Clear();
 
   bool Contains(const Tuple& tuple) const;
-  int size() const { return static_cast<int>(rows_.size()); }
-  bool empty() const { return rows_.empty(); }
+  int size() const { return static_cast<int>(size_); }
+  bool empty() const { return size_ == 0; }
 
-  // Insertion-ordered rows.
-  const std::vector<Tuple>& rows() const { return rows_; }
+  // The row with id `id` (< size()).
+  const Tuple& row(RowId id) const {
+    return chunks_[id >> kChunkShift]->row(id & (kChunkRows - 1));
+  }
+
+  // Chunk iteration: chunk c holds rows [c << kChunkShift, ...), all
+  // kChunkRows of them except in the last chunk.
+  int num_chunks() const { return static_cast<int>(chunks_.size()); }
+  std::span<const Tuple> chunk(int c) const {
+    return chunks_[static_cast<size_t>(c)]->rows(ChunkSize(c));
+  }
+  // True when chunk `c` of both relations is one shared object.
+  bool SharesChunkWith(const Relation& other, int c) const {
+    return chunks_[static_cast<size_t>(c)] ==
+           other.chunks_[static_cast<size_t>(c)];
+  }
+
+  // Insertion-ordered iteration over the rows.
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Tuple;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Tuple*;
+    using reference = const Tuple&;
+
+    Iterator() = default;
+    Iterator(const Relation* rel, RowId id) : rel_(rel), id_(id) {}
+    const Tuple& operator*() const { return rel_->row(id_); }
+    const Tuple* operator->() const { return &rel_->row(id_); }
+    Iterator& operator++() {
+      ++id_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++id_;
+      return before;
+    }
+    bool operator==(const Iterator& other) const { return id_ == other.id_; }
+
+   private:
+    const Relation* rel_ = nullptr;
+    RowId id_ = 0;
+  };
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size_); }
 
   // Rows sorted lexicographically (deterministic display/comparison).
   std::vector<Tuple> SortedRows() const;
 
-  // A hash index over one column: value -> indices into rows(). Built
-  // lazily on first use and rebuilt after mutations (cheap version
-  // check). Building is mutex-guarded, so concurrent read-only sessions
-  // may share one relation; mutations must still be externally excluded
-  // from readers (the engine's statement locking provides this).
-  // Index lookups use strict Value equality, so callers must
-  // coerce probe constants to the column's type (the engine's literal
-  // coercion already guarantees this for stored data).
-  using ColumnIndex = std::unordered_multimap<Value, int, ValueHash>;
-  const ColumnIndex& IndexOn(int column) const;
+  // A hash index over one column, built lazily on first use and from
+  // then on extended by every insert (one shard cloned when a copy
+  // shares it), so writes never invalidate it. Lookups use strict Value
+  // equality, so callers must coerce probe constants to the column's
+  // type (the engine's literal coercion already guarantees this for
+  // stored data).
+  //
+  // Building is mutex-guarded, so concurrent read-only sessions may
+  // share one relation; mutations must still be externally excluded
+  // from readers of the same Relation object (snapshots give each writer
+  // its own copy). The view is valid until the next mutation.
+  class ColumnIndex {
+   public:
+    // Calls `visit(id)` for each row whose cell equals `value`, in
+    // increasing id order, until `visit` returns false.
+    template <typename Visit>
+    void ForEach(const Value& value, Visit visit) const {
+      index_->ForEach(value.Hash(), [&](RowId id) {
+        return !(rel_->row(id).values()[column_] == value) || visit(id);
+      });
+    }
+    size_t count(const Value& value) const {
+      size_t n = 0;
+      ForEach(value, [&n](RowId) {
+        ++n;
+        return true;
+      });
+      return n;
+    }
 
-  // An ordered index over one column: (value, row index) pairs sorted by
-  // value (Value's total order). Built lazily like IndexOn; enables
-  // binary-searched range scans for one-sided and interval predicates.
-  using OrderedIndex = std::vector<std::pair<Value, int>>;
-  const OrderedIndex& OrderedIndexOn(int column) const;
+   private:
+    friend class Relation;
+    ColumnIndex(const Relation* rel, const RowIndex* index, size_t column)
+        : rel_(rel), index_(index), column_(column) {}
 
-  // The whole column gathered into a ColumnVector (a flat typed array
-  // when the column is uniform and null-free, boxed pointers
-  // otherwise). Built lazily like IndexOn and invalidated by the same
-  // version check; the vectorized plan's full scans run predicate
-  // kernels directly over this image — selection entries are row
-  // indices — instead of re-gathering cells tuple-by-tuple on every
-  // scan. Cell pointers alias rows(), so the same reader/mutator
-  // exclusion rules as the indexes apply.
-  const ColumnVector& ColumnOn(int column) const;
+    const Relation* rel_;
+    const RowIndex* index_;
+    size_t column_;
+  };
+  ColumnIndex IndexOn(int column) const;
+
+  // Per-chunk read structures, built lazily under the same rules as
+  // IndexOn. A sealed chunk's images live in the chunk and are shared by
+  // every relation holding it; the last chunk's live in the relation and
+  // are rebuilt after it changes, so a write costs the next read at most
+  // one chunk of rebuilding.
+  //
+  // OrderedIndexOn: the chunk's rows ordered by one column, for
+  // binary-searched range scans. ColumnOn: one column of the chunk
+  // gathered into a ColumnVector (a flat typed array when the column is
+  // uniform and null-free, boxed pointers otherwise); the vectorized
+  // plan's full scans run predicate kernels directly over it. Cell
+  // pointers alias the chunk's rows.
+  const OrderedIndex& OrderedIndexOn(int chunk, int column) const;
+  const ColumnVector& ColumnOn(int chunk, int column) const;
 
   // True if both relations hold the same set of tuples (schema names are
   // not compared; arity must match).
@@ -92,18 +237,47 @@ class Relation {
   // Validates tuple types against the schema; NULLs are always accepted.
   Status ValidateTuple(const Tuple& tuple) const;
 
+  uint32_t ChunkSize(int c) const {
+    return c + 1 < num_chunks()
+               ? kChunkRows
+               : size_ - (static_cast<uint32_t>(c) << kChunkShift);
+  }
+  ChunkImages& ImagesOf(int c) const;
+
+  // The identity index hashes the key projection for keyed schemes and
+  // the whole tuple otherwise (and for a tuple whose arity does not fit
+  // the scheme, which only InsertUnchecked can store).
+  bool KeyedIdentity(const Tuple& tuple) const {
+    return schema_.has_key() && tuple.arity() == schema_.arity();
+  }
+  size_t IdentityHash(const Tuple& tuple) const;
+  bool SameIdentity(const Tuple& a, const Tuple& b) const;
+  // Relations of at most kScanRows rows find a tuple by scanning every
+  // row, which beats hashing it; the identity index exists only above
+  // that size. The probe hash is the identity hash when the index is in
+  // use and 0 otherwise.
+  static constexpr uint32_t kScanRows = 32;
+  size_t ProbeHash(const Tuple& tuple) const;
+  // Calls `visit(id)` for every row that may share the identity of the
+  // tuple hashing to `probe_hash`, until `visit` returns false.
+  template <typename Visit>
+  void ForEachIdentityCandidate(size_t probe_hash, Visit visit) const;
+  // The id of the row equal to `tuple`, or size() when there is none.
+  RowId Find(const Tuple& tuple, size_t probe_hash) const;
+
+  // Appends a tuple known to be new and maintains every index.
+  void Append(Tuple tuple, size_t probe_hash);
+
   RelationSchema schema_;
-  std::vector<Tuple> rows_;
-  std::unordered_set<Tuple, TupleHash> index_;
-  // Lazily-built per-column indexes, keyed by column; `version_` detects
-  // staleness after Insert/Erase/Clear. `index_mutex_` serializes builds
-  // from concurrent readers.
-  long long version_ = 0;
+  std::vector<std::shared_ptr<Chunk>> chunks_;
+  uint32_t size_ = 0;
+  RowIndex identity_;
+  // Lazily built column indexes (which writers extend) and the last
+  // chunk's images; `index_mutex_` serializes builds from concurrent
+  // readers.
   mutable std::mutex index_mutex_;
-  mutable long long indexed_version_ = -1;
-  mutable std::map<int, ColumnIndex> column_indexes_;
-  mutable std::map<int, OrderedIndex> ordered_indexes_;
-  mutable std::map<int, ColumnVector> column_cache_;
+  mutable std::map<int, RowIndex> column_indexes_;
+  mutable ChunkImages tail_images_;
 };
 
 // A database instance: one relation per relation scheme of the database
@@ -111,7 +285,8 @@ class Relation {
 //
 // Copies are shallow and copy-on-write: a copy shares the schema object
 // and every relation with the original, and the first mutation through
-// either instance clones just the touched relation (or the schema, for
+// either instance copies just the touched relation — its chunk
+// directory and index shard pointers, not its rows — (or the schema, for
 // DDL) before writing. This is what makes forking an engine snapshot
 // O(#relations) pointer copies instead of a deep copy of all data —
 // readers pinning the old instance keep an immutable view.
@@ -129,7 +304,7 @@ class DatabaseInstance {
   Status DropRelation(std::string_view name);
 
   // The non-const lookup is the write path: if the relation is shared
-  // with another instance (a pinned snapshot), it is cloned first so the
+  // with another instance (a pinned snapshot), it is copied first so the
   // mutation stays invisible to the sharer.
   Result<Relation*> GetRelation(std::string_view name);
   Result<const Relation*> GetRelation(std::string_view name) const;

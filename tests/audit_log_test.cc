@@ -93,7 +93,7 @@ TEST_F(AuditLogTest, MaterializeAndRender) {
   Relation rel = engine_.audit_log().Materialize();
   EXPECT_EQ(rel.schema().name(), "AUDIT");
   EXPECT_EQ(rel.size(), 1);
-  EXPECT_EQ(rel.rows()[0].at(3), Value::String("denied"));
+  EXPECT_EQ(rel.row(0).at(3), Value::String("denied"));
 
   std::string text = engine_.audit_log().ToString();
   EXPECT_NE(text.find("[Nobody] denied"), std::string::npos);

@@ -160,7 +160,7 @@ TEST(PaperExamples, Example3WithoutSelfJoins) {
 
   EXPECT_FALSE(result->full_access);
   // Names are deliverable through EST x EST; salaries are not.
-  for (const Tuple& row : result->answer.rows()) {
+  for (const Tuple& row : result->answer) {
     EXPECT_FALSE(row.at(0).is_null());
     EXPECT_TRUE(row.at(1).is_null());
     EXPECT_FALSE(row.at(2).is_null());

@@ -159,7 +159,7 @@ bool RowSatisfiesRaw(
 
 long long CountDeliveredCells(const Relation& relation) {
   long long count = 0;
-  for (const Tuple& row : relation.rows()) {
+  for (const Tuple& row : relation) {
     for (const Value& value : row.values()) {
       if (!value.is_null()) ++count;
     }
@@ -185,12 +185,12 @@ TEST_P(AuthzPropertyTest, NoCellBeyondPermittedViews) {
     ASSERT_TRUE(result.ok()) << result.status();
 
     const Relation* base = s.db.GetRelation("R").value();
-    for (const Tuple& answer_row : result->answer.rows()) {
+    for (const Tuple& answer_row : result->answer) {
       for (size_t i = 0; i < rq->target_columns.size(); ++i) {
         if (answer_row.at(static_cast<int>(i)).is_null()) continue;
         const int column = rq->target_columns[i];
         bool justified = false;
-        for (const Tuple& base_row : base->rows()) {
+        for (const Tuple& base_row : *base) {
           // (a) projection match on every non-null answer cell.
           bool projects = true;
           for (size_t j = 0; j < rq->target_columns.size(); ++j) {
@@ -292,9 +292,9 @@ TEST_P(AuthzPropertyTest, MaskedIsSubsetOfRaw) {
     Authorizer authorizer(&s.db, s.catalog.get());
     auto result = authorizer.Retrieve("u", rq->query);
     ASSERT_TRUE(result.ok());
-    for (const Tuple& row : result->answer.rows()) {
+    for (const Tuple& row : result->answer) {
       bool matched = false;
-      for (const Tuple& raw : result->raw_answer.rows()) {
+      for (const Tuple& raw : result->raw_answer) {
         bool compatible = true;
         for (int i = 0; i < row.arity(); ++i) {
           if (!row.at(i).is_null() && !(row.at(i) == raw.at(i))) {

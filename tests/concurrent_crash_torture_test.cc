@@ -26,6 +26,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/file.h"
 #include "engine/durable.h"
@@ -108,7 +109,10 @@ std::set<int> IdsInDump(const std::string& dump) {
 class ConcurrentCrashTortureTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps parallel test processes apart: sanitizer builds
+    // place the fixture at the same address in each.
     path_ = ::testing::TempDir() + "viewauth_cct_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
     std::remove(path_.c_str());
   }

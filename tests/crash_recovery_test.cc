@@ -17,6 +17,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/file.h"
 #include "engine/durable.h"
@@ -91,7 +92,10 @@ std::vector<std::string> PrefixDumps(const std::vector<std::string>& stmts) {
 class CrashTortureTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps parallel test processes apart: sanitizer builds
+    // place the fixture at the same address in each.
     path_ = ::testing::TempDir() + "viewauth_torture_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
     std::remove(path_.c_str());
   }

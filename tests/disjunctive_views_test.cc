@@ -63,7 +63,7 @@ TEST_F(DisjunctiveViewsTest, UnionOfBranchesDelivered) {
   EXPECT_TRUE(result->answer.Contains(
       Tuple({Value::String("Jones"), Value::String("manager"),
              Value::Int64(26000)})));
-  for (const Tuple& row : result->answer.rows()) {
+  for (const Tuple& row : result->answer) {
     EXPECT_NE(row.at(0), Value::String("Brown"));
   }
 }

@@ -150,7 +150,7 @@ TEST(ExtendedMasks, ExtensionIsMonotone) {
   };
   auto delivered_cells = [](const Relation& relation) {
     long long count = 0;
-    for (const Tuple& row : relation.rows()) {
+    for (const Tuple& row : relation) {
       for (const Value& value : row.values()) {
         if (!value.is_null()) ++count;
       }

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <unistd.h>
 
 namespace viewauth {
 namespace {
@@ -20,7 +21,10 @@ std::string ReadAll(const std::string& path) {
 class FileTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps parallel test processes apart: sanitizer builds
+    // place the fixture at the same address in each.
     base_ = ::testing::TempDir() + "viewauth_file_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this));
     path_ = base_ + ".dat";
     other_ = base_ + ".other";

@@ -350,7 +350,7 @@ TEST(LateMat, CompiledMaskAgreesWithRowSatisfies) {
       ASSERT_TRUE(answer.ok()) << text;
       const CompiledMask compiled = CompiledMask::Compile(*mask);
       ASSERT_EQ(compiled.tuples.size(), mask->tuples().size());
-      for (const Tuple& row : answer->rows()) {
+      for (const Tuple& row : *answer) {
         for (size_t t = 0; t < compiled.tuples.size(); ++t) {
           EXPECT_EQ(compiled.tuples[t].Satisfies(row),
                     Authorizer::RowSatisfies(mask->tuples()[t], row))

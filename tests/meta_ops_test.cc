@@ -60,6 +60,12 @@ struct FourCaseParam {
   int64_t expect_hi;
 };
 
+// Prints the case label, so the test names CTest discovers (which carry
+// the printed parameter) do not depend on where the label string lives.
+void PrintTo(const FourCaseParam& param, std::ostream* os) {
+  *os << param.label;
+}
+
 class FourCaseTest : public ::testing::TestWithParam<FourCaseParam> {};
 
 TEST_P(FourCaseTest, PaperScenario) {

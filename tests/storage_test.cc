@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "schema/schema.h"
 #include "storage/relation.h"
 #include "storage/tuple.h"
+#include "tests/test_util.h"
 
 namespace viewauth {
 namespace {
@@ -78,6 +85,16 @@ TEST(Tuple, OrderingAndHash) {
   EXPECT_FALSE(b < a);
   EXPECT_TRUE(Tuple({Value::Int64(1)}) < a);  // shorter first on prefix
   EXPECT_EQ(a.Hash(), Tuple({Value::Int64(1), Value::Int64(2)}).Hash());
+}
+
+// The ids IndexOn(column) yields for `value`.
+std::vector<RowId> Probe(const Relation& rel, int column, const Value& value) {
+  std::vector<RowId> ids;
+  rel.IndexOn(column).ForEach(value, [&ids](RowId id) {
+    ids.push_back(id);
+    return true;
+  });
+  return ids;
 }
 
 TEST(Relation, SetSemantics) {
@@ -158,29 +175,43 @@ TEST(Relation, ColumnIndexLookup) {
                                 Value::String("engineer"),
                                 Value::Int64(32000)}))
                   .ok());
-  const Relation::ColumnIndex& by_title = rel.IndexOn(1);
+  const Relation::ColumnIndex by_title = rel.IndexOn(1);
   EXPECT_EQ(by_title.count(Value::String("manager")), 2u);
   EXPECT_EQ(by_title.count(Value::String("engineer")), 1u);
   EXPECT_EQ(by_title.count(Value::String("nobody")), 0u);
-  // Row ids point back into rows().
-  auto [lo, hi] = by_title.equal_range(Value::String("engineer"));
-  ASSERT_NE(lo, hi);
-  EXPECT_EQ(rel.rows()[static_cast<size_t>(lo->second)].at(0),
-            Value::String("Brown"));
+  // Row ids point back into the relation, in increasing order.
+  EXPECT_EQ(Probe(rel, 1, Value::String("engineer")), std::vector<RowId>{2});
+  EXPECT_EQ(rel.row(2).at(0), Value::String("Brown"));
+  EXPECT_EQ(Probe(rel, 1, Value::String("manager")),
+            (std::vector<RowId>{0, 1}));
 }
 
 TEST(Relation, ColumnIndexInvalidatesOnMutation) {
   Relation rel(MakeEmployeeSchema());
   Tuple jones({Value::String("Jones"), Value::String("manager"),
                Value::Int64(26000)});
+  Tuple smith({Value::String("Smith"), Value::String("manager"),
+               Value::Int64(22000)});
   ASSERT_TRUE(rel.Insert(jones).ok());
   EXPECT_EQ(rel.IndexOn(0).count(Value::String("Jones")), 1u);
+  EXPECT_EQ(rel.ColumnOn(0, 2).size(), 1u);
   ASSERT_TRUE(rel.Erase(jones));
   EXPECT_EQ(rel.IndexOn(0).count(Value::String("Jones")), 0u);
   ASSERT_TRUE(rel.Insert(jones).ok());
   EXPECT_EQ(rel.IndexOn(0).count(Value::String("Jones")), 1u);
+  // A built index is extended by inserts, and the tail chunk's images
+  // are rebuilt after them.
+  EXPECT_EQ(rel.IndexOn(1).count(Value::String("manager")), 1u);
+  ASSERT_TRUE(rel.Insert(smith).ok());
+  EXPECT_EQ(Probe(rel, 1, Value::String("manager")),
+            (std::vector<RowId>{0, 1}));
+  EXPECT_EQ(Probe(rel, 0, Value::String("Smith")), std::vector<RowId>{1});
+  ASSERT_EQ(rel.ColumnOn(0, 2).size(), 2u);
+  EXPECT_EQ(rel.ColumnOn(0, 2).value(1), Value::Int64(22000));
+  EXPECT_EQ(rel.OrderedIndexOn(0, 2).front().first, Value::Int64(22000));
   rel.Clear();
   EXPECT_EQ(rel.IndexOn(0).count(Value::String("Jones")), 0u);
+  EXPECT_EQ(rel.num_chunks(), 0);
 }
 
 TEST(Relation, OrderedIndex) {
@@ -192,21 +223,223 @@ TEST(Relation, OrderedIndex) {
                                   Value::Int64(salary)}))
                     .ok());
   }
-  const Relation::OrderedIndex& by_salary = rel.OrderedIndexOn(2);
+  ASSERT_EQ(rel.num_chunks(), 1);
+  const OrderedIndex& by_salary = rel.OrderedIndexOn(0, 2);
   ASSERT_EQ(by_salary.size(), 3u);
   EXPECT_EQ(by_salary[0].first, Value::Int64(22000));
+  EXPECT_EQ(by_salary[0].second, 1u);  // offset of Smith in the chunk
   EXPECT_EQ(by_salary[2].first, Value::Int64(32000));
   // Binary search finds the >= 26000 suffix.
   auto begin = std::lower_bound(
       by_salary.begin(), by_salary.end(), Value::Int64(26000),
-      [](const std::pair<Value, int>& e, const Value& v) {
+      [](const std::pair<Value, uint32_t>& e, const Value& v) {
         return e.first < v;
       });
   EXPECT_EQ(by_salary.end() - begin, 2);
-  // Mutations invalidate.
+  // Mutations of the (unsealed) chunk rebuild it.
   ASSERT_TRUE(rel.Erase(Tuple({Value::String("Brown"), Value::String("t"),
                                Value::Int64(32000)})));
-  EXPECT_EQ(rel.OrderedIndexOn(2).size(), 2u);
+  EXPECT_EQ(rel.OrderedIndexOn(0, 2).size(), 2u);
+}
+
+// A keyed EMPLOYEE row whose every cell derives from `i`.
+Tuple EmployeeRow(int i, int salary_offset = 0) {
+  return Tuple({Value::String("e" + std::to_string(i)),
+                Value::String("t" + std::to_string(i % 7)),
+                Value::Int64(i % 1000 + salary_offset)});
+}
+
+Relation EmployeeRelation(int rows) {
+  Relation rel(MakeEmployeeSchema());
+  for (int i = 0; i < rows; ++i) {
+    EXPECT_TRUE(rel.Insert(EmployeeRow(i)).ok());
+  }
+  return rel;
+}
+
+TEST(Relation, ChunkBoundaries) {
+  for (int rows : {1023, 1024, 1025}) {
+    SCOPED_TRACE(rows);
+    const Relation rel = EmployeeRelation(rows);
+    ASSERT_EQ(rel.size(), rows);
+    ASSERT_EQ(rel.num_chunks(), (rows + 1023) / 1024);
+    EXPECT_EQ(rel.chunk(0).size(), std::min(rows, 1024));
+    const int last = rel.num_chunks() - 1;
+    EXPECT_EQ(static_cast<int>(rel.chunk(last).size()), rows - last * 1024);
+    // Ids are chunk << 10 | offset, in insertion order.
+    int visited = 0;
+    for (const Tuple& row : rel) {
+      EXPECT_EQ(row, EmployeeRow(visited));
+      ++visited;
+    }
+    EXPECT_EQ(visited, rows);
+    const RowId last_id = static_cast<RowId>(rows - 1);
+    EXPECT_EQ(rel.row(last_id), EmployeeRow(rows - 1));
+    EXPECT_EQ(&rel.row(last_id), &rel.chunk(last)[last_id & 1023]);
+    // Every read structure covers the last row.
+    EXPECT_EQ(Probe(rel, 0, EmployeeRow(rows - 1).at(0)),
+              std::vector<RowId>{last_id});
+    EXPECT_EQ(rel.ColumnOn(last, 0).size(), rel.chunk(last).size());
+    EXPECT_EQ(rel.ColumnOn(last, 0).value(rel.chunk(last).size() - 1),
+              EmployeeRow(rows - 1).at(0));
+    EXPECT_EQ(rel.OrderedIndexOn(last, 2).size(), rel.chunk(last).size());
+    EXPECT_TRUE(rel.Contains(EmployeeRow(rows - 1)));
+    EXPECT_FALSE(rel.Contains(EmployeeRow(rows)));
+  }
+}
+
+TEST(Relation, CopyIsIsolatedAndSharesAllButTheWrittenChunks) {
+  constexpr int kRows = 11 * 1024 + 300;  // 12 chunks
+  const Relation original = EmployeeRelation(kRows);
+  // Build every read structure on the original before copying.
+  const std::vector<RowId> probe_before =
+      Probe(original, 1, Value::String("t3"));
+  std::vector<OrderedIndex> ordered_before;
+  std::vector<std::vector<Value>> column_before;
+  for (int c = 0; c < original.num_chunks(); ++c) {
+    ordered_before.push_back(original.OrderedIndexOn(c, 2));
+    const ColumnVector& column = original.ColumnOn(c, 0);
+    std::vector<Value> cells;
+    for (size_t i = 0; i < column.size(); ++i) cells.push_back(column.value(i));
+    column_before.push_back(std::move(cells));
+  }
+
+  Relation copy = original;
+  ASSERT_EQ(copy.num_chunks(), 12);
+  for (int c = 0; c < copy.num_chunks(); ++c) {
+    EXPECT_TRUE(copy.SharesChunkWith(original, c)) << c;
+  }
+
+  ASSERT_TRUE(copy.Insert(EmployeeRow(kRows)).ok());
+  // The copy's key check still sees rows of sealed chunks.
+  EXPECT_TRUE(copy.Insert(EmployeeRow(5, /*salary_offset=*/1))
+                  .IsSchemaMismatch());
+  for (int c = 0; c + 1 < copy.num_chunks(); ++c) {
+    EXPECT_TRUE(copy.SharesChunkWith(original, c)) << c;
+  }
+  // Erasing a row of chunk 5 rebuilds the copy from chunk 5 onward.
+  ASSERT_TRUE(copy.Erase(EmployeeRow(5 * 1024 + 7)));
+  for (int c = 0; c < copy.num_chunks(); ++c) {
+    EXPECT_EQ(copy.SharesChunkWith(original, c), c < 5) << c;
+  }
+  ASSERT_EQ(copy.size(), kRows);
+  EXPECT_EQ(copy.row(5 * 1024 + 7), EmployeeRow(5 * 1024 + 8));
+  EXPECT_EQ(copy.row(kRows - 1), EmployeeRow(kRows));
+  EXPECT_TRUE(copy.Contains(EmployeeRow(kRows)));
+  EXPECT_FALSE(copy.Contains(EmployeeRow(5 * 1024 + 7)));
+
+  // The original is untouched: rows, IndexOn, OrderedIndexOn, ColumnOn.
+  ASSERT_EQ(original.size(), kRows);
+  for (RowId id = 0; id < static_cast<RowId>(kRows); ++id) {
+    ASSERT_EQ(original.row(id), EmployeeRow(static_cast<int>(id)));
+  }
+  EXPECT_FALSE(original.Contains(EmployeeRow(kRows)));
+  EXPECT_EQ(Probe(original, 1, Value::String("t3")), probe_before);
+  EXPECT_EQ(Probe(original, 0, EmployeeRow(kRows).at(0)),
+            std::vector<RowId>{});
+  for (int c = 0; c < original.num_chunks(); ++c) {
+    EXPECT_EQ(original.OrderedIndexOn(c, 2), ordered_before[c]) << c;
+    const ColumnVector& column = original.ColumnOn(c, 0);
+    ASSERT_EQ(column.size(), column_before[c].size()) << c;
+    for (size_t i = 0; i < column.size(); ++i) {
+      EXPECT_EQ(column.value(i), column_before[c][i]) << c << ":" << i;
+    }
+  }
+}
+
+TEST(Relation, EraseInMiddleChunkThenProbe) {
+  Relation rel = EmployeeRelation(3000);
+  const Relation::ColumnIndex by_name = rel.IndexOn(0);
+  EXPECT_EQ(by_name.count(EmployeeRow(1500).at(0)), 1u);
+  ASSERT_TRUE(rel.Erase(EmployeeRow(1500)));
+  ASSERT_EQ(rel.size(), 2999);
+  EXPECT_TRUE(Probe(rel, 0, EmployeeRow(1500).at(0)).empty());
+  // Rows after the erased one moved up one id; the index followed them.
+  EXPECT_EQ(Probe(rel, 0, EmployeeRow(1499).at(0)), std::vector<RowId>{1499});
+  EXPECT_EQ(Probe(rel, 0, EmployeeRow(1501).at(0)), std::vector<RowId>{1500});
+  EXPECT_EQ(Probe(rel, 0, EmployeeRow(2999).at(0)), std::vector<RowId>{2998});
+  for (int i : {0, 1023, 1024, 1501, 2048, 2999}) {
+    const std::vector<RowId> ids = Probe(rel, 0, EmployeeRow(i).at(0));
+    ASSERT_EQ(ids.size(), 1u) << i;
+    EXPECT_EQ(rel.row(ids[0]), EmployeeRow(i));
+  }
+  // The key check still covers every chunk.
+  EXPECT_TRUE(rel.Insert(EmployeeRow(2500, 1)).IsSchemaMismatch());
+  EXPECT_TRUE(rel.Insert(EmployeeRow(1500)).ok());
+  EXPECT_EQ(Probe(rel, 0, EmployeeRow(1500).at(0)), std::vector<RowId>{2999});
+}
+
+TEST(Relation, DuplicateKeyAcrossSealedChunkAndTail) {
+  Relation rel = EmployeeRelation(1500);
+  ASSERT_EQ(rel.num_chunks(), 2);
+  // Row 5 sits in the sealed first chunk; the probe row would go to the
+  // tail.
+  EXPECT_TRUE(rel.Insert(EmployeeRow(5, 1)).IsSchemaMismatch());
+  EXPECT_TRUE(rel.Insert(EmployeeRow(5)).ok());  // identical: absorbed
+  EXPECT_EQ(rel.size(), 1500);
+  // The same holds in a copy sharing both chunks.
+  Relation copy = rel;
+  EXPECT_TRUE(copy.Insert(EmployeeRow(5, 1)).IsSchemaMismatch());
+  EXPECT_TRUE(copy.Insert(EmployeeRow(1499, 1)).IsSchemaMismatch());
+  EXPECT_EQ(copy.size(), 1500);
+}
+
+TEST(Relation, ConcurrentCopiesAppendToASharedTail) {
+  // Every copy shares the base's tail chunk, which has free slots: the
+  // copies race to claim the same slot while readers scan the base.
+  constexpr int kBase = 1024 + 100;
+  constexpr int kWriters = 4;
+  constexpr int kAppends = 600;
+  const Relation base = EmployeeRelation(kBase);
+  std::vector<Relation> copies(kWriters, base);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&copy = copies[static_cast<size_t>(w)], w] {
+      for (int i = 0; i < kAppends; ++i) {
+        EXPECT_TRUE(copy.Insert(EmployeeRow(1'000'000 * (w + 1) + i)).ok());
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&base] {
+      for (int pass = 0; pass < 20; ++pass) {
+        int seen = 0;
+        for (const Tuple& row : base) seen += row.arity();
+        EXPECT_EQ(seen, 3 * kBase);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(base.size(), kBase);
+  EXPECT_FALSE(base.Contains(EmployeeRow(1'000'000)));
+  for (int w = 0; w < kWriters; ++w) {
+    const Relation& copy = copies[static_cast<size_t>(w)];
+    ASSERT_EQ(copy.size(), kBase + kAppends) << w;
+    EXPECT_TRUE(copy.SharesChunkWith(base, 0)) << w;
+    for (int i = 0; i < kBase; ++i) {
+      ASSERT_EQ(copy.row(static_cast<RowId>(i)), EmployeeRow(i)) << w;
+    }
+    for (int i = 0; i < kAppends; ++i) {
+      ASSERT_EQ(copy.row(static_cast<RowId>(kBase + i)),
+                EmployeeRow(1'000'000 * (w + 1) + i))
+          << w;
+    }
+  }
+}
+
+TEST(Relation, KeyedLoadIsLinear) {
+  constexpr int kRows = 100'000;
+  const auto start = std::chrono::steady_clock::now();
+  Relation rel(MakeEmployeeSchema());
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(rel.Insert(EmployeeRow(i)).ok());
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(rel.size(), kRows);
+  // A scan per insert (the quadratic load) takes minutes here.
+  EXPECT_LT(seconds, 1.0 * testing_util::kSanitizerSlowdown);
 }
 
 TEST(DatabaseInstance, CreateInsertDrop) {

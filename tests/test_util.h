@@ -17,6 +17,20 @@
 namespace viewauth {
 namespace testing_util {
 
+// Wall-clock bounds in tests stretch by this factor in the sanitizer
+// builds of tools/check.sh, which run several times slower.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr double kSanitizerSlowdown = 10;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+inline constexpr double kSanitizerSlowdown = 10;
+#else
+inline constexpr double kSanitizerSlowdown = 1;
+#endif
+#else
+inline constexpr double kSanitizerSlowdown = 1;
+#endif
+
 #define VIEWAUTH_TEST_OK(expr)                                    \
   do {                                                            \
     auto _st = (expr);                                            \

@@ -153,7 +153,7 @@ class ModifyGuardTest : public ::testing::Test {
 
   Value SalaryOf(const char* name) {
     const Relation* rel = *engine_.db().GetRelation("EMPLOYEE");
-    for (const Tuple& row : rel->rows()) {
+    for (const Tuple& row : *rel) {
       if (row.at(0) == Value::String(name)) return row.at(2);
     }
     return Value::Null();

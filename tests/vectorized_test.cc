@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <vector>
 
 #include "algebra/evaluator.h"
@@ -74,7 +75,7 @@ TEST(ColumnBatchKernels, AgreeWithSatisfiesOnRandomWindows) {
     const bool uniform = trial % 2 == 0;
     const std::vector<Tuple> rows = RandomRows(rng, 64, uniform);
     ColumnBatch batch;
-    batch.ResetDense(rows, 0, rows.size(), /*arity=*/2);
+    batch.Reset(rows, /*arity=*/2);
     const Value rhs_const = RandomValue(rng);
     for (Comparator op : ops) {
       // Column-vs-constant.
@@ -119,7 +120,7 @@ TEST(ColumnBatchKernels, NullConstantClearsSelection) {
   const std::vector<Tuple> rows = {Tuple({Value::Int64(1)}),
                                    Tuple({Value::Null()})};
   ColumnBatch batch;
-  batch.ResetDense(rows, 0, rows.size(), /*arity=*/1);
+  batch.Reset(rows, /*arity=*/1);
   std::vector<uint32_t> sel;
   ResetSelection(&sel, rows.size());
   FilterColumnConst(batch.column(0), Comparator::kEq, Value::Null(), &sel);
@@ -305,9 +306,9 @@ TEST_P(VectorizedEquivalenceTest, MatchesAllOtherPlans) {
     EXPECT_TRUE(optimized->SameTuples(*vectorized)) << text;
     // Latemat and vectorized share a plan shape; they must agree not
     // just as multisets but row for row.
-    ASSERT_EQ(latemat->rows().size(), vectorized->rows().size()) << text;
-    for (size_t i = 0; i < latemat->rows().size(); ++i) {
-      EXPECT_TRUE(latemat->rows()[i] == vectorized->rows()[i])
+    ASSERT_EQ(latemat->size(), vectorized->size()) << text;
+    for (RowId i = 0; i < static_cast<RowId>(latemat->size()); ++i) {
+      EXPECT_TRUE(latemat->row(i) == vectorized->row(i))
           << text << " row " << i;
     }
   }
@@ -417,16 +418,19 @@ TEST(MaskBatch, FilterBatchAgreesWithSatisfiesOnPaperMasks) {
       auto answer = EvaluateVectorized(query, fixture.db());
       ASSERT_TRUE(answer.ok()) << text;
       const CompiledMask compiled = CompiledMask::Compile(*mask);
+      // The paper's answers fit one chunk, which is one batch.
+      ASSERT_LE(answer->num_chunks(), 1) << text;
+      const std::span<const Tuple> rows =
+          answer->empty() ? std::span<const Tuple>() : answer->chunk(0);
       ColumnBatch batch;
-      batch.ResetDense(answer->rows(), 0, answer->rows().size(),
-                       answer->schema().arity());
+      batch.Reset(rows, answer->schema().arity());
       for (size_t t = 0; t < compiled.tuples.size(); ++t) {
         std::vector<uint32_t> sel;
-        ResetSelection(&sel, answer->rows().size());
+        ResetSelection(&sel, rows.size());
         compiled.tuples[t].FilterBatch(&batch, &sel);
         std::vector<uint32_t> want;
-        for (uint32_t i = 0; i < answer->rows().size(); ++i) {
-          if (compiled.tuples[t].Satisfies(answer->rows()[i])) {
+        for (uint32_t i = 0; i < rows.size(); ++i) {
+          if (compiled.tuples[t].Satisfies(rows[i])) {
             want.push_back(i);
           }
         }
@@ -459,14 +463,14 @@ TEST(MaskBatch, ApplyMaskVectorizedMatchesApplyMaskRowForRow) {
         EvalStats stats;
         const Relation batched = Authorizer::ApplyMaskVectorized(
             *answer, compiled, drop, /*ctx=*/nullptr, &stats);
-        ASSERT_EQ(scalar.rows().size(), batched.rows().size())
+        ASSERT_EQ(scalar.size(), batched.size())
             << text << " user=" << user << " drop=" << drop;
-        for (size_t i = 0; i < scalar.rows().size(); ++i) {
-          EXPECT_TRUE(scalar.rows()[i] == batched.rows()[i])
+        for (RowId i = 0; i < static_cast<RowId>(scalar.size()); ++i) {
+          EXPECT_TRUE(scalar.row(i) == batched.row(i))
               << text << " user=" << user << " drop=" << drop << " row "
               << i;
         }
-        if (!compiled.tuples.empty() && !answer->rows().empty()) {
+        if (!compiled.tuples.empty() && !answer->empty()) {
           EXPECT_GT(stats.mask_batch_applies, 0) << text;
         }
       }

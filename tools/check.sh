@@ -44,6 +44,11 @@
 #      every request must eventually succeed through the retry client,
 #      with zero protocol errors and throughput above the floor (also
 #      fails if the committed BENCH_server.json is missing)
+#  10c. the wire-level benchmark's self-test, perfbench/run.py --smoke
+#      (a Release build of perfbench/): every workload briefly in both
+#      modes, the answer oracle over sampled replies, the planted wrong
+#      cell the oracle must flag, and mixed_write's durability reopen
+#      (every acknowledged insert and grant must survive)
 #  11. the disclosure-audit gate: viewauth_lint --audit over the seeded
 #      audit fixtures (clean catalog silent, seeded channel/bypass
 #      catalogs exit 1) plus a generated 100-view catalog that must
@@ -168,6 +173,7 @@ if [ "${STEP_RESULTS[0]}" = "PASS" ]; then
       ./build-release/bench/bench_server --smoke
   }
   run_step "server load smoke (Release)" server_smoke
+  run_step "perfbench smoke (Release)" python3 perfbench/run.py --smoke
   disclosure_audit() {
     local lint=./build/tools/viewauth_lint
     local status
