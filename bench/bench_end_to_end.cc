@@ -12,7 +12,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "algebra/optimizer.h"
+#include "algebra/vectorized.h"
 #include "bench/bench_util.h"
 #include "engine/engine.h"
 
@@ -44,7 +44,7 @@ void BM_UnauthorizedEvaluation(benchmark::State& state) {
       "retrieve (R0.KEY, R0.A, R1.B) where R0.KEY = R1.KEY and R0.A >= "
       "150");
   for (auto _ : state) {
-    auto answer = EvaluateOptimized(query, w->db);
+    auto answer = EvaluateVectorized(query, w->db);
     benchmark::DoNotOptimize(answer);
   }
   state.counters["rows"] = static_cast<double>(state.range(0));

@@ -1,8 +1,8 @@
 // PERF-7: the execution governor's overhead and the admission
 // controller's shedding behaviour.
 //
-// Overhead: the full Retrieve pipeline on the reference workload (the
-// same 2-relation 512-row join bench_latemat uses), ungoverned versus
+// Overhead: the full Retrieve pipeline on the reference workload (a
+// 2-relation 512-row join), ungoverned versus
 // governed with generous limits that never trip. The governed run pays
 // for budget accounting and amortized wall-clock probes on every data
 // and meta loop; the gate requires that cost to stay within 2%.

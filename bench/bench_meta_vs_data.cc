@@ -5,7 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "algebra/optimizer.h"
+#include "algebra/vectorized.h"
 #include "bench/bench_util.h"
 
 namespace viewauth {
@@ -34,7 +34,7 @@ void BM_DataEvaluation(benchmark::State& state) {
       "retrieve (R0.KEY, R0.A, R1.B) where R0.KEY = R1.KEY and R0.A >= "
       "150");
   for (auto _ : state) {
-    auto answer = EvaluateOptimized(query, w->db);
+    auto answer = EvaluateVectorized(query, w->db);
     benchmark::DoNotOptimize(answer);
   }
   state.counters["rows"] = static_cast<double>(state.range(0));

@@ -4,14 +4,14 @@
 // properties, checked on randomized databases and queries:
 //   (1) the mask A' depends only on the request and R' — never on the
 //       data in R;
-//   (2) the data side may use any evaluation strategy (canonical vs
-//       optimized) without changing A or the masked delivery.
+//   (2) the data side may use either evaluation strategy (canonical vs
+//       vectorized) without changing A or the masked delivery.
 
 #include <iostream>
 #include <random>
 
 #include "algebra/evaluator.h"
-#include "algebra/optimizer.h"
+#include "algebra/vectorized.h"
 #include "bench/exp_util.h"
 
 using namespace viewauth;
@@ -66,9 +66,9 @@ int main() {
     }
 
     auto canonical = EvaluateCanonical(query, fixture.db());
-    auto optimized = EvaluateOptimized(query, fixture.db());
-    if (canonical.ok() && optimized.ok() &&
-        canonical->SameTuples(*optimized)) {
+    auto vectorized = EvaluateVectorized(query, fixture.db());
+    if (canonical.ok() && vectorized.ok() &&
+        canonical->SameTuples(*vectorized)) {
       ++plans_agree;
     }
 
@@ -84,7 +84,7 @@ int main() {
 
   std::cout << "mask unchanged under data updates: " << mask_stable << "/"
             << kRounds << "\n"
-            << "canonical == optimized answers:    " << plans_agree << "/"
+            << "canonical == vectorized answers:   " << plans_agree << "/"
             << kRounds << "\n"
             << "masked delivery strategy-agnostic: " << delivery_agrees
             << "/" << kRounds << "\n\n";

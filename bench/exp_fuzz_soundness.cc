@@ -150,8 +150,6 @@ int main() {
     options.subsumption = rng() % 2 == 0;
     options.extended_masks = rng() % 2 == 0;
     options.use_optimized_data_plan = rng() % 2 == 0;
-    options.use_latemat_data_plan = rng() % 2 == 0;
-    options.use_vectorized_data_plan = rng() % 2 == 0;
 
     Authorizer authorizer(&db, &catalog);
     auto result = authorizer.Retrieve("u", *query, options);

@@ -17,8 +17,12 @@
 //   > set extended_masks on
 //   > quit
 
+#include <charconv>
+#include <climits>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/str_util.h"
@@ -49,9 +53,10 @@ void PrintHelp() {
                "self_joins,\n"
                "                         subsumption, extended_masks, "
                "cache,\n"
-               "                         parallel, latemat, vectorized, "
-               "analyze (warn\n"
-               "                         on permit/deny)\n"
+               "                         parallel, vectorized (off: the "
+               "canonical\n"
+               "                         oracle plan), analyze (warn on "
+               "permit/deny)\n"
                "  set <option> <n>       governance knobs (0 = unlimited):"
                "\n"
                "                         deadline_ms, max_rows, max_bytes,\n"
@@ -73,8 +78,7 @@ void PrintOptions(const AuthorizationOptions& options) {
             << " extended_masks=" << onoff(options.extended_masks)
             << " cache=" << onoff(options.enable_authz_cache)
             << " parallel=" << onoff(options.parallel_meta_evaluation)
-            << " latemat=" << onoff(options.use_latemat_data_plan)
-            << " vectorized=" << onoff(options.use_vectorized_data_plan)
+            << " vectorized=" << onoff(options.use_optimized_data_plan)
             << " analyze=" << onoff(options.analyze_grants)
             << " audit=" << onoff(options.audit_grants)
             << "\n"
@@ -83,6 +87,68 @@ void PrintOptions(const AuthorizationOptions& options) {
             << " max_bytes=" << options.max_bytes
             << " max_concurrent=" << options.max_concurrent
             << " (0 = unlimited)\n";
+}
+
+// `set <name> on|off` switches.
+const std::map<std::string, bool AuthorizationOptions::*> kSwitches = {
+    {"four_case", &AuthorizationOptions::four_case},
+    {"padding", &AuthorizationOptions::padding},
+    {"self_joins", &AuthorizationOptions::self_joins},
+    {"subsumption", &AuthorizationOptions::subsumption},
+    {"extended_masks", &AuthorizationOptions::extended_masks},
+    {"cache", &AuthorizationOptions::enable_authz_cache},
+    {"parallel", &AuthorizationOptions::parallel_meta_evaluation},
+    {"vectorized", &AuthorizationOptions::use_optimized_data_plan},
+    {"analyze", &AuthorizationOptions::analyze_grants},
+    {"audit", &AuthorizationOptions::audit_grants},
+};
+
+// `set <name> <number>` governance knobs (0 = unlimited); max_concurrent,
+// an int, is handled beside them.
+const std::map<std::string, long long AuthorizationOptions::*> kKnobs = {
+    {"deadline_ms", &AuthorizationOptions::deadline_ms},
+    {"max_rows", &AuthorizationOptions::max_rows},
+    {"max_bytes", &AuthorizationOptions::max_bytes},
+};
+
+// All of `text` as a decimal integer, or nullopt.
+std::optional<long long> ParseInteger(const std::string& text) {
+  long long value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+// Applies `set <name> <value>`. Input the option cannot take is rejected
+// with a message and leaves the option unchanged.
+void SetOption(AuthorizationOptions& o, const std::string& name,
+               const std::string& value) {
+  if (auto it = kSwitches.find(name); it != kSwitches.end()) {
+    if (value != "on" && value != "off") {
+      std::cout << "set " << name << ": expected on|off, got '" << value
+                << "'\n";
+      return;
+    }
+    o.*(it->second) = value == "on";
+  } else if (kKnobs.contains(name) || name == "max_concurrent") {
+    const std::optional<long long> number = ParseInteger(value);
+    if (!number.has_value() || *number < 0 ||
+        (name == "max_concurrent" && *number > INT_MAX)) {
+      std::cout << "set " << name << ": expected a non-negative number, "
+                << "got '" << value << "'\n";
+      return;
+    }
+    if (name == "max_concurrent") {
+      o.max_concurrent = static_cast<int>(*number);
+    } else {
+      o.*(kKnobs.at(name)) = *number;
+    }
+  } else {
+    std::cout << "unknown option '" << name << "'\n";
+    return;
+  }
+  PrintOptions(o);
 }
 
 constexpr const char* kPaperSetup = R"(
@@ -225,38 +291,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> parts =
           Split(std::string(trimmed.substr(4)), ' ');
       if (parts.size() == 2) {
-        bool on = parts[1] == "on";
-        // Numeric governance knobs take a number instead of on|off.
-        auto parse_number = [&](long long* target) {
-          try {
-            *target = std::stoll(parts[1]);
-          } catch (...) {
-            std::cout << "set " << parts[0]
-                      << ": expected a number, got '" << parts[1] << "'\n";
-          }
-        };
-        AuthorizationOptions& o = engine().options();
-        if (parts[0] == "four_case") o.four_case = on;
-        else if (parts[0] == "padding") o.padding = on;
-        else if (parts[0] == "self_joins") o.self_joins = on;
-        else if (parts[0] == "subsumption") o.subsumption = on;
-        else if (parts[0] == "extended_masks") o.extended_masks = on;
-        else if (parts[0] == "cache") o.enable_authz_cache = on;
-        else if (parts[0] == "parallel") o.parallel_meta_evaluation = on;
-        else if (parts[0] == "latemat") o.use_latemat_data_plan = on;
-        else if (parts[0] == "vectorized") o.use_vectorized_data_plan = on;
-        else if (parts[0] == "analyze") o.analyze_grants = on;
-        else if (parts[0] == "audit") o.audit_grants = on;
-        else if (parts[0] == "deadline_ms") parse_number(&o.deadline_ms);
-        else if (parts[0] == "max_rows") parse_number(&o.max_rows);
-        else if (parts[0] == "max_bytes") parse_number(&o.max_bytes);
-        else if (parts[0] == "max_concurrent") {
-          long long value = 0;
-          parse_number(&value);
-          o.max_concurrent = static_cast<int>(value);
-        }
-        else std::cout << "unknown option '" << parts[0] << "'\n";
-        PrintOptions(o);
+        SetOption(engine().options(), parts[0], parts[1]);
       } else {
         std::cout << "usage: set <option> on|off  (or: set <knob> <number>)\n";
       }

@@ -2,7 +2,7 @@
 //
 // Usage:
 //   viewauth_cli [--db STATE.log] [--salvage] [--deadline-ms N]
-//                [--max-rows N] [--no-vectorized] [SCRIPT...]
+//                [--max-rows N] [SCRIPT...]
 //
 // Executes each SCRIPT file in order (falling back to stdin when none is
 // given) and prints the statements' outputs. With --db, state persists in
@@ -13,9 +13,7 @@
 // stderr. --deadline-ms and --max-rows bound every retrieve in the
 // script: a statement that runs past the deadline or over the row budget
 // aborts cleanly with DeadlineExceeded / ResourceExhausted (0 =
-// unlimited, the default). --no-vectorized falls back from the vectorized
-// columnar data plan to the late-materialized tuple-at-a-time pipeline
-// (a differential escape hatch; answers are identical).
+// unlimited, the default).
 //
 // Example:
 //   viewauth_cli --db company.log setup.va
@@ -45,7 +43,6 @@ int Fail(const Status& status) {
 int main(int argc, char** argv) {
   std::string db_path;
   bool salvage = false;
-  bool vectorized = true;
   long long deadline_ms = 0;
   long long max_rows = 0;
   std::vector<std::string> scripts;
@@ -78,12 +75,9 @@ int main(int argc, char** argv) {
       if (!numeric_flag(&i, "--deadline-ms", &deadline_ms)) return 1;
     } else if (arg == "--max-rows") {
       if (!numeric_flag(&i, "--max-rows", &max_rows)) return 1;
-    } else if (arg == "--no-vectorized") {
-      vectorized = false;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: viewauth_cli [--db STATE.log] [--salvage] "
-                   "[--deadline-ms N] [--max-rows N] [--no-vectorized] "
-                   "[SCRIPT...]\n";
+                   "[--deadline-ms N] [--max-rows N] [SCRIPT...]\n";
       return 0;
     } else {
       scripts.push_back(std::move(arg));
@@ -118,7 +112,6 @@ int main(int argc, char** argv) {
     if (!durable.ok()) return Fail(durable.status());
     (*durable)->engine().options().deadline_ms = deadline_ms;
     (*durable)->engine().options().max_rows = max_rows;
-    (*durable)->engine().options().use_vectorized_data_plan = vectorized;
     if ((*durable)->recovery_report().salvaged) {
       std::cerr << "viewauth_cli: salvaged '" << db_path << "': "
                 << (*durable)->recovery_report().ToString() << "\n";
@@ -138,7 +131,6 @@ int main(int argc, char** argv) {
   Engine engine;
   engine.options().deadline_ms = deadline_ms;
   engine.options().max_rows = max_rows;
-  engine.options().use_vectorized_data_plan = vectorized;
   auto out = engine.ExecuteScript(input);
   if (!out.ok()) return Fail(out.status());
   std::cout << *out;

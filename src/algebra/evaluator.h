@@ -2,8 +2,9 @@
 //
 // EvaluatePlan executes a plan tree literally (materializing every
 // intermediate result) — the canonical strategy the paper prescribes for
-// meta-relations, also usable on data. EvaluateOptimized (optimizer.h)
-// provides the pushed-down / hash-join strategy for the data side.
+// meta-relations, also usable on data, where it is the oracle the
+// production plan is checked against. EvaluateVectorized (vectorized.h)
+// is the production data-side strategy.
 
 #ifndef VIEWAUTH_ALGEBRA_EVALUATOR_H_
 #define VIEWAUTH_ALGEBRA_EVALUATOR_H_
@@ -20,23 +21,20 @@ namespace viewauth {
 
 // Counters exposed for benchmarking and plan comparison.
 //
-// `rows_scanned` means "rows fetched from storage and examined" in every
-// strategy: a full scan counts every row of the relation, an index probe
-// or binary-searched range counts exactly the rows the index yields.
-// This makes the counter comparable across canonical / optimized /
-// late-materialized / vectorized runs of the same query (asserted by
-// tests/latemat_test.cc and tests/vectorized_test.cc).
+// `rows_scanned` means "rows fetched from storage and examined" in both
+// strategies: a full scan counts every row of the relation, an index
+// probe or binary-searched range counts exactly the rows the index
+// yields. This makes the counter comparable across canonical and
+// vectorized runs of the same query (asserted by tests/algebra_test.cc
+// and tests/vectorized_test.cc).
 struct EvalStats {
   long long rows_scanned = 0;
   long long intermediate_rows = 0;  // rows produced by non-root operators
   long long output_rows = 0;
-  // Tuple objects actually constructed (copies, concats, projections).
-  // The late-materialized pipeline materializes only at the final
-  // projection; the older strategies materialize every intermediate.
+  // Tuple objects constructed by the vectorized plan, which materializes
+  // only at the final projection (the canonical plan, which materializes
+  // every intermediate, does not count them).
   long long tuples_materialized = 0;
-  // Projected join-key Tuples that in-place key hashing did not allocate
-  // (one per hash-join build row and one per probe row).
-  long long join_key_allocs_avoided = 0;
   // Column batches processed by the vectorized plan: scan windows,
   // join-condition windows, and final-projection windows.
   long long batches_evaluated = 0;

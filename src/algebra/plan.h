@@ -4,9 +4,9 @@
 //
 // The canonical plan shape follows the paper's Section 4 strategy for
 // meta-relations — all products first, then selections, then projections —
-// and the same shape is reusable on the data side. The optimizer
-// (optimizer.h) implements the "different strategy" the paper suggests for
-// actual relations.
+// and the same shape is reusable on the data side, where it serves as the
+// oracle. The vectorized plan (vectorized.h) implements the "different
+// strategy" the paper suggests for actual relations.
 
 #ifndef VIEWAUTH_ALGEBRA_PLAN_H_
 #define VIEWAUTH_ALGEBRA_PLAN_H_

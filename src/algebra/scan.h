@@ -1,5 +1,5 @@
-// Index-aware single-relation scans shared by the data-side evaluation
-// strategies (optimizer.cc, latemat.cc, and vectorized.cc).
+// Index-aware single-relation scans for the data-side evaluation
+// strategies (evaluator.cc and vectorized.cc).
 //
 // SelectRowIds returns the ids (Relation::row) of the rows matching a
 // conjunctive predicate, using the relation's lazy hash index for an
@@ -7,12 +7,12 @@
 // indexes for an exact-typed one-sided range atom, and falling back to a
 // full scan otherwise.
 //
-// rows_scanned accounting contract (asserted by tests/latemat_test.cc
+// rows_scanned accounting contract (asserted by tests/algebra_test.cc
 // and tests/vectorized_test.cc): the counter means "rows fetched from
-// storage and examined" in every strategy — a full scan counts every row
-// of the relation, an index probe or binary-searched range counts exactly
-// the rows the index yields (each of which is fetched and tested against
-// the residual predicate). All four plans charge through
+// storage and examined" in both strategies — a full scan counts every
+// row of the relation, an index probe or binary-searched range counts
+// exactly the rows the index yields (each of which is fetched and tested
+// against the residual predicate). Both plans charge through
 // ChargeScannedRows below so the contract lives in one place.
 //
 // When `ctx` is non-null, each examined row ticks the execution governor
@@ -36,8 +36,9 @@ namespace viewauth {
 // The single implementation of the rows_scanned contract: charges
 // `rows` examined rows (and optionally `bytes`) against the stats
 // block and the execution governor. Returns false once the governor
-// has tripped; callers must stop examining rows then. Tuple-at-a-time
-// plans call it per row, the vectorized plan once per batch.
+// has tripped; callers must stop examining rows then. The canonical
+// plan and SelectRowIds call it per row, the vectorized plan once per
+// batch.
 inline bool ChargeScannedRows(EvalStats* stats, ExecMeter* meter,
                               long long rows, long long bytes = 0) {
   if (stats != nullptr) stats->rows_scanned += rows;

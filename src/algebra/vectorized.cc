@@ -1,6 +1,7 @@
 #include "algebra/vectorized.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <utility>
 
@@ -17,6 +18,21 @@ struct PendingCondition {
   CalculusCondition cond;
   std::set<int> atoms;
 };
+
+// Equality join keys match exactly when the canonical plan's selection
+// does: Value::Satisfies(kEq), numeric across Int64 and Double, NULL
+// matching nothing. Value::Hash is coherent with that equality except on
+// Int64 values a double cannot hold exactly, so numeric key cells hash
+// by their double image here.
+size_t JoinKeyHash(const KeyView& key) {
+  size_t h = 0x345678;
+  for (size_t i = 0; i < key.size(); ++i) {
+    const Value& v = key.at(i);
+    h = h * 1000003 ^
+        (v.is_numeric() ? std::hash<double>()(v.AsDouble()) : v.Hash());
+  }
+  return h;
+}
 
 }  // namespace
 
@@ -71,7 +87,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
   const int num_atoms = static_cast<int>(query.atoms().size());
 
   // --- Phase 1: per-atom batched scans with pushed-down single-atom
-  // conditions, yielding row-index arrays (same pushdown as latemat).
+  // conditions, yielding row-index arrays.
   std::vector<PendingCondition> pending;
   std::vector<ConjunctivePredicate> local(num_atoms);
   for (const CalculusCondition& cond : query.conditions()) {
@@ -101,9 +117,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
     if (ctx != nullptr && !ctx->ok()) return ctx->status();
   }
 
-  // --- Phase 2: greedy join order over index rows — identical plan
-  // shape to latemat.cc so both strategies produce the same join order
-  // and the same intermediate row counts.
+  // --- Phase 2: greedy join order over index rows.
   std::vector<int> slot_of_atom(num_atoms, -1);
   std::vector<uint32_t> current;  // row-major, `stride` entries per row
   std::set<int> joined;
@@ -198,8 +212,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
 
   while (static_cast<int>(joined.size()) < num_atoms) {
     // Prefer an unjoined atom connected by an equality condition; break
-    // ties by input size (the latemat/optimizer heuristic, so all
-    // strategies run the same join order).
+    // ties by input size.
     int next = -1;
     bool next_connected = false;
     for (int i = 0; i < num_atoms; ++i) {
@@ -248,10 +261,10 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
     const int new_stride = stride + 1;
     std::vector<uint32_t> joined_rows;
     if (!keys.empty()) {
-      // Sorted-flat hash join over row ids, identical to latemat.cc:
-      // keys are hashed in place over the referenced Values
-      // (storage/key_view.h); probes are binary searches over one
-      // contiguous (hash, base row) array.
+      // Sorted-flat hash join over row ids: keys are hashed in place
+      // over the referenced Values (storage/key_view.h, JoinKeyHash);
+      // probes are binary searches over one contiguous (hash, base row)
+      // array.
       std::vector<std::pair<size_t, uint32_t>> table;  // (hash, base row)
       table.reserve(inputs[next].size());
       KeyView key;
@@ -260,18 +273,13 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
         const Tuple& row = base[next]->row(id);
         key.Clear();
         for (const JoinKey& k : keys) key.Add(row.at(k.next_attr));
-        table.emplace_back(key.Hash(), id);
+        table.emplace_back(JoinKeyHash(key), id);
       }
       std::sort(table.begin(), table.end(),
                 [](const std::pair<size_t, uint32_t>& a,
                    const std::pair<size_t, uint32_t>& b) {
                   return a.first < b.first;
                 });
-      if (stats != nullptr) {
-        stats->join_key_allocs_avoided +=
-            static_cast<long long>(inputs[next].size()) +
-            static_cast<long long>(row_count);
-      }
       ExecMeter meter(ctx);
       for (size_t r = 0; r < row_count; ++r) {
         const size_t row_base = r * static_cast<size_t>(stride);
@@ -279,7 +287,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
         for (const JoinKey& k : keys) {
           key.Add(value_at(row_base, k.cur_atom, k.cur_attr));
         }
-        const size_t h = key.Hash();
+        const size_t h = JoinKeyHash(key);
         auto [lo, hi] = std::equal_range(
             table.begin(), table.end(), std::pair<size_t, uint32_t>{h, 0},
             [](const std::pair<size_t, uint32_t>& a,
@@ -287,11 +295,12 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
               return a.first < b.first;
             });
         for (auto it = lo; it != hi; ++it) {
-          // Verify the candidate: strict component-wise Value equality.
+          // Verify the candidate with the canonical selection's equality.
           const Tuple& build_row = base[next]->row(it->second);
           bool match = true;
           for (size_t k = 0; k < keys.size(); ++k) {
-            if (!(key.at(k) == build_row.at(keys[k].next_attr))) {
+            if (!key.at(k).Satisfies(Comparator::kEq,
+                                     build_row.at(keys[k].next_attr))) {
               match = false;
               break;
             }

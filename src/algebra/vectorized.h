@@ -1,21 +1,22 @@
-// Vectorized columnar evaluation of conjunctive queries (DESIGN.md §17).
+// Vectorized columnar evaluation of conjunctive queries (DESIGN.md §17):
+// the production data plan, the "different strategy" the paper suggests
+// for actual relations (end of Section 4.1).
 //
-// EvaluateLateMaterialized (latemat.h) removed per-tuple allocation from
-// the data-side hot path, but it still evaluates predicates one row at a
-// time: every scanned row pays Tuple::at bounds checks, a variant-typed
-// Value comparison per atom, and a governor tick. This evaluator keeps
-// the latemat plan shape exactly — same pushdown, same greedy join
-// order, same sorted-flat hash join over row ids, same single
-// materialization point — but runs every selection over columnar batches
+// The plan pushes single-atom selections onto scans, orders joins
+// greedily (smallest input first, equality-connected atoms preferred),
+// and hash-joins on equality conditions. Intermediate results are rows
+// of base-relation *indices* (one uint32_t per joined atom); equality
+// join keys hash in place over the referenced Values
+// (storage/key_view.h); tuples materialize once, at the final
+// projection. Every selection runs over columnar batches
 // (storage/column_batch.h): ~1024-row windows are gathered into typed
 // column arrays once, each predicate atom runs as a branch-light kernel
 // that compacts a selection vector, and the ExecContext is ticked once
 // per batch instead of once per row.
 //
-// The answer relation is bit-identical to EvaluateCanonical (the
-// differential tier runs this plan as a fourth leg), so the paper's
-// Figure 2 commutative diagram is unaffected by how the S data plan is
-// executed.
+// The answer relation is the same as EvaluateCanonical's (the
+// differential tier asserts it), so the paper's Figure 2 commutative
+// diagram is unaffected by how the S data plan is executed.
 
 #ifndef VIEWAUTH_ALGEBRA_VECTORIZED_H_
 #define VIEWAUTH_ALGEBRA_VECTORIZED_H_

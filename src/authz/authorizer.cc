@@ -5,10 +5,9 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 
-#include "algebra/latemat.h"
-#include "algebra/optimizer.h"
 #include "algebra/vectorized.h"
 #include "storage/column_batch.h"
 #include "common/str_util.h"
@@ -58,15 +57,10 @@ TimedEval EvaluateData(const ConjunctiveQuery& query,
                        ExecContext* ctx) {
   TimedEval out;
   const auto start = SteadyClock::now();
-  if (!options.use_optimized_data_plan) {
-    out.relation = EvaluateCanonical(query, db, name, &out.stats, ctx);
-  } else if (options.use_vectorized_data_plan) {
-    out.relation = EvaluateVectorized(query, db, name, &out.stats, ctx);
-  } else if (options.use_latemat_data_plan) {
-    out.relation = EvaluateLateMaterialized(query, db, name, &out.stats, ctx);
-  } else {
-    out.relation = EvaluateOptimized(query, db, name, &out.stats, ctx);
-  }
+  out.relation =
+      options.use_optimized_data_plan
+          ? EvaluateVectorized(query, db, name, &out.stats, ctx)
+          : EvaluateCanonical(query, db, name, &out.stats, ctx);
   out.micros = MicrosSince(start);
   return out;
 }
@@ -116,6 +110,60 @@ std::shared_ptr<const CompiledMask> ObtainCompiledMask(
   }
   return compiled;
 }
+
+// Step 5's delivery rule, shared by the interpretive and the vectorized
+// mask application. Each mask tuple is a separate permitted view of the
+// answer; its rows are delivered with exactly its projected columns.
+// Portions from different mask tuples are NOT merged cell-wise into one
+// row: showing tuple-1's columns and tuple-2's columns side by side would
+// reveal their association, which is derivable from the permitted views
+// only when a (self-)joined mask tuple grants the combination explicitly.
+class Delivery {
+ public:
+  // `projected(t, col)`: whether mask tuple t projects product column
+  // `col`. Delivered rows hold the `target_columns` of the product.
+  template <typename Projected>
+  Delivery(size_t num_tuples, const std::vector<int>& target_columns,
+           Projected projected)
+      : target_columns_(target_columns),
+        grants_(num_tuples, std::vector<bool>(target_columns.size())),
+        relevant_(num_tuples, false) {
+    for (size_t t = 0; t < num_tuples; ++t) {
+      for (size_t i = 0; i < target_columns.size(); ++i) {
+        if (projected(t, target_columns[i])) {
+          grants_[t][i] = true;
+          relevant_[t] = true;
+        }
+      }
+    }
+  }
+
+  // Whether mask tuple t grants any delivered column.
+  bool relevant(size_t t) const { return relevant_[t]; }
+
+  // Appends `row` as mask tuple t delivers it: granted cells carry the
+  // row's values, the rest are withheld (NULL).
+  void Deliver(size_t t, const Tuple& row, Relation* out) const {
+    std::vector<Value> values;
+    values.reserve(target_columns_.size());
+    for (size_t i = 0; i < target_columns_.size(); ++i) {
+      values.push_back(grants_[t][i] ? row.at(target_columns_[i])
+                                     : Value::Null());
+    }
+    out->InsertUnchecked(Tuple(std::move(values)));
+  }
+
+  // Appends the all-withheld row kept when fully masked rows are not
+  // dropped.
+  void DeliverWithheld(Relation* out) const {
+    out->InsertUnchecked(Tuple(std::vector<Value>(target_columns_.size())));
+  }
+
+ private:
+  const std::vector<int>& target_columns_;
+  std::vector<std::vector<bool>> grants_;
+  std::vector<bool> relevant_;
+};
 
 }  // namespace
 
@@ -624,104 +672,24 @@ Relation Authorizer::ApplyMask(const Relation& answer,
                                const MetaRelation& mask,
                                bool drop_fully_masked_rows,
                                ExecContext* ctx) {
-  return ApplyMask(answer, CompiledMask::Compile(mask),
-                   drop_fully_masked_rows, ctx);
-}
-
-Relation Authorizer::ApplyMask(const Relation& answer,
-                               const CompiledMask& mask,
-                               bool drop_fully_masked_rows,
-                               ExecContext* ctx) {
-  Relation out(answer.schema());
-  if (mask.tuples.empty()) return out;
-
-  // Each mask tuple is a separate permitted view of the answer; its rows
-  // are delivered with exactly its projected columns. Portions from
-  // different mask tuples are NOT merged cell-wise into one row: showing
-  // tuple-1's columns and tuple-2's columns side by side would reveal
-  // their association, which is derivable from the permitted views only
-  // when a (self-)joined mask tuple grants the combination explicitly.
-  ExecMeter meter(ctx);
-  for (const Tuple& row : answer) {
-    if (!meter.TickRows(1)) break;
-    bool any = false;
-    for (const CompiledMaskTuple& tuple : mask.tuples) {
-      if (!tuple.any_projected()) continue;
-      if (!tuple.Satisfies(row)) continue;
-      any = true;
-      std::vector<Value> values;
-      values.reserve(static_cast<size_t>(row.arity()));
-      for (int i = 0; i < row.arity(); ++i) {
-        values.push_back(tuple.IsProjected(i) ? row.at(i) : Value::Null());
-      }
-      out.InsertUnchecked(Tuple(std::move(values)));
-    }
-    if (!any && !drop_fully_masked_rows) {
-      out.InsertUnchecked(
-          Tuple(std::vector<Value>(static_cast<size_t>(row.arity()))));
-    }
-  }
-  return out;
+  if (mask.empty()) return Relation(answer.schema());
+  // Every column of the answer is a delivered column.
+  std::vector<int> all_columns(static_cast<size_t>(answer.schema().arity()));
+  std::iota(all_columns.begin(), all_columns.end(), 0);
+  return ApplyWideMask(answer, mask, all_columns, answer.schema(),
+                       drop_fully_masked_rows, ctx);
 }
 
 Relation Authorizer::ApplyMaskVectorized(const Relation& answer,
                                          const CompiledMask& mask,
                                          bool drop_fully_masked_rows,
                                          ExecContext* ctx, EvalStats* stats) {
-  Relation out(answer.schema());
-  if (mask.tuples.empty()) return out;
-  const int arity = answer.schema().arity();
-  const size_t num_tuples = mask.tuples.size();
-
-  // Per batch: one bitmap word-run per mask tuple recording which batch
-  // ordinals it accepted. The kernels run tuple-major (so each gathered
-  // column is reused across tuples), while delivery below runs row-major
-  // — identical delivery order to the tuple-at-a-time ApplyMask.
-  const size_t words = (kColumnBatchRows + 63) / 64;
-  std::vector<uint64_t> bits(num_tuples * words);
-  ColumnBatch batch;
-  std::vector<uint32_t> sel;
-  ExecMeter meter(ctx);
-  for (int c = 0; c < answer.num_chunks(); ++c) {
-    const std::span<const Tuple> rows = answer.chunk(c);
-    const size_t n = rows.size();
-    if (!meter.TickRows(static_cast<long long>(n))) break;
-    batch.Reset(rows, arity);
-    std::fill(bits.begin(), bits.end(), 0);
-    bool any_delivery = false;
-    for (size_t t = 0; t < num_tuples; ++t) {
-      const CompiledMaskTuple& tuple = mask.tuples[t];
-      if (!tuple.any_projected()) continue;
-      ResetSelection(&sel, n);
-      tuple.FilterBatch(&batch, &sel);
-      if (stats != nullptr) ++stats->mask_batch_applies;
-      for (uint32_t i : sel) {
-        bits[t * words + i / 64] |= uint64_t{1} << (i % 64);
-        any_delivery = true;
-      }
-    }
-    if (!any_delivery && drop_fully_masked_rows) continue;
-    for (size_t i = 0; i < n; ++i) {
-      bool any = false;
-      const Tuple& row = rows[i];
-      for (size_t t = 0; t < num_tuples; ++t) {
-        if (((bits[t * words + i / 64] >> (i % 64)) & 1) == 0) continue;
-        any = true;
-        const CompiledMaskTuple& tuple = mask.tuples[t];
-        std::vector<Value> values;
-        values.reserve(static_cast<size_t>(arity));
-        for (int c = 0; c < arity; ++c) {
-          values.push_back(tuple.IsProjected(c) ? row.at(c) : Value::Null());
-        }
-        out.InsertUnchecked(Tuple(std::move(values)));
-      }
-      if (!any && !drop_fully_masked_rows) {
-        out.InsertUnchecked(
-            Tuple(std::vector<Value>(static_cast<size_t>(arity))));
-      }
-    }
-  }
-  return out;
+  if (mask.tuples.empty()) return Relation(answer.schema());
+  // Every column of the answer is a delivered column.
+  std::vector<int> all_columns(static_cast<size_t>(answer.schema().arity()));
+  std::iota(all_columns.begin(), all_columns.end(), 0);
+  return ApplyWideMaskVectorized(answer, mask, all_columns, answer.schema(),
+                                 drop_fully_masked_rows, ctx, stats);
 }
 
 Relation Authorizer::ApplyWideMask(const Relation& wide_answer,
@@ -730,56 +698,22 @@ Relation Authorizer::ApplyWideMask(const Relation& wide_answer,
                                    const RelationSchema& answer_schema,
                                    bool drop_fully_masked_rows,
                                    ExecContext* ctx) {
-  return ApplyWideMask(wide_answer, CompiledMask::Compile(wide_mask),
-                       target_columns, answer_schema, drop_fully_masked_rows,
-                       ctx);
-}
-
-Relation Authorizer::ApplyWideMask(const Relation& wide_answer,
-                                   const CompiledMask& wide_mask,
-                                   const std::vector<int>& target_columns,
-                                   const RelationSchema& answer_schema,
-                                   bool drop_fully_masked_rows,
-                                   ExecContext* ctx) {
   Relation out(answer_schema);
-  const int width = static_cast<int>(target_columns.size());
-
-  // Per tuple: which answer positions it grants.
-  std::vector<std::vector<bool>> grants(wide_mask.tuples.size());
-  std::vector<bool> tuple_relevant(wide_mask.tuples.size(), false);
-  for (size_t t = 0; t < wide_mask.tuples.size(); ++t) {
-    const CompiledMaskTuple& tuple = wide_mask.tuples[t];
-    grants[t].assign(static_cast<size_t>(width), false);
-    for (int i = 0; i < width; ++i) {
-      if (tuple.IsProjected(target_columns[static_cast<size_t>(i)])) {
-        grants[t][static_cast<size_t>(i)] = true;
-        tuple_relevant[t] = true;
-      }
-    }
-  }
-
+  const size_t num_tuples = wide_mask.tuples().size();
+  const Delivery delivery(num_tuples, target_columns, [&](size_t t, int col) {
+    return wide_mask.tuples()[t].cells()[col].projected;
+  });
   ExecMeter meter(ctx);
   for (const Tuple& wide_row : wide_answer) {
     if (!meter.TickRows(1)) break;
     bool any = false;
-    for (size_t t = 0; t < wide_mask.tuples.size(); ++t) {
-      if (!tuple_relevant[t]) continue;
-      if (!wide_mask.tuples[t].Satisfies(wide_row)) continue;
+    for (size_t t = 0; t < num_tuples; ++t) {
+      if (!delivery.relevant(t)) continue;
+      if (!RowSatisfies(wide_mask.tuples()[t], wide_row)) continue;
       any = true;
-      std::vector<Value> values;
-      values.reserve(static_cast<size_t>(width));
-      for (int i = 0; i < width; ++i) {
-        values.push_back(grants[t][static_cast<size_t>(i)]
-                             ? wide_row.at(
-                                   target_columns[static_cast<size_t>(i)])
-                             : Value::Null());
-      }
-      out.InsertUnchecked(Tuple(std::move(values)));
+      delivery.Deliver(t, wide_row, &out);
     }
-    if (!any && !drop_fully_masked_rows) {
-      out.InsertUnchecked(
-          Tuple(std::vector<Value>(static_cast<size_t>(width))));
-    }
+    if (!any && !drop_fully_masked_rows) delivery.DeliverWithheld(&out);
   }
   return out;
 }
@@ -790,25 +724,16 @@ Relation Authorizer::ApplyWideMaskVectorized(
     const RelationSchema& answer_schema, bool drop_fully_masked_rows,
     ExecContext* ctx, EvalStats* stats) {
   Relation out(answer_schema);
-  const int width = static_cast<int>(target_columns.size());
   const int wide_arity = wide_answer.schema().arity();
   const size_t num_tuples = wide_mask.tuples.size();
+  const Delivery delivery(num_tuples, target_columns, [&](size_t t, int col) {
+    return wide_mask.tuples[t].IsProjected(col);
+  });
 
-  // Per tuple: which answer positions it grants (same precomputation as
-  // the tuple-at-a-time ApplyWideMask).
-  std::vector<std::vector<bool>> grants(num_tuples);
-  std::vector<bool> tuple_relevant(num_tuples, false);
-  for (size_t t = 0; t < num_tuples; ++t) {
-    const CompiledMaskTuple& tuple = wide_mask.tuples[t];
-    grants[t].assign(static_cast<size_t>(width), false);
-    for (int i = 0; i < width; ++i) {
-      if (tuple.IsProjected(target_columns[static_cast<size_t>(i)])) {
-        grants[t][static_cast<size_t>(i)] = true;
-        tuple_relevant[t] = true;
-      }
-    }
-  }
-
+  // Per batch: one bitmap word-run per mask tuple recording which batch
+  // ordinals it accepted. The kernels run tuple-major (so each gathered
+  // column is reused across tuples), while delivery below runs row-major
+  // — identical delivery order to the interpretive ApplyWideMask.
   const size_t words = (kColumnBatchRows + 63) / 64;
   std::vector<uint64_t> bits(num_tuples * words);
   ColumnBatch batch;
@@ -822,7 +747,7 @@ Relation Authorizer::ApplyWideMaskVectorized(
     std::fill(bits.begin(), bits.end(), 0);
     bool any_delivery = false;
     for (size_t t = 0; t < num_tuples; ++t) {
-      if (!tuple_relevant[t]) continue;
+      if (!delivery.relevant(t)) continue;
       ResetSelection(&sel, n);
       wide_mask.tuples[t].FilterBatch(&batch, &sel);
       if (stats != nullptr) ++stats->mask_batch_applies;
@@ -838,20 +763,9 @@ Relation Authorizer::ApplyWideMaskVectorized(
       for (size_t t = 0; t < num_tuples; ++t) {
         if (((bits[t * words + i / 64] >> (i % 64)) & 1) == 0) continue;
         any = true;
-        std::vector<Value> values;
-        values.reserve(static_cast<size_t>(width));
-        for (int c = 0; c < width; ++c) {
-          values.push_back(grants[t][static_cast<size_t>(c)]
-                               ? wide_row.at(
-                                     target_columns[static_cast<size_t>(c)])
-                               : Value::Null());
-        }
-        out.InsertUnchecked(Tuple(std::move(values)));
+        delivery.Deliver(t, wide_row, &out);
       }
-      if (!any && !drop_fully_masked_rows) {
-        out.InsertUnchecked(
-            Tuple(std::vector<Value>(static_cast<size_t>(width))));
-      }
+      if (!any && !drop_fully_masked_rows) delivery.DeliverWithheld(&out);
     }
   }
   return out;
@@ -1136,22 +1050,25 @@ Result<AuthorizationResult> Authorizer::RetrieveExtended(
     return result;
   }
 
+  // The plan switch picks step 5 as well as S: the canonical plan masks
+  // interpretively and never compiles.
   const auto apply_start = SteadyClock::now();
-  std::shared_ptr<const CompiledMask> compiled = ObtainCompiledMask(
-      txn, use_cache,
-      use_cache ? MaskCacheKey(user, query, options, /*wide=*/true)
-                : std::string(),
-      gen, wide,
-      use_cache ? CaptureReadSet(*catalog_, user, query)
-                : AuthzDependencies{});
-  result.answer =
-      options.use_optimized_data_plan && options.use_vectorized_data_plan
-          ? ApplyWideMaskVectorized(wide_answer, *compiled, target_columns,
-                                    answer_schema,
-                                    options.drop_fully_masked_rows, ctx,
-                                    &result.data_stats)
-          : ApplyWideMask(wide_answer, *compiled, target_columns,
-                          answer_schema, options.drop_fully_masked_rows, ctx);
+  if (options.use_optimized_data_plan) {
+    std::shared_ptr<const CompiledMask> compiled = ObtainCompiledMask(
+        txn, use_cache,
+        use_cache ? MaskCacheKey(user, query, options, /*wide=*/true)
+                  : std::string(),
+        gen, wide,
+        use_cache ? CaptureReadSet(*catalog_, user, query)
+                  : AuthzDependencies{});
+    result.answer = ApplyWideMaskVectorized(
+        wide_answer, *compiled, target_columns, answer_schema,
+        options.drop_fully_masked_rows, ctx, &result.data_stats);
+  } else {
+    result.answer =
+        ApplyWideMask(wide_answer, wide, target_columns, answer_schema,
+                      options.drop_fully_masked_rows, ctx);
+  }
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
   result.permits = DescribeWideMask(wide, query);
   times->apply_micros = MicrosSince(apply_start);
@@ -1276,22 +1193,26 @@ Result<AuthorizationResult> Authorizer::RetrieveStandard(
     return result;  // delivered without accompanying permit statements
   }
 
+  // The plan switch picks step 5 as well as S: the canonical plan masks
+  // interpretively and never compiles.
   const auto apply_start = SteadyClock::now();
-  const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
-  std::shared_ptr<const CompiledMask> compiled = ObtainCompiledMask(
-      txn, use_cache,
-      use_cache ? MaskCacheKey(user, query, options, /*wide=*/false)
-                : std::string(),
-      use_cache ? CurrentGeneration() : AuthzGeneration{}, result.mask,
-      use_cache ? CaptureReadSet(*catalog_, user, query)
-                : AuthzDependencies{});
-  result.answer =
-      options.use_optimized_data_plan && options.use_vectorized_data_plan
-          ? ApplyMaskVectorized(result.raw_answer, *compiled,
-                                options.drop_fully_masked_rows, ctx,
-                                &result.data_stats)
-          : ApplyMask(result.raw_answer, *compiled,
-                      options.drop_fully_masked_rows, ctx);
+  if (options.use_optimized_data_plan) {
+    const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
+    std::shared_ptr<const CompiledMask> compiled = ObtainCompiledMask(
+        txn, use_cache,
+        use_cache ? MaskCacheKey(user, query, options, /*wide=*/false)
+                  : std::string(),
+        use_cache ? CurrentGeneration() : AuthzGeneration{}, result.mask,
+        use_cache ? CaptureReadSet(*catalog_, user, query)
+                  : AuthzDependencies{});
+    result.answer =
+        ApplyMaskVectorized(result.raw_answer, *compiled,
+                            options.drop_fully_masked_rows, ctx,
+                            &result.data_stats);
+  } else {
+    result.answer = ApplyMask(result.raw_answer, result.mask,
+                              options.drop_fully_masked_rows, ctx);
+  }
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
   result.permits = DescribeMask(result.mask);
   times->apply_micros = MicrosSince(apply_start);

@@ -8,10 +8,14 @@
 //   3. runs the canonical algebra expression S' of Q — products, then
 //      selections, then projections — on the meta-relations, pruning
 //      dangling references after the products, yielding the mask A';
-//   4. runs S (canonical or optimized) on the data, yielding the answer A;
+//   4. runs S (vectorized, or the canonical oracle) on the data, yielding
+//      the answer A;
 //   5. applies the mask to the answer: a cell is delivered when some mask
 //      tuple projects its column and the row satisfies that tuple's
-//      selection; everything else is withheld (NULL);
+//      selection; everything else is withheld (NULL). The vectorized plan
+//      applies a compiled mask batch-at-a-time; the canonical plan tests
+//      each row interpretively (RowSatisfies), so it shares no mask code
+//      with the production path;
 //   6. renders the mask as inferred `permit` statements describing
 //      exactly the delivered portion.
 
@@ -46,22 +50,14 @@ struct AuthorizationOptions {
   bool prune_dangling = true;
   // Rows with every cell withheld are dropped from the delivered answer.
   bool drop_fully_masked_rows = true;
-  // Evaluate the data side with the optimized strategy (the paper's
-  // "different strategy" remark); the canonical plan is used when false.
+  // The plan switch, for S and step 5 together. True (production): the
+  // vectorized columnar plan (algebra/vectorized.h, the paper's
+  // "different strategy" for actual relations) with compiled masks
+  // applied batch-at-a-time. False (the oracle): the paper's canonical
+  // products-selections-projections plan with interpretive mask
+  // application, which never compiles a mask. Same answers either way —
+  // the differential tier asserts it.
   bool use_optimized_data_plan = true;
-  // Use the late-materialized join pipeline (algebra/latemat.h) as the
-  // optimized data plan: intermediate joins carry row indices instead of
-  // materialized tuples, and join keys hash in place. Same answers, bit
-  // for bit — the differential tier asserts it. Effective only when
-  // use_optimized_data_plan is true; the canonical plan ignores it.
-  bool use_latemat_data_plan = true;
-  // Use the vectorized columnar pipeline (algebra/vectorized.h) as the
-  // optimized data plan and apply compiled masks batch-at-a-time through
-  // selection vectors (no per-row materialization of filtered rows).
-  // Same answers, bit for bit — the differential tier runs it as a
-  // fourth leg. Takes precedence over use_latemat_data_plan; effective
-  // only when use_optimized_data_plan is true.
-  bool use_vectorized_data_plan = true;
   // The paper's conclusion (3), implemented: when true, masks may be
   // "expressed with additional attributes" — a mask tuple whose
   // restriction sits on a non-requested column is kept, the answer is
@@ -241,15 +237,12 @@ class Authorizer {
   std::vector<InferredPermit> DescribeWideMask(
       const MetaRelation& wide_mask, const ConjunctiveQuery& query) const;
 
-  // Step 5: masks `answer` (whose columns correspond to the mask's).
-  // Compiles the mask on the fly; the overload below takes a compiled
-  // mask (typically cached) and is the hot-path entry. A non-null `ctx`
-  // ticks per answer row and stops masking once tripped; callers must
-  // check ctx->status() before delivering the (then partial) result.
+  // Step 5, interpretively (the canonical plan's oracle): masks `answer`
+  // (whose columns correspond to the mask's) row by row, testing every
+  // mask tuple with RowSatisfies. A non-null `ctx` ticks per answer row
+  // and stops masking once tripped; callers must check ctx->status()
+  // before delivering the (then partial) result.
   static Relation ApplyMask(const Relation& answer, const MetaRelation& mask,
-                            bool drop_fully_masked_rows,
-                            ExecContext* ctx = nullptr);
-  static Relation ApplyMask(const Relation& answer, const CompiledMask& mask,
                             bool drop_fully_masked_rows,
                             ExecContext* ctx = nullptr);
 
@@ -264,19 +257,15 @@ class Authorizer {
                                 const RelationSchema& answer_schema,
                                 bool drop_fully_masked_rows,
                                 ExecContext* ctx = nullptr);
-  static Relation ApplyWideMask(const Relation& wide_answer,
-                                const CompiledMask& wide_mask,
-                                const std::vector<int>& target_columns,
-                                const RelationSchema& answer_schema,
-                                bool drop_fully_masked_rows,
-                                ExecContext* ctx = nullptr);
 
-  // Vectorized step 5 (options.use_vectorized_data_plan): the answer is
-  // walked in column batches, each relevant mask tuple runs its
-  // FilterBatch kernel over a selection vector, and only authorized
-  // (row, tuple) deliveries materialize. Row-for-row identical output
-  // and identical governor charging to the tuple-at-a-time overloads. A
-  // non-null `stats` counts mask_batch_applies.
+  // Vectorized step 5 (options.use_optimized_data_plan): the answer is
+  // walked in column batches, each relevant mask tuple of the compiled
+  // mask runs its FilterBatch kernel over a selection vector, and only
+  // authorized (row, tuple) deliveries materialize. Row-for-row
+  // identical output to the interpretive functions above, and
+  // ApplyMaskVectorized is ApplyWideMaskVectorized with every column a
+  // target, as ApplyMask is ApplyWideMask. A non-null `stats` counts
+  // mask_batch_applies.
   static Relation ApplyMaskVectorized(const Relation& answer,
                                       const CompiledMask& mask,
                                       bool drop_fully_masked_rows,

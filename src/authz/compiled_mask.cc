@@ -10,15 +10,13 @@ CompiledMaskTuple::CompiledMaskTuple(const MetaTuple& tuple) {
 
   // One pass over the cells: constants, projected columns, and variable
   // groups in first-encounter cell order (the binding order RowSatisfies
-  // used).
+  // uses).
   std::vector<std::vector<int>> group_cols;
   for (int i = 0; i < arity; ++i) {
     const MetaCell& cell = tuple.cells()[i];
     if (cell.projected) {
       projected_bits_[static_cast<size_t>(i) / 64] |=
           uint64_t{1} << (static_cast<size_t>(i) % 64);
-      projected_cols_.push_back(i);
-      any_projected_ = true;
     }
     if (cell.kind == CellKind::kConst) {
       const_cells_.push_back(ConstCheck{i, cell.constant});

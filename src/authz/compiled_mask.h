@@ -4,15 +4,15 @@
 // A MetaTuple answers "does this answer row fall inside the subview I
 // define?" via its constant cells, its variable cells (cells sharing a
 // VarId must hold equal values), and its comparative constraints. The
-// interpretive check rebuilt a std::set<VarId> and a
-// std::map<TermId, Value> for every row x mask-tuple pair — an
-// allocation storm on the mask-application hot path.
+// interpretive check, RowSatisfies, builds a std::map<TermId, Value> for
+// every row x mask-tuple pair — an allocation storm on the production
+// hot path, and kept only as the canonical plan's oracle.
 //
 // CompiledMaskTuple precomputes, once per mask tuple:
 //   * the constant cells as a flat (column, value) list;
 //   * the variable groups — cell indices sharing a VarId — as one flat
 //     column array with group offsets;
-//   * the projected-column bitmask (and the projected columns as a list);
+//   * the projected-column bitmask;
 //   * whether the constraint set is "total" over cell-bound terms, in
 //     which case each constraint atom is compiled to direct column
 //     comparisons and the solver is never consulted.
@@ -56,8 +56,6 @@ class CompiledMaskTuple {
   // solver, and only for rows surviving every kernel.
   void FilterBatch(ColumnBatch* batch, std::vector<uint32_t>* sel) const;
 
-  bool any_projected() const { return any_projected_; }
-  const std::vector<int>& projected_cols() const { return projected_cols_; }
   // Bitmask over columns, 64 per word.
   bool IsProjected(int col) const {
     const size_t word = static_cast<size_t>(col) / 64;
@@ -87,8 +85,6 @@ class CompiledMaskTuple {
   std::vector<int> group_begin_;  // size = groups + 1
   std::vector<VarId> group_vars_;
   std::vector<uint64_t> projected_bits_;
-  std::vector<int> projected_cols_;
-  bool any_projected_ = false;
   // No variable cells and no constraints: consts decide alone.
   bool trivially_true_ = false;
   // Every constrained term is cell-bound: `atoms_` decides without the

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "algebra/optimizer.h"
+#include "algebra/vectorized.h"
 
 namespace viewauth {
 namespace ingres {
@@ -132,7 +132,7 @@ Result<Relation> IngresAuthorizer::Retrieve(
   bool first = true;
   for (const ConjunctiveQuery& query : modified) {
     VIEWAUTH_ASSIGN_OR_RETURN(Relation partial,
-                              EvaluateOptimized(query, db, "ANSWER"));
+                              EvaluateVectorized(query, db, "ANSWER"));
     if (first) {
       result = std::move(partial);
       first = false;

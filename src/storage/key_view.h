@@ -1,15 +1,16 @@
 // KeyView: a non-owning view of join-key Values referenced in place.
 //
-// The hash-join build/probe loops used to allocate a projected key Tuple
-// per row (`row.Project(key_cols)`), which dominated the data-side hot
-// path. A KeyView instead collects `const Value*` references to the key
-// cells of a (possibly scattered) row and hashes them in place with the
-// exact combine scheme of Tuple::Hash, so a view over (v1..vk) hashes
-// identically to Tuple({v1..vk}) — hash tables built from either agree.
+// Allocating a projected key Tuple per row (`row.Project(key_cols)`) in
+// the hash-join build/probe loops would dominate the data-side hot path.
+// A KeyView instead collects `const Value*` references to the key cells
+// of a (possibly scattered) row. Its own Hash uses the exact combine
+// scheme of Tuple::Hash, so a view over (v1..vk) hashes identically to
+// Tuple({v1..vk}) — hash tables built from either agree.
 //
-// Equality is strict Value equality (Value::operator==: same type, same
-// contents, NULL == NULL), matching Tuple::operator== — the semantics the
-// hash-join optimizer has always used for join keys.
+// KeyView equality is strict Value equality (Value::operator==: same
+// type, same contents, NULL == NULL), matching Tuple::operator==. The
+// vectorized hash join does not use it: its keys match by the canonical
+// selection's numeric equality (algebra/vectorized.cc, JoinKeyHash).
 
 #ifndef VIEWAUTH_STORAGE_KEY_VIEW_H_
 #define VIEWAUTH_STORAGE_KEY_VIEW_H_

@@ -1,13 +1,14 @@
 // Unit and property tests for the relational algebra evaluators: the
-// canonical products->selections->projections strategy and the optimized
-// (pushdown + hash join) strategy must agree on every query.
+// canonical products->selections->projections strategy and the
+// vectorized (pushdown + hash join over columnar batches) strategy must
+// agree on every query.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "algebra/evaluator.h"
-#include "algebra/optimizer.h"
+#include "algebra/vectorized.h"
 #include "parser/parser.h"
 #include "tests/test_util.h"
 
@@ -78,16 +79,16 @@ TEST(Evaluator, StatsAreCounted) {
   auto canonical =
       EvaluateCanonical(query, fixture.db(), "ANSWER", &canonical_stats);
   ASSERT_TRUE(canonical.ok());
-  EvalStats optimized_stats;
-  auto optimized =
-      EvaluateOptimized(query, fixture.db(), "ANSWER", &optimized_stats);
-  ASSERT_TRUE(optimized.ok());
+  EvalStats vectorized_stats;
+  auto vectorized =
+      EvaluateVectorized(query, fixture.db(), "ANSWER", &vectorized_stats);
+  ASSERT_TRUE(vectorized.ok());
   EXPECT_EQ(canonical_stats.rows_scanned, 9);  // 3 employees + 6 assignments
-  EXPECT_EQ(optimized_stats.rows_scanned, 9);
+  EXPECT_EQ(vectorized_stats.rows_scanned, 9);
   // The hash join produces only matching pairs; the product builds all 18.
   EXPECT_GT(canonical_stats.intermediate_rows,
-            optimized_stats.intermediate_rows);
-  EXPECT_EQ(canonical_stats.output_rows, optimized_stats.output_rows);
+            vectorized_stats.intermediate_rows);
+  EXPECT_EQ(canonical_stats.output_rows, vectorized_stats.output_rows);
 }
 
 TEST(Plan, CanonicalShapeAndPrinting) {
@@ -114,7 +115,8 @@ TEST(Plan, SelectionOmittedWhenTrivial) {
 
 TEST(Evaluator, IndexedEqualityProbeMatchesScan) {
   PaperDatabase fixture;
-  // String-typed equality: the optimizer probes the lazy hash index.
+  // String-typed equality: the vectorized plan probes the lazy hash
+  // index.
   for (const char* text :
        {"retrieve (PROJECT.NUMBER) where PROJECT.SPONSOR = Acme",
         "retrieve (EMPLOYEE.NAME, PROJECT.NUMBER) "
@@ -126,10 +128,10 @@ TEST(Evaluator, IndexedEqualityProbeMatchesScan) {
         "retrieve (PROJECT.NUMBER) where PROJECT.SPONSOR = Nowhere"}) {
     ConjunctiveQuery query = fixture.Query(text);
     auto canonical = EvaluateCanonical(query, fixture.db());
-    auto optimized = EvaluateOptimized(query, fixture.db());
+    auto vectorized = EvaluateVectorized(query, fixture.db());
     ASSERT_TRUE(canonical.ok()) << text;
-    ASSERT_TRUE(optimized.ok()) << text;
-    EXPECT_TRUE(canonical->SameTuples(*optimized)) << text;
+    ASSERT_TRUE(vectorized.ok()) << text;
+    EXPECT_TRUE(canonical->SameTuples(*vectorized)) << text;
   }
 }
 
@@ -146,10 +148,10 @@ TEST(Evaluator, RangeScanMatchesCanonical) {
         "and EMPLOYEE.NAME < K"}) {
     ConjunctiveQuery query = fixture.Query(text);
     auto canonical = EvaluateCanonical(query, fixture.db());
-    auto optimized = EvaluateOptimized(query, fixture.db());
+    auto vectorized = EvaluateVectorized(query, fixture.db());
     ASSERT_TRUE(canonical.ok()) << text;
-    ASSERT_TRUE(optimized.ok()) << text;
-    EXPECT_TRUE(canonical->SameTuples(*optimized)) << text;
+    ASSERT_TRUE(vectorized.ok()) << text;
+    EXPECT_TRUE(canonical->SameTuples(*vectorized)) << text;
   }
 }
 
@@ -158,7 +160,7 @@ TEST(Evaluator, RangeScanReducesScannedRows) {
   ConjunctiveQuery query = fixture.Query(
       "retrieve (PROJECT.NUMBER) where PROJECT.BUDGET > 300000");
   EvalStats stats;
-  auto result = EvaluateOptimized(query, fixture.db(), "ANSWER", &stats);
+  auto result = EvaluateVectorized(query, fixture.db(), "ANSWER", &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 1);  // sv-72 (450k)
   EXPECT_EQ(stats.rows_scanned, 1);
@@ -169,7 +171,7 @@ TEST(Evaluator, IndexProbeReducesScannedRows) {
   ConjunctiveQuery query = fixture.Query(
       "retrieve (ASSIGNMENT.P_NO) where ASSIGNMENT.E_NAME = Brown");
   EvalStats stats;
-  auto result = EvaluateOptimized(query, fixture.db(), "ANSWER", &stats);
+  auto result = EvaluateVectorized(query, fixture.db(), "ANSWER", &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 2);
   // Only Brown's two assignment rows are touched, not all six.
@@ -177,8 +179,10 @@ TEST(Evaluator, IndexProbeReducesScannedRows) {
 }
 
 // ---------------------------------------------------------------------
-// Property: optimized == canonical on randomized databases and queries
-// (the correctness precondition for Figure 2's commutative diagram).
+// Property: the optimized data plan (vectorized, the one
+// use_optimized_data_plan selects) == canonical on randomized databases
+// and queries (the correctness precondition for Figure 2's commutative
+// diagram).
 // ---------------------------------------------------------------------
 
 class PlanEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -239,12 +243,12 @@ TEST_P(PlanEquivalenceTest, OptimizedMatchesCanonical) {
         db.schema(), std::get<RetrieveStmt>(*stmt));
     ASSERT_TRUE(query.ok()) << text;
     auto canonical = EvaluateCanonical(*query, db);
-    auto optimized = EvaluateOptimized(*query, db);
+    auto vectorized = EvaluateVectorized(*query, db);
     ASSERT_TRUE(canonical.ok()) << text;
-    ASSERT_TRUE(optimized.ok()) << text;
-    EXPECT_TRUE(canonical->SameTuples(*optimized))
+    ASSERT_TRUE(vectorized.ok()) << text;
+    EXPECT_TRUE(canonical->SameTuples(*vectorized))
         << text << "\ncanonical: " << canonical->size()
-        << " rows, optimized: " << optimized->size() << " rows";
+        << " rows, vectorized: " << vectorized->size() << " rows";
   }
 }
 

@@ -5,12 +5,10 @@
 //   * the CACHED engine runs with the default fast pipeline
 //     (authorization cache, meta cache, parallel meta evaluation,
 //     vectorized columnar data plan with fused mask application);
-//   * the LATEMAT engine runs the same fast pipeline but with the
-//     tuple-at-a-time late-materialized data plan, so both optimized
-//     plans are tortured against the same statement stream;
 //   * the ORACLE engine runs cold — no caches, no parallelism,
-//     canonical data plan — so every one of its answers is derived
-//     from scratch against the current catalog.
+//     canonical data plan, interpretive mask application — so every
+//     one of its answers is derived from scratch against the current
+//     catalog, without the compiled-mask code the cached engine uses.
 //
 // After every step both engines execute the same probe retrieves and
 // their structured results (denied / full-access flags, sorted answer
@@ -81,15 +79,12 @@ constexpr int kUserCount = 8;
 class Torture {
  public:
   Torture() {
+    // cached_ keeps the defaults (vectorized); oracle_ runs the
+    // canonical plan cold, with interpretive mask application.
     oracle_.options().enable_authz_cache = false;
     oracle_.options().use_meta_cache = false;
     oracle_.options().parallel_meta_evaluation = false;
     oracle_.options().use_optimized_data_plan = false;
-    oracle_.options().use_latemat_data_plan = false;
-    oracle_.options().use_vectorized_data_plan = false;
-    // cached_ keeps the defaults (vectorized); latemat_ pins the
-    // tuple-at-a-time late-materialized plan.
-    latemat_.options().use_vectorized_data_plan = false;
   }
 
   Engine& cached() { return cached_; }
@@ -102,13 +97,11 @@ class Torture {
   // succeed on both.
   ::testing::AssertionResult Load(const std::string& script) {
     auto fast = cached_.ExecuteScript(script);
-    auto late = latemat_.ExecuteScript(script);
     auto cold = oracle_.ExecuteScript(script);
-    if (!fast.ok() || !late.ok() || !cold.ok()) {
+    if (!fast.ok() || !cold.ok()) {
       return ::testing::AssertionFailure()
              << "setup script failed: cached "
-             << (fast.ok() ? "ok" : fast.status().ToString()) << ", latemat "
-             << (late.ok() ? "ok" : late.status().ToString()) << ", oracle "
+             << (fast.ok() ? "ok" : fast.status().ToString()) << ", oracle "
              << (cold.ok() ? "ok" : cold.status().ToString());
     }
     return ::testing::AssertionSuccess();
@@ -117,13 +110,11 @@ class Torture {
   // Executes one statement on both engines; the outcomes must agree.
   ::testing::AssertionResult Apply(const std::string& statement) {
     auto fast = cached_.Execute(statement);
-    auto late = latemat_.Execute(statement);
     auto cold = oracle_.Execute(statement);
-    if (fast.ok() != cold.ok() || late.ok() != cold.ok()) {
+    if (fast.ok() != cold.ok()) {
       return ::testing::AssertionFailure()
              << "statement outcome diverged on `" << statement
              << "`: cached " << (fast.ok() ? "ok" : fast.status().ToString())
-             << ", latemat " << (late.ok() ? "ok" : late.status().ToString())
              << ", oracle " << (cold.ok() ? "ok" : cold.status().ToString());
     }
     return ::testing::AssertionSuccess();
@@ -133,48 +124,37 @@ class Torture {
   // structured results.
   ::testing::AssertionResult Probe(const std::string& retrieve) {
     auto fast = cached_.Execute(retrieve);
-    auto late = latemat_.Execute(retrieve);
     auto cold = oracle_.Execute(retrieve);
-    if (fast.ok() != cold.ok() || late.ok() != cold.ok()) {
+    if (fast.ok() != cold.ok()) {
       return ::testing::AssertionFailure()
              << "probe outcome diverged on `" << retrieve << "`: cached "
-             << (fast.ok() ? "ok" : fast.status().ToString()) << ", latemat "
-             << (late.ok() ? "ok" : late.status().ToString()) << ", oracle "
+             << (fast.ok() ? "ok" : fast.status().ToString()) << ", oracle "
              << (cold.ok() ? "ok" : cold.status().ToString());
     }
     if (!fast.ok()) return ::testing::AssertionSuccess();
     ++successful_probes_;
-    if (cached_.last_result() == nullptr || latemat_.last_result() == nullptr ||
-        oracle_.last_result() == nullptr) {
+    if (cached_.last_result() == nullptr || oracle_.last_result() == nullptr) {
       return ::testing::AssertionFailure()
              << "probe produced no structured result: " << retrieve;
     }
     const Observed want = Summarize(*oracle_.last_result());
-    const struct {
-      const char* label;
-      const AuthorizationResult* result;
-    } legs[] = {{"cached (vectorized)", cached_.last_result()},
-                {"latemat", latemat_.last_result()}};
-    for (const auto& leg : legs) {
-      const Observed got = Summarize(*leg.result);
-      if (!(got == want)) {
-        return ::testing::AssertionFailure()
-               << leg.label << " engine diverged from oracle on `" << retrieve
-               << "`: denied " << want.denied << "/" << got.denied
-               << ", full_access " << want.full_access << "/"
-               << got.full_access << ", answer rows " << want.answer.size()
-               << "/" << got.answer.size() << ", mask tuples "
-               << want.mask_keys.size() << "/" << got.mask_keys.size()
-               << ", permits " << want.permits.size() << "/"
-               << got.permits.size();
-      }
+    const Observed got = Summarize(*cached_.last_result());
+    if (!(got == want)) {
+      return ::testing::AssertionFailure()
+             << "cached (vectorized) engine diverged from oracle on `"
+             << retrieve << "`: denied " << want.denied << "/" << got.denied
+             << ", full_access " << want.full_access << "/"
+             << got.full_access << ", answer rows " << want.answer.size()
+             << "/" << got.answer.size() << ", mask tuples "
+             << want.mask_keys.size() << "/" << got.mask_keys.size()
+             << ", permits " << want.permits.size() << "/"
+             << got.permits.size();
     }
     return ::testing::AssertionSuccess();
   }
 
  private:
   Engine cached_;
-  Engine latemat_;
   Engine oracle_;
   int successful_probes_ = 0;
 };

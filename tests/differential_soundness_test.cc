@@ -5,14 +5,15 @@
 // into the test tier: hundreds of deterministic seeded scenarios — random
 // schemas, views, grants, queries, option combinations — each executed
 // through two independent authorizers:
-//   * the CANONICAL run: no cache, no parallelism, canonical data plan;
+//   * the CANONICAL run: no cache, no parallelism, canonical data plan,
+//     interpretive mask application (Authorizer::RowSatisfies) — it
+//     never touches the compiled-mask code the fast run uses;
 //   * the FAST run: authorization cache + parallel meta-evaluation +
-//     late-materialized data plan, executed TWICE so the repeat is
-//     served from the cache, then once more with the tuple-at-a-time
-//     optimizer so both optimized data plans are differenced.
+//     vectorized data plan + compiled batch mask application, executed
+//     TWICE so the repeat is served from the cache.
 // Every observable — delivered answer, raw answer, mask (compared by
 // alpha-normalized structural keys), inferred permits (synthetic w-vars
-// normalized), denied/full-access flags — must agree across all four
+// normalized), denied/full-access flags — must agree across all three
 // executions.
 
 #include <algorithm>
@@ -90,8 +91,6 @@ struct ScenarioSetup {
   canonical_options.use_meta_cache = false;
   canonical_options.parallel_meta_evaluation = false;
   canonical_options.use_optimized_data_plan = false;
-  canonical_options.use_latemat_data_plan = false;
-  canonical_options.use_vectorized_data_plan = false;
 
   // The fast leg is the full default pipeline: vectorized columnar data
   // plan with batch-fused compiled-mask application.
@@ -100,15 +99,6 @@ struct ScenarioSetup {
   fast_options.use_meta_cache = true;
   fast_options.parallel_meta_evaluation = true;
   fast_options.use_optimized_data_plan = true;
-  fast_options.use_latemat_data_plan = true;
-  fast_options.use_vectorized_data_plan = true;
-
-  // The late-materialized and tuple-at-a-time optimizers, differencing
-  // the three optimized data plans against each other (and canonical).
-  AuthorizationOptions latemat_options = fast_options;
-  latemat_options.use_vectorized_data_plan = false;
-  AuthorizationOptions tuple_options = latemat_options;
-  tuple_options.use_latemat_data_plan = false;
 
   Authorizer canonical(setup.db, setup.canonical_catalog);
   AuthzCache cache;
@@ -117,8 +107,6 @@ struct ScenarioSetup {
   auto canonical_result = canonical.Retrieve("u", query, canonical_options);
   auto cold = fast.Retrieve("u", query, fast_options);
   auto warm = fast.Retrieve("u", query, fast_options);  // cache-served
-  auto latemat_plan = fast.Retrieve("u", query, latemat_options);
-  auto tuple_plan = fast.Retrieve("u", query, tuple_options);
   if (!canonical_result.ok()) {
     return ::testing::AssertionFailure()
            << "canonical retrieve failed: " << canonical_result.status();
@@ -127,14 +115,6 @@ struct ScenarioSetup {
     return ::testing::AssertionFailure()
            << "fast retrieve failed: "
            << (cold.ok() ? warm.status() : cold.status());
-  }
-  if (!latemat_plan.ok()) {
-    return ::testing::AssertionFailure()
-           << "latemat-plan retrieve failed: " << latemat_plan.status();
-  }
-  if (!tuple_plan.ok()) {
-    return ::testing::AssertionFailure()
-           << "tuple-plan retrieve failed: " << tuple_plan.status();
   }
   const AuthzStats stats = cache.Snapshot();
   if (stats.mask_hits < 1) {
@@ -145,8 +125,6 @@ struct ScenarioSetup {
   const Observed expected = Summarize(*canonical_result);
   const Observed cold_obs = Summarize(*cold);
   const Observed warm_obs = Summarize(*warm);
-  const Observed latemat_obs = Summarize(*latemat_plan);
-  const Observed tuple_obs = Summarize(*tuple_plan);
   auto describe = [&](const Observed& got, const char* label) {
     return ::testing::AssertionFailure()
            << label << " run diverged on query " << query.ToString()
@@ -164,8 +142,6 @@ struct ScenarioSetup {
   if (!(warm_obs == expected)) {
     return describe(warm_obs, "warm (cached, vectorized) fast");
   }
-  if (!(latemat_obs == expected)) return describe(latemat_obs, "latemat-plan");
-  if (!(tuple_obs == expected)) return describe(tuple_obs, "tuple-plan");
   return ::testing::AssertionSuccess();
 }
 
@@ -354,9 +330,9 @@ TEST(DifferentialSoundness, TwoRelationJoinScenarios) {
 // across the whole scenario) races a canonical oracle through an
 // interleaving of permits, denies and inserts. Each step mutates both
 // catalogs identically, then differences a query from a small repeating
-// pool across all three data plans — canonical, optimized tuple-at-a-
-// time, and late-materialized — so cache entries that survive a
-// mutation they depended on are caught by the very next repeat.
+// pool across the two data plans — canonical and vectorized — so cache
+// entries that survive a mutation they depended on are caught by the
+// very next repeat.
 TEST(DifferentialSoundness, WriteMixMutationScenarios) {
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int> val(0, 7);
@@ -392,14 +368,7 @@ TEST(DifferentialSoundness, WriteMixMutationScenarios) {
   canonical_options.use_meta_cache = false;
   canonical_options.parallel_meta_evaluation = false;
   canonical_options.use_optimized_data_plan = false;
-  canonical_options.use_latemat_data_plan = false;
-  canonical_options.use_vectorized_data_plan = false;
   AuthorizationOptions vectorized_options;  // defaults: cache + vectorized
-  AuthorizationOptions latemat_options;
-  latemat_options.use_vectorized_data_plan = false;
-  AuthorizationOptions tuple_options;
-  tuple_options.use_vectorized_data_plan = false;
-  tuple_options.use_latemat_data_plan = false;
 
   int compared = 0;
   long long cache_hits = 0;
@@ -470,22 +439,12 @@ TEST(DifferentialSoundness, WriteMixMutationScenarios) {
       const ConjunctiveQuery& query = pool[rng() % pool.size()];
       auto want = canonical.Retrieve("u", query, canonical_options);
       auto vectorized = fast.Retrieve("u", query, vectorized_options);
-      auto latemat = fast.Retrieve("u", query, latemat_options);
-      auto tuple_plan = fast.Retrieve("u", query, tuple_options);
       ASSERT_TRUE(want.ok()) << want.status();
       ASSERT_TRUE(vectorized.ok()) << vectorized.status();
-      ASSERT_TRUE(latemat.ok()) << latemat.status();
-      ASSERT_TRUE(tuple_plan.ok()) << tuple_plan.status();
       const Observed expected = Summarize(*want);
       EXPECT_TRUE(Summarize(*vectorized) == expected)
           << "vectorized plan diverged: scenario " << scenario << " step "
           << step << " query " << query.ToString();
-      EXPECT_TRUE(Summarize(*latemat) == expected)
-          << "latemat plan diverged: scenario " << scenario << " step "
-          << step << " query " << query.ToString();
-      EXPECT_TRUE(Summarize(*tuple_plan) == expected)
-          << "tuple plan diverged: scenario " << scenario << " step " << step
-          << " query " << query.ToString();
       ++compared;
       if (HasFailure()) break;
     }

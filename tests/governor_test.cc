@@ -60,15 +60,11 @@ void LoadCrossProduct(Engine* engine, int rows = kRowsPerSide) {
 struct PlanConfig {
   const char* name;
   bool optimized;
-  bool latemat;
-  bool vectorized;
 };
 
 constexpr PlanConfig kPlans[] = {
-    {"canonical", false, false, false},
-    {"optimized", true, false, false},
-    {"latemat", true, true, false},
-    {"vectorized", true, true, true},
+    {"canonical", false},
+    {"vectorized", true},
 };
 
 // A 1 ms deadline against the 10^6-pair product must abort well under a
@@ -80,8 +76,6 @@ TEST(GovernorTest, DeadlineAbortsCrossProductOnAllPlans) {
     Engine engine;
     LoadCrossProduct(&engine);
     engine.options().use_optimized_data_plan = plan.optimized;
-    engine.options().use_latemat_data_plan = plan.latemat;
-    engine.options().use_vectorized_data_plan = plan.vectorized;
 
     engine.options().deadline_ms = 1;
     const Clock::time_point start = Clock::now();
