@@ -43,20 +43,10 @@ using Clock = std::chrono::steady_clock;
 constexpr const char* kTwoRelQuery =
     "retrieve (R0.KEY, R0.A, R1.B) where R0.KEY = R1.KEY and R0.A >= 150";
 
-// Both modes run single-threaded: with parallel meta evaluation the
-// retrieve bounces between a pool worker and the session thread, and on
-// a loaded single-core host that scheduling noise swamps the few-percent
-// signal this benchmark exists to measure.
-AuthorizationOptions PlainOptions() {
-  AuthorizationOptions options;
-  options.parallel_meta_evaluation = false;
-  return options;
-}
-
 // Generous limits: governed accounting runs on every loop, but nothing
 // ever trips.
 AuthorizationOptions GovernedOptions() {
-  AuthorizationOptions options = PlainOptions();
+  AuthorizationOptions options;
   options.deadline_ms = 600000;
   options.max_rows = 1LL << 40;
   options.max_bytes = 1LL << 50;
@@ -137,7 +127,7 @@ OverheadReport MeasureOverhead(int iterations, int repeats) {
   // the median ratio over all rounds discards outlier rounds entirely.
   // The starting mode alternates per round to cancel any residual
   // position bias within the interleave.
-  const AuthorizationOptions plain_options = PlainOptions();
+  const AuthorizationOptions plain_options{};
   const AuthorizationOptions governed_options = GovernedOptions();
   TimeBatch(*w, query, plain_options, 1);
   TimeBatch(*w, query, governed_options, 1);

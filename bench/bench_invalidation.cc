@@ -185,10 +185,7 @@ long long RunSequence(Tenancy* t, int operations, int mutate_every,
 }
 
 MixResult MeasureMix(int write_permille, int operations) {
-  // Both pipelines single-threaded: scheduling noise on a loaded host
-  // otherwise swamps the ratio this benchmark reports.
   AuthorizationOptions cached_options;
-  cached_options.parallel_meta_evaluation = false;
   AuthorizationOptions uncached_options = cached_options;
   uncached_options.enable_authz_cache = false;
   uncached_options.use_meta_cache = false;

@@ -1,7 +1,10 @@
 // PERF-1: cost of deriving the mask A' as the number of permitted views
 // and the number of relations in the query grow. The paper argues the
 // meta-relations are "relatively small", making the simple canonical
-// strategy affordable — these benchmarks quantify that.
+// strategy affordable — these benchmarks quantify that. DeriveMask
+// stores no decision, so every iteration derives; only the prepared
+// per-relation meta-relations are cached (BM_DeriveMaskSelfJoinCache
+// turns that off).
 
 #include <benchmark/benchmark.h>
 

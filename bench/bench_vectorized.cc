@@ -346,9 +346,7 @@ int RunFull(const std::string& path) {
 
   AuthorizationOptions canonical_options;
   canonical_options.use_optimized_data_plan = false;
-  canonical_options.parallel_meta_evaluation = false;
   AuthorizationOptions vectorized_options;
-  vectorized_options.parallel_meta_evaluation = false;
   constexpr int kRetrieveIterations = 100;
   const int canonical_retrieve_iterations =
       IterationsFor(Strategy::kCanonical, kRetrieveIterations);

@@ -25,20 +25,20 @@ int main() {
     return 1;
   }
   auto namer = [&fixture](VarId v) { return fixture.catalog().VarName(v); };
-  std::cout << "Mask A':\n" << result->mask.ToString(namer) << "\n";
+  std::cout << "Mask A':\n" << result->mask().ToString(namer) << "\n";
   TablePrintOptions opts;
   opts.caption = "Delivered:";
   std::cout << PrintRelation(result->answer, opts);
-  for (const InferredPermit& permit : result->permits) {
+  for (const InferredPermit& permit : result->permits()) {
     std::cout << permit.ToString() << "\n";
   }
   std::cout << "\n";
 
   checker.Check("request is not denied", !result->denied);
   checker.Check("request is not full access", !result->full_access);
-  checker.CheckEq("mask has one tuple", result->mask.size(), 1);
-  if (result->mask.size() == 1) {
-    const MetaTuple& mask = result->mask.tuples()[0];
+  checker.CheckEq("mask has one tuple", result->mask().size(), 1);
+  if (result->mask().size() == 1) {
+    const MetaTuple& mask = result->mask().tuples()[0];
     checker.Check("NUMBER cell is *", mask.cells()[0].is_blank() &&
                                           mask.cells()[0].projected);
     checker.Check("SPONSOR cell is Acme*",
@@ -52,9 +52,9 @@ int main() {
   checker.Check("delivered row is (bq-45, Acme)",
                 result->answer.Contains(Tuple({Value::String("bq-45"),
                                                Value::String("Acme")})));
-  checker.CheckEq("inferred permit count", result->permits.size(), 1u);
-  if (!result->permits.empty()) {
-    checker.CheckEq("inferred permit text", result->permits[0].ToString(),
+  checker.CheckEq("inferred permit count", result->permits().size(), 1u);
+  if (!result->permits().empty()) {
+    checker.CheckEq("inferred permit text", result->permits()[0].ToString(),
                     std::string("permit (NUMBER, SPONSOR) where SPONSOR = "
                                 "Acme"));
   }

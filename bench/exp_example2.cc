@@ -61,7 +61,7 @@ int main() {
   TablePrintOptions opts;
   opts.caption = "Delivered:";
   std::cout << PrintRelation(result->answer, opts);
-  for (const InferredPermit& permit : result->permits) {
+  for (const InferredPermit& permit : result->permits()) {
     std::cout << permit.ToString() << "\n";
   }
   std::cout << "\n";
@@ -80,9 +80,9 @@ int main() {
       checker.Check("pruned product has no dangling tuples", false);
     }
   }
-  checker.CheckEq("final mask has one tuple", result->mask.size(), 1);
-  if (result->mask.size() == 1) {
-    const MetaTuple& m = result->mask.tuples()[0];
+  checker.CheckEq("final mask has one tuple", result->mask().size(), 1);
+  if (result->mask().size() == 1) {
+    const MetaTuple& m = result->mask().tuples()[0];
     checker.Check("NAME is permitted (*)",
                   m.cells()[0].is_blank() && m.cells()[0].projected);
     checker.Check("SALARY is withheld (blank)",
@@ -94,9 +94,9 @@ int main() {
   checker.Check("Brown's salary is masked",
                 result->answer.Contains(Tuple({Value::String("Brown"),
                                                Value::Null()})));
-  checker.CheckEq("inferred permit count", result->permits.size(), 1u);
-  if (!result->permits.empty()) {
-    checker.CheckEq("inferred permit text", result->permits[0].ToString(),
+  checker.CheckEq("inferred permit count", result->permits().size(), 1u);
+  if (!result->permits().empty()) {
+    checker.CheckEq("inferred permit text", result->permits()[0].ToString(),
                     std::string("permit (NAME)"));
   }
   return checker.Finish();

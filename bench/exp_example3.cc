@@ -49,7 +49,7 @@ int main() {
     std::cerr << result.status() << "\n";
     return 1;
   }
-  std::cout << "Final mask A':\n" << result->mask.ToString(namer) << "\n";
+  std::cout << "Final mask A':\n" << result->mask().ToString(namer) << "\n";
   TablePrintOptions opts;
   opts.caption = "Delivered:";
   std::cout << PrintRelation(result->answer, opts) << "\n";
@@ -57,7 +57,7 @@ int main() {
   checker.Check("full access (entire answer permitted)",
                 result->full_access);
   checker.Check("no accompanying permit statements",
-                result->permits.empty());
+                result->permits().empty());
   checker.CheckEq("answer rows (identical-title pairs)",
                   result->answer.size(), 3);
   checker.Check("answer equals the unmasked answer",

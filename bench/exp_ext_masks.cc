@@ -43,11 +43,11 @@ int main() {
   }
   auto namer = [&fixture](VarId v) { return fixture.catalog().VarName(v); };
   std::cout << "extended wide mask:\n"
-            << extended->mask.ToString(namer) << "\n";
+            << extended->mask().ToString(namer) << "\n";
   TablePrintOptions opts;
   opts.caption = "extended delivery:";
   std::cout << PrintRelation(extended->answer, opts);
-  for (const InferredPermit& permit : extended->permits) {
+  for (const InferredPermit& permit : extended->permits()) {
     std::cout << permit.ToString() << "\n";
   }
   std::cout << "\n";
@@ -57,9 +57,9 @@ int main() {
   checker.Check("the row is bq-45",
                 extended->answer.Contains(Tuple({Value::String("bq-45")})));
   checker.CheckEq("permit names the additional attribute",
-                  extended->permits.empty()
+                  extended->permits().empty()
                       ? std::string()
-                      : extended->permits[0].ToString(),
+                      : extended->permits()[0].ToString(),
                   std::string("permit (NUMBER) where SPONSOR = Acme"));
 
   // Sanity: on the paper's own examples the extension changes nothing.

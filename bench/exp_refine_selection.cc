@@ -88,7 +88,7 @@ int main() {
       checker.Check(std::string(c.label) + " not full access",
                     !result->full_access);
       bool found = false;
-      for (const InferredPermit& permit : result->permits) {
+      for (const InferredPermit& permit : result->permits()) {
         if (permit.ToString() == c.expected_permit) found = true;
       }
       checker.Check(std::string(c.label) + " permit: " + c.expected_permit,

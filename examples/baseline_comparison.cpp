@@ -178,7 +178,7 @@ int main() {
         continue;
       }
       std::cout << PrintRelation(result.answer);
-      for (const InferredPermit& permit : result.permits) {
+      for (const InferredPermit& permit : result.permits()) {
         std::cout << permit.ToString() << "\n";
       }
       std::cout << "\n";

@@ -53,9 +53,9 @@ void PrintHelp() {
                "self_joins,\n"
                "                         subsumption, extended_masks, "
                "cache,\n"
-               "                         parallel, vectorized (off: the "
-               "canonical\n"
-               "                         oracle plan), analyze (warn on "
+               "                         vectorized (off: the canonical "
+               "oracle\n"
+               "                         plan), analyze (warn on "
                "permit/deny)\n"
                "  set <option> <n>       governance knobs (0 = unlimited):"
                "\n"
@@ -77,7 +77,6 @@ void PrintOptions(const AuthorizationOptions& options) {
             << " subsumption=" << onoff(options.subsumption)
             << " extended_masks=" << onoff(options.extended_masks)
             << " cache=" << onoff(options.enable_authz_cache)
-            << " parallel=" << onoff(options.parallel_meta_evaluation)
             << " vectorized=" << onoff(options.use_optimized_data_plan)
             << " analyze=" << onoff(options.analyze_grants)
             << " audit=" << onoff(options.audit_grants)
@@ -97,7 +96,6 @@ const std::map<std::string, bool AuthorizationOptions::*> kSwitches = {
     {"subsumption", &AuthorizationOptions::subsumption},
     {"extended_masks", &AuthorizationOptions::extended_masks},
     {"cache", &AuthorizationOptions::enable_authz_cache},
-    {"parallel", &AuthorizationOptions::parallel_meta_evaluation},
     {"vectorized", &AuthorizationOptions::use_optimized_data_plan},
     {"analyze", &AuthorizationOptions::analyze_grants},
     {"audit", &AuthorizationOptions::audit_grants},

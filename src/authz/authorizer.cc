@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -11,7 +10,6 @@
 #include "algebra/vectorized.h"
 #include "storage/column_batch.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "meta/self_join.h"
 
 namespace viewauth {
@@ -26,46 +24,48 @@ long long MicrosSince(SteadyClock::time_point start) {
       .count();
 }
 
-// Cache key of a derived mask: the user, the delivery flavor (final or
-// wide), every option that changes the derived tuples, and the query's
+// Cache key of a decision: the user, the mask flavor (final or wide),
+// every option that changes the derived tuples, the plan (only the
+// vectorized plan's decisions carry a compiled mask), and the query's
 // canonical signature.
-std::string MaskCacheKey(std::string_view user, const ConjunctiveQuery& query,
-                         const AuthorizationOptions& o, bool wide) {
-  std::string key(user);
+std::string DecisionCacheKey(std::string_view user,
+                             const ConjunctiveQuery& query,
+                             const AuthorizationOptions& o, bool wide) {
+  std::string key = "D|";
+  key += user;
   key += wide ? "|W|" : "|F|";
   key += o.padding ? 'p' : '-';
   key += o.four_case ? 'f' : '-';
   key += o.subsumption ? 's' : '-';
   key += o.prune_dangling ? 'd' : '-';
   key += o.self_joins ? std::to_string(o.self_join_rounds) : "0";
+  key += o.use_optimized_data_plan ? 'v' : 'c';
   key += "|";
   key += query.CanonicalSignature();
   return key;
 }
 
-// The data-side evaluation (S), timed. Runs on a pool worker during
-// parallel retrieves; never waits on anything.
-struct TimedEval {
-  Result<Relation> relation = Relation();
-  EvalStats stats;
-  long long micros = 0;
-};
-
-TimedEval EvaluateData(const ConjunctiveQuery& query,
-                       const DatabaseInstance& db, const char* name,
-                       const AuthorizationOptions& options,
-                       ExecContext* ctx) {
-  TimedEval out;
-  const auto start = SteadyClock::now();
-  out.relation =
-      options.use_optimized_data_plan
-          ? EvaluateVectorized(query, db, name, &out.stats, ctx)
-          : EvaluateCanonical(query, db, name, &out.stats, ctx);
-  out.micros = MicrosSince(start);
-  return out;
+// S on the plan the options pick.
+Result<Relation> EvaluateData(const ConjunctiveQuery& query,
+                              const DatabaseInstance& db, const char* name,
+                              const AuthorizationOptions& options,
+                              EvalStats* stats, ExecContext* ctx) {
+  return options.use_optimized_data_plan
+             ? EvaluateVectorized(query, db, name, stats, ctx)
+             : EvaluateCanonical(query, db, name, stats, ctx);
 }
 
-// The read set of a mask derived for (user, query): the query's base
+// The product-column indices of the query's requested columns.
+std::vector<int> TargetColumns(const ConjunctiveQuery& query) {
+  std::vector<int> targets;
+  targets.reserve(query.targets().size());
+  for (const ColumnRef& target : query.targets()) {
+    targets.push_back(query.FlatIndex(target));
+  }
+  return targets;
+}
+
+// The read set of a decision for (user, query): the query's base
 // relations plus every granted view the derivation folded in — exactly
 // the views PrunedMetaRelationGoverned's coverage filter admits (the
 // view's relations all appear in the query). This is what selective
@@ -85,30 +85,6 @@ AuthzDependencies CaptureReadSet(const ViewCatalog& catalog,
     if (covered) deps.views.insert(view->name);
   }
   return deps;
-}
-
-// The compiled form of a derived mask, cached under the same key and
-// generation as the mask itself (compiled_ is a separate map, so the key
-// may be shared). Compiling is cheap relative to derivation but still
-// worth caching: warm retrieves then skip even the one-pass compile.
-// Routed through the retrieve's txn so an abort leaves no compiled entry.
-std::shared_ptr<const CompiledMask> ObtainCompiledMask(
-    AuthzCacheTxn* txn, bool use_cache, const std::string& key,
-    const AuthzGeneration& gen, const MetaRelation& mask,
-    AuthzDependencies deps) {
-  if (use_cache) {
-    if (std::shared_ptr<const CompiledMask> cached =
-            txn->LookupCompiledMask(key, gen)) {
-      return cached;
-    }
-  }
-  auto compiled =
-      std::make_shared<const CompiledMask>(CompiledMask::Compile(mask));
-  txn->CountMaskCompile();
-  if (use_cache) {
-    txn->StoreCompiledMask(key, gen, compiled, std::move(deps));
-  }
-  return compiled;
 }
 
 // Step 5's delivery rule, shared by the interpretive and the vectorized
@@ -167,12 +143,6 @@ class Delivery {
 
 }  // namespace
 
-std::string InferredPermit::ToString() const {
-  std::string out = "permit (" + Join(columns, ", ") + ")";
-  if (!where.empty()) out += " where " + where;
-  return out;
-}
-
 AuthzGeneration Authorizer::CurrentGeneration() const {
   // Reading the clock brings the cache up to date with the catalog's
   // mutation journal first. This is what keeps callers that mutate the
@@ -190,14 +160,16 @@ Result<MetaRelation> Authorizer::PrunedMetaRelation(
   const ExecLimits limits = ExecLimitsOf(options);
   if (limits.any()) local.emplace(limits);
   AuthzCacheTxn txn(cache_);
-  Result<MetaRelation> result = PrunedMetaRelationGoverned(
-      user, query, atom, options, local.has_value() ? &*local : nullptr,
-      &txn);
-  if (result.ok()) txn.Commit();
-  return result;
+  VIEWAUTH_ASSIGN_OR_RETURN(
+      std::shared_ptr<const MetaRelation> prepared,
+      PrunedMetaRelationGoverned(user, query, atom, options,
+                                 local.has_value() ? &*local : nullptr, &txn));
+  txn.Commit();
+  return *prepared;
 }
 
-Result<MetaRelation> Authorizer::PrunedMetaRelationGoverned(
+Result<std::shared_ptr<const MetaRelation>>
+Authorizer::PrunedMetaRelationGoverned(
     std::string_view user, const ConjunctiveQuery& query, int atom,
     const AuthorizationOptions& options, ExecContext* ctx,
     AuthzCacheTxn* txn) const {
@@ -221,7 +193,7 @@ Result<MetaRelation> Authorizer::PrunedMetaRelationGoverned(
   AuthzGeneration gen;
   if (use_cache) {
     gen = CurrentGeneration();
-    cache_key = std::string(user) + "|" + relation + "|";
+    cache_key = "P|" + std::string(user) + "|" + relation + "|";
     for (const std::string& r : query_relations) {
       cache_key += r;
       cache_key += ",";
@@ -230,9 +202,9 @@ Result<MetaRelation> Authorizer::PrunedMetaRelationGoverned(
     cache_key += options.self_joins
                      ? std::to_string(options.self_join_rounds)
                      : "0";
-    if (std::optional<MetaRelation> cached =
+    if (std::shared_ptr<const MetaRelation> cached =
             txn->LookupPrepared(cache_key, gen)) {
-      return std::move(*cached);
+      return cached;
     }
   }
 
@@ -267,10 +239,11 @@ Result<MetaRelation> Authorizer::PrunedMetaRelationGoverned(
                  static_cast<long long>(out.size()) * 64 * schema.arity())) {
     return ctx->status();
   }
+  auto prepared = std::make_shared<const MetaRelation>(std::move(out));
   if (use_cache) {
-    txn->StorePrepared(std::move(cache_key), gen, out, std::move(deps));
+    txn->Store(std::move(cache_key), gen, prepared, std::move(deps));
   }
-  return out;
+  return prepared;
 }
 
 std::string MaskTrace::ToString() const {
@@ -329,70 +302,27 @@ Result<MetaRelation> Authorizer::DeriveWideMaskGoverned(
   op_options.four_case = options.four_case;
 
   // Per-relation meta-relations are identical for repeated occurrences;
-  // compute once per relation name. The per-relation preparations are
-  // independent, so without tracing they fan out across the pool when
-  // the query spans more than one relation.
-  std::vector<std::pair<std::string, int>> distinct;  // relation, first atom
+  // compute once per relation name.
+  std::map<std::string, std::shared_ptr<const MetaRelation>> per_relation;
   for (size_t a = 0; a < query.atoms().size(); ++a) {
     const std::string& rel = query.atoms()[a].relation;
-    bool seen = false;
-    for (const auto& d : distinct) {
-      if (d.first == rel) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) distinct.emplace_back(rel, static_cast<int>(a));
-  }
-  std::map<std::string, MetaRelation> per_relation;
-  // A saturated pool degrades gracefully to inline preparation: with the
-  // bounded submission queue, fanning out from within an already-full
-  // pool would only trade queue waits for inline work.
-  if (options.parallel_meta_evaluation && trace == nullptr &&
-      distinct.size() > 1 && !GlobalThreadPool().Saturated()) {
-    std::vector<std::future<Result<MetaRelation>>> futures;
-    futures.reserve(distinct.size());
-    for (const auto& [rel, atom] : distinct) {
-      (void)rel;
-      // ctx and txn are internally synchronized; the workers share both.
-      futures.push_back(
-          GlobalThreadPool().Submit([this, user, &query, atom = atom,
-                                     &options, ctx, txn] {
-            return PrunedMetaRelationGoverned(user, query, atom, options,
-                                              ctx, txn);
-          }));
-    }
-    // Collect every future before acting on errors: the tasks reference
-    // this call's locals.
-    std::vector<Result<MetaRelation>> prepared;
-    prepared.reserve(futures.size());
-    for (std::future<Result<MetaRelation>>& f : futures) {
-      prepared.push_back(f.get());
-    }
-    for (size_t i = 0; i < prepared.size(); ++i) {
-      VIEWAUTH_RETURN_NOT_OK(prepared[i].status());
-      per_relation.emplace(distinct[i].first, std::move(*prepared[i]));
-    }
-  } else {
-    for (const auto& [rel, atom] : distinct) {
-      if (trace != nullptr) {
-        AuthorizationOptions bare = options;
-        bare.self_joins = false;
-        bare.use_meta_cache = false;
-        VIEWAUTH_ASSIGN_OR_RETURN(
-            MetaRelation stored,
-            PrunedMetaRelationGoverned(user, query, atom, bare, ctx, txn));
-        trace->operands.push_back(
-            MaskTrace::OperandStage{rel, stored.size(), 0});
-      }
+    if (per_relation.contains(rel)) continue;
+    const int atom = static_cast<int>(a);
+    if (trace != nullptr) {
+      AuthorizationOptions bare = options;
+      bare.self_joins = false;
+      bare.use_meta_cache = false;
       VIEWAUTH_ASSIGN_OR_RETURN(
-          MetaRelation meta,
-          PrunedMetaRelationGoverned(user, query, atom, options, ctx, txn));
-      if (trace != nullptr) {
-        trace->operands.back().with_self_joins = meta.size();
-      }
-      per_relation.emplace(rel, std::move(meta));
+          std::shared_ptr<const MetaRelation> stored,
+          PrunedMetaRelationGoverned(user, query, atom, bare, ctx, txn));
+      trace->operands.push_back(
+          MaskTrace::OperandStage{rel, stored->size(), 0});
     }
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        std::shared_ptr<const MetaRelation> meta,
+        PrunedMetaRelationGoverned(user, query, atom, options, ctx, txn));
+    if (trace != nullptr) trace->operands.back().with_self_joins = meta->size();
+    per_relation.emplace(rel, std::move(meta));
   }
 
   // S' step 1: all products first (the paper's canonical strategy).
@@ -444,7 +374,7 @@ Result<MetaRelation> Authorizer::DeriveWideMaskGoverned(
   long long pruned = 0;  // hopeless + dangling tuples removed
   MetaRelation current;
   for (size_t a = 0; a < query.atoms().size(); ++a) {
-    const MetaRelation& operand = per_relation.at(query.atoms()[a].relation);
+    const MetaRelation& operand = *per_relation.at(query.atoms()[a].relation);
     if (a == 0) {
       current = operand;
     } else {
@@ -548,7 +478,7 @@ Result<MetaRelation> Authorizer::DeriveWideMaskGoverned(
     ClearImpliedRestrictions(&current, lambda, column_term);
   }
 
-  txn->CountPruned(pruned);
+  txn->stats().meta_tuples_pruned += pruned;
   return current;
 }
 
@@ -560,6 +490,18 @@ Result<MetaRelation> Authorizer::DeriveMask(
   const ExecLimits limits = ExecLimitsOf(options);
   if (limits.any()) local.emplace(limits);
   AuthzCacheTxn txn(cache_);
+  // The final mask depends only on the user, the query signature and the
+  // options in the decision key, so a decision built by an earlier
+  // Retrieve answers it whenever no intermediate stage was requested.
+  if (cache_ != nullptr && options.enable_authz_cache &&
+      product_stage == nullptr && trace == nullptr) {
+    if (std::shared_ptr<const Decision> hit = txn.LookupDecision(
+            DecisionCacheKey(user, query, options, /*wide=*/false),
+            CurrentGeneration())) {
+      txn.Commit();
+      return hit->mask;
+    }
+  }
   Result<MetaRelation> result = DeriveMaskGoverned(
       user, query, options, product_stage, trace,
       local.has_value() ? &*local : nullptr, &txn);
@@ -571,34 +513,13 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
     std::string_view user, const ConjunctiveQuery& query,
     const AuthorizationOptions& options, MetaRelation* product_stage,
     MaskTrace* trace, ExecContext* ctx, AuthzCacheTxn* txn) const {
-  // The full S' run is cacheable whenever no intermediate stage was
-  // requested: the mask depends only on the user, the query signature,
-  // and the options folded into the key.
-  const bool use_cache = cache_ != nullptr && options.enable_authz_cache &&
-                         product_stage == nullptr && trace == nullptr;
-  std::string cache_key;
-  AuthzGeneration gen;
-  if (use_cache) {
-    gen = CurrentGeneration();
-    cache_key = MaskCacheKey(user, query, options, /*wide=*/false);
-    if (std::optional<MetaRelation> cached =
-            txn->LookupMask(cache_key, gen)) {
-      return std::move(*cached);
-    }
-  }
-
   VIEWAUTH_ASSIGN_OR_RETURN(
       MetaRelation current,
       DeriveWideMaskGoverned(user, query, options, product_stage, trace,
                              ctx, txn));
 
   // S' step 3: the final projection onto the requested columns.
-  std::vector<int> keep;
-  keep.reserve(query.targets().size());
-  for (const ColumnRef& target : query.targets()) {
-    keep.push_back(query.FlatIndex(target));
-  }
-  current = MetaProject(current, keep);
+  current = MetaProject(current, TargetColumns(query));
   if (trace != nullptr) trace->after_projection = current.size();
 
   // Rename the mask's columns to the answer's column names.
@@ -619,10 +540,6 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
   mask = RemoveDuplicates(mask, /*respect_provenance=*/false);
   if (options.subsumption) mask = RemoveSubsumed(mask);
   if (trace != nullptr) trace->final_mask = mask.size();
-  if (use_cache) {
-    txn->StoreMask(std::move(cache_key), gen, mask,
-                   CaptureReadSet(*catalog_, user, query));
-  }
   return mask;
 }
 
@@ -904,175 +821,121 @@ std::vector<InferredPermit> Authorizer::DescribeMask(
   return permits;
 }
 
-Result<AuthorizationResult> Authorizer::RetrieveExtended(
+Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
     std::string_view user, const ConjunctiveQuery& query,
-    const AuthorizationOptions& options, StageTimes* times,
-    ExecContext* ctx, AuthzCacheTxn* txn) const {
-  AuthorizationResult result;
-
-  // Evaluate the answer *before* the final projection so that mask
-  // predicates over non-requested attributes can be tested per row.
-  // During parallel retrieves the data plan runs on the pool, concurrent
-  // with mask derivation on this thread. Both sides share `ctx`: the
-  // budget is symmetric across S and S' (a trip on either aborts both).
-  // A saturated pool falls back to inline evaluation rather than queuing
-  // behind every other session's work.
-  ConjunctiveQuery wide_query = query.WithAllColumnsProjected();
-  std::future<TimedEval> data_future;
-  if (options.parallel_meta_evaluation && !GlobalThreadPool().Saturated()) {
-    data_future =
-        GlobalThreadPool().Submit([this, &wide_query, &options, ctx] {
-          return EvaluateData(wide_query, *db_, "WIDE", options, ctx);
-        });
-  }
-
-  // The post-processed wide mask (deduplicated, subsumption-reduced,
-  // renamed to qualified product columns) is what gets cached: it is the
-  // exact object every later stage consumes.
-  const auto mask_start = SteadyClock::now();
+    const AuthorizationOptions& options, ExecContext* ctx,
+    AuthzCacheTxn* txn) const {
   const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
-  std::string cache_key;
+  std::string key;
   AuthzGeneration gen;
-  MetaRelation wide;
-  bool have_mask = false;
   if (use_cache) {
     gen = CurrentGeneration();
-    cache_key = MaskCacheKey(user, query, options, /*wide=*/true);
-    if (std::optional<MetaRelation> cached =
-            txn->LookupMask(cache_key, gen)) {
-      wide = std::move(*cached);
-      have_mask = true;
+    key = DecisionCacheKey(user, query, options, options.extended_masks);
+    if (std::shared_ptr<const Decision> hit = txn->LookupDecision(key, gen)) {
+      return hit;
     }
   }
-  if (!have_mask) {
-    Result<MetaRelation> derived = DeriveWideMaskGoverned(
-        user, query, options, nullptr, nullptr, ctx, txn);
-    if (!derived.ok()) {
-      // Drain the concurrent data evaluation before unwinding: the task
-      // references this call's locals.
-      if (data_future.valid()) data_future.get();
-      return derived.status();
-    }
-    wide = std::move(*derived);
+
+  auto decision = std::make_shared<Decision>();
+  // The mask columns whose grant decides denied and full access: every
+  // column of the final mask, or the requested columns of the wide one.
+  std::vector<int> requested;
+  if (options.extended_masks) {
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        MetaRelation wide, DeriveWideMaskGoverned(user, query, options,
+                                                  nullptr, nullptr, ctx, txn));
     wide = RemoveDuplicates(wide, /*respect_provenance=*/false);
     if (options.subsumption) wide = RemoveSubsumed(wide);
     // Qualified column names for the wide mask's display.
-    {
-      std::vector<std::string> names = query.ProductColumnNames();
-      std::vector<Attribute> columns;
-      columns.reserve(names.size());
-      int col = 0;
-      for (size_t a = 0; a < query.atoms().size(); ++a) {
-        const RelationSchema& rel = query.atom_schema(static_cast<int>(a));
-        for (int i = 0; i < rel.arity(); ++i, ++col) {
-          columns.push_back(Attribute{names[static_cast<size_t>(col)],
-                                      rel.attribute(i).type});
-        }
+    std::vector<std::string> names = query.ProductColumnNames();
+    std::vector<Attribute> columns;
+    columns.reserve(names.size());
+    int col = 0;
+    for (size_t a = 0; a < query.atoms().size(); ++a) {
+      const RelationSchema& rel = query.atom_schema(static_cast<int>(a));
+      for (int i = 0; i < rel.arity(); ++i, ++col) {
+        columns.push_back(Attribute{names[static_cast<size_t>(col)],
+                                    rel.attribute(i).type});
       }
-      MetaRelation renamed(std::move(columns));
-      for (MetaTuple& tuple : wide.tuples()) renamed.Add(std::move(tuple));
-      wide = std::move(renamed);
     }
-    if (use_cache) {
-      txn->StoreMask(std::move(cache_key), gen, wide,
-                     CaptureReadSet(*catalog_, user, query));
-    }
+    decision->mask = MetaRelation(std::move(columns));
+    for (MetaTuple& tuple : wide.tuples()) decision->mask.Add(std::move(tuple));
+    requested = TargetColumns(query);
+  } else {
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        decision->mask, DeriveMaskGoverned(user, query, options, nullptr,
+                                           nullptr, ctx, txn));
+    requested.resize(static_cast<size_t>(decision->mask.arity()));
+    std::iota(requested.begin(), requested.end(), 0);
   }
-  times->mask_micros = MicrosSince(mask_start);
-  result.mask = wide;
+  const MetaRelation& mask = decision->mask;
+  // A constraint set solves lazily into a mutable cache. Solve each one
+  // now, so that the threads sharing this decision only ever read it.
+  for (const MetaTuple& tuple : mask.tuples()) {
+    tuple.constraints().IsSatisfiable();
+  }
 
-  TimedEval data =
-      data_future.valid()
-          ? data_future.get()
-          : EvaluateData(wide_query, *db_, "WIDE", options, ctx);
-  times->data_micros = data.micros;
-  VIEWAUTH_RETURN_NOT_OK(data.relation.status());
+  // Denied when no mask tuple grants a requested column (an empty mask
+  // is the common case; tuples with no starred cells are equivalent).
+  auto grants_any = [&](const MetaTuple& tuple) {
+    return std::any_of(requested.begin(), requested.end(),
+                       [&](int c) { return tuple.cells()[c].projected; });
+  };
+  decision->denied =
+      std::none_of(mask.tuples().begin(), mask.tuples().end(), grants_any);
+  // Full access: a tuple with no restriction at all that projects every
+  // requested column.
+  auto grants_all = [&](const MetaTuple& tuple) {
+    return tuple.constraints().atom_count() == 0 &&
+           std::all_of(tuple.cells().begin(), tuple.cells().end(),
+                       [](const MetaCell& cell) { return cell.is_blank(); }) &&
+           std::all_of(requested.begin(), requested.end(),
+                       [&](int c) { return tuple.cells()[c].projected; });
+  };
+  decision->full_access =
+      std::any_of(mask.tuples().begin(), mask.tuples().end(), grants_all);
+
+  if (!decision->denied && !decision->full_access) {
+    // The plan switch picks step 5 as well as S: the canonical plan masks
+    // interpretively and never compiles.
+    if (options.use_optimized_data_plan) {
+      decision->compiled =
+          std::make_shared<const CompiledMask>(CompiledMask::Compile(mask));
+      ++txn->stats().mask_compiles;
+    }
+    decision->permits = options.extended_masks ? DescribeWideMask(mask, query)
+                                               : DescribeMask(mask);
+  }
+  std::shared_ptr<const Decision> out = std::move(decision);
+  if (use_cache) {
+    txn->Store(std::move(key), gen, out,
+               CaptureReadSet(*catalog_, user, query));
+  }
+  return out;
+}
+
+Status Authorizer::RetrieveExtended(const ConjunctiveQuery& query,
+                                    const AuthorizationOptions& options,
+                                    ExecContext* ctx,
+                                    AuthorizationResult* result,
+                                    Relation* wide_answer) const {
+  VIEWAUTH_ASSIGN_OR_RETURN(
+      *wide_answer, EvaluateData(query.WithAllColumnsProjected(), *db_,
+                                 "WIDE", options, &result->data_stats, ctx));
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
-  Relation wide_answer = std::move(*data.relation);
-  result.data_stats = data.stats;
-
-  std::vector<int> target_columns;
-  target_columns.reserve(query.targets().size());
-  for (const ColumnRef& target : query.targets()) {
-    target_columns.push_back(query.FlatIndex(target));
-  }
+  const std::vector<int> target_columns = TargetColumns(query);
   VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema answer_schema,
                             query.OutputSchema("ANSWER"));
-  result.raw_answer = Relation(answer_schema);
+  result->raw_answer = Relation(answer_schema);
   const long long answer_bytes =
       ApproxTupleBytes(static_cast<int>(target_columns.size()));
-  {
-    ExecMeter meter(ctx);
-    for (const Tuple& row : wide_answer) {
-      if (!meter.Tick(1, answer_bytes)) return ctx->status();
-      result.raw_answer.InsertUnchecked(row.Project(target_columns));
-    }
+  ExecMeter meter(ctx);
+  for (const Tuple& row : *wide_answer) {
+    if (!meter.Tick(1, answer_bytes)) return ctx->status();
+    result->raw_answer.InsertUnchecked(row.Project(target_columns));
   }
-  result.data_stats.output_rows = result.raw_answer.size();
-
-  // Denied when no tuple grants any requested column.
-  std::set<int> requested(target_columns.begin(), target_columns.end());
-  bool anything = false;
-  for (const MetaTuple& tuple : wide.tuples()) {
-    for (int col : requested) {
-      if (tuple.cells()[col].projected) {
-        anything = true;
-        break;
-      }
-    }
-    if (anything) break;
-  }
-  if (!anything) {
-    result.denied = true;
-    result.answer = Relation(answer_schema);
-    return result;
-  }
-
-  // Full access: a tuple with every requested column projected and no
-  // restriction at all.
-  for (const MetaTuple& tuple : wide.tuples()) {
-    bool clean = tuple.constraints().atom_count() == 0;
-    for (const MetaCell& cell : tuple.cells()) {
-      if (!cell.is_blank()) clean = false;
-    }
-    if (!clean) continue;
-    bool covers = true;
-    for (int col : requested) {
-      if (!tuple.cells()[col].projected) covers = false;
-    }
-    if (covers) {
-      result.full_access = true;
-      break;
-    }
-  }
-  if (result.full_access) {
-    result.answer = result.raw_answer;
-    return result;
-  }
-
-  // The plan switch picks step 5 as well as S: the canonical plan masks
-  // interpretively and never compiles.
-  const auto apply_start = SteadyClock::now();
-  if (options.use_optimized_data_plan) {
-    std::shared_ptr<const CompiledMask> compiled = ObtainCompiledMask(
-        txn, use_cache,
-        use_cache ? MaskCacheKey(user, query, options, /*wide=*/true)
-                  : std::string(),
-        gen, wide,
-        use_cache ? CaptureReadSet(*catalog_, user, query)
-                  : AuthzDependencies{});
-    result.answer = ApplyWideMaskVectorized(
-        wide_answer, *compiled, target_columns, answer_schema,
-        options.drop_fully_masked_rows, ctx, &result.data_stats);
-  } else {
-    result.answer =
-        ApplyWideMask(wide_answer, wide, target_columns, answer_schema,
-                      options.drop_fully_masked_rows, ctx);
-  }
-  if (ctx != nullptr && !ctx->ok()) return ctx->status();
-  result.permits = DescribeWideMask(wide, query);
-  times->apply_micros = MicrosSince(apply_start);
-  return result;
+  result->data_stats.output_rows = result->raw_answer.size();
+  return Status::OK();
 }
 
 Result<AuthorizationResult> Authorizer::Retrieve(
@@ -1087,12 +950,9 @@ Result<AuthorizationResult> Authorizer::Retrieve(
       ctx = &*local;
     }
   }
-  StageTimes times;
   AuthzCacheTxn txn(cache_);
   Result<AuthorizationResult> result =
-      options.extended_masks
-          ? RetrieveExtended(user, query, options, &times, ctx, &txn)
-          : RetrieveStandard(user, query, options, &times, ctx, &txn);
+      RetrieveGoverned(user, query, options, ctx, &txn);
   // Belt and braces: a tripped context must never deliver an answer,
   // even if every stage individually missed the trip.
   if (result.ok() && ctx != nullptr && !ctx->ok()) result = ctx->status();
@@ -1104,11 +964,11 @@ Result<AuthorizationResult> Authorizer::Retrieve(
     cache_->AddGovernorChecks(ctx->checks());
   }
   if (result.ok()) {
-    txn.CountRetrieve(options.parallel_meta_evaluation);
-    txn.CountBatches(result->data_stats.batches_evaluated,
-                     result->data_stats.mask_batch_applies);
-    txn.AddStageTimes(times.mask_micros, times.data_micros,
-                      times.apply_micros, MicrosSince(start));
+    AuthzStats& stats = txn.stats();
+    ++stats.retrieves;
+    stats.batches_evaluated += result->data_stats.batches_evaluated;
+    stats.mask_batch_applies += result->data_stats.mask_batch_applies;
+    stats.total_micros += MicrosSince(start);
     txn.Commit();
   } else if (cache_ != nullptr) {
     cache_->CountGovernedAbort(result.status().code());
@@ -1116,106 +976,66 @@ Result<AuthorizationResult> Authorizer::Retrieve(
   return result;
 }
 
-Result<AuthorizationResult> Authorizer::RetrieveStandard(
+Result<AuthorizationResult> Authorizer::RetrieveGoverned(
     std::string_view user, const ConjunctiveQuery& query,
-    const AuthorizationOptions& options, StageTimes* times,
-    ExecContext* ctx, AuthzCacheTxn* txn) const {
+    const AuthorizationOptions& options, ExecContext* ctx,
+    AuthzCacheTxn* txn) const {
+  AuthzStats& stats = txn->stats();
   AuthorizationResult result;
+  auto start = SteadyClock::now();
+  VIEWAUTH_ASSIGN_OR_RETURN(result.decision,
+                            DecisionFor(user, query, options, ctx, txn));
+  stats.mask_derivation_micros += MicrosSince(start);
+  const Decision& decision = *result.decision;
+  result.denied = decision.denied;
+  result.full_access = decision.full_access;
 
-  // During parallel retrieves the S data plan runs on the pool while
-  // this thread derives the S' mask. Both sides share `ctx` — the budget
-  // is symmetric across the commutative diagram, so tripping on either
-  // aborts the whole retrieve. A saturated pool falls back to inline
-  // evaluation rather than queuing behind other sessions' work.
-  std::future<TimedEval> data_future;
-  if (options.parallel_meta_evaluation && !GlobalThreadPool().Saturated()) {
-    data_future = GlobalThreadPool().Submit([this, &query, &options, ctx] {
-      return EvaluateData(query, *db_, "ANSWER", options, ctx);
-    });
+  // S. Step 5 masks the rows it yields: the answer itself, or the wide
+  // answer of the extended flow.
+  start = SteadyClock::now();
+  Relation wide_answer;
+  if (options.extended_masks) {
+    VIEWAUTH_RETURN_NOT_OK(
+        RetrieveExtended(query, options, ctx, &result, &wide_answer));
+  } else {
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        result.raw_answer, EvaluateData(query, *db_, "ANSWER", options,
+                                        &result.data_stats, ctx));
   }
-
-  const auto mask_start = SteadyClock::now();
-  Result<MetaRelation> mask =
-      DeriveMaskGoverned(user, query, options, nullptr, nullptr, ctx, txn);
-  times->mask_micros = MicrosSince(mask_start);
-
-  TimedEval data =
-      data_future.valid()
-          ? data_future.get()
-          : EvaluateData(query, *db_, "ANSWER", options, ctx);
-  times->data_micros = data.micros;
-
-  // The data future is drained either way, so unwinding on a mask error
-  // is safe.
-  VIEWAUTH_RETURN_NOT_OK(mask.status());
-  result.mask = std::move(*mask);
-  VIEWAUTH_RETURN_NOT_OK(data.relation.status());
+  stats.data_eval_micros += MicrosSince(start);
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
-  result.raw_answer = std::move(*data.relation);
-  result.data_stats = data.stats;
 
-  // Denied when no mask tuple projects any column: nothing at all may be
-  // delivered (an empty mask is the common case; a mask of tuples with
-  // no starred cells is equivalent).
-  bool anything_projected = false;
-  for (const MetaTuple& tuple : result.mask.tuples()) {
-    for (const MetaCell& cell : tuple.cells()) {
-      if (cell.projected) {
-        anything_projected = true;
-        break;
-      }
-    }
-    if (anything_projected) break;
-  }
-  if (!anything_projected) {
-    result.denied = true;
+  if (decision.denied) {
     result.answer = Relation(result.raw_answer.schema());
     return result;
   }
-
-  // Full access: some mask tuple projects every column with no selection.
-  for (const MetaTuple& tuple : result.mask.tuples()) {
-    bool all_projected = true;
-    for (const MetaCell& cell : tuple.cells()) {
-      if (!cell.is_blank() || !cell.projected) {
-        all_projected = false;
-        break;
-      }
-    }
-    if (all_projected && tuple.constraints().atom_count() == 0) {
-      result.full_access = true;
-      break;
-    }
-  }
-
-  if (result.full_access) {
+  if (decision.full_access) {
     result.answer = result.raw_answer;
     return result;  // delivered without accompanying permit statements
   }
 
-  // The plan switch picks step 5 as well as S: the canonical plan masks
-  // interpretively and never compiles.
-  const auto apply_start = SteadyClock::now();
-  if (options.use_optimized_data_plan) {
-    const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
-    std::shared_ptr<const CompiledMask> compiled = ObtainCompiledMask(
-        txn, use_cache,
-        use_cache ? MaskCacheKey(user, query, options, /*wide=*/false)
-                  : std::string(),
-        use_cache ? CurrentGeneration() : AuthzGeneration{}, result.mask,
-        use_cache ? CaptureReadSet(*catalog_, user, query)
-                  : AuthzDependencies{});
-    result.answer =
-        ApplyMaskVectorized(result.raw_answer, *compiled,
-                            options.drop_fully_masked_rows, ctx,
-                            &result.data_stats);
+  const Relation& rows =
+      options.extended_masks ? wide_answer : result.raw_answer;
+  std::vector<int> target_columns;
+  if (options.extended_masks) {
+    target_columns = TargetColumns(query);
   } else {
-    result.answer = ApplyMask(result.raw_answer, result.mask,
-                              options.drop_fully_masked_rows, ctx);
+    target_columns.resize(static_cast<size_t>(rows.schema().arity()));
+    std::iota(target_columns.begin(), target_columns.end(), 0);
   }
+  start = SteadyClock::now();
+  // A compiled mask exists exactly under the vectorized plan.
+  result.answer =
+      decision.compiled != nullptr
+          ? ApplyWideMaskVectorized(rows, *decision.compiled, target_columns,
+                                    result.raw_answer.schema(),
+                                    options.drop_fully_masked_rows, ctx,
+                                    &result.data_stats)
+          : ApplyWideMask(rows, decision.mask, target_columns,
+                          result.raw_answer.schema(),
+                          options.drop_fully_masked_rows, ctx);
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
-  result.permits = DescribeMask(result.mask);
-  times->apply_micros = MicrosSince(apply_start);
+  stats.mask_apply_micros += MicrosSince(start);
   return result;
 }
 

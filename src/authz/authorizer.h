@@ -18,10 +18,14 @@
 //      with the production path;
 //   6. renders the mask as inferred `permit` statements describing
 //      exactly the delivered portion.
+// Steps 1-3 and 6 depend only on the grants, so their outcome — the
+// mask, its compiled form, the permits and the denied / full-access
+// verdict — is one cached Decision per query (authz/authz_cache.h).
 
 #ifndef VIEWAUTH_AUTHZ_AUTHORIZER_H_
 #define VIEWAUTH_AUTHZ_AUTHORIZER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,12 +76,9 @@ struct AuthorizationOptions {
   // enable_authz_cache; off only for the caching ablation benchmark.
   bool use_meta_cache = true;
   // Master switch for the authorization cache (authz/authz_cache.h):
-  // prepared per-relation meta-relations and fully derived masks.
+  // prepared per-relation meta-relations and per-query decisions.
   // Effective only when the Authorizer was constructed with a cache.
   bool enable_authz_cache = true;
-  // Evaluate the S' meta-plan and the S data plan concurrently, and fan
-  // per-relation meta preparation out across the shared thread pool.
-  bool parallel_meta_evaluation = true;
   // Run the static catalog analyzer (src/analysis) after every permit and
   // deny and append any finding anchored to the touched grant to the
   // statement's output — e.g. a permit that is subsumed the moment it is
@@ -95,8 +96,8 @@ struct AuthorizationOptions {
 
   // --- execution governance (0 = unlimited throughout) ------------------
   // Per-statement wall-clock deadline. Both the S data plan and the S'
-  // meta plan run under one shared ExecContext, so the deadline bounds
-  // the whole retrieve, not one side of the commutative diagram.
+  // meta plan run under one ExecContext, so the deadline bounds the
+  // whole retrieve, not one side of the commutative diagram.
   long long deadline_ms = 0;
   // Budget on rows processed (scanned + produced, data and meta alike).
   long long max_rows = 0;
@@ -142,37 +143,33 @@ struct MaskTrace {
   std::string ToString() const;
 };
 
-// One inferred permit statement, structured and rendered.
-struct InferredPermit {
-  std::vector<std::string> columns;
-  std::string where;  // empty when unconditional
-
-  // "permit (NUMBER, SPONSOR) where SPONSOR = Acme".
-  std::string ToString() const;
-};
-
 struct AuthorizationResult {
   // The delivered relation: requested structure, withheld cells NULL.
   Relation answer;
   // The unmasked answer (diagnostics and experiments only; never shown
   // to the requesting user by the engine front-end).
   Relation raw_answer;
-  // The mask A' over the answer columns.
-  MetaRelation mask;
-  std::vector<InferredPermit> permits;
-  // True when the mask grants the entire answer (no permit statements
-  // accompany the delivery, as in the paper's Example 3).
+  // The decision the answer was masked by, shared with the cache. Set by
+  // every successful Retrieve.
+  std::shared_ptr<const Decision> decision;
+  // Copies of decision->full_access and decision->denied.
   bool full_access = false;
-  // True when the mask is empty: nothing may be delivered.
   bool denied = false;
   EvalStats data_stats;
+
+  // The mask A' (the wide mask under extended_masks).
+  const MetaRelation& mask() const { return decision->mask; }
+  // The inferred permit statements; empty unless access is partial.
+  const std::vector<InferredPermit>& permits() const {
+    return decision->permits;
+  }
 };
 
 class Authorizer {
  public:
   // `cache` may be null (no caching, no stats — the bare pipeline).
-  // When provided, it holds prepared meta-relations, derived masks and
-  // the observability counters. Every store carries the entry's read
+  // When provided, it holds prepared meta-relations, per-query decisions
+  // and the observability counters. Every store carries the entry's read
   // set (user, base relations, embedded granted views) so the cache can
   // invalidate selectively; the authorizer syncs the cache against the
   // catalog's mutation journal at the start of every retrieve, so
@@ -183,13 +180,14 @@ class Authorizer {
              AuthzCache* cache = nullptr)
       : db_(db), catalog_(catalog), cache_(cache) {}
 
-  // Full pipeline for a user's retrieve. A non-null `ctx` governs both
-  // sides (S and S') of the run; when `ctx` is null and the options carry
-  // limits, a context is constructed locally. On a governed abort — or
-  // any other failure — the authorization cache and its counters are left
-  // exactly as if the retrieve had never run (writes are staged in an
-  // AuthzCacheTxn and only committed on success); the governor's own
-  // abort counters are the sole trace.
+  // Full pipeline for a user's retrieve, run on the calling thread. A
+  // non-null `ctx` governs both sides (S and S') of the run; when `ctx`
+  // is null and the options carry limits, a context is constructed
+  // locally. On a governed abort — or any other failure — the
+  // authorization cache and its counters are left exactly as if the
+  // retrieve had never run (writes are staged in an AuthzCacheTxn and
+  // only committed on success); the governor's own abort counters are
+  // the sole trace.
   Result<AuthorizationResult> Retrieve(std::string_view user,
                                        const ConjunctiveQuery& query,
                                        const AuthorizationOptions& options = {},
@@ -204,7 +202,10 @@ class Authorizer {
       const AuthorizationOptions& options = {}) const;
 
   // Runs S' end to end (steps 1-3), yielding the mask over the answer
-  // columns.
+  // columns. Without a product stage or trace it consults the decision
+  // cache, counting a hit or a miss, and returns the cached mask on a
+  // hit; a miss derives the mask but stores no decision (only Retrieve
+  // builds decisions).
   Result<MetaRelation> DeriveMask(std::string_view user,
                                   const ConjunctiveQuery& query,
                                   const AuthorizationOptions& options = {},
@@ -217,7 +218,7 @@ class Authorizer {
   // Steps 1-2 plus selections, but before the final projection: the mask
   // over the full product columns. Restrictions on non-requested columns
   // are still present as cells, which is what the extended-mask delivery
-  // needs.
+  // needs. Never consults the decision cache.
   Result<MetaRelation> DeriveWideMask(
       std::string_view user, const ConjunctiveQuery& query,
       const AuthorizationOptions& options = {},
@@ -285,29 +286,33 @@ class Authorizer {
   std::vector<InferredPermit> DescribeMask(const MetaRelation& mask) const;
 
  private:
-  // Per-retrieve wall times, accumulated into the cache's stats.
-  struct StageTimes {
-    long long mask_micros = 0;
-    long long data_micros = 0;
-    long long apply_micros = 0;
-  };
+  // The body of Retrieve. `ctx` may be null; `txn` never is — all cache
+  // traffic and counter deltas stage through it.
+  Result<AuthorizationResult> RetrieveGoverned(
+      std::string_view user, const ConjunctiveQuery& query,
+      const AuthorizationOptions& options, ExecContext* ctx,
+      AuthzCacheTxn* txn) const;
+  // S for the extended-mask flow (options.extended_masks): evaluates the
+  // answer before the final projection into `wide_answer`, so that mask
+  // predicates over non-requested attributes can be tested per row, and
+  // projects the raw answer from it. (The standard flow's S is one call.)
+  Status RetrieveExtended(const ConjunctiveQuery& query,
+                          const AuthorizationOptions& options,
+                          ExecContext* ctx, AuthorizationResult* result,
+                          Relation* wide_answer) const;
 
-  // The standard (projection-limited) delivery flow. `ctx` may be null;
-  // `txn` never is — all cache traffic stages through it.
-  Result<AuthorizationResult> RetrieveStandard(
+  // The decision for (user, query, options): one cache lookup, and on a
+  // miss the whole build — derive, decide, compile, describe — staged in
+  // `txn` with its read set.
+  Result<std::shared_ptr<const Decision>> DecisionFor(
       std::string_view user, const ConjunctiveQuery& query,
-      const AuthorizationOptions& options, StageTimes* times,
-      ExecContext* ctx, AuthzCacheTxn* txn) const;
-  // The extended-mask delivery flow (options.extended_masks).
-  Result<AuthorizationResult> RetrieveExtended(
-      std::string_view user, const ConjunctiveQuery& query,
-      const AuthorizationOptions& options, StageTimes* times,
-      ExecContext* ctx, AuthzCacheTxn* txn) const;
+      const AuthorizationOptions& options, ExecContext* ctx,
+      AuthzCacheTxn* txn) const;
 
   // Governed bodies of the public pipeline steps: the public methods are
   // thin wrappers that build a local context (when the options carry
   // limits) and a txn, and commit the txn on success.
-  Result<MetaRelation> PrunedMetaRelationGoverned(
+  Result<std::shared_ptr<const MetaRelation>> PrunedMetaRelationGoverned(
       std::string_view user, const ConjunctiveQuery& query, int atom,
       const AuthorizationOptions& options, ExecContext* ctx,
       AuthzCacheTxn* txn) const;
@@ -315,6 +320,7 @@ class Authorizer {
       std::string_view user, const ConjunctiveQuery& query,
       const AuthorizationOptions& options, MetaRelation* product_stage,
       MaskTrace* trace, ExecContext* ctx, AuthzCacheTxn* txn) const;
+  // S' steps 1-3 without any decision lookup.
   Result<MetaRelation> DeriveMaskGoverned(
       std::string_view user, const ConjunctiveQuery& query,
       const AuthorizationOptions& options, MetaRelation* product_stage,

@@ -4,12 +4,13 @@
 #include <cassert>
 #include <sstream>
 
+#include "common/str_util.h"
 #include "meta/view_store.h"
 
 namespace viewauth {
 
 namespace {
-// Workloads touch few distinct (user, relation-set, options) shapes; a
+// Workloads touch few distinct (user, query shape, options) keys; a
 // runaway key space indicates synthetic churn, so reset past this bound.
 constexpr size_t kMaxEntries = 1024;
 
@@ -28,11 +29,47 @@ bool ScopeMatches(const std::vector<std::set<std::string>>& scopes,
 }
 }  // namespace
 
+std::string InferredPermit::ToString() const {
+  std::string out = "permit (" + Join(columns, ", ") + ")";
+  if (!where.empty()) out += " where " + where;
+  return out;
+}
+
+AuthzStats& AuthzStats::operator+=(const AuthzStats& o) {
+  retrieves += o.retrieves;
+  prepared_hits += o.prepared_hits;
+  prepared_misses += o.prepared_misses;
+  mask_hits += o.mask_hits;
+  mask_misses += o.mask_misses;
+  mask_compiles += o.mask_compiles;
+  invalidations += o.invalidations;
+  meta_tuples_pruned += o.meta_tuples_pruned;
+  batches_evaluated += o.batches_evaluated;
+  mask_batch_applies += o.mask_batch_applies;
+  entries_invalidated += o.entries_invalidated;
+  entries_retained += o.entries_retained;
+  invalidations_exact += o.invalidations_exact;
+  invalidations_over += o.invalidations_over;
+  mask_derivation_micros += o.mask_derivation_micros;
+  data_eval_micros += o.data_eval_micros;
+  mask_apply_micros += o.mask_apply_micros;
+  total_micros += o.total_micros;
+  deadline_exceeded += o.deadline_exceeded;
+  budget_exceeded += o.budget_exceeded;
+  cancelled += o.cancelled;
+  governor_checks += o.governor_checks;
+  admission_attempts += o.admission_attempts;
+  admitted += o.admitted;
+  queued += o.queued;
+  shed += o.shed;
+  queue_timeouts += o.queue_timeouts;
+  return *this;
+}
+
 std::string AuthzStats::ToString() const {
   std::ostringstream out;
   out << "authorization stats:\n"
-      << "  retrieves:        " << retrieves << " (" << parallel_retrieves
-      << " parallel)\n"
+      << "  retrieves:        " << retrieves << "\n"
       << "  prepared cache:   " << prepared_hits << " hit(s), "
       << prepared_misses << " miss(es)\n"
       << "  mask cache:       " << mask_hits << " hit(s), " << mask_misses
@@ -62,44 +99,32 @@ std::string AuthzStats::ToString() const {
   return out.str();
 }
 
-std::optional<MetaRelation> AuthzCache::Lookup(
-    std::map<std::string, Entry>* entries, MapId map_id,
-    const std::string& key, const AuthzGeneration& gen,
-    std::atomic<long long>* hits, std::atomic<long long>* misses) {
+std::optional<AuthzCache::Value> AuthzCache::Find(
+    const std::string& key, const AuthzGeneration& gen, bool* stale) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries->find(key);
-  if (it != entries->end()) {
-    // Catalog staleness is handled eagerly by SyncCatalog; the lazy
-    // check here covers the schema half (direct DDL by engineless
-    // callers). A reader pinned to an older snapshot additionally
-    // requires entry.catalog <= its own catalog version: an entry that
-    // survived journal replay up to the synced sequence is unaffected by
-    // every mutation after its store point, a superset of the mutations
-    // after any older snapshot — so older entries are valid for old
-    // readers, while an entry derived *after* the reader's snapshot may
-    // reflect entitlements the snapshot never had.
-    if (it->second.gen.schema == gen.schema) {
-      if (it->second.gen.catalog <= gen.catalog) {
-        hits->fetch_add(1, std::memory_order_relaxed);
-        return it->second.value;  // copy out under the lock
-      }
-      // From the cache's point of view the entry is current (a newer
-      // reader will hit it); this old-snapshot reader just misses.
-      misses->fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    IndexEraseLocked(map_id, it->first, it->second.deps.user);
-    entries->erase(it);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return std::nullopt;
+  // Catalog staleness is handled eagerly by SyncCatalog; the lazy check
+  // here covers the schema half (direct DDL by engineless callers). A
+  // reader pinned to an older snapshot additionally requires
+  // entry.catalog <= its own catalog version: an entry that survived
+  // journal replay up to the synced sequence is unaffected by every
+  // mutation after its store point, a superset of the mutations after
+  // any older snapshot — so older entries are valid for old readers,
+  // while an entry derived *after* the reader's snapshot may reflect
+  // entitlements the snapshot never had. From the cache's point of view
+  // such an entry is current (a newer reader will hit it); this
+  // old-snapshot reader just misses.
+  if (it->second.gen.schema != gen.schema) {
+    *stale = true;
+    return std::nullopt;
   }
-  misses->fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  if (it->second.gen.catalog > gen.catalog) return std::nullopt;
+  return it->second.value;
 }
 
-void AuthzCache::Store(std::map<std::string, Entry>* entries, MapId map_id,
-                       std::string key, const AuthzGeneration& gen,
-                       const MetaRelation& value, AuthzDependencies deps) {
-  std::lock_guard<std::mutex> lock(mutex_);
+void AuthzCache::StoreLocked(std::string key, const AuthzGeneration& gen,
+                             Value value, AuthzDependencies deps) {
   // An entry derived against a catalog sequence the cache has already
   // synced past may be missing invalidations that were replayed in the
   // meantime; admitting it would be unsound. Reachable under snapshot
@@ -107,167 +132,29 @@ void AuthzCache::Store(std::map<std::string, Entry>* entries, MapId map_id,
   // after a newer mutation synced the cache forward — its fills are
   // simply dropped.
   if (gen.catalog != synced_catalog_seq_) return;
-  if (entries->size() > kMaxEntries) ClearMapLocked(map_id);
-  auto it = entries->find(key);
-  if (it != entries->end()) {
-    IndexEraseLocked(map_id, it->first, it->second.deps.user);
-  }
-  IndexInsertLocked(map_id, key, deps.user);
-  (*entries)[std::move(key)] = Entry{gen, value, std::move(deps)};
-}
-
-std::optional<MetaRelation> AuthzCache::Peek(
-    const std::map<std::string, Entry>& entries, const std::string& key,
-    const AuthzGeneration& gen, bool* stale) {
-  auto it = entries.find(key);
-  if (it == entries.end()) return std::nullopt;
-  if (it->second.gen.schema == gen.schema) {
-    if (it->second.gen.catalog <= gen.catalog) return it->second.value;
-    // Entry from a catalog version newer than this reader's snapshot:
-    // not usable here, but not stale either (see Lookup).
-    return std::nullopt;
-  }
-  if (stale != nullptr) *stale = true;
-  return std::nullopt;
-}
-
-std::optional<MetaRelation> AuthzCache::LookupPrepared(
-    const std::string& key, const AuthzGeneration& gen) {
-  return Lookup(&prepared_, kPrepared, key, gen, &prepared_hits_,
-                &prepared_misses_);
-}
-
-void AuthzCache::StorePrepared(std::string key, const AuthzGeneration& gen,
-                               const MetaRelation& value,
-                               AuthzDependencies deps) {
-  Store(&prepared_, kPrepared, std::move(key), gen, value, std::move(deps));
-}
-
-std::optional<MetaRelation> AuthzCache::LookupMask(
-    const std::string& key, const AuthzGeneration& gen) {
-  return Lookup(&masks_, kMasks, key, gen, &mask_hits_, &mask_misses_);
-}
-
-void AuthzCache::StoreMask(std::string key, const AuthzGeneration& gen,
-                           const MetaRelation& value,
-                           AuthzDependencies deps) {
-  Store(&masks_, kMasks, std::move(key), gen, value, std::move(deps));
-}
-
-std::optional<MetaRelation> AuthzCache::PeekPrepared(
-    const std::string& key, const AuthzGeneration& gen, bool* stale) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Peek(prepared_, key, gen, stale);
-}
-
-std::optional<MetaRelation> AuthzCache::PeekMask(const std::string& key,
-                                                 const AuthzGeneration& gen,
-                                                 bool* stale) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Peek(masks_, key, gen, stale);
-}
-
-std::shared_ptr<const CompiledMask> AuthzCache::PeekCompiledMask(
-    const std::string& key, const AuthzGeneration& gen, bool* stale) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = compiled_.find(key);
-  if (it == compiled_.end()) return nullptr;
-  if (it->second.gen.schema == gen.schema) {
-    if (it->second.gen.catalog <= gen.catalog) return it->second.value;
-    return nullptr;
-  }
-  if (stale != nullptr) *stale = true;
-  return nullptr;
-}
-
-std::shared_ptr<const CompiledMask> AuthzCache::LookupCompiledMask(
-    const std::string& key, const AuthzGeneration& gen) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = compiled_.find(key);
-  if (it != compiled_.end()) {
-    if (it->second.gen.schema == gen.schema) {
-      if (it->second.gen.catalog <= gen.catalog) return it->second.value;
-      return nullptr;  // newer than this reader's snapshot (see Lookup)
-    }
-    IndexEraseLocked(kCompiled, it->first, it->second.deps.user);
-    compiled_.erase(it);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return nullptr;
-}
-
-void AuthzCache::StoreCompiledMask(std::string key,
-                                   const AuthzGeneration& gen,
-                                   std::shared_ptr<const CompiledMask> value,
-                                   AuthzDependencies deps) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (gen.catalog != synced_catalog_seq_) return;
-  if (compiled_.size() > kMaxEntries) ClearMapLocked(kCompiled);
-  auto it = compiled_.find(key);
-  if (it != compiled_.end()) {
-    IndexEraseLocked(kCompiled, it->first, it->second.deps.user);
-  }
-  IndexInsertLocked(kCompiled, key, deps.user);
-  compiled_[std::move(key)] =
-      CompiledEntry{gen, std::move(value), std::move(deps)};
+  if (entries_.size() > kMaxEntries) ClearLocked();
+  auto it = entries_.find(key);
+  if (it != entries_.end()) IndexEraseLocked(key, it->second.deps.user);
+  by_user_[deps.user].insert(key);
+  entries_.insert_or_assign(std::move(key),
+                            Entry{gen, std::move(deps), std::move(value)});
 }
 
 // --- dependency index and selective invalidation --------------------------
 
-void AuthzCache::IndexInsertLocked(MapId map_id, const std::string& key,
-                                   const std::string& user) {
-  by_user_[user].keys[map_id].insert(key);
-}
-
-void AuthzCache::IndexEraseLocked(MapId map_id, const std::string& key,
+void AuthzCache::IndexEraseLocked(const std::string& key,
                                   const std::string& user) {
   auto it = by_user_.find(user);
   if (it == by_user_.end()) return;
-  it->second.keys[map_id].erase(key);
-  if (it->second.keys[kPrepared].empty() && it->second.keys[kMasks].empty() &&
-      it->second.keys[kCompiled].empty()) {
-    by_user_.erase(it);
-  }
+  it->second.erase(key);
+  if (it->second.empty()) by_user_.erase(it);
 }
 
-long long AuthzCache::ClearMapLocked(MapId map_id) {
-  long long dropped = 0;
-  switch (map_id) {
-    case kPrepared:
-      dropped = static_cast<long long>(prepared_.size());
-      prepared_.clear();
-      break;
-    case kMasks:
-      dropped = static_cast<long long>(masks_.size());
-      masks_.clear();
-      break;
-    case kCompiled:
-      dropped = static_cast<long long>(compiled_.size());
-      compiled_.clear();
-      break;
-  }
-  for (auto it = by_user_.begin(); it != by_user_.end();) {
-    it->second.keys[map_id].clear();
-    const bool empty = it->second.keys[kPrepared].empty() &&
-                       it->second.keys[kMasks].empty() &&
-                       it->second.keys[kCompiled].empty();
-    it = empty ? by_user_.erase(it) : std::next(it);
-  }
-  return dropped;
-}
-
-void AuthzCache::DropAllLocked() {
-  const long long total = static_cast<long long>(
-      prepared_.size() + masks_.size() + compiled_.size());
-  prepared_.clear();
-  masks_.clear();
-  compiled_.clear();
+long long AuthzCache::ClearLocked() {
+  const long long dropped = static_cast<long long>(entries_.size());
+  entries_.clear();
   by_user_.clear();
-  if (total > 0) {
-    invalidations_.fetch_add(total, std::memory_order_relaxed);
-    entries_invalidated_.fetch_add(total, std::memory_order_relaxed);
-    invalidations_over_.fetch_add(1, std::memory_order_relaxed);
-  }
+  return dropped;
 }
 
 void AuthzCache::ApplyCatalogMutationLocked(const CatalogMutation& record) {
@@ -280,48 +167,25 @@ void AuthzCache::ApplyCatalogMutationLocked(const CatalogMutation& record) {
   for (const std::string& user : record.users) {
     auto ref = by_user_.find(user);
     if (ref == by_user_.end()) continue;
-    for (int m = 0; m < 3; ++m) {
-      std::vector<std::string> doomed;
-      for (const std::string& key : ref->second.keys[m]) {
-        const AuthzDependencies* deps = nullptr;
-        if (m == kCompiled) {
-          auto it = compiled_.find(key);
-          if (it != compiled_.end()) deps = &it->second.deps;
-        } else {
-          auto& entries = (m == kPrepared) ? prepared_ : masks_;
-          auto it = entries.find(key);
-          if (it != entries.end()) deps = &it->second.deps;
-        }
-        if (deps != nullptr && ScopeMatches(record.scopes, deps->relations)) {
-          doomed.push_back(key);
-        }
-      }
-      for (const std::string& key : doomed) {
-        if (m == kCompiled) {
-          compiled_.erase(key);
-        } else {
-          ((m == kPrepared) ? prepared_ : masks_).erase(key);
-        }
-        ref->second.keys[m].erase(key);
+    std::set<std::string>& keys = ref->second;
+    for (auto key = keys.begin(); key != keys.end();) {
+      auto it = entries_.find(*key);
+      if (it != entries_.end() &&
+          ScopeMatches(record.scopes, it->second.deps.relations)) {
+        entries_.erase(it);
+        key = keys.erase(key);
         ++dropped;
+      } else {
+        ++key;
       }
     }
-    if (ref->second.keys[kPrepared].empty() &&
-        ref->second.keys[kMasks].empty() &&
-        ref->second.keys[kCompiled].empty()) {
-      by_user_.erase(ref);
-    }
+    if (keys.empty()) by_user_.erase(ref);
   }
 
-  invalidations_exact_.fetch_add(1, std::memory_order_relaxed);
-  const long long survivors =
-      static_cast<long long>(prepared_.size() + masks_.size() +
-                             compiled_.size());
-  entries_retained_.fetch_add(survivors, std::memory_order_relaxed);
-  if (dropped > 0) {
-    invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-    entries_invalidated_.fetch_add(dropped, std::memory_order_relaxed);
-  }
+  ++stats_.invalidations_exact;
+  stats_.entries_retained += static_cast<long long>(entries_.size());
+  stats_.invalidations += dropped;
+  stats_.entries_invalidated += dropped;
 }
 
 void AuthzCache::SyncCatalog(const ViewCatalog& catalog) {
@@ -338,7 +202,12 @@ void AuthzCache::SyncCatalog(const ViewCatalog& catalog) {
   if (!catalog.MutationsSince(synced_catalog_seq_, &records)) {
     // The bounded journal no longer reaches back to our synced point:
     // records were lost, so no sound selective answer exists.
-    DropAllLocked();
+    const long long dropped = ClearLocked();
+    if (dropped > 0) {
+      stats_.invalidations += dropped;
+      stats_.entries_invalidated += dropped;
+      ++stats_.invalidations_over;
+    }
   } else {
     for (const CatalogMutation& record : records) {
       ApplyCatalogMutationLocked(record);
@@ -356,113 +225,44 @@ long long AuthzCache::synced_catalog_seq() const {
 void AuthzCache::CheckIndexLocked() const {
 #ifndef NDEBUG
   // Forward: every entry is indexed under its user.
-  auto check_entry = [this](MapId m, const std::string& key,
-                            const AuthzDependencies& deps) {
-    auto it = by_user_.find(deps.user);
+  for (const auto& [key, entry] : entries_) {
+    auto it = by_user_.find(entry.deps.user);
     assert(it != by_user_.end() && "cache entry missing from user index");
-    assert(it->second.keys[m].contains(key) &&
+    assert(it->second.contains(key) &&
            "cache entry key missing from user index");
-  };
-  for (const auto& [key, entry] : prepared_) {
-    check_entry(kPrepared, key, entry.deps);
-  }
-  for (const auto& [key, entry] : masks_) check_entry(kMasks, key, entry.deps);
-  for (const auto& [key, entry] : compiled_) {
-    check_entry(kCompiled, key, entry.deps);
   }
   // Backward: every indexed key resolves to a live entry of that user.
-  for (const auto& [user, refs] : by_user_) {
-    for (const std::string& key : refs.keys[kPrepared]) {
-      auto it = prepared_.find(key);
-      assert(it != prepared_.end() && it->second.deps.user == user);
+  for (const auto& [user, keys] : by_user_) {
+    assert(!keys.empty() && "user index entry with no keys");
+    for (const std::string& key : keys) {
+      auto it = entries_.find(key);
+      assert(it != entries_.end() && it->second.deps.user == user);
     }
-    for (const std::string& key : refs.keys[kMasks]) {
-      auto it = masks_.find(key);
-      assert(it != masks_.end() && it->second.deps.user == user);
-    }
-    for (const std::string& key : refs.keys[kCompiled]) {
-      auto it = compiled_.find(key);
-      assert(it != compiled_.end() && it->second.deps.user == user);
-    }
-    assert((!refs.keys[kPrepared].empty() || !refs.keys[kMasks].empty() ||
-            !refs.keys[kCompiled].empty()) &&
-           "user index entry with no keys");
   }
 #endif
 }
 
 void AuthzCache::Invalidate() {
   std::lock_guard<std::mutex> lock(mutex_);
-  DropAllLocked();
-}
-
-void AuthzCache::CountRetrieve(bool parallel) {
-  retrieves_.fetch_add(1, std::memory_order_relaxed);
-  if (parallel) parallel_retrieves_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void AuthzCache::CountMaskCompile() {
-  mask_compiles_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void AuthzCache::CountBatches(long long batches, long long mask_applies) {
-  if (batches > 0) {
-    batches_evaluated_.fetch_add(batches, std::memory_order_relaxed);
+  const long long dropped = ClearLocked();
+  if (dropped > 0) {
+    stats_.invalidations += dropped;
+    stats_.entries_invalidated += dropped;
+    ++stats_.invalidations_over;
   }
-  if (mask_applies > 0) {
-    mask_batch_applies_.fetch_add(mask_applies, std::memory_order_relaxed);
-  }
-}
-
-void AuthzCache::CountPruned(long long tuples) {
-  if (tuples > 0) {
-    meta_tuples_pruned_.fetch_add(tuples, std::memory_order_relaxed);
-  }
-}
-
-void AuthzCache::AddStageTimes(long long mask_micros, long long data_micros,
-                               long long apply_micros,
-                               long long total_micros) {
-  mask_derivation_micros_.fetch_add(mask_micros, std::memory_order_relaxed);
-  data_eval_micros_.fetch_add(data_micros, std::memory_order_relaxed);
-  mask_apply_micros_.fetch_add(apply_micros, std::memory_order_relaxed);
-  total_micros_.fetch_add(total_micros, std::memory_order_relaxed);
-}
-
-void AuthzCache::ApplyTxnCounters(const AuthzTxnCounters& c) {
-  retrieves_.fetch_add(c.retrieves, std::memory_order_relaxed);
-  parallel_retrieves_.fetch_add(c.parallel_retrieves,
-                                std::memory_order_relaxed);
-  prepared_hits_.fetch_add(c.prepared_hits, std::memory_order_relaxed);
-  prepared_misses_.fetch_add(c.prepared_misses, std::memory_order_relaxed);
-  mask_hits_.fetch_add(c.mask_hits, std::memory_order_relaxed);
-  mask_misses_.fetch_add(c.mask_misses, std::memory_order_relaxed);
-  mask_compiles_.fetch_add(c.mask_compiles, std::memory_order_relaxed);
-  batches_evaluated_.fetch_add(c.batches_evaluated,
-                               std::memory_order_relaxed);
-  mask_batch_applies_.fetch_add(c.mask_batch_applies,
-                                std::memory_order_relaxed);
-  invalidations_.fetch_add(c.invalidations, std::memory_order_relaxed);
-  meta_tuples_pruned_.fetch_add(c.meta_tuples_pruned,
-                                std::memory_order_relaxed);
-  mask_derivation_micros_.fetch_add(c.mask_derivation_micros,
-                                    std::memory_order_relaxed);
-  data_eval_micros_.fetch_add(c.data_eval_micros, std::memory_order_relaxed);
-  mask_apply_micros_.fetch_add(c.mask_apply_micros,
-                               std::memory_order_relaxed);
-  total_micros_.fetch_add(c.total_micros, std::memory_order_relaxed);
 }
 
 void AuthzCache::CountGovernedAbort(StatusCode code) {
+  std::lock_guard<std::mutex> lock(mutex_);
   switch (code) {
     case StatusCode::kDeadlineExceeded:
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.deadline_exceeded;
       break;
     case StatusCode::kResourceExhausted:
-      budget_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.budget_exceeded;
       break;
     case StatusCode::kCancelled:
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.cancelled;
       break;
     default:
       break;
@@ -470,220 +270,78 @@ void AuthzCache::CountGovernedAbort(StatusCode code) {
 }
 
 void AuthzCache::AddGovernorChecks(long long checks) {
-  if (checks > 0) {
-    governor_checks_.fetch_add(checks, std::memory_order_relaxed);
-  }
+  if (checks <= 0) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.governor_checks += checks;
 }
 
 AuthzStats AuthzCache::Snapshot() const {
-  AuthzStats stats;
-  stats.retrieves = retrieves_.load(std::memory_order_relaxed);
-  stats.parallel_retrieves =
-      parallel_retrieves_.load(std::memory_order_relaxed);
-  stats.prepared_hits = prepared_hits_.load(std::memory_order_relaxed);
-  stats.prepared_misses = prepared_misses_.load(std::memory_order_relaxed);
-  stats.mask_hits = mask_hits_.load(std::memory_order_relaxed);
-  stats.mask_misses = mask_misses_.load(std::memory_order_relaxed);
-  stats.mask_compiles = mask_compiles_.load(std::memory_order_relaxed);
-  stats.batches_evaluated =
-      batches_evaluated_.load(std::memory_order_relaxed);
-  stats.mask_batch_applies =
-      mask_batch_applies_.load(std::memory_order_relaxed);
-  stats.invalidations = invalidations_.load(std::memory_order_relaxed);
-  stats.entries_invalidated =
-      entries_invalidated_.load(std::memory_order_relaxed);
-  stats.entries_retained = entries_retained_.load(std::memory_order_relaxed);
-  stats.invalidations_exact =
-      invalidations_exact_.load(std::memory_order_relaxed);
-  stats.invalidations_over =
-      invalidations_over_.load(std::memory_order_relaxed);
-  stats.meta_tuples_pruned =
-      meta_tuples_pruned_.load(std::memory_order_relaxed);
-  stats.mask_derivation_micros =
-      mask_derivation_micros_.load(std::memory_order_relaxed);
-  stats.data_eval_micros = data_eval_micros_.load(std::memory_order_relaxed);
-  stats.mask_apply_micros =
-      mask_apply_micros_.load(std::memory_order_relaxed);
-  stats.total_micros = total_micros_.load(std::memory_order_relaxed);
-  stats.deadline_exceeded =
-      deadline_exceeded_.load(std::memory_order_relaxed);
-  stats.budget_exceeded = budget_exceeded_.load(std::memory_order_relaxed);
-  stats.cancelled = cancelled_.load(std::memory_order_relaxed);
-  stats.governor_checks = governor_checks_.load(std::memory_order_relaxed);
-  return stats;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
 void AuthzCache::ResetStats() {
-  retrieves_.store(0, std::memory_order_relaxed);
-  parallel_retrieves_.store(0, std::memory_order_relaxed);
-  prepared_hits_.store(0, std::memory_order_relaxed);
-  prepared_misses_.store(0, std::memory_order_relaxed);
-  mask_hits_.store(0, std::memory_order_relaxed);
-  mask_misses_.store(0, std::memory_order_relaxed);
-  mask_compiles_.store(0, std::memory_order_relaxed);
-  batches_evaluated_.store(0, std::memory_order_relaxed);
-  mask_batch_applies_.store(0, std::memory_order_relaxed);
-  invalidations_.store(0, std::memory_order_relaxed);
-  entries_invalidated_.store(0, std::memory_order_relaxed);
-  entries_retained_.store(0, std::memory_order_relaxed);
-  invalidations_exact_.store(0, std::memory_order_relaxed);
-  invalidations_over_.store(0, std::memory_order_relaxed);
-  meta_tuples_pruned_.store(0, std::memory_order_relaxed);
-  mask_derivation_micros_.store(0, std::memory_order_relaxed);
-  data_eval_micros_.store(0, std::memory_order_relaxed);
-  mask_apply_micros_.store(0, std::memory_order_relaxed);
-  total_micros_.store(0, std::memory_order_relaxed);
-  deadline_exceeded_.store(0, std::memory_order_relaxed);
-  budget_exceeded_.store(0, std::memory_order_relaxed);
-  cancelled_.store(0, std::memory_order_relaxed);
-  governor_checks_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_ = AuthzStats{};
 }
 
 // --- AuthzCacheTxn --------------------------------------------------------
 
-const MetaRelation* AuthzCacheTxn::FindPending(
-    const std::vector<PendingEntry>& pending, const std::string& key) {
-  // Latest store wins; the vectors stay tiny (a handful of keys per
-  // retrieve), so a reverse linear scan beats a map.
-  for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-    if (it->key == key) return &it->value;
-  }
-  return nullptr;
-}
-
-std::optional<MetaRelation> AuthzCacheTxn::LookupPrepared(
+std::optional<AuthzCache::Value> AuthzCacheTxn::Find(
     const std::string& key, const AuthzGeneration& gen) {
-  if (cache_ == nullptr) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (const MetaRelation* pending = FindPending(prepared_, key)) {
-    ++counters_.prepared_hits;
-    return *pending;
-  }
-  bool stale = false;
-  std::optional<MetaRelation> hit = cache_->PeekPrepared(key, gen, &stale);
-  if (stale) ++counters_.invalidations;
-  if (hit.has_value()) {
-    ++counters_.prepared_hits;
-  } else {
-    ++counters_.prepared_misses;
-  }
-  return hit;
-}
-
-void AuthzCacheTxn::StorePrepared(std::string key, const AuthzGeneration& gen,
-                                  const MetaRelation& value,
-                                  AuthzDependencies deps) {
-  if (cache_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  prepared_.push_back(
-      PendingEntry{std::move(key), gen, value, std::move(deps)});
-}
-
-std::optional<MetaRelation> AuthzCacheTxn::LookupMask(
-    const std::string& key, const AuthzGeneration& gen) {
-  if (cache_ == nullptr) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (const MetaRelation* pending = FindPending(masks_, key)) {
-    ++counters_.mask_hits;
-    return *pending;
-  }
-  bool stale = false;
-  std::optional<MetaRelation> hit = cache_->PeekMask(key, gen, &stale);
-  if (stale) ++counters_.invalidations;
-  if (hit.has_value()) {
-    ++counters_.mask_hits;
-  } else {
-    ++counters_.mask_misses;
-  }
-  return hit;
-}
-
-void AuthzCacheTxn::StoreMask(std::string key, const AuthzGeneration& gen,
-                              const MetaRelation& value,
-                              AuthzDependencies deps) {
-  if (cache_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  masks_.push_back(PendingEntry{std::move(key), gen, value, std::move(deps)});
-}
-
-std::shared_ptr<const CompiledMask> AuthzCacheTxn::LookupCompiledMask(
-    const std::string& key, const AuthzGeneration& gen) {
-  if (cache_ == nullptr) return nullptr;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = compiled_.rbegin(); it != compiled_.rend(); ++it) {
+  // Latest store wins; a retrieve stages a handful of entries, so a
+  // reverse linear scan beats a map.
+  for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
     if (it->key == key) return it->value;
   }
   bool stale = false;
-  std::shared_ptr<const CompiledMask> hit =
-      cache_->PeekCompiledMask(key, gen, &stale);
-  if (stale) ++counters_.invalidations;
+  std::optional<AuthzCache::Value> hit = cache_->Find(key, gen, &stale);
+  if (stale) ++stats_.invalidations;
   return hit;
 }
 
-void AuthzCacheTxn::StoreCompiledMask(
-    std::string key, const AuthzGeneration& gen,
-    std::shared_ptr<const CompiledMask> value, AuthzDependencies deps) {
+std::shared_ptr<const Decision> AuthzCacheTxn::LookupDecision(
+    const std::string& key, const AuthzGeneration& gen) {
+  if (cache_ == nullptr) return nullptr;
+  std::optional<AuthzCache::Value> hit = Find(key, gen);
+  if (!hit.has_value()) {
+    ++stats_.mask_misses;
+    return nullptr;
+  }
+  ++stats_.mask_hits;
+  return std::get<std::shared_ptr<const Decision>>(std::move(*hit));
+}
+
+std::shared_ptr<const MetaRelation> AuthzCacheTxn::LookupPrepared(
+    const std::string& key, const AuthzGeneration& gen) {
+  if (cache_ == nullptr) return nullptr;
+  std::optional<AuthzCache::Value> hit = Find(key, gen);
+  if (!hit.has_value()) {
+    ++stats_.prepared_misses;
+    return nullptr;
+  }
+  ++stats_.prepared_hits;
+  return std::get<std::shared_ptr<const MetaRelation>>(std::move(*hit));
+}
+
+void AuthzCacheTxn::Store(std::string key, const AuthzGeneration& gen,
+                          AuthzCache::Value value, AuthzDependencies deps) {
   if (cache_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  compiled_.push_back(
-      PendingCompiled{std::move(key), gen, std::move(value), std::move(deps)});
-}
-
-void AuthzCacheTxn::CountRetrieve(bool parallel) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.retrieves;
-  if (parallel) ++counters_.parallel_retrieves;
-}
-
-void AuthzCacheTxn::CountPruned(long long tuples) {
-  if (tuples <= 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.meta_tuples_pruned += tuples;
-}
-
-void AuthzCacheTxn::CountMaskCompile() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.mask_compiles;
-}
-
-void AuthzCacheTxn::CountBatches(long long batches, long long mask_applies) {
-  if (batches <= 0 && mask_applies <= 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.batches_evaluated += batches;
-  counters_.mask_batch_applies += mask_applies;
-}
-
-void AuthzCacheTxn::AddStageTimes(long long mask_micros, long long data_micros,
-                                  long long apply_micros,
-                                  long long total_micros) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.mask_derivation_micros += mask_micros;
-  counters_.data_eval_micros += data_micros;
-  counters_.mask_apply_micros += apply_micros;
-  counters_.total_micros += total_micros;
+  pending_.push_back(
+      Pending{std::move(key), gen, std::move(value), std::move(deps)});
 }
 
 void AuthzCacheTxn::Commit() {
-  if (cache_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (committed_) return;
+  if (cache_ == nullptr || committed_) return;
   committed_ = true;
-  for (PendingEntry& e : prepared_) {
-    cache_->StorePrepared(std::move(e.key), e.gen, e.value,
-                          std::move(e.deps));
+  std::lock_guard<std::mutex> lock(cache_->mutex_);
+  for (Pending& e : pending_) {
+    cache_->StoreLocked(std::move(e.key), e.gen, std::move(e.value),
+                        std::move(e.deps));
   }
-  for (PendingEntry& e : masks_) {
-    cache_->StoreMask(std::move(e.key), e.gen, e.value, std::move(e.deps));
-  }
-  for (PendingCompiled& e : compiled_) {
-    cache_->StoreCompiledMask(std::move(e.key), e.gen, std::move(e.value),
-                              std::move(e.deps));
-  }
-  prepared_.clear();
-  masks_.clear();
-  compiled_.clear();
-  cache_->ApplyTxnCounters(counters_);
-  counters_ = AuthzTxnCounters{};
+  pending_.clear();
+  cache_->stats_ += stats_;
+  stats_ = AuthzStats{};
 }
 
 }  // namespace viewauth

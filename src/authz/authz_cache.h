@@ -2,12 +2,17 @@
 // generated for every query; once generated, they should be stored with
 // the original view definitions, until these definitions are modified").
 //
-// Two layers, both dependency-tracked:
+// One map of immutable, shared entries of two kinds, both
+// dependency-tracked:
+//   * decisions — the end product of the paper's Section 5 pipeline for
+//     one query: the mask A', its compiled form, the inferred permit
+//     statements and the denied / full-access verdict, keyed by (user,
+//     canonical query signature, mask-affecting options, plan);
 //   * prepared authorizations — the pruned, self-join-extended
 //     per-relation meta-relations of Authorizer steps 1-2, keyed by
-//     (user, target relation, set of relations in Q, self-join rounds);
-//   * masks — the fully derived A' of step 3, keyed by
-//     (user, canonical query signature, mask-affecting options).
+//     (user, target relation, set of relations in Q, self-join rounds).
+// Every key starts with its kind tag ("D|" or "P|"), so a relation
+// named like a flavor letter can never make two kinds collide.
 //
 // Soundness argument (selective invalidation). Every entry records its
 // read set as an AuthzDependencies: the user it was derived for, the
@@ -36,24 +41,26 @@
 // journal wipes itself rather than guess.
 //
 // The cache is internally synchronized; concurrent sessions may look up,
-// fill, and invalidate freely.
+// fill, and invalidate freely. Entries are handed out as shared pointers
+// to const values, so a reader never copies one and never sees one
+// change.
 //
 // AuthzCacheTxn stages a single retrieve's cache traffic so an aborted
 // retrieve (deadline, budget, cancellation — any failure, in fact) leaves
 // the cache and its counters exactly as if the query had never run: reads
-// go through side-effect-free Peek methods, writes and counter deltas are
+// have no side effect on the cache, writes and counter deltas are
 // buffered, and Commit() publishes everything atomically on success only.
 
 #ifndef VIEWAUTH_AUTHZ_AUTHZ_CACHE_H_
 #define VIEWAUTH_AUTHZ_AUTHZ_CACHE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "authz/compiled_mask.h"
@@ -94,18 +101,45 @@ struct AuthzDependencies {
   std::set<std::string> views;
 };
 
-// Observability counters for the authorization pipeline. Snapshot of the
-// live atomics held by AuthzCache; all time figures are accumulated
-// wall-clock microseconds. The admission block is filled in by the
-// engine's AdmissionController, not by the cache.
+// One inferred permit statement, structured and rendered.
+struct InferredPermit {
+  std::vector<std::string> columns;
+  std::string where;  // empty when unconditional
+
+  // "permit (NUMBER, SPONSOR) where SPONSOR = Acme".
+  std::string ToString() const;
+};
+
+// The authorization decision for one (user, query): everything about a
+// retrieve that depends on the grants and not on the data. Immutable once
+// built; the cache and every result that used it share one instance.
+struct Decision {
+  // A', the final mask over the answer columns — or, under
+  // extended_masks, the wide mask over every product column.
+  MetaRelation mask;
+  // The compiled form of `mask`; set only for the vectorized plan with
+  // partial access (the canonical plan masks interpretively).
+  std::shared_ptr<const CompiledMask> compiled;
+  // The permit statements describing the delivered portion; empty when
+  // denied or full access.
+  std::vector<InferredPermit> permits;
+  // Nothing may be delivered: no mask tuple grants a requested column.
+  bool denied = false;
+  // The mask grants the entire answer (no permit statements accompany
+  // the delivery, as in the paper's Example 3).
+  bool full_access = false;
+};
+
+// Observability counters for the authorization pipeline; all time
+// figures are accumulated wall-clock microseconds. The admission block
+// is filled in by the engine's AdmissionController, not by the cache.
 struct AuthzStats {
-  long long retrieves = 0;           // full Retrieve calls
-  long long parallel_retrieves = 0;  // of which ran S and S' concurrently
+  long long retrieves = 0;  // full Retrieve calls
   long long prepared_hits = 0;
   long long prepared_misses = 0;
-  long long mask_hits = 0;
-  long long mask_misses = 0;
-  long long mask_compiles = 0;       // CompiledMask builds (cache misses)
+  long long mask_hits = 0;           // decision lookups served
+  long long mask_misses = 0;         // decision lookups that derived
+  long long mask_compiles = 0;       // CompiledMask builds
   long long invalidations = 0;       // entries dropped as stale, any cause
   long long meta_tuples_pruned = 0;  // hopeless + dangling tuples removed
 
@@ -121,7 +155,7 @@ struct AuthzStats {
   long long entries_retained = 0;     // survivors of targeted events
   long long invalidations_exact = 0;  // dependency-matched drop events
   long long invalidations_over = 0;   // full wipes (DDL, journal loss)
-  long long mask_derivation_micros = 0;  // S' (meta-plan) wall time
+  long long mask_derivation_micros = 0;  // S' (decision) wall time
   long long data_eval_micros = 0;        // S (data-plan) wall time
   long long mask_apply_micros = 0;       // step-5 masking wall time
   long long total_micros = 0;            // whole-retrieve wall time
@@ -139,74 +173,23 @@ struct AuthzStats {
   long long shed = 0;            // rejected immediately (queue full)
   long long queue_timeouts = 0;  // waited, then gave up
 
+  // Field-by-field sum (folds a committed txn's delta into the totals).
+  AuthzStats& operator+=(const AuthzStats& other);
+
   // Multi-line human-readable report (the REPL's \stats output).
   std::string ToString() const;
 };
 
-// Counter deltas buffered by an AuthzCacheTxn between first lookup and
-// Commit. Field meanings match the AuthzStats fields of the same name.
-struct AuthzTxnCounters {
-  long long retrieves = 0;
-  long long parallel_retrieves = 0;
-  long long prepared_hits = 0;
-  long long prepared_misses = 0;
-  long long mask_hits = 0;
-  long long mask_misses = 0;
-  long long mask_compiles = 0;
-  long long invalidations = 0;  // stale entries observed via Peek
-  long long meta_tuples_pruned = 0;
-  long long batches_evaluated = 0;
-  long long mask_batch_applies = 0;
-  long long mask_derivation_micros = 0;
-  long long data_eval_micros = 0;
-  long long mask_apply_micros = 0;
-  long long total_micros = 0;
-};
-
 class AuthzCache {
  public:
+  // What an entry holds: a decision ("D|" keys) or a prepared
+  // meta-relation ("P|" keys).
+  using Value = std::variant<std::shared_ptr<const Decision>,
+                             std::shared_ptr<const MetaRelation>>;
+
   AuthzCache() = default;
   AuthzCache(const AuthzCache&) = delete;
   AuthzCache& operator=(const AuthzCache&) = delete;
-
-  // Lookups return a copy (entries are shared across sessions) and count
-  // a hit or miss. An entry whose schema generation no longer matches is
-  // erased and counted as an invalidation plus a miss. Stores record the
-  // entry's read set in the dependency index; a store whose generation
-  // predates the cache's synced catalog sequence is rejected (the entry
-  // was derived against a catalog the cache has already moved past).
-  std::optional<MetaRelation> LookupPrepared(const std::string& key,
-                                             const AuthzGeneration& gen);
-  void StorePrepared(std::string key, const AuthzGeneration& gen,
-                     const MetaRelation& value, AuthzDependencies deps);
-
-  std::optional<MetaRelation> LookupMask(const std::string& key,
-                                         const AuthzGeneration& gen);
-  void StoreMask(std::string key, const AuthzGeneration& gen,
-                 const MetaRelation& value, AuthzDependencies deps);
-
-  // Compiled masks (authz/compiled_mask.h), cached alongside the derived
-  // masks under the same keys and generation discipline. Entries are
-  // shared (not copied) on lookup: a CompiledMask is immutable and owns
-  // everything it references. Returns null on miss or stale generation.
-  std::shared_ptr<const CompiledMask> LookupCompiledMask(
-      const std::string& key, const AuthzGeneration& gen);
-  void StoreCompiledMask(std::string key, const AuthzGeneration& gen,
-                         std::shared_ptr<const CompiledMask> value,
-                         AuthzDependencies deps);
-
-  // --- side-effect-free reads (used by AuthzCacheTxn) -------------------
-  // Peek variants neither count hits/misses nor erase stale entries; a
-  // stale entry reports *stale = true (the txn buffers the observation
-  // and the commit-time Store overwrites the entry under the same key).
-  std::optional<MetaRelation> PeekPrepared(const std::string& key,
-                                           const AuthzGeneration& gen,
-                                           bool* stale) const;
-  std::optional<MetaRelation> PeekMask(const std::string& key,
-                                       const AuthzGeneration& gen,
-                                       bool* stale) const;
-  std::shared_ptr<const CompiledMask> PeekCompiledMask(
-      const std::string& key, const AuthzGeneration& gen, bool* stale) const;
 
   // Replays the catalog's mutation journal from this cache's last
   // synced sequence number, dropping exactly the entries each record's
@@ -229,17 +212,6 @@ class AuthzCache {
   // (tests and diagnostics).
   long long synced_catalog_seq() const;
 
-  // --- Counters maintained by the authorizer --------------------------
-  void CountRetrieve(bool parallel);
-  void CountPruned(long long tuples);
-  void CountMaskCompile();
-  void CountBatches(long long batches, long long mask_applies);
-  void AddStageTimes(long long mask_micros, long long data_micros,
-                     long long apply_micros, long long total_micros);
-  // Folds a committed transaction's buffered deltas into the live
-  // counters in one shot.
-  void ApplyTxnCounters(const AuthzTxnCounters& c);
-
   // --- Governor bookkeeping (the governor's own books) ------------------
   // Deliberately NOT routed through AuthzCacheTxn: these counters record
   // the abort itself, so they must survive it. Counts only the three
@@ -251,98 +223,53 @@ class AuthzCache {
   void ResetStats();
 
  private:
+  friend class AuthzCacheTxn;
+
   struct Entry {
     AuthzGeneration gen;
-    MetaRelation value;
     AuthzDependencies deps;
-  };
-  struct CompiledEntry {
-    AuthzGeneration gen;
-    std::shared_ptr<const CompiledMask> value;
-    AuthzDependencies deps;
-  };
-  // The three entry populations, named so the dependency index can
-  // address an entry as (map, key).
-  enum MapId { kPrepared = 0, kMasks = 1, kCompiled = 2 };
-  // Reverse dependency index: user -> the keys of that user's entries in
-  // each map. Targeted invalidation walks only the affected users' keys.
-  struct UserRefs {
-    std::set<std::string> keys[3];
+    Value value;
   };
 
-  // Erases stale-generation entries on contact; bounds map sizes.
-  std::optional<MetaRelation> Lookup(std::map<std::string, Entry>* entries,
-                                     MapId map_id, const std::string& key,
-                                     const AuthzGeneration& gen,
-                                     std::atomic<long long>* hits,
-                                     std::atomic<long long>* misses);
-  void Store(std::map<std::string, Entry>* entries, MapId map_id,
-             std::string key, const AuthzGeneration& gen,
-             const MetaRelation& value, AuthzDependencies deps);
-  static std::optional<MetaRelation> Peek(
-      const std::map<std::string, Entry>& entries, const std::string& key,
-      const AuthzGeneration& gen, bool* stale);
-
-  // --- dependency-index maintenance (all require mutex_ held) -----------
-  void IndexInsertLocked(MapId map_id, const std::string& key,
-                         const std::string& user);
-  void IndexEraseLocked(MapId map_id, const std::string& key,
-                        const std::string& user);
-  // Drops every entry of one map (kMaxEntries overflow); keeps the index
-  // consistent. Returns the number of entries dropped.
-  long long ClearMapLocked(MapId map_id);
-  // Full wipe, counted as one over-approximate invalidation event when
-  // anything was dropped.
-  void DropAllLocked();
+  // Side-effect-free read: the value under `key` when a reader at `gen`
+  // may use it. An entry whose schema generation no longer matches
+  // reports *stale = true and stays until the next store under its key
+  // (or a wipe) replaces it.
+  std::optional<Value> Find(const std::string& key,
+                            const AuthzGeneration& gen, bool* stale) const;
+  // Admits one entry and records its read set in the dependency index; a
+  // store whose generation predates the cache's synced catalog sequence
+  // is rejected (the entry was derived against a catalog the cache has
+  // already moved past). Requires mutex_ held.
+  void StoreLocked(std::string key, const AuthzGeneration& gen, Value value,
+                   AuthzDependencies deps);
+  // Removes one user's index reference to `key`. Requires mutex_ held.
+  void IndexEraseLocked(const std::string& key, const std::string& user);
+  // Drops every entry; returns how many there were. Requires mutex_ held.
+  long long ClearLocked();
   // One journal record: drops the dependent entries of each affected
   // user, counts exact/retained precision figures.
   void ApplyCatalogMutationLocked(const CatalogMutation& record);
-  // Debug-build invariant: the index and the maps describe each other
+  // Debug-build invariant: the index and the map describe each other
   // exactly (every entry indexed under its user, every indexed key
   // present). No-op in release builds.
   void CheckIndexLocked() const;
 
   mutable std::mutex mutex_;
-  std::map<std::string, Entry> prepared_;
-  std::map<std::string, Entry> masks_;
-  std::map<std::string, CompiledEntry> compiled_;
-  std::map<std::string, UserRefs> by_user_;
+  std::map<std::string, Entry> entries_;
+  // Reverse dependency index: user -> the keys of that user's entries.
+  // Targeted invalidation walks only the affected users' keys.
+  std::map<std::string, std::set<std::string>> by_user_;
   long long synced_catalog_seq_ = 0;
-
-  std::atomic<long long> retrieves_{0};
-  std::atomic<long long> parallel_retrieves_{0};
-  std::atomic<long long> prepared_hits_{0};
-  std::atomic<long long> prepared_misses_{0};
-  std::atomic<long long> mask_hits_{0};
-  std::atomic<long long> mask_misses_{0};
-  std::atomic<long long> mask_compiles_{0};
-  std::atomic<long long> batches_evaluated_{0};
-  std::atomic<long long> mask_batch_applies_{0};
-  std::atomic<long long> invalidations_{0};
-  std::atomic<long long> entries_invalidated_{0};
-  std::atomic<long long> entries_retained_{0};
-  std::atomic<long long> invalidations_exact_{0};
-  std::atomic<long long> invalidations_over_{0};
-  std::atomic<long long> meta_tuples_pruned_{0};
-  std::atomic<long long> mask_derivation_micros_{0};
-  std::atomic<long long> data_eval_micros_{0};
-  std::atomic<long long> mask_apply_micros_{0};
-  std::atomic<long long> total_micros_{0};
-
-  std::atomic<long long> deadline_exceeded_{0};
-  std::atomic<long long> budget_exceeded_{0};
-  std::atomic<long long> cancelled_{0};
-  std::atomic<long long> governor_checks_{0};
+  AuthzStats stats_;
 };
 
 // Stages one retrieve's cache traffic. Reads consult this txn's pending
 // stores first (a retrieve may re-derive under the same key), then the
-// live cache via Peek; writes and counter deltas stay local until
-// Commit(). Dropping the txn without committing discards everything —
-// the abort-cleanliness mechanism for governed (and any other) failures.
-//
-// Internally synchronized: the authorizer's parallel meta-evaluation
-// fan-out shares one txn across pool workers.
+// live cache; writes and counter deltas stay local until Commit().
+// Dropping the txn without committing discards everything — the
+// abort-cleanliness mechanism for governed (and any other) failures.
+// Owned by the one thread running the retrieve.
 class AuthzCacheTxn {
  public:
   // `cache` may be null (caching disabled): lookups miss without
@@ -351,59 +278,41 @@ class AuthzCacheTxn {
   AuthzCacheTxn(const AuthzCacheTxn&) = delete;
   AuthzCacheTxn& operator=(const AuthzCacheTxn&) = delete;
 
-  std::optional<MetaRelation> LookupPrepared(const std::string& key,
-                                             const AuthzGeneration& gen);
-  void StorePrepared(std::string key, const AuthzGeneration& gen,
-                     const MetaRelation& value, AuthzDependencies deps);
-
-  std::optional<MetaRelation> LookupMask(const std::string& key,
-                                         const AuthzGeneration& gen);
-  void StoreMask(std::string key, const AuthzGeneration& gen,
-                 const MetaRelation& value, AuthzDependencies deps);
-
-  std::shared_ptr<const CompiledMask> LookupCompiledMask(
+  // Decision lookups count a mask hit or miss; prepared lookups a
+  // prepared hit or miss. Both return null on a miss.
+  std::shared_ptr<const Decision> LookupDecision(const std::string& key,
+                                                 const AuthzGeneration& gen);
+  std::shared_ptr<const MetaRelation> LookupPrepared(
       const std::string& key, const AuthzGeneration& gen);
-  void StoreCompiledMask(std::string key, const AuthzGeneration& gen,
-                         std::shared_ptr<const CompiledMask> value,
-                         AuthzDependencies deps);
+  void Store(std::string key, const AuthzGeneration& gen,
+             AuthzCache::Value value, AuthzDependencies deps);
 
-  void CountRetrieve(bool parallel);
-  void CountPruned(long long tuples);
-  void CountMaskCompile();
-  void CountBatches(long long batches, long long mask_applies);
-  void AddStageTimes(long long mask_micros, long long data_micros,
-                     long long apply_micros, long long total_micros);
+  // The buffered counter deltas, published by Commit().
+  AuthzStats& stats() { return stats_; }
 
-  // Publishes buffered stores and counter deltas to the live cache.
-  // Idempotent; a second call is a no-op.
+  // Publishes buffered stores and counter deltas to the live cache under
+  // one lock. Idempotent; a second call is a no-op.
   void Commit();
 
  private:
   // Pending stores carry the entry's dependency edges alongside its
   // value: an aborted retrieve must leave the live dependency index as
-  // untouched as the entry maps themselves.
-  struct PendingEntry {
+  // untouched as the entries themselves.
+  struct Pending {
     std::string key;
     AuthzGeneration gen;
-    MetaRelation value;
-    AuthzDependencies deps;
-  };
-  struct PendingCompiled {
-    std::string key;
-    AuthzGeneration gen;
-    std::shared_ptr<const CompiledMask> value;
+    AuthzCache::Value value;
     AuthzDependencies deps;
   };
 
-  static const MetaRelation* FindPending(
-      const std::vector<PendingEntry>& pending, const std::string& key);
+  // The value under `key`: pending stores first, then the live cache.
+  // Counts a stale observation.
+  std::optional<AuthzCache::Value> Find(const std::string& key,
+                                        const AuthzGeneration& gen);
 
   AuthzCache* cache_;
-  std::mutex mutex_;
-  std::vector<PendingEntry> prepared_;
-  std::vector<PendingEntry> masks_;
-  std::vector<PendingCompiled> compiled_;
-  AuthzTxnCounters counters_;
+  std::vector<Pending> pending_;
+  AuthzStats stats_;
   bool committed_ = false;
 };
 

@@ -23,8 +23,8 @@
 //
 // A CompiledMask owns copies of everything it needs (values, constraint
 // sets), so it can outlive the MetaRelation it was compiled from — which
-// is what lets the AuthzCache keep compiled masks alongside the derived
-// masks themselves.
+// is what lets a cached Decision (authz/authz_cache.h) carry one beside
+// its mask.
 
 #ifndef VIEWAUTH_AUTHZ_COMPILED_MASK_H_
 #define VIEWAUTH_AUTHZ_COMPILED_MASK_H_

@@ -20,10 +20,10 @@
 // relaxed load per direct tick. Together these keep the governed and
 // ungoverned paths within the bench_governor 2% overhead gate.
 //
-// Thread safety: a context is shared by the session thread and any pool
-// workers evaluating on its behalf. All counters are atomics; the trip
-// status is claimed once (first cause wins) and published with
-// release/acquire ordering.
+// Thread safety: a context is ticked by the session thread running the
+// statement and may be cancelled from any other thread. All counters are
+// atomics; the trip status is claimed once (first cause wins) and
+// published with release/acquire ordering.
 
 #ifndef VIEWAUTH_COMMON_EXEC_CONTEXT_H_
 #define VIEWAUTH_COMMON_EXEC_CONTEXT_H_

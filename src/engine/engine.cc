@@ -773,13 +773,16 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
         result, authorizer.Retrieve(user, query, options_, &ctx));
   } else {
     // Disjunctive retrieve: each conjunctive branch is authorized and
-    // evaluated independently; the delivery is the union. Denied only
-    // when every branch is denied; full access only when every branch is.
+    // evaluated independently; the delivery is the union, under a merged
+    // decision built fresh (the branches' cached decisions stay as they
+    // are). Denied only when every branch is denied; full access only
+    // when every branch is.
     std::vector<std::vector<Condition>> branches;
     branches.push_back(stmt.conditions);
     for (const std::vector<Condition>& branch : stmt.or_branches) {
       branches.push_back(branch);
     }
+    auto merged = std::make_shared<Decision>();
     bool first = true;
     bool all_denied = true;
     bool all_full = true;
@@ -794,6 +797,7 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
           authorizer.Retrieve(user, query, options_, &ctx));
       if (first) {
         result = branch_result;
+        merged->mask = branch_result.mask();
         first = false;
       } else {
         for (const Tuple& row : branch_result.answer) {
@@ -805,23 +809,24 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
         // Branch masks combine only when their column layouts agree;
         // under extended masks, branches over different relation sets
         // carry different wide layouts and contribute their permits only.
-        if (branch_result.mask.arity() == result.mask.arity()) {
-          for (MetaTuple& tuple : branch_result.mask.tuples()) {
-            result.mask.Add(std::move(tuple));
+        if (branch_result.mask().arity() == merged->mask.arity()) {
+          for (const MetaTuple& tuple : branch_result.mask().tuples()) {
+            merged->mask.Add(tuple);
           }
         }
       }
       all_denied = all_denied && branch_result.denied;
       all_full = all_full && branch_result.full_access;
-      for (const InferredPermit& permit : branch_result.permits) {
+      for (const InferredPermit& permit : branch_result.permits()) {
         if (permit_texts.insert(permit.ToString()).second) {
-          result.permits.push_back(permit);
+          merged->permits.push_back(permit);
         }
       }
     }
-    result.denied = all_denied;
-    result.full_access = all_full;
-    if (result.full_access) result.permits.clear();
+    result.denied = merged->denied = all_denied;
+    result.full_access = merged->full_access = all_full;
+    if (result.full_access) merged->permits.clear();
+    result.decision = std::move(merged);
   }
 
   AuditEntry audit;
@@ -832,29 +837,33 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
   if (result.denied) {
     out << "permission denied: no permitted view covers this request";
     audit.outcome = AuditOutcome::kDenied;
-    std::lock_guard<std::mutex> guard(result_mutex_);
-    audit_log_.Record(std::move(audit));
-    last_result_ = std::move(result);
-    return out.str();
-  }
-  TablePrintOptions print_options;
-  print_options.caption = "result for " + user + ":";
-  out << PrintRelation(result.answer, print_options);
-  if (result.full_access) {
-    // Delivered without any accompanying permit statements (Example 3).
-    audit.outcome = AuditOutcome::kFullAccess;
   } else {
-    audit.outcome = AuditOutcome::kPartial;
-    std::vector<std::string> rendered;
-    for (const InferredPermit& permit : result.permits) {
-      out << permit.ToString() << "\n";
-      rendered.push_back(permit.ToString());
+    TablePrintOptions print_options;
+    print_options.caption = "result for " + user + ":";
+    out << PrintRelation(result.answer, print_options);
+    if (result.full_access) {
+      // Delivered without any accompanying permit statements (Example 3).
+      audit.outcome = AuditOutcome::kFullAccess;
+    } else {
+      audit.outcome = AuditOutcome::kPartial;
+      // Each permit renders once; the reply and the audit entry share the
+      // text.
+      std::vector<std::string> rendered;
+      for (const InferredPermit& permit : result.permits()) {
+        rendered.push_back(permit.ToString());
+        out << rendered.back() << "\n";
+      }
+      audit.permits = Join(rendered, "; ");
     }
-    audit.permits = Join(rendered, "; ");
+    audit.affected = result.answer.size();
+    audit.withheld = result.raw_answer.size() - result.answer.size();
+    if (audit.withheld < 0) audit.withheld = 0;
   }
-  audit.affected = result.answer.size();
-  audit.withheld = result.raw_answer.size() - result.answer.size();
-  if (audit.withheld < 0) audit.withheld = 0;
+  // The unmasked rows are not kept: free them here, on the thread that
+  // built them. Left in last_result_, they would be freed by whichever
+  // session replaces it, and on large answers that cross-thread free of
+  // every raw row measurably slows both sessions.
+  result.raw_answer = Relation();
   // Retrieves run lock-free on their snapshots, so concurrent sessions
   // reach this point together; the result mutex orders their updates.
   std::lock_guard<std::mutex> guard(result_mutex_);

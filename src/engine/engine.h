@@ -109,7 +109,8 @@ class Engine {
   // statement and viewauth_lint --audit both go through here.
   AnalysisReport AuditCatalog(const DisclosureAuditOptions& options = {}) const;
 
-  // Structured access to the most recent retrieve's result.
+  // Structured access to the most recent retrieve's result. Its
+  // raw_answer is empty: the engine never keeps the unmasked rows.
   const AuthorizationResult* last_result() const {
     return last_result_ ? &*last_result_ : nullptr;
   }

@@ -1,8 +1,10 @@
-// The authorization cache: hits on repeated queries, invalidation on
-// every entitlement-changing event (permit, deny, view drop/redefinition,
-// DDL), per-user isolation, and the generation-counter soundness argument
-// for callers that mutate the catalog directly (no engine involved).
+// The authorization cache: hits on repeated queries, one shared decision
+// per cached query, invalidation on every entitlement-changing event
+// (permit, deny, view drop/redefinition, DDL), per-user isolation, the
+// entry bound, and the generation-counter soundness argument for callers
+// that mutate the catalog directly (no engine involved).
 
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -169,7 +171,6 @@ TEST(AuthzCacheTest, StatsCountersAreConsistent) {
   }
   const AuthzStats stats = engine.authz_stats();
   EXPECT_EQ(stats.retrieves, kRepeats);
-  EXPECT_EQ(stats.parallel_retrieves, kRepeats);
   EXPECT_EQ(stats.mask_hits + stats.mask_misses, kRepeats);
   EXPECT_EQ(stats.mask_misses, 1);
   EXPECT_GE(stats.total_micros, stats.mask_apply_micros);
@@ -195,6 +196,81 @@ TEST(AuthzCacheTest, CacheDisabledOptionBypassesCache) {
   EXPECT_EQ(stats.mask_misses, 0);
   EXPECT_EQ(stats.prepared_hits, 0);
   EXPECT_EQ(stats.prepared_misses, 0);
+}
+
+// One immutable decision per cached query: a warm retrieve returns the
+// very object the cold one built, so neither the mask nor its compiled
+// form is rebuilt or copied.
+TEST(AuthzCacheTest, WarmHitSharesOneDecision) {
+  Engine engine;
+  SetupEngine(&engine);
+
+  ASSERT_TRUE(engine.Execute(kQuery).ok());
+  ASSERT_NE(engine.last_result(), nullptr);
+  const std::shared_ptr<const Decision> cold = engine.last_result()->decision;
+  ASSERT_NE(cold, nullptr);
+  // Brown sees NAME only: partial access, so the vectorized plan compiled
+  // the mask and the permits were rendered.
+  EXPECT_FALSE(cold->denied);
+  EXPECT_FALSE(cold->full_access);
+  EXPECT_NE(cold->compiled, nullptr);
+  EXPECT_EQ(cold->permits.size(), 1u);
+
+  ASSERT_TRUE(engine.Execute(kQuery).ok());
+  EXPECT_EQ(engine.last_result()->decision.get(), cold.get());
+  const AuthzStats stats = engine.authz_stats();
+  EXPECT_EQ(stats.mask_compiles, 1);
+  EXPECT_EQ(stats.mask_hits, 1);
+  EXPECT_EQ(stats.mask_misses, 1);
+}
+
+// DeriveMask reads decisions Retrieve built but never stores one of its
+// own: a query first seen by DeriveMask still misses in Retrieve.
+TEST(AuthzCacheTest, DeriveMaskReadsButNeverFillsDecisions) {
+  DatabaseInstance db;
+  ASSERT_TRUE(db.CreateRelation(RelationSchema::Make(
+                                    "EMPLOYEE",
+                                    {{"NAME", ValueType::kString},
+                                     {"SALARY", ValueType::kInt64}},
+                                    {0})
+                                    .value())
+                  .ok());
+  ViewCatalog catalog(&db.schema());
+  auto view = ParseStatement("view NAMES (EMPLOYEE.NAME)");
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(catalog.DefineView(std::get<ViewStmt>(*view)).ok());
+  ASSERT_TRUE(catalog.Permit("NAMES", "Brown").ok());
+  AuthzCache cache;
+  Authorizer authorizer(&db, &catalog, &cache);
+  auto query_of = [&](const std::string& text) {
+    auto stmt = ParseStatement(text);
+    EXPECT_TRUE(stmt.ok()) << stmt.status();
+    return ConjunctiveQuery::FromRetrieve(db.schema(),
+                                          std::get<RetrieveStmt>(*stmt))
+        .value();
+  };
+  const ConjunctiveQuery seen =
+      query_of("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)");
+  const ConjunctiveQuery fresh = query_of(
+      "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) where EMPLOYEE.SALARY = 1");
+
+  auto retrieved = authorizer.Retrieve("Brown", seen);
+  ASSERT_TRUE(retrieved.ok());
+  EXPECT_EQ(cache.Snapshot().mask_misses, 1);
+  auto derived = authorizer.DeriveMask("Brown", seen);
+  ASSERT_TRUE(derived.ok());
+  EXPECT_EQ(cache.Snapshot().mask_hits, 1);
+  EXPECT_EQ(derived->size(), retrieved->mask().size());
+
+  ASSERT_TRUE(authorizer.DeriveMask("Brown", fresh).ok());
+  EXPECT_EQ(cache.Snapshot().mask_misses, 2);
+  ASSERT_TRUE(authorizer.Retrieve("Brown", fresh).ok());
+  AuthzStats stats = cache.Snapshot();
+  EXPECT_EQ(stats.mask_misses, 3);
+  EXPECT_EQ(stats.mask_hits, 1);
+  // The Retrieve did store: the next one hits.
+  ASSERT_TRUE(authorizer.Retrieve("Brown", fresh).ok());
+  EXPECT_EQ(cache.Snapshot().mask_hits, 2);
 }
 
 // The soundness backstop: callers that bypass the engine and mutate the
@@ -467,6 +543,46 @@ TEST(AuthzCacheTest, MembershipChangeInvalidatesOnlyTheMember) {
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);  // Klein retained
+}
+
+// The entry bound wipes the whole map, decisions and prepared entries
+// alike; the dependency index must stay exact across those wipes, so a
+// later targeted grant still drops the grantee's survivors and keeps the
+// other user's. (The debug-build index check runs on that grant.)
+TEST(AuthzCacheTest, EntryBoundKeepsInvalidationSound) {
+  Engine engine;
+  SetupTwoRelationEngine(&engine);
+  constexpr int kQueries = 1100;  // past the 1,024-entry bound, twice over
+  auto brown_query = [](int i) {
+    return "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) where "
+           "EMPLOYEE.SALARY = " +
+           std::to_string(i) + " as Brown";
+  };
+  auto klein_query = [](int i) {
+    return "retrieve (DEPT.DNAME, DEPT.BUDGET) where DEPT.BUDGET = " +
+           std::to_string(i) + " as Klein";
+  };
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(engine.Execute(brown_query(i)).ok());
+    ASSERT_TRUE(engine.Execute(klein_query(i)).ok());
+  }
+  ASSERT_EQ(engine.authz_stats().mask_misses, 2 * kQueries);
+
+  ASSERT_TRUE(engine
+                  .ExecuteScript("view ALL_E (EMPLOYEE.NAME, "
+                                 "EMPLOYEE.SALARY)\npermit ALL_E to Brown")
+                  .ok());
+  AuthzStats stats = engine.authz_stats();
+  EXPECT_GE(stats.entries_invalidated, 1);
+  EXPECT_GE(stats.entries_retained, 1);
+  EXPECT_EQ(stats.invalidations_over, 0);
+
+  ASSERT_TRUE(engine.Execute(brown_query(kQueries - 1)).ok());
+  EXPECT_TRUE(engine.last_result()->full_access);
+  ASSERT_TRUE(engine.Execute(klein_query(kQueries - 1)).ok());
+  stats = engine.authz_stats();
+  EXPECT_EQ(stats.mask_hits, 1);  // Klein's survivor
+  EXPECT_EQ(stats.mask_misses, 2 * kQueries + 1);  // Brown re-derived
 }
 
 // The governor abort pattern applied to the dependency index: an aborted

@@ -35,16 +35,16 @@ TEST(PaperExamples, Example1BrownLargeProjects) {
       Tuple({Value::String("bq-45"), Value::String("Acme")})));
 
   // Mask: one tuple, both columns projected, SPONSOR = Acme.
-  ASSERT_EQ(result->mask.size(), 1);
-  const MetaTuple& mask = result->mask.tuples()[0];
+  ASSERT_EQ(result->mask().size(), 1);
+  const MetaTuple& mask = result->mask().tuples()[0];
   EXPECT_TRUE(mask.cells()[0].is_blank());
   EXPECT_TRUE(mask.cells()[0].projected);
   EXPECT_EQ(mask.cells()[1].kind, CellKind::kConst);
   EXPECT_EQ(mask.cells()[1].constant, Value::String("Acme"));
   EXPECT_TRUE(mask.cells()[1].projected);
 
-  ASSERT_EQ(result->permits.size(), 1u);
-  EXPECT_EQ(result->permits[0].ToString(),
+  ASSERT_EQ(result->permits().size(), 1u);
+  EXPECT_EQ(result->permits()[0].ToString(),
             "permit (NUMBER, SPONSOR) where SPONSOR = Acme");
 }
 
@@ -72,16 +72,16 @@ TEST(PaperExamples, Example2KleinEngineerSalaries) {
       Tuple({Value::String("Brown"), Value::Null()})));
 
   // Mask: NAME projected, SALARY not, no residual selection.
-  ASSERT_EQ(result->mask.size(), 1);
-  const MetaTuple& mask = result->mask.tuples()[0];
+  ASSERT_EQ(result->mask().size(), 1);
+  const MetaTuple& mask = result->mask().tuples()[0];
   EXPECT_TRUE(mask.cells()[0].is_blank());
   EXPECT_TRUE(mask.cells()[0].projected);
   EXPECT_TRUE(mask.cells()[1].is_blank());
   EXPECT_FALSE(mask.cells()[1].projected);
   EXPECT_EQ(mask.constraints().atom_count(), 0);
 
-  ASSERT_EQ(result->permits.size(), 1u);
-  EXPECT_EQ(result->permits[0].ToString(), "permit (NAME)");
+  ASSERT_EQ(result->permits().size(), 1u);
+  EXPECT_EQ(result->permits()[0].ToString(), "permit (NAME)");
 }
 
 // Example 2's intermediate stage: after the product and the dangling
@@ -131,7 +131,7 @@ TEST(PaperExamples, Example3BrownSameTitlePairs) {
 
   EXPECT_FALSE(result->denied);
   EXPECT_TRUE(result->full_access);
-  EXPECT_TRUE(result->permits.empty());
+  EXPECT_TRUE(result->permits().empty());
 
   // Every employee matches only itself (all titles unique): 3 rows, none
   // masked.

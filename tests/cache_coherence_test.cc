@@ -3,10 +3,10 @@
 // statements across eight users, executed in lockstep on two engines:
 //
 //   * the CACHED engine runs with the default fast pipeline
-//     (authorization cache, meta cache, parallel meta evaluation,
-//     vectorized columnar data plan with fused mask application);
-//   * the ORACLE engine runs cold — no caches, no parallelism,
-//     canonical data plan, interpretive mask application — so every
+//     (decision cache, meta cache, vectorized columnar data plan with
+//     fused mask application);
+//   * the ORACLE engine runs cold — no caches, canonical data plan,
+//     interpretive mask application — so every
 //     one of its answers is derived from scratch against the current
 //     catalog, without the compiled-mask code the cached engine uses.
 //
@@ -59,11 +59,11 @@ Observed Summarize(const AuthorizationResult& result) {
   o.denied = result.denied;
   o.full_access = result.full_access;
   o.answer = result.answer.SortedRows();
-  for (const MetaTuple& tuple : result.mask.tuples()) {
+  for (const MetaTuple& tuple : result.mask().tuples()) {
     o.mask_keys.push_back(tuple.StructuralKey(/*include_provenance=*/false));
   }
   std::sort(o.mask_keys.begin(), o.mask_keys.end());
-  for (const InferredPermit& permit : result.permits) {
+  for (const InferredPermit& permit : result.permits()) {
     o.permits.push_back(NormalizeSyntheticVars(permit.ToString()));
   }
   std::sort(o.permits.begin(), o.permits.end());
@@ -83,7 +83,6 @@ class Torture {
     // canonical plan cold, with interpretive mask application.
     oracle_.options().enable_authz_cache = false;
     oracle_.options().use_meta_cache = false;
-    oracle_.options().parallel_meta_evaluation = false;
     oracle_.options().use_optimized_data_plan = false;
   }
 

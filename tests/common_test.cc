@@ -1,5 +1,5 @@
-// Unit tests for Status, Result, CRC32, string utilities, the execution
-// governor's ExecContext, and the bounded thread pool.
+// Unit tests for Status, Result, CRC32, string utilities and the
+// execution governor's ExecContext.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 
 namespace viewauth {
 namespace {
@@ -283,61 +282,6 @@ TEST(ExecContext, FirstTripWinsUnderConcurrency) {
   EXPECT_TRUE(ctx.status().IsResourceExhausted());
   ctx.Cancel();  // losing trip must not overwrite the first cause
   EXPECT_TRUE(ctx.status().IsResourceExhausted());
-}
-
-// --- bounded ThreadPool ---------------------------------------------------
-
-TEST(ThreadPool, ExecutesSubmittedWork) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, BoundedQueueBlocksSubmitterUntilSpace) {
-  ThreadPool pool(1, /*max_queue=*/2);
-  std::atomic<bool> release{false};
-  std::atomic<int> done{0};
-  // Occupy the single worker...
-  auto blocker = pool.Submit([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return 0;
-  });
-  // ...fill the queue to capacity...
-  std::vector<std::future<int>> queued;
-  for (int i = 0; i < 2; ++i) {
-    queued.push_back(pool.Submit([&] { return ++done; }));
-  }
-  EXPECT_EQ(pool.queue_depth(), 2u);
-  EXPECT_TRUE(pool.Saturated());
-  // ...and verify the next submit blocks until the worker drains a slot.
-  std::atomic<bool> submitted{false};
-  std::thread submitter([&] {
-    auto f = pool.Submit([&] { return ++done; });
-    submitted = true;
-    f.get();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(submitted.load());
-  release = true;
-  submitter.join();
-  EXPECT_TRUE(submitted.load());
-  blocker.get();
-  for (auto& f : queued) f.get();
-  EXPECT_EQ(done.load(), 3);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
-TEST(ThreadPool, UnboundedByDefault) {
-  ThreadPool pool(1);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([i] { return i; }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i);
-  }
 }
 
 }  // namespace

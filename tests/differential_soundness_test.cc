@@ -1,15 +1,15 @@
-// Differential soundness: the cached + parallel + optimized pipeline must
-// be observationally identical to a fresh canonical single-threaded run.
+// Differential soundness: the cached + optimized pipeline must be
+// observationally identical to a fresh canonical run.
 //
 // Promoted from the EXP-S1 randomized campaign (bench/exp_fuzz_soundness)
 // into the test tier: hundreds of deterministic seeded scenarios — random
 // schemas, views, grants, queries, option combinations — each executed
 // through two independent authorizers:
-//   * the CANONICAL run: no cache, no parallelism, canonical data plan,
+//   * the CANONICAL run: no cache, canonical data plan,
 //     interpretive mask application (Authorizer::RowSatisfies) — it
 //     never touches the compiled-mask code the fast run uses;
-//   * the FAST run: authorization cache + parallel meta-evaluation +
-//     vectorized data plan + compiled batch mask application, executed
+//   * the FAST run: decision cache + vectorized data plan + compiled
+//     batch mask application, executed
 //     TWICE so the repeat is served from the cache.
 // Every observable — delivered answer, raw answer, mask (compared by
 // alpha-normalized structural keys), inferred permits (synthetic w-vars
@@ -63,11 +63,11 @@ Observed Summarize(const AuthorizationResult& result) {
   o.full_access = result.full_access;
   o.answer = result.answer.SortedRows();
   o.raw_answer = result.raw_answer.SortedRows();
-  for (const MetaTuple& tuple : result.mask.tuples()) {
+  for (const MetaTuple& tuple : result.mask().tuples()) {
     o.mask_keys.push_back(tuple.StructuralKey(/*include_provenance=*/false));
   }
   std::sort(o.mask_keys.begin(), o.mask_keys.end());
-  for (const InferredPermit& permit : result.permits) {
+  for (const InferredPermit& permit : result.permits()) {
     o.permits.push_back(NormalizeSyntheticVars(permit.ToString()));
   }
   std::sort(o.permits.begin(), o.permits.end());
@@ -89,7 +89,6 @@ struct ScenarioSetup {
   AuthorizationOptions canonical_options = options;
   canonical_options.enable_authz_cache = false;
   canonical_options.use_meta_cache = false;
-  canonical_options.parallel_meta_evaluation = false;
   canonical_options.use_optimized_data_plan = false;
 
   // The fast leg is the full default pipeline: vectorized columnar data
@@ -97,7 +96,6 @@ struct ScenarioSetup {
   AuthorizationOptions fast_options = options;
   fast_options.enable_authz_cache = true;
   fast_options.use_meta_cache = true;
-  fast_options.parallel_meta_evaluation = true;
   fast_options.use_optimized_data_plan = true;
 
   Authorizer canonical(setup.db, setup.canonical_catalog);
@@ -313,8 +311,8 @@ TEST(DifferentialSoundness, TwoRelationJoinScenarios) {
     options.padding = rng() % 2 == 0;
     options.subsumption = rng() % 2 == 0;
     options.extended_masks = rng() % 2 == 0;
-    // Self-joins exercised here: multi-relation queries take the
-    // parallel per-relation preparation path.
+    // Self-joins exercised here, over per-relation preparations of a
+    // multi-relation query.
     options.self_joins = rng() % 2 == 0;
 
     ScenarioSetup setup{&db, &canonical_catalog, &fast_catalog};
@@ -366,7 +364,6 @@ TEST(DifferentialSoundness, WriteMixMutationScenarios) {
   AuthorizationOptions canonical_options;
   canonical_options.enable_authz_cache = false;
   canonical_options.use_meta_cache = false;
-  canonical_options.parallel_meta_evaluation = false;
   canonical_options.use_optimized_data_plan = false;
   AuthorizationOptions vectorized_options;  // defaults: cache + vectorized
 

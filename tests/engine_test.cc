@@ -56,6 +56,8 @@ TEST_F(EngineTest, RetrieveMasksAndDescribes) {
   ASSERT_NE(engine_.last_result(), nullptr);
   EXPECT_FALSE(engine_.last_result()->full_access);
   EXPECT_EQ(engine_.last_result()->answer.size(), 2);
+  // The engine keeps no unmasked rows, titles included.
+  EXPECT_TRUE(engine_.last_result()->raw_answer.empty());
 }
 
 TEST_F(EngineTest, RetrieveFullAccessHasNoPermits) {
@@ -72,6 +74,7 @@ TEST_F(EngineTest, RetrieveDenied) {
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->find("permission denied"), std::string::npos);
   EXPECT_TRUE(engine_.last_result()->denied);
+  EXPECT_TRUE(engine_.last_result()->raw_answer.empty());
 }
 
 TEST_F(EngineTest, SessionUserAndAsClause) {

@@ -36,8 +36,8 @@ TEST(ExtendedMasks, RestrictionOnNonRequestedAttribute) {
   EXPECT_FALSE(extended->denied);
   ASSERT_EQ(extended->answer.size(), 1);
   EXPECT_TRUE(extended->answer.Contains(Tuple({Value::String("bq-45")})));
-  ASSERT_EQ(extended->permits.size(), 1u);
-  EXPECT_EQ(extended->permits[0].ToString(),
+  ASSERT_EQ(extended->permits().size(), 1u);
+  EXPECT_EQ(extended->permits()[0].ToString(),
             "permit (NUMBER) where SPONSOR = Acme");
 }
 
@@ -76,8 +76,8 @@ TEST(ExtendedMasks, ViewPredicateBecomesRowFilter) {
   ASSERT_EQ(result->answer.size(), 1);
   EXPECT_TRUE(result->answer.Contains(
       Tuple({Value::String("Adams"), Value::String("arrhythmia")})));
-  ASSERT_EQ(result->permits.size(), 1u);
-  EXPECT_EQ(result->permits[0].ToString(),
+  ASSERT_EQ(result->permits().size(), 1u);
+  EXPECT_EQ(result->permits()[0].ToString(),
             "permit (NAME, DIAGNOSIS) where PATIENT.WARD = cardiology");
 }
 
@@ -93,7 +93,7 @@ TEST(ExtendedMasks, FullAccessUnchanged) {
   ASSERT_TRUE(extended.ok());
   EXPECT_FALSE(extended->denied);
   EXPECT_TRUE(extended->full_access);
-  EXPECT_TRUE(extended->permits.empty());
+  EXPECT_TRUE(extended->permits().empty());
   EXPECT_EQ(extended->answer.size(), 1);
 }
 
