@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
       seeded = true;
     }
     std::cout << "viewauth repl — durable log '" << argv[1] << "' ("
-              << LogFormatToString(durable->format()) << ", "
+              << LogFormatToString(report.format) << ", "
               << report.records_replayed << " records replayed"
               << (seeded ? ", seeded with the paper's database" : "")
               << ").\nType 'help' for commands.\n";

@@ -290,6 +290,7 @@ std::string RecoveryReport::ToString() const {
   out << "format=" << LogFormatToString(format) << " records="
       << records_replayed;
   if (format != LogFormat::kLegacyText) out << " last_seq=" << last_good_seq;
+  if (format != LogFormat::kFramedV3) out << " rewritten as framed-v3";
   if (salvaged) {
     out << " salvaged: dropped " << dropped_records << " record"
         << (dropped_records == 1 ? "" : "s") << " (" << dropped_bytes
@@ -301,7 +302,6 @@ std::string RecoveryReport::ToString() const {
 std::string DurableStats::ToString() const {
   std::ostringstream out;
   out << "durability:\n"
-      << "  format              " << LogFormatToString(format) << "\n"
       << "  state               " << (degraded ? "DEGRADED" : "ok") << "\n"
       << "  appends             " << appends << " (" << append_bytes
       << " bytes)\n"
@@ -324,11 +324,6 @@ std::string DurableStats::ToString() const {
 }
 
 Result<std::unique_ptr<DurableEngine>> DurableEngine::Open(
-    const std::string& path) {
-  return Open(path, DurableOptions{});
-}
-
-Result<std::unique_ptr<DurableEngine>> DurableEngine::Open(
     const std::string& path, const DurableOptions& options) {
   FileSystem* fs = options.fs != nullptr ? options.fs : FileSystem::Default();
 
@@ -345,13 +340,10 @@ Result<std::unique_ptr<DurableEngine>> DurableEngine::Open(
   std::unique_ptr<DurableEngine> durable(new DurableEngine(
       path, options, fs, std::make_unique<Engine>()));
   durable->options_.fs = fs;
-  const bool salvage = options.recovery == RecoveryMode::kSalvage;
-  bool needs_magic = false;
+  RecoveryReport& recovery = durable->recovery_;
 
   if (contents.empty()) {
-    // Fresh (or zero-length) log: initialize as framed V3.
-    durable->format_ = LogFormat::kFramedV3;
-    needs_magic = true;
+    // Fresh (or zero-length) log: initialized as framed V3 below.
   } else if (StartsWith(contents, kMagicV3)) {
     VIEWAUTH_RETURN_NOT_OK(
         durable->RecoverFramed(contents, LogFormat::kFramedV3));
@@ -361,38 +353,42 @@ Result<std::unique_ptr<DurableEngine>> DurableEngine::Open(
   } else if (StartsWith(kMagicV3, contents) || StartsWith(kMagicV2, contents)) {
     // The file is a proper prefix of a magic line: a crash during log
     // creation. Nothing was ever committed.
-    if (!salvage) {
+    if (options.recovery != RecoveryMode::kSalvage) {
       return Status::Internal(
           "statement log '" + path +
           "' has a truncated header (reopen in salvage mode to reset it)");
     }
-    VIEWAUTH_RETURN_NOT_OK(fs->TruncateFile(path, 0));
-    durable->format_ = LogFormat::kFramedV3;
-    durable->recovery_.salvaged = true;
-    durable->recovery_.dropped_bytes = contents.size();
-    durable->recovery_.detail = "truncated log header";
-    needs_magic = true;
+    recovery.salvaged = true;
+    recovery.dropped_bytes = contents.size();
+    recovery.detail = "truncated log header";
   } else if (contents[0] == '#') {
     return Status::Internal("statement log '" + path +
                             "' has an unrecognized header line");
   } else {
     VIEWAUTH_RETURN_NOT_OK(durable->RecoverLegacy(contents));
   }
-  durable->recovery_.format = durable->format_;
 
-  VIEWAUTH_ASSIGN_OR_RETURN(
-      durable->log_, fs->NewWritableFile(path, WriteMode::kAppend));
-  if (needs_magic) {
-    VIEWAUTH_RETURN_NOT_OK(durable->log_->Append(kMagicV3));
-    if (durable->options_.sync_every_append) {
+  if (recovery.format != LogFormat::kFramedV3) {
+    // Older formats are inputs only: replace the log with its framed-V3
+    // dump before anything is appended.
+    VIEWAUTH_RETURN_NOT_OK(durable->RewriteLocked());
+  } else {
+    uint64_t& log_bytes = durable->stats_.log_bytes;
+    if (recovery.salvaged) {
+      VIEWAUTH_RETURN_NOT_OK(fs->TruncateFile(path, log_bytes));
+    }
+    VIEWAUTH_ASSIGN_OR_RETURN(durable->log_,
+                              fs->NewWritableFile(path, WriteMode::kAppend));
+    if (log_bytes == 0) {
+      VIEWAUTH_RETURN_NOT_OK(durable->log_->Append(kMagicV3));
       VIEWAUTH_RETURN_NOT_OK(durable->log_->Sync());
       // The log may have just been created: fsync the directory so the
       // file itself (not only its contents) survives a crash. Without
       // this, records acknowledged as durable could vanish with the
       // directory entry and the next Open would see a fresh empty log.
       VIEWAUTH_RETURN_NOT_OK(fs->SyncDirectoryOf(path));
+      log_bytes = kMagicV3.size();
     }
-    durable->log_bytes_ = kMagicV3.size();
   }
   // From here on, mutations stage privately and publish to readers only
   // once their commit (batch) is durable — a retrieve can never observe
@@ -403,7 +399,6 @@ Result<std::unique_ptr<DurableEngine>> DurableEngine::Open(
 
 Status DurableEngine::RecoverFramed(const std::string& contents,
                                     LogFormat format) {
-  format_ = format;
   const bool v3 = format == LogFormat::kFramedV3;
   FramedScan scan = ScanFramedLog(
       contents, v3 ? kMagicV3.size() : kMagicV2.size(), /*with_markers=*/v3);
@@ -420,8 +415,6 @@ Status DurableEngine::RecoverFramed(const std::string& contents,
           scan.detail + " (reopen in salvage mode to truncate it)");
     }
   }
-  // Replay before touching the file: a record that fails to parse or
-  // replay must fail the Open without side effects on disk.
   for (size_t i = 0; i < scan.payloads.size(); ++i) {
     auto stmt = ParseStatement(scan.payloads[i]);
     Status executed =
@@ -432,8 +425,8 @@ Status DurableEngine::RecoverFramed(const std::string& contents,
           " does not replay cleanly: " + executed.ToString());
     }
   }
+  recovery_.format = format;
   if (scan.damaged) {
-    VIEWAUTH_RETURN_NOT_OK(fs_->TruncateFile(path_, scan.valid_bytes));
     recovery_.salvaged = true;
     recovery_.dropped_records = scan.damaged_records;
     recovery_.dropped_bytes = contents.size() - scan.valid_bytes;
@@ -442,12 +435,11 @@ Status DurableEngine::RecoverFramed(const std::string& contents,
   recovery_.records_replayed = scan.payloads.size();
   recovery_.last_good_seq = scan.last_seq;
   next_seq_ = scan.payloads.empty() ? 1 : scan.last_seq + 1;
-  log_bytes_ = scan.valid_bytes;
+  stats_.log_bytes = scan.valid_bytes;
   return Status::OK();
 }
 
 Status DurableEngine::RecoverLegacy(const std::string& contents) {
-  format_ = LogFormat::kLegacyText;
   std::string effective = contents;
   bool salvaged_tail = false;
   auto parsed = ParseProgram(effective);
@@ -481,8 +473,6 @@ Status DurableEngine::RecoverLegacy(const std::string& contents) {
     }
     salvaged_tail = true;
   }
-  // Replay before touching the file: a statement that fails to replay
-  // must fail the Open without side effects on disk.
   for (const Statement& stmt : *parsed) {
     auto executed = engine_->ExecuteParsed(stmt);
     if (!executed.ok()) {
@@ -491,21 +481,20 @@ Status DurableEngine::RecoverLegacy(const std::string& contents) {
                               executed.status().ToString());
     }
   }
+  recovery_.format = LogFormat::kLegacyText;
   if (salvaged_tail) {
-    VIEWAUTH_RETURN_NOT_OK(fs_->TruncateFile(path_, effective.size()));
     recovery_.salvaged = true;
     recovery_.dropped_records = 1;
     recovery_.dropped_bytes = contents.size() - effective.size();
     recovery_.detail = "torn final line";
   }
   recovery_.records_replayed = parsed->size();
-  log_bytes_ = effective.size();
   return Status::OK();
 }
 
 void DurableEngine::EnterDegradedLocked(const std::string& reason,
                                         bool rollback) {
-  degraded_ = true;
+  stats_.degraded = true;
   degraded_reason_ = reason;
   if (log_ != nullptr) {
     (void)log_->Close();
@@ -514,7 +503,7 @@ void DurableEngine::EnterDegradedLocked(const std::string& reason,
   // Best effort: clip any torn or unfsynced bytes so the on-disk log
   // ends at the durable prefix. If the device is gone this fails
   // silently and the next Open salvages instead.
-  (void)fs_->TruncateFile(path_, log_bytes_);
+  (void)fs_->TruncateFile(path_, stats_.log_bytes);
   pending_buffer_.clear();
   pending_records_ = 0;
   // The aborted mutations already executed against the engine's staged
@@ -527,7 +516,7 @@ void DurableEngine::EnterDegradedLocked(const std::string& reason,
 Result<std::string> DurableEngine::Execute(
     const std::string& statement_text) {
   VIEWAUTH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement_text));
-  return ExecuteParsedDurable(stmt);
+  return ExecuteParsed(stmt);
 }
 
 Result<std::string> DurableEngine::ExecuteScript(
@@ -536,20 +525,14 @@ Result<std::string> DurableEngine::ExecuteScript(
                             ParseProgram(script_text));
   std::ostringstream out;
   for (const Statement& stmt : statements) {
-    VIEWAUTH_ASSIGN_OR_RETURN(std::string output,
-                              ExecuteParsedDurable(stmt));
+    VIEWAUTH_ASSIGN_OR_RETURN(std::string output, ExecuteParsed(stmt));
     if (!output.empty()) out << output << "\n";
   }
   return out.str();
 }
 
-Result<std::string> DurableEngine::ExecuteParsed(const Statement& statement,
+Result<std::string> DurableEngine::ExecuteParsed(const Statement& stmt,
                                                  const ExecLimits* limits) {
-  return ExecuteParsedDurable(statement, limits);
-}
-
-Result<std::string> DurableEngine::ExecuteParsedDurable(
-    const Statement& stmt, const ExecLimits* limits) {
   if (!IsMutating(stmt)) {
     // Lock-free reader path: retrieves and analyses pin the engine's
     // published snapshot and never touch mu_, so they make progress even
@@ -558,12 +541,18 @@ Result<std::string> DurableEngine::ExecuteParsedDurable(
     return engine_->ExecuteParsed(stmt, limits);
   }
   std::unique_lock<std::mutex> lock(mu_);
-  // Entry gate: wait out compaction and any batch mid-fsync. Blocking
-  // execution while a batch commits keeps the engine's staged head equal
-  // to exactly the sealed batch, so a successful publish can never leak
-  // a later, not-yet-durable mutation to readers.
-  cv_.wait(lock, [this] { return !compacting_ && !committing_; });
-  if (degraded_) {
+  // Entry gate: wait out compaction, any batch mid-fsync, and a forming
+  // batch that is already full. Blocking execution while a batch commits
+  // keeps the engine's staged head equal to exactly the sealed batch, so
+  // a successful publish can never leak a later, not-yet-durable
+  // mutation to readers; the cap check keeps stragglers from overfilling
+  // a batch while its leader waits for them.
+  const size_t max_batch =
+      static_cast<size_t>(std::max(1, options_.group_commit_max_batch));
+  cv_.wait(lock, [this, max_batch] {
+    return !compacting_ && !committing_ && pending_records_ < max_batch;
+  });
+  if (stats_.degraded) {
     return Status::Unavailable("statement log '" + path_ +
                                "' is in read-only degraded mode: " +
                                degraded_reason_);
@@ -572,10 +561,7 @@ Result<std::string> DurableEngine::ExecuteParsedDurable(
   // cannot see the mutation until its commit is durable.
   VIEWAUTH_ASSIGN_OR_RETURN(std::string output,
                             engine_->ExecuteParsed(stmt));
-  const bool batched =
-      format_ == LogFormat::kFramedV3 && options_.group_commit;
-  return batched ? CommitBatchedLocked(lock, stmt, std::move(output))
-                 : CommitSingleLocked(lock, stmt, std::move(output));
+  return CommitLocked(lock, stmt, std::move(output));
 }
 
 Status DurableEngine::AppendDurably(const std::string& data,
@@ -587,7 +573,7 @@ Status DurableEngine::AppendDurably(const std::string& data,
       return Status::Internal("statement log '" + path_ + "' is closed");
     }
     last = log_->Append(data);
-    if (last.ok() && options_.sync_every_append) last = log_->Sync();
+    if (last.ok()) last = log_->Sync();
     if (last.ok()) return last;
     if (attempt >= attempts) return last;
     if (retries != nullptr) ++(*retries);
@@ -606,48 +592,7 @@ Status DurableEngine::AppendDurably(const std::string& data,
   }
 }
 
-Result<std::string> DurableEngine::CommitSingleLocked(
-    std::unique_lock<std::mutex>& lock, const Statement& stmt,
-    std::string output) {
-  (void)lock;
-  const std::string line = StatementToString(stmt);
-  int retries = 0;
-  Status appended = [&]() -> Status {
-    std::string record;
-    switch (format_) {
-      case LogFormat::kLegacyText:
-        record = line + "\n";
-        break;
-      case LogFormat::kFramedV2:
-        record = FrameRecord(next_seq_, line);
-        break;
-      case LogFormat::kFramedV3:
-        // A batch of one: record plus its commit marker, one fsync.
-        record = FrameRecord(next_seq_, line);
-        record += FrameMarker(next_seq_, next_seq_);
-        break;
-    }
-    VIEWAUTH_RETURN_NOT_OK(AppendDurably(record, log_bytes_, &retries));
-    if (format_ != LogFormat::kLegacyText) ++next_seq_;
-    log_bytes_ += record.size();
-    ++appends_;
-    append_bytes_ += record.size();
-    return Status::OK();
-  }();
-  transient_retries_ += retries;
-  if (appended.ok() && retries > 0) ++transient_recoveries_;
-  if (!appended.ok()) {
-    EnterDegradedLocked("log append failed: " + appended.ToString(),
-                        /*rollback=*/true);
-    return Status::Unavailable(
-        "mutation was not committed (log append failed: " +
-        appended.ToString() + "); the engine is now read-only");
-  }
-  engine_->PublishStaged();
-  return output;
-}
-
-Result<std::string> DurableEngine::CommitBatchedLocked(
+Result<std::string> DurableEngine::CommitLocked(
     std::unique_lock<std::mutex>& lock, const Statement& stmt,
     std::string output) {
   // Stage this mutation's frame into the forming batch.
@@ -665,7 +610,7 @@ Result<std::string> DurableEngine::CommitBatchedLocked(
           "mutation was not committed (its commit batch aborted: " +
           degraded_reason_ + "); the engine is now read-only");
     }
-    if (degraded_) {
+    if (stats_.degraded) {
       // Defensive: an earlier failure drained the queue before this
       // batch could elect a leader.
       return Status::Unavailable(
@@ -682,7 +627,7 @@ Result<std::string> DurableEngine::CommitBatchedLocked(
       const size_t records = std::exchange(pending_records_, 0);
       batch += FrameMarker(pending_first_seq_, next_seq_ - 1);
       const uint64_t epoch = pending_epoch_++;
-      const uint64_t durable_offset = log_bytes_;
+      const uint64_t durable_offset = stats_.log_bytes;
       committing_ = true;
       lock.unlock();
       // Leader exclusivity: only the leader touches log_ with mu_
@@ -692,23 +637,23 @@ Result<std::string> DurableEngine::CommitBatchedLocked(
       Status written = AppendDurably(batch, durable_offset, &retries);
       lock.lock();
       committing_ = false;
-      transient_retries_ += retries;
-      if (written.ok() && retries > 0) ++transient_recoveries_;
+      stats_.transient_retries += retries;
+      if (written.ok() && retries > 0) ++stats_.transient_recoveries;
       resolved_epoch_ = epoch;
       if (written.ok()) {
         durable_epoch_ = epoch;
-        log_bytes_ += batch.size();
-        ++appends_;
-        append_bytes_ += batch.size();
-        ++commit_batches_;
-        batched_records_ += records;
-        fsyncs_saved_ += records - 1;
+        stats_.log_bytes += batch.size();
+        ++stats_.appends;
+        stats_.append_bytes += batch.size();
+        ++stats_.commit_batches;
+        stats_.batched_records += records;
+        stats_.fsyncs_saved += records - 1;
         engine_->PublishStaged();
       } else {
         // The whole batch aborts: no waiter is acknowledged, the staged
         // engine state rolls back, and the torn append (if any bytes
         // reached the file) is clipped back to the durable prefix.
-        ++batch_aborts_;
+        ++stats_.batch_aborts;
         EnterDegradedLocked("batch commit failed: " + written.ToString(),
                             /*rollback=*/true);
       }
@@ -738,11 +683,72 @@ void DurableEngine::WaitForStragglersLocked(
   }
 }
 
+Status DurableEngine::RewriteLocked() {
+  VIEWAUTH_ASSIGN_OR_RETURN(std::string script, engine_->DumpScript());
+  VIEWAUTH_ASSIGN_OR_RETURN(std::vector<Statement> statements,
+                            ParseProgram(script));
+  std::string buffer(kMagicV3);
+  uint64_t seq = 0;
+  for (const Statement& stmt : statements) {
+    buffer += FrameRecord(++seq, StatementToString(stmt));
+  }
+  // One marker commits the whole dump.
+  if (seq > 0) buffer += FrameMarker(1, seq);
+
+  // Stage the replacement; any failure here leaves the original log
+  // and the open append handle untouched.
+  const std::string tmp_path = path_ + ".tmp";
+  Status written;
+  {
+    auto file = fs_->NewWritableFile(tmp_path, WriteMode::kTruncate);
+    if (!file.ok()) {
+      return Status::Internal("rewrite of '" + path_ +
+                              "' failed to stage: " +
+                              file.status().ToString());
+    }
+    written = (*file)->Append(buffer);
+    if (written.ok()) written = (*file)->Sync();
+    Status closed = (*file)->Close();
+    if (written.ok()) written = closed;
+  }
+  if (!written.ok()) {
+    (void)fs_->RemoveFile(tmp_path);
+    return Status::Internal("rewrite of '" + path_ + "' failed: " +
+                            written.ToString());
+  }
+  Status renamed = fs_->RenameFile(tmp_path, path_);
+  if (!renamed.ok()) {
+    (void)fs_->RemoveFile(tmp_path);
+    return Status::Internal("rewrite of '" + path_ +
+                            "' failed to commit: " + renamed.ToString());
+  }
+
+  // The rename committed: the rewritten log is the live one. The old
+  // append handle points at the unlinked previous file; swap it out.
+  if (log_ != nullptr) (void)log_->Close();
+  log_.reset();
+  next_seq_ = seq + 1;
+  stats_.log_bytes = buffer.size();
+  auto reopened = fs_->NewWritableFile(path_, WriteMode::kAppend);
+  if (!reopened.ok()) {
+    // The rewritten state is fully durable, but nothing more can be
+    // appended: fail stop without rolling back.
+    EnterDegradedLocked("cannot reopen statement log after rewrite: " +
+                            reopened.status().ToString(),
+                        /*rollback=*/false);
+    return Status::Unavailable(
+        "rewrite committed but the log could not be reopened; the engine "
+        "is now read-only: " + reopened.status().ToString());
+  }
+  log_ = std::move(*reopened);
+  return Status::OK();
+}
+
 Status DurableEngine::Compact() {
   std::unique_lock<std::mutex> lock(mu_);
   // One compaction at a time; a second caller queues behind the first.
   cv_.wait(lock, [this] { return !compacting_; });
-  if (degraded_) {
+  if (stats_.degraded) {
     return Status::Unavailable("statement log '" + path_ +
                                "' is in read-only degraded mode: " +
                                degraded_reason_);
@@ -752,76 +758,13 @@ Status DurableEngine::Compact() {
   // frames drain through their leader before the rewrite starts.
   compacting_ = true;
   cv_.wait(lock, [this] { return !leader_active_ && pending_records_ == 0; });
-
-  auto compact_locked = [&]() -> Status {
-    if (degraded_) {
-      return Status::Unavailable("statement log '" + path_ +
-                                 "' is in read-only degraded mode: " +
-                                 degraded_reason_);
-    }
-    VIEWAUTH_ASSIGN_OR_RETURN(std::string script, engine_->DumpScript());
-    VIEWAUTH_ASSIGN_OR_RETURN(std::vector<Statement> statements,
-                              ParseProgram(script));
-    std::string buffer(kMagicV3);
-    uint64_t seq = 0;
-    for (const Statement& stmt : statements) {
-      buffer += FrameRecord(++seq, StatementToString(stmt));
-    }
-    // One marker commits the whole dump.
-    if (seq > 0) buffer += FrameMarker(1, seq);
-
-    // Stage the replacement; any failure here leaves the original log
-    // and the open append handle untouched.
-    const std::string tmp_path = path_ + ".tmp";
-    Status written;
-    {
-      auto file = fs_->NewWritableFile(tmp_path, WriteMode::kTruncate);
-      if (!file.ok()) {
-        return Status::Internal("compaction of '" + path_ +
-                                "' failed to stage: " +
-                                file.status().ToString());
-      }
-      written = (*file)->Append(buffer);
-      if (written.ok()) written = (*file)->Sync();
-      Status closed = (*file)->Close();
-      if (written.ok()) written = closed;
-    }
-    if (!written.ok()) {
-      (void)fs_->RemoveFile(tmp_path);
-      return Status::Internal("compaction of '" + path_ + "' failed: " +
-                              written.ToString());
-    }
-    Status renamed = fs_->RenameFile(tmp_path, path_);
-    if (!renamed.ok()) {
-      (void)fs_->RemoveFile(tmp_path);
-      return Status::Internal("compaction of '" + path_ +
-                              "' failed to commit: " + renamed.ToString());
-    }
-
-    // The rename committed: the compact log is the live one. The old
-    // append handle points at the unlinked previous file; swap it out.
-    if (log_ != nullptr) (void)log_->Close();
-    log_.reset();
-    next_seq_ = seq + 1;
-    format_ = LogFormat::kFramedV3;
-    log_bytes_ = buffer.size();
-    ++compactions_;
-    auto reopened = fs_->NewWritableFile(path_, WriteMode::kAppend);
-    if (!reopened.ok()) {
-      // The compacted state is fully durable, but nothing more can be
-      // appended: fail stop without rolling back.
-      EnterDegradedLocked("cannot reopen statement log after compaction: " +
-                              reopened.status().ToString(),
-                          /*rollback=*/false);
-      return Status::Unavailable(
-          "compaction committed but the log could not be reopened; the "
-          "engine is now read-only: " + reopened.status().ToString());
-    }
-    log_ = std::move(*reopened);
-    return Status::OK();
-  };
-
-  Status result = compact_locked();
+  Status result =
+      stats_.degraded
+          ? Status::Unavailable("statement log '" + path_ +
+                                "' is in read-only degraded mode: " +
+                                degraded_reason_)
+          : RewriteLocked();
+  if (result.ok()) ++stats_.compactions;
   compacting_ = false;
   cv_.notify_all();
   return result;
@@ -829,24 +772,12 @@ Status DurableEngine::Compact() {
 
 bool DurableEngine::degraded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return degraded_;
+  return stats_.degraded;
 }
 
 DurableStats DurableEngine::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  DurableStats stats;
-  stats.format = format_;
-  stats.degraded = degraded_;
-  stats.appends = appends_;
-  stats.append_bytes = append_bytes_;
-  stats.compactions = compactions_;
-  stats.log_bytes = log_bytes_;
-  stats.commit_batches = commit_batches_;
-  stats.batched_records = batched_records_;
-  stats.fsyncs_saved = fsyncs_saved_;
-  stats.batch_aborts = batch_aborts_;
-  stats.transient_retries = transient_retries_;
-  stats.transient_recoveries = transient_recoveries_;
+  DurableStats stats = stats_;
   stats.snapshots_live = engine_->snapshots_live();
   stats.recovery = recovery_;
   return stats;

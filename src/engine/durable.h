@@ -7,10 +7,10 @@
 // Retrieves and analyzes are not logged (they do not change state; the
 // audit log covers them).
 //
-// Log formats
-//   Framed V3 (written by this version): the file starts with the magic
-//   line "#viewauth-log v3", followed by framed records and batch
-//   commit markers:
+// Log format
+//   Framed V3, the only format this version appends: the file starts
+//   with the magic line "#viewauth-log v3", followed by framed records
+//   and batch commit markers:
 //
 //       @<seq> <payload-length> <crc32-hex>\n
 //       <normalized statement text>\n
@@ -24,26 +24,24 @@
 //   and recovery replays only marker-covered records. A batch that
 //   crashed mid-append — partial record, records without their marker,
 //   torn marker — is an uncommitted tail: fatal in kStrict, truncated
-//   to the last committed boundary in kSalvage. The group-commit
-//   protocol appends each batch's records and marker as one write and
-//   acknowledges after one fsync, so an acknowledged mutation is always
-//   behind a durable marker.
+//   to the last committed boundary in kSalvage.
 //
-//   Framed V2: the same framed records without markers; every record is
-//   committed individually. V2 logs are still replayed and appended to
-//   per-record (group commit needs markers), and are upgraded to V3 by
-//   the first Compact().
-//
-//   Legacy V1 (plain text): one normalized statement per line, exactly
-//   what Engine::DumpScript emits. Replayed and appended to in its own
-//   format; upgraded to framed V3 by the first Compact().
+//   Older logs are inputs only. Framed V2 (the same records without
+//   markers, each committed individually) and legacy V1 plain text (one
+//   normalized statement per line, what Engine::DumpScript emits) replay
+//   under the same strict/salvage rules; Open then rewrites the log as
+//   framed V3 through the compaction rewrite below, before the first
+//   append.
 //
 // Group commit
-//   Concurrent mutations batch: the first waiter becomes the batch
-//   leader, waits a bounded straggler window for followers, then writes
-//   every staged frame plus the commit marker with a single append and
-//   a single fsync. Followers block until their batch resolves. If the
-//   append or fsync fails the *whole batch* aborts: every waiter gets
+//   Every mutation commits through one protocol. The first waiter
+//   becomes the batch leader, waits a bounded straggler window for
+//   followers, then writes every staged frame plus the commit marker
+//   with a single append and a single fsync, and acknowledges only
+//   after it. A batch never holds more than group_commit_max_batch
+//   records; a cap of 1 is one append + one fsync per mutation.
+//   Followers block until their batch resolves. If the append or fsync
+//   fails the *whole batch* aborts: every waiter gets
 //   Status::Unavailable, the staged engine state rolls back, and the
 //   engine enters degraded mode — no acknowledged-then-lost commit, in
 //   either direction. Retrieves never touch the commit path: they pin
@@ -68,11 +66,14 @@
 // Compaction
 //   Compact() quiesces the commit queue (waits for the in-flight batch
 //   and drains staged frames; mutations arriving mid-compaction block),
-//   dumps the current state as framed V3 into `<path>.tmp`, fsyncs it,
-//   atomically renames it over the log, and fsyncs the directory. On
-//   any failure before the rename commits, the original log and the
-//   open append handle are left untouched, so the engine remains fully
-//   usable.
+//   then rewrites the log: it dumps the current state as framed V3 into
+//   `<path>.tmp`, fsyncs it, atomically renames it over the log (the
+//   rename fsyncs the directory), and reopens the append handle. On any
+//   failure before the rename commits, the original log and the open
+//   append handle are left untouched, so the engine remains fully
+//   usable. Open uses the same rewrite to upgrade a V2 or legacy log; a
+//   failure there fails the Open and leaves the original log
+//   byte-identical.
 
 #ifndef VIEWAUTH_ENGINE_DURABLE_H_
 #define VIEWAUTH_ENGINE_DURABLE_H_
@@ -90,6 +91,8 @@
 
 namespace viewauth {
 
+// The format Open found (RecoveryReport::format); the log is framed V3
+// once Open succeeds.
 enum class LogFormat {
   kLegacyText,  // plain statement-per-line (pre-V2)
   kFramedV2,    // magic header + framed, checksummed records
@@ -109,6 +112,7 @@ enum class RecoveryMode {
 
 // What Open() found and did while replaying the log.
 struct RecoveryReport {
+  // The format found; anything but V3 was rewritten as framed V3.
   LogFormat format = LogFormat::kFramedV3;
   // True when salvage dropped a damaged tail (always false in kStrict:
   // damage fails the open instead).
@@ -126,11 +130,11 @@ struct RecoveryReport {
 
 // Counters surfaced by the REPL's \stats command.
 struct DurableStats {
-  LogFormat format = LogFormat::kFramedV3;
   bool degraded = false;
   uint64_t appends = 0;
   uint64_t append_bytes = 0;
   uint64_t compactions = 0;
+  // Bytes of the log known to be durable (the append offset).
   uint64_t log_bytes = 0;
   // Group-commit batches fsynced (each is one append + one fsync).
   uint64_t commit_batches = 0;
@@ -157,17 +161,10 @@ struct DurableOptions {
   // Defaults to FileSystem::Default(); tests inject faults here. The
   // filesystem must outlive the engine.
   FileSystem* fs = nullptr;
-  // fsync each commit (per batch under group commit, per record
-  // otherwise). Disable only for bulk loads where losing the tail on a
-  // crash is acceptable.
-  bool sync_every_append = true;
-  // Batch concurrent mutations into single append+fsync commits (V3
-  // logs only; V2/legacy logs always commit per record). Disabling
-  // falls back to one append+fsync per mutation — the baseline the
-  // group-commit bench compares against.
-  bool group_commit = true;
   // How long a batch leader waits for stragglers to join before
-  // sealing, and the hard cap on records per batch.
+  // sealing, and the hard cap on records per batch (1 = one append +
+  // one fsync per mutation, the baseline the group-commit bench
+  // compares against).
   long long group_commit_window_us = 50;
   int group_commit_max_batch = 128;
   // Transient-fault self-healing: how many times a failed commit append
@@ -182,13 +179,12 @@ struct DurableOptions {
 
 class DurableEngine {
  public:
-  // Opens (creating if absent) the statement log at `path` in kStrict
-  // mode, replaying any existing contents. Fails if the existing log
-  // does not replay cleanly.
-  static Result<std::unique_ptr<DurableEngine>> Open(const std::string& path);
-
+  // Opens (creating if absent) the statement log at `path`, replaying
+  // any existing contents under options.recovery (kStrict by default:
+  // fails if the log does not replay cleanly). A V2 or legacy log is
+  // then rewritten as framed V3.
   static Result<std::unique_ptr<DurableEngine>> Open(
-      const std::string& path, const DurableOptions& options);
+      const std::string& path, const DurableOptions& options = {});
 
   // Executes one statement; successful mutating statements are appended
   // to the log (and fsynced, possibly as part of a batch) before the
@@ -210,9 +206,8 @@ class DurableEngine {
                                     const ExecLimits* limits = nullptr);
 
   // Rewrites the log as the compact framed-V3 DumpScript of the current
-  // state (compaction: dropped rows and revoked grants disappear; V2
-  // and legacy logs are upgraded to the framed-V3 format). Crash-safe:
-  // the original log is replaced atomically or not at all. Quiesces the
+  // state (dropped rows and revoked grants disappear). Crash-safe: the
+  // original log is replaced atomically or not at all. Quiesces the
   // group-commit queue first; mutations arriving mid-compaction block
   // until it finishes.
   Status Compact();
@@ -232,7 +227,6 @@ class DurableEngine {
     return degraded_reason_;
   }
 
-  LogFormat format() const { return format_; }
   const RecoveryReport& recovery_report() const { return recovery_; }
   DurableStats stats() const;
 
@@ -244,17 +238,11 @@ class DurableEngine {
         fs_(fs),
         engine_(std::move(engine)) {}
 
-  Result<std::string> ExecuteParsedDurable(const Statement& statement,
-                                           const ExecLimits* limits = nullptr);
-  // The two commit paths for a mutation that already executed (staged,
-  // unpublished) under mu_. Both publish on success and roll back into
-  // degraded mode on failure.
-  Result<std::string> CommitSingleLocked(std::unique_lock<std::mutex>& lock,
-                                         const Statement& stmt,
-                                         std::string output);
-  Result<std::string> CommitBatchedLocked(std::unique_lock<std::mutex>& lock,
-                                          const Statement& stmt,
-                                          std::string output);
+  // Commits a mutation that already executed (staged, unpublished)
+  // under mu_ through the group-commit batch. Publishes on success and
+  // rolls back into degraded mode on failure.
+  Result<std::string> CommitLocked(std::unique_lock<std::mutex>& lock,
+                                   const Statement& stmt, std::string output);
   // Leader-side straggler wait: sleeps in short slices until the window
   // elapses, the batch hits its cap, or arrivals stop.
   void WaitForStragglersLocked(std::unique_lock<std::mutex>& lock);
@@ -264,17 +252,26 @@ class DurableEngine {
   // each retry truncates the file back to `durable_offset` — the known
   // durable prefix — so a torn append or an fsync-dropped page cannot
   // survive into the next attempt, then backs off and re-appends.
-  // `retries` counts attempts beyond the first. Caller must hold leader
-  // exclusivity over log_ (mu_ in the single path; committing_ in the
-  // batched path).
+  // `retries` counts attempts beyond the first. Caller must be the batch
+  // leader with committing_ set (exclusive use of log_).
   Status AppendDurably(const std::string& data, uint64_t durable_offset,
                        int* retries);
 
-  // Replays a framed (V2/V3) / legacy plain-text log body, applying the
-  // configured recovery mode (salvage truncates a damaged tail on disk)
-  // and filling in recovery_, next_seq_, log_bytes_.
+  // Replay a framed (V2/V3) / legacy plain-text log body under the
+  // configured recovery mode and fill in recovery_; RecoverFramed also
+  // sets next_seq_ and stats_.log_bytes (the end of the valid prefix).
+  // Neither touches the file: Open clips a salvaged V3 tail, and
+  // rewrites other formats.
   Status RecoverFramed(const std::string& contents, LogFormat format);
   Status RecoverLegacy(const std::string& contents);
+
+  // Replaces the log with the framed-V3 dump of the engine's state:
+  // stages `<path>.tmp`, fsyncs it, renames it over the log and reopens
+  // the append handle. A failure before the rename leaves the log and
+  // log_ untouched; a failed reopen after it enters degraded mode.
+  // Requires mu_ and no batch in flight (Compact quiesces; Open runs
+  // before any other thread can reach the engine).
+  Status RewriteLocked();
 
   // Transitions to read-only degraded mode. When `rollback` is set the
   // engine's staged (acknowledged-but-not-durable) snapshot is
@@ -287,22 +284,12 @@ class DurableEngine {
   FileSystem* fs_;
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<WritableFile> log_;
-  LogFormat format_ = LogFormat::kFramedV3;
   uint64_t next_seq_ = 1;
-  // Bytes of the log known to be durable (the append offset).
-  uint64_t log_bytes_ = 0;
   RecoveryReport recovery_;
-  bool degraded_ = false;
+  // Counters, the degraded flag and the durable append offset
+  // (log_bytes); stats() adds snapshots_live and recovery_.
+  DurableStats stats_;
   std::string degraded_reason_;
-  uint64_t appends_ = 0;
-  uint64_t append_bytes_ = 0;
-  uint64_t compactions_ = 0;
-  uint64_t commit_batches_ = 0;
-  uint64_t batched_records_ = 0;
-  uint64_t fsyncs_saved_ = 0;
-  uint64_t batch_aborts_ = 0;
-  uint64_t transient_retries_ = 0;
-  uint64_t transient_recoveries_ = 0;
 
   // --- group-commit state (all under mu_) -------------------------------
   // Frames staged for the next batch, and how many records they hold.

@@ -4,7 +4,8 @@
 // For a seeded catalog workload, simulates a hard crash at EVERY byte
 // boundary while the statement log is being appended, and at every fault
 // point of a compaction (each staged byte, the staging fsync, the rename
-// commit). After each simulated crash the log is reopened the way a
+// commit) and of the rewrite that upgrades a plain-text log to framed V3
+// inside Open. After each simulated crash the log is reopened the way a
 // restarted process would — on the real filesystem, in salvage mode —
 // and the recovered catalog must equal the state produced by a PREFIX of
 // the applied mutating statements: crashes may lose the tail, but they
@@ -183,43 +184,68 @@ TEST_F(CrashTortureTest, CompactionCrashAtEveryFaultPoint) {
     full_dump = *dump;
   }
   const std::string pristine = ReadAll(path_);
+  // The same workload as a plain-text log, which Open rewrites as framed
+  // V3 through the same staging as a compaction.
+  std::string plain;
+  for (const std::string& stmt : stmts) plain += stmt + "\n";
 
-  // Dry run to learn how many bytes a compaction stages.
-  uint64_t staged_bytes = 0;
-  {
-    FaultInjectingFileSystem fs(FileSystem::Default());
-    DurableOptions options;
-    options.fs = &fs;
-    auto durable = DurableEngine::Open(path_, options);
-    ASSERT_TRUE(durable.ok()) << durable.status();
-    ASSERT_TRUE((*durable)->Compact().ok());
-    staged_bytes = fs.bytes_written();
-  }
-  ASSERT_GT(staged_bytes, 0u);
+  struct StagedRewrite {
+    const char* name;
+    const std::string& log;
+    bool in_open;  // the rewrite runs inside Open, not Compact()
+  };
+  for (const StagedRewrite& input :
+       {StagedRewrite{"compaction", pristine, false},
+        StagedRewrite{"open-time rewrite", plain, true}}) {
+    SCOPED_TRACE(input.name);
+    // Dry run to learn how many bytes the rewrite stages.
+    uint64_t staged_bytes = 0;
+    {
+      WriteAll(path_, input.log);
+      FaultInjectingFileSystem fs(FileSystem::Default());
+      DurableOptions options;
+      options.fs = &fs;
+      auto durable = DurableEngine::Open(path_, options);
+      ASSERT_TRUE(durable.ok()) << durable.status();
+      if (!input.in_open) {
+        ASSERT_TRUE((*durable)->Compact().ok());
+      }
+      staged_bytes = fs.bytes_written();
+    }
+    ASSERT_GT(staged_bytes, 0u);
 
-  // Crash while writing <path>.tmp, at every byte boundary. The rename
-  // never commits, so the original log must be byte-identical and a
-  // strict reopen must see the full pre-crash state.
-  for (uint64_t crash_at = 0; crash_at < staged_bytes; ++crash_at) {
-    WriteAll(path_, pristine);
-    FaultInjectingFileSystem fs(FileSystem::Default());
-    fs.set_crash_after_bytes(static_cast<int64_t>(crash_at));
-    DurableOptions options;
-    options.fs = &fs;
-    auto durable = DurableEngine::Open(path_, options);
-    ASSERT_TRUE(durable.ok())
-        << "crash offset " << crash_at << ": " << durable.status();
-    EXPECT_FALSE((*durable)->Compact().ok()) << "crash offset " << crash_at;
-    EXPECT_EQ(ReadAll(path_), pristine) << "crash offset " << crash_at;
+    // Crash while writing <path>.tmp, at every byte boundary. The rename
+    // never commits, so the original log must be byte-identical and a
+    // strict reopen must see the full pre-crash state (completing the
+    // rewrite, for the plain-text log).
+    for (uint64_t crash_at = 0; crash_at < staged_bytes; ++crash_at) {
+      WriteAll(path_, input.log);
+      FaultInjectingFileSystem fs(FileSystem::Default());
+      fs.set_crash_after_bytes(static_cast<int64_t>(crash_at));
+      DurableOptions options;
+      options.fs = &fs;
+      auto durable = DurableEngine::Open(path_, options);
+      if (input.in_open) {
+        EXPECT_FALSE(durable.ok()) << "crash offset " << crash_at;
+      } else {
+        ASSERT_TRUE(durable.ok())
+            << "crash offset " << crash_at << ": " << durable.status();
+        EXPECT_FALSE((*durable)->Compact().ok())
+            << "crash offset " << crash_at;
+      }
+      EXPECT_EQ(ReadAll(path_), input.log) << "crash offset " << crash_at;
 
-    auto recovered = DurableEngine::Open(path_);  // strict: no damage
-    ASSERT_TRUE(recovered.ok())
-        << "crash offset " << crash_at << ": " << recovered.status();
-    auto dump = (*recovered)->engine().DumpScript();
-    ASSERT_TRUE(dump.ok());
-    EXPECT_EQ(*dump, full_dump) << "crash offset " << crash_at;
-    // The reopen also cleared the half-staged temp file.
-    EXPECT_FALSE(FileSystem::Default()->FileExists(path_ + ".tmp"));
+      auto recovered = DurableEngine::Open(path_);  // strict: no damage
+      ASSERT_TRUE(recovered.ok())
+          << "crash offset " << crash_at << ": " << recovered.status();
+      auto dump = (*recovered)->engine().DumpScript();
+      ASSERT_TRUE(dump.ok());
+      EXPECT_EQ(*dump, full_dump) << "crash offset " << crash_at;
+      EXPECT_EQ(ReadAll(path_).rfind("#viewauth-log v3\n", 0), 0u)
+          << "crash offset " << crash_at;
+      // The reopen also cleared the half-staged temp file.
+      EXPECT_FALSE(FileSystem::Default()->FileExists(path_ + ".tmp"));
+    }
   }
 
   // Transient fsync failure while staging: compaction reports the error,

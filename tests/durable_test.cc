@@ -1,6 +1,7 @@
 // Tests for the durable (statement-logged) engine: framed-V3 logging
-// with batch commit markers, group commit, legacy replay + upgrade,
-// salvage recovery, crash-safe compaction and fail-stop degraded mode.
+// with batch commit markers, group commit, legacy / V2 replay and the
+// open-time rewrite to V3, salvage recovery, crash-safe compaction and
+// fail-stop degraded mode.
 
 #include "engine/durable.h"
 
@@ -9,10 +10,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 #include <unistd.h>
 
+#include "common/crc32.h"
 #include "common/file.h"
 #include "test_fs_util.h"
 #include "tests/test_util.h"
@@ -34,6 +37,30 @@ void WriteAll(const std::string& path, const std::string& contents) {
 void AppendRaw(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << bytes;
+}
+
+// True when the file at `path` is a framed-V3 log (what every
+// successful Open leaves behind).
+bool IsFramedV3(const std::string& path) {
+  return ReadAll(path).rfind("#viewauth-log v3\n", 0) == 0;
+}
+
+// One framed-V2 record: "@<seq> <len> <crc32-hex>\n<payload>\n".
+std::string V2Record(uint64_t seq, const std::string& payload) {
+  char header[64];
+  std::snprintf(header, sizeof(header), "@%llu %zu %08x\n",
+                static_cast<unsigned long long>(seq), payload.size(),
+                Crc32(payload));
+  return header + payload + "\n";
+}
+
+// A framed-V2 log of `statements`, one record each.
+std::string V2Log(const std::vector<std::string>& statements) {
+  std::string log = "#viewauth-log v2\n";
+  for (size_t i = 0; i < statements.size(); ++i) {
+    log += V2Record(i + 1, statements[i]);
+  }
+  return log;
 }
 
 DurableOptions Salvage() {
@@ -165,7 +192,7 @@ TEST_F(DurableTest, CompactedKeyedLogReplaysInLinearTime) {
     const std::string key = std::to_string(i);
     script += "insert into K values (" + key + ", " + key + ", 1)\n";
   }
-  WriteAll(path_, script);  // a legacy log; compaction reframes it
+  WriteAll(path_, script);  // a legacy log; Open reframes it
   {
     auto durable = DurableEngine::Open(path_);
     ASSERT_TRUE(durable.ok()) << durable.status();
@@ -199,7 +226,8 @@ TEST_F(DurableTest, NewLogsAreFramedV3) {
   {
     auto durable = DurableEngine::Open(path_);
     ASSERT_TRUE(durable.ok()) << durable.status();
-    EXPECT_EQ((*durable)->format(), LogFormat::kFramedV3);
+    EXPECT_EQ((*durable)->recovery_report().format, LogFormat::kFramedV3);
+    EXPECT_TRUE(IsFramedV3(path_));
     ASSERT_TRUE((*durable)->Execute("relation T (A int)").ok());
     ASSERT_TRUE((*durable)->Execute("insert into T values (1)").ok());
   }
@@ -218,7 +246,10 @@ TEST_F(DurableTest, NewLogsAreFramedV3) {
   EXPECT_FALSE(report.salvaged);
   EXPECT_EQ(report.records_replayed, 2u);
   EXPECT_EQ(report.last_good_seq, 2u);
+  EXPECT_EQ(report.ToString().find("rewritten"), std::string::npos);
   EXPECT_EQ((*reopened)->engine().db().GetRelation("T").value()->size(), 1);
+  // A V3 log is appended to in place, not rewritten.
+  EXPECT_EQ(ReadAll(path_), contents);
 }
 
 TEST_F(DurableTest, UncommittedBatchTailIsInvisibleAfterSalvage) {
@@ -285,6 +316,7 @@ TEST_F(DurableTest, TornHeaderTailSalvages) {
   EXPECT_NE(report.detail.find("truncated record header"),
             std::string::npos);
   EXPECT_EQ((*salvaged)->engine().db().GetRelation("T").value()->size(), 1);
+  EXPECT_TRUE(IsFramedV3(path_));
 
   // Salvage physically truncated the tail: a strict reopen now works,
   // and appends continue from the salvaged sequence number.
@@ -392,20 +424,23 @@ TEST_F(DurableTest, LegacyLogReplaysAndAppendsStayLegacy) {
            "permit VA to u\n");
   auto durable = DurableEngine::Open(path_);
   ASSERT_TRUE(durable.ok()) << durable.status();
-  EXPECT_EQ((*durable)->format(), LogFormat::kLegacyText);
+  EXPECT_EQ((*durable)->recovery_report().format, LogFormat::kLegacyText);
   EXPECT_EQ((*durable)->recovery_report().records_replayed, 4u);
   EXPECT_TRUE((*durable)->engine().catalog().IsPermitted("u", "VA"));
 
-  // Appends keep the legacy shape so the file stays consistently
-  // parseable without a compaction.
+  // Appends to a replayed legacy log no longer keep the legacy shape:
+  // Open rewrote the file as framed V3, so the append is framed too and
+  // the whole history replays on reopen.
   ASSERT_TRUE((*durable)->Execute("insert into T values (y, 2)").ok());
   const std::string contents = ReadAll(path_);
-  EXPECT_EQ(contents.find('@'), std::string::npos);
+  EXPECT_TRUE(IsFramedV3(path_)) << contents;
   EXPECT_NE(contents.find("insert into T values (y, 2)"),
             std::string::npos);
   auto reopened = DurableEngine::Open(path_);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->recovery_report().records_replayed, 5u);
   EXPECT_EQ((*reopened)->engine().db().GetRelation("T").value()->size(), 2);
+  EXPECT_TRUE((*reopened)->engine().catalog().IsPermitted("u", "VA"));
 }
 
 TEST_F(DurableTest, LegacyLogUpgradesToFramedOnCompact) {
@@ -415,9 +450,12 @@ TEST_F(DurableTest, LegacyLogUpgradesToFramedOnCompact) {
            "insert into T values (2)\n");
   auto durable = DurableEngine::Open(path_);
   ASSERT_TRUE(durable.ok()) << durable.status();
+  // Open already upgraded the log; compacting it keeps it V3 and is
+  // counted, unlike the open-time rewrite.
+  EXPECT_EQ((*durable)->stats().compactions, 0u);
   ASSERT_TRUE((*durable)->Compact().ok());
-  EXPECT_EQ((*durable)->format(), LogFormat::kFramedV3);
-  EXPECT_TRUE(ReadAll(path_).rfind("#viewauth-log v3\n", 0) == 0);
+  EXPECT_EQ((*durable)->stats().compactions, 1u);
+  EXPECT_TRUE(IsFramedV3(path_));
 
   // Post-upgrade appends are framed and the log replays as V3.
   ASSERT_TRUE((*durable)->Execute("insert into T values (3)").ok());
@@ -425,6 +463,83 @@ TEST_F(DurableTest, LegacyLogUpgradesToFramedOnCompact) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->recovery_report().format, LogFormat::kFramedV3);
   EXPECT_EQ((*reopened)->engine().db().GetRelation("T").value()->size(), 3);
+}
+
+TEST_F(DurableTest, LegacyLogIsRewrittenAsV3OnOpen) {
+  const std::string legacy =
+      "relation T (A string key, B int)\n"
+      "insert into T values (x, 1)\n"
+      "view VA (T.A, T.B) where T.B >= 1\n"
+      "permit VA to u\n";
+  WriteAll(path_, legacy);
+  auto durable = DurableEngine::Open(path_);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  const RecoveryReport& report = (*durable)->recovery_report();
+  EXPECT_EQ(report.format, LogFormat::kLegacyText);
+  EXPECT_NE(report.ToString().find("rewritten as framed-v3"),
+            std::string::npos);
+  EXPECT_FALSE(FileSystem::Default()->FileExists(path_ + ".tmp"));
+
+  // The rewrite froze the replayed state as one committed V3 batch, and
+  // appends are framed and committed after it.
+  std::string contents = ReadAll(path_);
+  EXPECT_TRUE(IsFramedV3(path_)) << contents;
+  EXPECT_NE(contents.find("=1 4 "), std::string::npos) << contents;
+  ASSERT_TRUE((*durable)->Execute("insert into T values (y, 2)").ok());
+  contents = ReadAll(path_);
+  EXPECT_NE(contents.find("@5 "), std::string::npos) << contents;
+  EXPECT_NE(contents.find("=5 5 "), std::string::npos) << contents;
+
+  auto reopened = DurableEngine::Open(path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->recovery_report().format, LogFormat::kFramedV3);
+}
+
+TEST_F(DurableTest, FramedV2LogIsRewrittenAsV3OnOpen) {
+  WriteAll(path_, V2Log({"relation T (A int)", "insert into T values (1)",
+                         "insert into T values (2)"}));
+  auto durable = DurableEngine::Open(path_);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  const RecoveryReport& report = (*durable)->recovery_report();
+  EXPECT_EQ(report.format, LogFormat::kFramedV2);
+  EXPECT_FALSE(report.salvaged);
+  EXPECT_EQ(report.records_replayed, 3u);
+  EXPECT_EQ(report.last_good_seq, 3u);
+  EXPECT_TRUE(IsFramedV3(path_)) << ReadAll(path_);
+
+  ASSERT_TRUE((*durable)->Execute("insert into T values (3)").ok());
+  auto reopened = DurableEngine::Open(path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->recovery_report().format, LogFormat::kFramedV3);
+  EXPECT_EQ((*reopened)->engine().db().GetRelation("T").value()->size(), 3);
+}
+
+TEST_F(DurableTest, FramedV2TornTailSalvages) {
+  // The last record lost its payload's tail in a crash.
+  const std::string torn = V2Log({"relation T (A int)",
+                                  "insert into T values (1)"}) +
+                           V2Record(3, "insert into T values (2)")
+                               .substr(0, 20);
+  WriteAll(path_, torn);
+  auto strict = DurableEngine::Open(path_);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().message().find("salvage"), std::string::npos);
+  // A failed open leaves the old log as it was.
+  EXPECT_EQ(ReadAll(path_), torn);
+
+  auto salvaged = DurableEngine::Open(path_, Salvage());
+  ASSERT_TRUE(salvaged.ok()) << salvaged.status();
+  const RecoveryReport& report = (*salvaged)->recovery_report();
+  EXPECT_EQ(report.format, LogFormat::kFramedV2);
+  EXPECT_TRUE(report.salvaged);
+  EXPECT_EQ(report.records_replayed, 2u);
+  EXPECT_EQ(report.dropped_records, 1u);
+  EXPECT_EQ(report.dropped_bytes, 20u);
+  EXPECT_TRUE(IsFramedV3(path_));
+  auto strict_again = DurableEngine::Open(path_);
+  ASSERT_TRUE(strict_again.ok()) << strict_again.status();
+  EXPECT_EQ((*strict_again)->engine().db().GetRelation("T").value()->size(),
+            1);
 }
 
 TEST_F(DurableTest, LegacyTornFinalLineSalvages) {
@@ -445,6 +560,11 @@ TEST_F(DurableTest, LegacyTornFinalLineSalvages) {
   EXPECT_EQ(report.dropped_records, 1u);
   EXPECT_EQ(report.dropped_bytes, 17u);
   EXPECT_EQ((*salvaged)->engine().db().GetRelation("T").value()->size(), 1);
+  EXPECT_TRUE(IsFramedV3(path_));
+  auto strict_again = DurableEngine::Open(path_);
+  ASSERT_TRUE(strict_again.ok()) << strict_again.status();
+  EXPECT_EQ((*strict_again)->engine().db().GetRelation("T").value()->size(),
+            1);
 }
 
 TEST_F(DurableTest, LegacyMidLogGarbageIsFatalEvenInSalvage) {
@@ -540,6 +660,7 @@ TEST_F(DurableTest, TornMagicHeaderSalvagesToFreshLog) {
   ASSERT_TRUE(salvaged.ok()) << salvaged.status();
   EXPECT_TRUE((*salvaged)->recovery_report().salvaged);
   EXPECT_EQ((*salvaged)->recovery_report().records_replayed, 0u);
+  EXPECT_TRUE(IsFramedV3(path_));
   ASSERT_TRUE((*salvaged)->Execute("relation T (A int)").ok());
   auto reopened = DurableEngine::Open(path_);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
@@ -552,7 +673,7 @@ TEST_F(DurableTest, StatsReflectDurabilityState) {
   ASSERT_TRUE((*durable)->Execute("insert into T values (1)").ok());
   ASSERT_TRUE((*durable)->Compact().ok());
   DurableStats stats = (*durable)->stats();
-  EXPECT_EQ(stats.format, LogFormat::kFramedV3);
+  EXPECT_EQ(stats.recovery.format, LogFormat::kFramedV3);
   EXPECT_FALSE(stats.degraded);
   EXPECT_EQ(stats.appends, 2u);
   EXPECT_EQ(stats.compactions, 1u);
@@ -727,6 +848,63 @@ TEST_F(DurableTest, MultiRecordBatchCommitsWithOneFsync) {
   auto reopened = DurableEngine::Open(path_);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->engine().db().GetRelation("T").value()->size(), 4);
+}
+
+TEST_F(DurableTest, GroupCommitBatchNeverExceedsMaxBatch) {
+  constexpr int kWriters = 8;
+  constexpr int kInsertsPerWriter = 8;
+  constexpr uint64_t kMutations = 1 + kWriters * kInsertsPerWriter;
+  for (int max_batch : {1, 2}) {
+    SCOPED_TRACE("group_commit_max_batch = " + std::to_string(max_batch));
+    std::remove(path_.c_str());
+    DurableOptions options;
+    options.group_commit_max_batch = max_batch;
+    // Long enough that every writer arrives while a leader waits for
+    // stragglers: only the cap can keep a batch small.
+    options.group_commit_window_us = 200000;
+    auto durable = DurableEngine::Open(path_, options);
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    ASSERT_TRUE((*durable)->Execute("relation W (A int key)").ok());
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < kInsertsPerWriter; ++i) {
+          const std::string key = std::to_string(t * 100 + i);
+          EXPECT_TRUE(
+              (*durable)->Execute("insert into W values (" + key + ")").ok());
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+
+    const DurableStats stats = (*durable)->stats();
+    EXPECT_EQ(stats.batched_records, kMutations);
+    if (max_batch == 1) {
+      EXPECT_EQ(stats.commit_batches, kMutations);
+      EXPECT_EQ(stats.fsyncs_saved, 0u);
+    }
+    // Every commit marker "=<first> <last> <crc>" seals at most
+    // max_batch records, and together they seal every record.
+    std::istringstream lines(ReadAll(path_));
+    std::string line;
+    uint64_t sealed = 0;
+    while (std::getline(lines, line)) {
+      if (line.empty() || line[0] != '=') continue;
+      unsigned long long first = 0;
+      unsigned long long last = 0;
+      ASSERT_EQ(std::sscanf(line.c_str(), "=%llu %llu", &first, &last), 2)
+          << line;
+      EXPECT_LE(last - first + 1, static_cast<uint64_t>(max_batch)) << line;
+      sealed += last - first + 1;
+    }
+    EXPECT_EQ(sealed, kMutations);
+    durable->reset();
+
+    auto reopened = DurableEngine::Open(path_);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ((*reopened)->engine().db().GetRelation("W").value()->size(),
+              kWriters * kInsertsPerWriter);
+  }
 }
 
 }  // namespace

@@ -33,9 +33,13 @@
 #      than uncached at a 10% write mix (also fails if the committed
 #      BENCH_invalidation.json is missing)
 #  10. a Release build of bench_groupcommit and its --smoke gate: at 16
-#      concurrent writers group commit must be >= 2x faster than
-#      per-mutation fsync (also fails if the committed
-#      BENCH_groupcommit.json is missing)
+#      concurrent writers group commit must be >= 2.5x faster than
+#      per-mutation fsync, i.e. the same commit path capped at one
+#      record per batch (also fails if the committed
+#      BENCH_groupcommit.json is missing). The gate was 2x against the
+#      deleted per-record commit path; the batch-of-one baseline trails
+#      that path by about 1.26x at 16 writers, so the gate rose to keep
+#      it no looser
 #  10b. a Release build of bench_server and its --smoke gate: 200
 #      concurrent wire connections against a small admission envelope —
 #      every request must eventually succeed through the retry client,
@@ -54,7 +58,7 @@
 #  13. the full suite under ThreadSanitizer
 #  14. the full suite under AddressSanitizer + UndefinedBehaviorSanitizer
 #      (both sanitizer tiers include the torture + coherence tests and
-#      the group-commit path, which is on by default)
+#      the group-commit path, the only commit path)
 #
 # Prints a summary table and exits nonzero if any step failed.
 #
