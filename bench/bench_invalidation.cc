@@ -188,7 +188,6 @@ MixResult MeasureMix(int write_permille, int operations) {
   AuthorizationOptions cached_options;
   AuthorizationOptions uncached_options = cached_options;
   uncached_options.enable_authz_cache = false;
-  uncached_options.use_meta_cache = false;
 
   const int mutate_every =
       write_permille == 0 ? 0 : 1000 / write_permille;

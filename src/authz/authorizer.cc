@@ -38,7 +38,7 @@ std::string DecisionCacheKey(std::string_view user,
   key += o.four_case ? 'f' : '-';
   key += o.subsumption ? 's' : '-';
   key += o.prune_dangling ? 'd' : '-';
-  key += o.self_joins ? std::to_string(o.self_join_rounds) : "0";
+  key += o.self_joins ? 'j' : '-';
   key += o.use_optimized_data_plan ? 'v' : 'c';
   key += "|";
   key += query.CanonicalSignature();
@@ -65,26 +65,44 @@ std::vector<int> TargetColumns(const ConjunctiveQuery& query) {
   return targets;
 }
 
-// The read set of a decision for (user, query): the query's base
-// relations plus every granted view the derivation folded in — exactly
-// the views PrunedMetaRelationGoverned's coverage filter admits (the
-// view's relations all appear in the query). This is what selective
-// invalidation matches catalog mutations against.
-AuthzDependencies CaptureReadSet(const ViewCatalog& catalog,
-                                 std::string_view user,
-                                 const ConjunctiveQuery& query) {
+// The mask columns step 5 delivers, in answer order: the requested
+// columns of a wide mask, or every column of a final one.
+std::vector<int> DeliveredColumns(const ConjunctiveQuery& query, bool wide) {
+  if (wide) return TargetColumns(query);
+  std::vector<int> all(query.targets().size());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+// The read-set scope of a derivation for (user, query): the user and the
+// query's base relations. AddCoveredViews completes it.
+AuthzDependencies QueryScope(std::string_view user,
+                             const ConjunctiveQuery& query) {
   AuthzDependencies deps;
   deps.user = std::string(user);
   for (const MembershipAtom& atom : query.atoms()) {
     deps.relations.insert(atom.relation);
   }
-  for (const ViewDefinition* view : catalog.PermittedViews(user)) {
-    const bool covered = std::all_of(
-        view->relations.begin(), view->relations.end(),
-        [&](const std::string& r) { return deps.relations.contains(r); });
-    if (covered) deps.views.insert(view->name);
-  }
   return deps;
+}
+
+// The paper's pruning: of the user's granted views, keep those "defined
+// in these relations in their entirety" -- every relation the view
+// mentions is one of `deps->relations`. Returns them and adds their names
+// to `deps`, completing the read set that selective invalidation matches
+// catalog mutations against.
+std::vector<const ViewDefinition*> AddCoveredViews(const ViewCatalog& catalog,
+                                                   AuthzDependencies* deps) {
+  std::vector<const ViewDefinition*> covered;
+  for (const ViewDefinition* view : catalog.PermittedViews(deps->user)) {
+    const bool all_in_query = std::all_of(
+        view->relations.begin(), view->relations.end(),
+        [&](const std::string& r) { return deps->relations.contains(r); });
+    if (!all_in_query) continue;
+    deps->views.insert(view->name);
+    covered.push_back(view);
+  }
+  return covered;
 }
 
 // Step 5's delivery rule, shared by the interpretive and the vectorized
@@ -178,30 +196,22 @@ Authorizer::PrunedMetaRelationGoverned(
   }
   const std::string& relation = query.atoms()[atom].relation;
   const RelationSchema& schema = query.atom_schema(atom);
-
-  std::set<std::string> query_relations;
-  for (const MembershipAtom& a : query.atoms()) {
-    query_relations.insert(a.relation);
-  }
+  AuthzDependencies deps = QueryScope(user, query);
 
   // Cache lookup: the result depends only on the user, the target
   // relation, the set of query relations (the pruning scope), and the
-  // self-join settings. Freshness is the generation check.
-  const bool use_cache = cache_ != nullptr && options.enable_authz_cache &&
-                         options.use_meta_cache;
+  // self-join setting. Freshness is the generation check.
+  const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
   std::string cache_key;
   AuthzGeneration gen;
   if (use_cache) {
     gen = CurrentGeneration();
     cache_key = "P|" + std::string(user) + "|" + relation + "|";
-    for (const std::string& r : query_relations) {
+    for (const std::string& r : deps.relations) {
       cache_key += r;
       cache_key += ",";
     }
-    cache_key += "|sj=";
-    cache_key += options.self_joins
-                     ? std::to_string(options.self_join_rounds)
-                     : "0";
+    cache_key += options.self_joins ? "|j" : "|-";
     if (std::shared_ptr<const MetaRelation> cached =
             txn->LookupPrepared(cache_key, gen)) {
       return cached;
@@ -209,29 +219,14 @@ Authorizer::PrunedMetaRelationGoverned(
   }
 
   MetaRelation out(schema.attributes());
-  // Read-set capture rides the existing walk: the views folded into the
-  // prepared meta-relation are exactly the covered grants.
-  AuthzDependencies deps;
-  deps.user = std::string(user);
-  deps.relations = query_relations;
-  for (const ViewDefinition* view : catalog_->PermittedViews(user)) {
-    // The paper's pruning: keep only views "defined in these relations in
-    // their entirety" — every relation the view mentions must appear in
-    // the query.
-    bool covered = std::all_of(
-        view->relations.begin(), view->relations.end(),
-        [&](const std::string& r) { return query_relations.contains(r); });
-    if (!covered) continue;
-    deps.views.insert(view->name);
+  for (const ViewDefinition* view : AddCoveredViews(*catalog_, &deps)) {
     for (size_t i = 0; i < view->tuples.size(); ++i) {
       if (view->tuple_relations[i] == relation) {
         out.Add(view->tuples[i]);
       }
     }
   }
-  if (options.self_joins) {
-    out = WithSelfJoins(out, schema, options.self_join_rounds);
-  }
+  if (options.self_joins) out = WithSelfJoins(out, schema);
   // Charge the prepared meta-relation in one batch (self-join inference
   // can expand it well past the stored tuples).
   if (ctx != nullptr &&
@@ -278,7 +273,7 @@ Result<MaskTrace> Authorizer::Explain(std::string_view user,
   return trace;
 }
 
-Result<MetaRelation> Authorizer::DeriveWideMask(
+Result<MetaRelation> Authorizer::DeriveMask(
     std::string_view user, const ConjunctiveQuery& query,
     const AuthorizationOptions& options, MetaRelation* product_stage,
     MaskTrace* trace) const {
@@ -286,17 +281,30 @@ Result<MetaRelation> Authorizer::DeriveWideMask(
   const ExecLimits limits = ExecLimitsOf(options);
   if (limits.any()) local.emplace(limits);
   AuthzCacheTxn txn(cache_);
-  Result<MetaRelation> result = DeriveWideMaskGoverned(
-      user, query, options, product_stage, trace,
+  // The final mask depends only on the user, the query signature and the
+  // options in the decision key, so a decision built by an earlier
+  // Retrieve answers it whenever no intermediate stage was requested.
+  if (cache_ != nullptr && options.enable_authz_cache &&
+      product_stage == nullptr && trace == nullptr) {
+    if (std::shared_ptr<const Decision> hit = txn.LookupDecision(
+            DecisionCacheKey(user, query, options, /*wide=*/false),
+            CurrentGeneration())) {
+      txn.Commit();
+      return hit->mask;
+    }
+  }
+  Result<MetaRelation> result = DeriveMaskGoverned(
+      user, query, options, /*wide=*/false, product_stage, trace,
       local.has_value() ? &*local : nullptr, &txn);
   if (result.ok()) txn.Commit();
   return result;
 }
 
-Result<MetaRelation> Authorizer::DeriveWideMaskGoverned(
+Result<MetaRelation> Authorizer::DeriveMaskGoverned(
     std::string_view user, const ConjunctiveQuery& query,
-    const AuthorizationOptions& options, MetaRelation* product_stage,
-    MaskTrace* trace, ExecContext* ctx, AuthzCacheTxn* txn) const {
+    const AuthorizationOptions& options, bool wide,
+    MetaRelation* product_stage, MaskTrace* trace, ExecContext* ctx,
+    AuthzCacheTxn* txn) const {
   MetaOpOptions op_options;
   op_options.padding = options.padding;
   op_options.four_case = options.four_case;
@@ -311,7 +319,7 @@ Result<MetaRelation> Authorizer::DeriveWideMaskGoverned(
     if (trace != nullptr) {
       AuthorizationOptions bare = options;
       bare.self_joins = false;
-      bare.use_meta_cache = false;
+      bare.enable_authz_cache = false;
       VIEWAUTH_ASSIGN_OR_RETURN(
           std::shared_ptr<const MetaRelation> stored,
           PrunedMetaRelationGoverned(user, query, atom, bare, ctx, txn));
@@ -479,57 +487,28 @@ Result<MetaRelation> Authorizer::DeriveWideMaskGoverned(
   }
 
   txn->stats().meta_tuples_pruned += pruned;
-  return current;
-}
 
-Result<MetaRelation> Authorizer::DeriveMask(
-    std::string_view user, const ConjunctiveQuery& query,
-    const AuthorizationOptions& options, MetaRelation* product_stage,
-    MaskTrace* trace) const {
-  std::optional<ExecContext> local;
-  const ExecLimits limits = ExecLimitsOf(options);
-  if (limits.any()) local.emplace(limits);
-  AuthzCacheTxn txn(cache_);
-  // The final mask depends only on the user, the query signature and the
-  // options in the decision key, so a decision built by an earlier
-  // Retrieve answers it whenever no intermediate stage was requested.
-  if (cache_ != nullptr && options.enable_authz_cache &&
-      product_stage == nullptr && trace == nullptr) {
-    if (std::shared_ptr<const Decision> hit = txn.LookupDecision(
-            DecisionCacheKey(user, query, options, /*wide=*/false),
-            CurrentGeneration())) {
-      txn.Commit();
-      return hit->mask;
+  // S' step 3: the final projection onto the requested columns, whose
+  // mask is named like the answer. A wide mask skips it and keeps every
+  // product column under its qualified name.
+  std::vector<Attribute> columns;
+  if (wide) {
+    const std::vector<std::string> names = query.ProductColumnNames();
+    for (size_t a = 0; a < query.atoms().size(); ++a) {
+      for (const Attribute& attribute :
+           query.atom_schema(static_cast<int>(a)).attributes()) {
+        columns.push_back(Attribute{names[columns.size()], attribute.type});
+      }
+    }
+  } else {
+    current = MetaProject(current, TargetColumns(query));
+    const std::vector<std::string> names = query.OutputColumnNames();
+    const std::vector<ValueType> types = query.OutputColumnTypes();
+    for (size_t i = 0; i < names.size(); ++i) {
+      columns.push_back(Attribute{names[i], types[i]});
     }
   }
-  Result<MetaRelation> result = DeriveMaskGoverned(
-      user, query, options, product_stage, trace,
-      local.has_value() ? &*local : nullptr, &txn);
-  if (result.ok()) txn.Commit();
-  return result;
-}
-
-Result<MetaRelation> Authorizer::DeriveMaskGoverned(
-    std::string_view user, const ConjunctiveQuery& query,
-    const AuthorizationOptions& options, MetaRelation* product_stage,
-    MaskTrace* trace, ExecContext* ctx, AuthzCacheTxn* txn) const {
-  VIEWAUTH_ASSIGN_OR_RETURN(
-      MetaRelation current,
-      DeriveWideMaskGoverned(user, query, options, product_stage, trace,
-                             ctx, txn));
-
-  // S' step 3: the final projection onto the requested columns.
-  current = MetaProject(current, TargetColumns(query));
   if (trace != nullptr) trace->after_projection = current.size();
-
-  // Rename the mask's columns to the answer's column names.
-  std::vector<std::string> names = query.OutputColumnNames();
-  std::vector<ValueType> types = query.OutputColumnTypes();
-  std::vector<Attribute> columns;
-  columns.reserve(names.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    columns.push_back(Attribute{names[i], types[i]});
-  }
   MetaRelation mask(std::move(columns));
   for (MetaTuple& tuple : current.tuples()) {
     mask.Add(std::move(tuple));
@@ -688,87 +667,24 @@ Relation Authorizer::ApplyWideMaskVectorized(
   return out;
 }
 
-std::vector<InferredPermit> Authorizer::DescribeWideMask(
-    const MetaRelation& wide_mask, const ConjunctiveQuery& query) const {
-  // Display names: requested columns use the answer's names; additional
-  // attributes use qualified product names.
-  std::vector<std::string> product_names = query.ProductColumnNames();
-  std::vector<std::string> answer_names = query.OutputColumnNames();
-  std::map<int, std::string> display;
-  for (int c = 0; c < query.TotalColumns(); ++c) {
-    display[c] = product_names[static_cast<size_t>(c)];
-  }
-  std::set<int> requested;
-  for (size_t i = 0; i < query.targets().size(); ++i) {
-    int flat = query.FlatIndex(query.targets()[i]);
-    requested.insert(flat);
-    display[flat] = answer_names[i];
-  }
-
-  std::vector<InferredPermit> permits;
-  std::set<std::string> seen;
-  for (const MetaTuple& tuple : wide_mask.tuples()) {
-    InferredPermit permit;
-    for (int i = 0; i < tuple.arity(); ++i) {
-      if (tuple.cells()[i].projected && requested.contains(i)) {
-        permit.columns.push_back(display[i]);
-      }
-    }
-    if (permit.columns.empty()) continue;
-
-    std::vector<std::string> where_parts;
-    for (int i = 0; i < tuple.arity(); ++i) {
-      const MetaCell& cell = tuple.cells()[i];
-      if (cell.kind == CellKind::kConst) {
-        where_parts.push_back(display[i] + " = " +
-                              cell.constant.ToDisplayString(false));
-      }
-    }
-    std::map<VarId, std::vector<int>> var_cols;
-    for (int i = 0; i < tuple.arity(); ++i) {
-      const MetaCell& cell = tuple.cells()[i];
-      if (cell.kind == CellKind::kVar) var_cols[cell.var].push_back(i);
-    }
-    for (const auto& [var, cols] : var_cols) {
-      (void)var;
-      for (size_t k = 1; k < cols.size(); ++k) {
-        where_parts.push_back(display[cols[0]] + " = " +
-                              display[cols[k]]);
-      }
-    }
-    std::set<VarId> vars = tuple.CellVars();
-    std::vector<TermId> terms(vars.begin(), vars.end());
-    auto namer = [&](TermId term) -> std::string {
-      auto it = var_cols.find(term);
-      if (it != var_cols.end()) return display[it->second[0]];
-      return catalog_->VarName(term);
-    };
-    for (const ConstraintAtom& atom :
-         tuple.constraints().ExportAtoms(terms)) {
-      where_parts.push_back(atom.ToString(namer));
-    }
-    std::sort(where_parts.begin(), where_parts.end());
-    where_parts.erase(std::unique(where_parts.begin(), where_parts.end()),
-                      where_parts.end());
-    permit.where = Join(where_parts, " and ");
-
-    std::string rendered = permit.ToString();
-    if (seen.insert(rendered).second) {
-      permits.push_back(std::move(permit));
-    }
-  }
-  return permits;
-}
-
 std::vector<InferredPermit> Authorizer::DescribeMask(
     const MetaRelation& mask) const {
+  std::vector<std::string> display;
+  for (const Attribute& column : mask.columns()) display.push_back(column.name);
+  return Describe(mask, display,
+                  std::vector<bool>(static_cast<size_t>(mask.arity()), true));
+}
+
+std::vector<InferredPermit> Authorizer::Describe(
+    const MetaRelation& mask, const std::vector<std::string>& display,
+    const std::vector<bool>& requested) const {
   std::vector<InferredPermit> permits;
   std::set<std::string> seen;
   for (const MetaTuple& tuple : mask.tuples()) {
     InferredPermit permit;
     for (int i = 0; i < tuple.arity(); ++i) {
-      if (tuple.cells()[i].projected) {
-        permit.columns.push_back(mask.columns()[i].name);
+      if (tuple.cells()[i].projected && requested[static_cast<size_t>(i)]) {
+        permit.columns.push_back(display[static_cast<size_t>(i)]);
       }
     }
     if (permit.columns.empty()) continue;
@@ -778,7 +694,7 @@ std::vector<InferredPermit> Authorizer::DescribeMask(
     for (int i = 0; i < tuple.arity(); ++i) {
       const MetaCell& cell = tuple.cells()[i];
       if (cell.kind == CellKind::kConst) {
-        where_parts.push_back(mask.columns()[i].name + " = " +
+        where_parts.push_back(display[static_cast<size_t>(i)] + " = " +
                               cell.constant.ToDisplayString(false));
       }
     }
@@ -791,8 +707,8 @@ std::vector<InferredPermit> Authorizer::DescribeMask(
     for (const auto& [var, cols] : var_cols) {
       (void)var;
       for (size_t k = 1; k < cols.size(); ++k) {
-        where_parts.push_back(mask.columns()[cols[0]].name + " = " +
-                              mask.columns()[cols[k]].name);
+        where_parts.push_back(display[static_cast<size_t>(cols[0])] + " = " +
+                              display[static_cast<size_t>(cols[k])]);
       }
     }
     // Comparative constraints on cell variables, rendered with column
@@ -801,7 +717,9 @@ std::vector<InferredPermit> Authorizer::DescribeMask(
     std::vector<TermId> terms(vars.begin(), vars.end());
     auto namer = [&](TermId term) -> std::string {
       auto it = var_cols.find(term);
-      if (it != var_cols.end()) return mask.columns()[it->second[0]].name;
+      if (it != var_cols.end()) {
+        return display[static_cast<size_t>(it->second[0])];
+      }
       return catalog_->VarName(term);
     };
     for (const ConstraintAtom& atom : tuple.constraints().ExportAtoms(terms)) {
@@ -837,37 +755,13 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
   }
 
   auto decision = std::make_shared<Decision>();
-  // The mask columns whose grant decides denied and full access: every
-  // column of the final mask, or the requested columns of the wide one.
-  std::vector<int> requested;
-  if (options.extended_masks) {
-    VIEWAUTH_ASSIGN_OR_RETURN(
-        MetaRelation wide, DeriveWideMaskGoverned(user, query, options,
-                                                  nullptr, nullptr, ctx, txn));
-    wide = RemoveDuplicates(wide, /*respect_provenance=*/false);
-    if (options.subsumption) wide = RemoveSubsumed(wide);
-    // Qualified column names for the wide mask's display.
-    std::vector<std::string> names = query.ProductColumnNames();
-    std::vector<Attribute> columns;
-    columns.reserve(names.size());
-    int col = 0;
-    for (size_t a = 0; a < query.atoms().size(); ++a) {
-      const RelationSchema& rel = query.atom_schema(static_cast<int>(a));
-      for (int i = 0; i < rel.arity(); ++i, ++col) {
-        columns.push_back(Attribute{names[static_cast<size_t>(col)],
-                                    rel.attribute(i).type});
-      }
-    }
-    decision->mask = MetaRelation(std::move(columns));
-    for (MetaTuple& tuple : wide.tuples()) decision->mask.Add(std::move(tuple));
-    requested = TargetColumns(query);
-  } else {
-    VIEWAUTH_ASSIGN_OR_RETURN(
-        decision->mask, DeriveMaskGoverned(user, query, options, nullptr,
-                                           nullptr, ctx, txn));
-    requested.resize(static_cast<size_t>(decision->mask.arity()));
-    std::iota(requested.begin(), requested.end(), 0);
-  }
+  VIEWAUTH_ASSIGN_OR_RETURN(
+      decision->mask,
+      DeriveMaskGoverned(user, query, options, options.extended_masks,
+                         nullptr, nullptr, ctx, txn));
+  // The delivered columns' grants decide denied and full access.
+  const std::vector<int> requested =
+      DeliveredColumns(query, options.extended_masks);
   const MetaRelation& mask = decision->mask;
   // A constraint set solves lazily into a mutable cache. Solve each one
   // now, so that the threads sharing this decision only ever read it.
@@ -903,13 +797,27 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
           std::make_shared<const CompiledMask>(CompiledMask::Compile(mask));
       ++txn->stats().mask_compiles;
     }
-    decision->permits = options.extended_masks ? DescribeWideMask(mask, query)
-                                               : DescribeMask(mask);
+    // A requested column is displayed by its answer name; any other
+    // column a qualification names (wide mask only) keeps its qualified
+    // product name.
+    std::vector<std::string> display;
+    for (const Attribute& column : mask.columns()) {
+      display.push_back(column.name);
+    }
+    const std::vector<std::string> answer_names = query.OutputColumnNames();
+    std::vector<bool> delivered(display.size(), false);
+    for (size_t i = 0; i < requested.size(); ++i) {
+      const auto c = static_cast<size_t>(requested[i]);
+      display[c] = answer_names[i];
+      delivered[c] = true;
+    }
+    decision->permits = Describe(mask, display, delivered);
   }
   std::shared_ptr<const Decision> out = std::move(decision);
   if (use_cache) {
-    txn->Store(std::move(key), gen, out,
-               CaptureReadSet(*catalog_, user, query));
+    AuthzDependencies deps = QueryScope(user, query);
+    AddCoveredViews(*catalog_, &deps);
+    txn->Store(std::move(key), gen, out, std::move(deps));
   }
   return out;
 }
@@ -1016,13 +924,8 @@ Result<AuthorizationResult> Authorizer::RetrieveGoverned(
 
   const Relation& rows =
       options.extended_masks ? wide_answer : result.raw_answer;
-  std::vector<int> target_columns;
-  if (options.extended_masks) {
-    target_columns = TargetColumns(query);
-  } else {
-    target_columns.resize(static_cast<size_t>(rows.schema().arity()));
-    std::iota(target_columns.begin(), target_columns.end(), 0);
-  }
+  const std::vector<int> target_columns =
+      DeliveredColumns(query, options.extended_masks);
   start = SteadyClock::now();
   // A compiled mask exists exactly under the vectorized plan.
   result.answer =

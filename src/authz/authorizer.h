@@ -47,7 +47,6 @@ struct AuthorizationOptions {
   bool padding = true;
   bool four_case = true;
   bool self_joins = true;
-  int self_join_rounds = 1;
   bool subsumption = true;
   // Dangling-reference pruning after products (required for soundness;
   // exposed only so the EXP-EX2 experiment can show what it removes).
@@ -70,13 +69,10 @@ struct AuthorizationOptions {
   // attribute. Off by default: the paper's base algorithm yields only
   // masks expressible with the requested attributes.
   bool extended_masks = false;
-  // Cache the pruned-and-self-joined per-relation meta-relations (the
-  // paper: self-joins "should be stored with the original view
-  // definitions, until these definitions are modified"). Subordinate to
-  // enable_authz_cache; off only for the caching ablation benchmark.
-  bool use_meta_cache = true;
   // Master switch for the authorization cache (authz/authz_cache.h):
-  // prepared per-relation meta-relations and per-query decisions.
+  // per-query decisions, and the pruned-and-self-joined per-relation
+  // meta-relations (the paper: self-joins "should be stored with the
+  // original view definitions, until these definitions are modified").
   // Effective only when the Authorizer was constructed with a cache.
   bool enable_authz_cache = true;
   // Run the static catalog analyzer (src/analysis) after every permit and
@@ -215,28 +211,12 @@ class Authorizer {
                                   MetaRelation* product_stage = nullptr,
                                   MaskTrace* trace = nullptr) const;
 
-  // Steps 1-2 plus selections, but before the final projection: the mask
-  // over the full product columns. Restrictions on non-requested columns
-  // are still present as cells, which is what the extended-mask delivery
-  // needs. Never consults the decision cache.
-  Result<MetaRelation> DeriveWideMask(
-      std::string_view user, const ConjunctiveQuery& query,
-      const AuthorizationOptions& options = {},
-      MetaRelation* product_stage = nullptr,
-      MaskTrace* trace = nullptr) const;
-
   // Runs the mask pipeline with tracing, returning the stage-by-stage
   // report (the mask itself is recomputed cheaply by callers who need
   // it).
   Result<MaskTrace> Explain(std::string_view user,
                             const ConjunctiveQuery& query,
                             const AuthorizationOptions& options = {}) const;
-
-  // Renders wide-mask tuples as permit statements: the column list names
-  // the delivered (requested) columns, while the qualification may name
-  // additional attributes using qualified product column names.
-  std::vector<InferredPermit> DescribeWideMask(
-      const MetaRelation& wide_mask, const ConjunctiveQuery& query) const;
 
   // Step 5, interpretively (the canonical plan's oracle): masks `answer`
   // (whose columns correspond to the mask's) row by row, testing every
@@ -281,7 +261,7 @@ class Authorizer {
   // True when `row` satisfies the selection predicate of `tuple`.
   static bool RowSatisfies(const MetaTuple& tuple, const Tuple& row);
 
-  // Step 6: renders mask tuples as permit statements over the answer's
+  // Step 6: renders mask tuples as permit statements over the mask's
   // column names.
   std::vector<InferredPermit> DescribeMask(const MetaRelation& mask) const;
 
@@ -316,15 +296,26 @@ class Authorizer {
       std::string_view user, const ConjunctiveQuery& query, int atom,
       const AuthorizationOptions& options, ExecContext* ctx,
       AuthzCacheTxn* txn) const;
-  Result<MetaRelation> DeriveWideMaskGoverned(
-      std::string_view user, const ConjunctiveQuery& query,
-      const AuthorizationOptions& options, MetaRelation* product_stage,
-      MaskTrace* trace, ExecContext* ctx, AuthzCacheTxn* txn) const;
-  // S' steps 1-3 without any decision lookup.
+  // S' without any decision lookup: the products with their pruning,
+  // the selections with the four-case post-pass, then the final mask,
+  // projected onto the requested columns and named like the answer; or,
+  // when `wide`, the extended mask, which keeps every product column
+  // under its qualified name so a restriction on a non-requested
+  // attribute stays testable per row. Either way, duplicates and (under
+  // options.subsumption) subsumed tuples are removed.
   Result<MetaRelation> DeriveMaskGoverned(
       std::string_view user, const ConjunctiveQuery& query,
-      const AuthorizationOptions& options, MetaRelation* product_stage,
-      MaskTrace* trace, ExecContext* ctx, AuthzCacheTxn* txn) const;
+      const AuthorizationOptions& options, bool wide,
+      MetaRelation* product_stage, MaskTrace* trace, ExecContext* ctx,
+      AuthzCacheTxn* txn) const;
+
+  // Step 6, the one permit renderer: one statement per mask tuple that
+  // projects a `requested` column, listing those columns and qualifying
+  // them by the tuple's selection; `display` names every mask column.
+  std::vector<InferredPermit> Describe(const MetaRelation& mask,
+                                       const std::vector<std::string>& display,
+                                       const std::vector<bool>& requested)
+      const;
 
   // The current invalidation clock (catalog version, schema version).
   AuthzGeneration CurrentGeneration() const;

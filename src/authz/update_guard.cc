@@ -1,11 +1,67 @@
 #include "authz/update_guard.h"
 
-#include <set>
-
 #include "authz/authorizer.h"
-#include "predicate/predicate.h"
 
 namespace viewauth {
+
+Result<Value> CoerceLiteral(const Value& literal, ValueType type) {
+  if (!literal.is_null() && literal.is_string() && type != ValueType::kString) {
+    return ParseValueAs(literal.string_value(), type);
+  }
+  return literal;
+}
+
+Tuple ResolvedWrite::Apply(const Tuple& row) const {
+  Tuple updated = row;
+  for (const auto& [index, value] : assignments) updated.at(index) = value;
+  return updated;
+}
+
+Result<ResolvedWrite> ResolveWrite(
+    std::string_view verb, std::string_view relation,
+    const RelationSchema& schema,
+    const std::vector<ModifyStmt::Assignment>& assignments,
+    const std::vector<Condition>& conditions) {
+  auto index_of = [&](const std::string& attribute) -> Result<int> {
+    const int index = schema.AttributeIndex(attribute);
+    if (index < 0) {
+      return Status::NotFound("relation '" + std::string(relation) +
+                              "' has no attribute '" + attribute + "'");
+    }
+    return index;
+  };
+  ResolvedWrite write;
+  for (const ModifyStmt::Assignment& assignment : assignments) {
+    VIEWAUTH_ASSIGN_OR_RETURN(int index, index_of(assignment.attribute));
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        Value value,
+        CoerceLiteral(assignment.value, schema.attribute(index).type));
+    write.touched_columns.insert(index);
+    write.assignments.emplace_back(index, std::move(value));
+  }
+  // Conditions resolve against occurrence 1 of the target relation only.
+  auto resolve = [&](const AttributeRef& ref) -> Result<int> {
+    if (ref.relation != relation || ref.occurrence != 1) {
+      return Status::InvalidArgument(
+          std::string(verb) +
+          " predicates may only reference the target relation");
+    }
+    VIEWAUTH_ASSIGN_OR_RETURN(int index, index_of(ref.attribute));
+    write.touched_columns.insert(index);
+    return index;
+  };
+  for (const Condition& cond : conditions) {
+    VIEWAUTH_ASSIGN_OR_RETURN(int lhs, resolve(cond.lhs));
+    if (cond.rhs.is_attribute) {
+      VIEWAUTH_ASSIGN_OR_RETURN(int rhs, resolve(cond.rhs.attribute));
+      write.predicate.Add(SelectionAtom::ColumnColumn(lhs, cond.op, rhs));
+    } else {
+      write.predicate.Add(
+          SelectionAtom::ColumnConst(lhs, cond.op, cond.rhs.constant));
+    }
+  }
+  return write;
+}
 
 std::vector<const ViewDefinition*> UpdateGuard::SingleRelationViews(
     std::string_view user, std::string_view relation,
@@ -51,36 +107,9 @@ Result<UpdateGuard::DeleteDecision> UpdateGuard::AuthorizeDelete(
     const std::vector<Condition>& conditions) const {
   VIEWAUTH_ASSIGN_OR_RETURN(const Relation* rel,
                             db_->GetRelation(relation));
-  const RelationSchema& schema = rel->schema();
-
-  // Resolve the predicate against the relation (occurrence 1 only).
-  ConjunctivePredicate predicate;
-  std::set<int> predicate_columns;
-  for (const Condition& cond : conditions) {
-    auto resolve = [&](const AttributeRef& ref) -> Result<int> {
-      if (ref.relation != relation || ref.occurrence != 1) {
-        return Status::InvalidArgument(
-            "delete predicates may only reference the target relation");
-      }
-      int index = schema.AttributeIndex(ref.attribute);
-      if (index < 0) {
-        return Status::NotFound("relation '" + std::string(relation) +
-                                "' has no attribute '" + ref.attribute +
-                                "'");
-      }
-      return index;
-    };
-    VIEWAUTH_ASSIGN_OR_RETURN(int lhs, resolve(cond.lhs));
-    predicate_columns.insert(lhs);
-    if (cond.rhs.is_attribute) {
-      VIEWAUTH_ASSIGN_OR_RETURN(int rhs, resolve(cond.rhs.attribute));
-      predicate_columns.insert(rhs);
-      predicate.Add(SelectionAtom::ColumnColumn(lhs, cond.op, rhs));
-    } else {
-      predicate.Add(SelectionAtom::ColumnConst(lhs, cond.op,
-                                               cond.rhs.constant));
-    }
-  }
+  VIEWAUTH_ASSIGN_OR_RETURN(
+      ResolvedWrite write,
+      ResolveWrite("delete", relation, rel->schema(), {}, conditions));
 
   // Delete views whose projection covers the predicate's attributes.
   std::vector<const MetaTuple*> windows;
@@ -88,7 +117,7 @@ Result<UpdateGuard::DeleteDecision> UpdateGuard::AuthorizeDelete(
        SingleRelationViews(user, relation, AccessMode::kDelete)) {
     const MetaTuple& meta = view->tuples[0];
     bool covers = true;
-    for (int column : predicate_columns) {
+    for (int column : write.touched_columns) {
       if (!meta.cells()[column].projected) {
         covers = false;
         break;
@@ -105,7 +134,7 @@ Result<UpdateGuard::DeleteDecision> UpdateGuard::AuthorizeDelete(
 
   DeleteDecision decision;
   for (const Tuple& row : *rel) {
-    if (!predicate.Matches(row)) continue;
+    if (!write.predicate.Matches(row)) continue;
     bool allowed = false;
     for (const MetaTuple* window : windows) {
       if (Authorizer::RowSatisfies(*window, row)) {
@@ -139,56 +168,9 @@ Result<UpdateGuard::ModifyDecision> UpdateGuard::AuthorizeModify(
     const std::vector<Condition>& conditions) const {
   VIEWAUTH_ASSIGN_OR_RETURN(const Relation* rel,
                             db_->GetRelation(relation));
-  const RelationSchema& schema = rel->schema();
-
-  // Resolve assignments (with literal coercion toward attribute types).
-  std::vector<std::pair<int, Value>> resolved;
-  std::set<int> touched_columns;
-  for (const ModifyStmt::Assignment& assignment : assignments) {
-    int index = schema.AttributeIndex(assignment.attribute);
-    if (index < 0) {
-      return Status::NotFound("relation '" + std::string(relation) +
-                              "' has no attribute '" +
-                              assignment.attribute + "'");
-    }
-    Value value = assignment.value;
-    const ValueType expected = schema.attribute(index).type;
-    if (!value.is_null() && value.is_string() &&
-        expected != ValueType::kString) {
-      VIEWAUTH_ASSIGN_OR_RETURN(value,
-                                ParseValueAs(value.string_value(), expected));
-    }
-    touched_columns.insert(index);
-    resolved.emplace_back(index, std::move(value));
-  }
-
-  // Resolve the predicate.
-  ConjunctivePredicate predicate;
-  for (const Condition& cond : conditions) {
-    auto resolve = [&](const AttributeRef& ref) -> Result<int> {
-      if (ref.relation != relation || ref.occurrence != 1) {
-        return Status::InvalidArgument(
-            "modify predicates may only reference the target relation");
-      }
-      int index = schema.AttributeIndex(ref.attribute);
-      if (index < 0) {
-        return Status::NotFound("relation '" + std::string(relation) +
-                                "' has no attribute '" + ref.attribute +
-                                "'");
-      }
-      return index;
-    };
-    VIEWAUTH_ASSIGN_OR_RETURN(int lhs, resolve(cond.lhs));
-    touched_columns.insert(lhs);
-    if (cond.rhs.is_attribute) {
-      VIEWAUTH_ASSIGN_OR_RETURN(int rhs, resolve(cond.rhs.attribute));
-      touched_columns.insert(rhs);
-      predicate.Add(SelectionAtom::ColumnColumn(lhs, cond.op, rhs));
-    } else {
-      predicate.Add(
-          SelectionAtom::ColumnConst(lhs, cond.op, cond.rhs.constant));
-    }
-  }
+  VIEWAUTH_ASSIGN_OR_RETURN(
+      ResolvedWrite write, ResolveWrite("modify", relation, rel->schema(),
+                                        assignments, conditions));
 
   // Modify views covering every touched attribute.
   std::vector<const MetaTuple*> windows;
@@ -196,7 +178,7 @@ Result<UpdateGuard::ModifyDecision> UpdateGuard::AuthorizeModify(
        SingleRelationViews(user, relation, AccessMode::kModify)) {
     const MetaTuple& meta = view->tuples[0];
     bool covers = true;
-    for (int column : touched_columns) {
+    for (int column : write.touched_columns) {
       if (!meta.cells()[column].projected) {
         covers = false;
         break;
@@ -213,11 +195,8 @@ Result<UpdateGuard::ModifyDecision> UpdateGuard::AuthorizeModify(
 
   ModifyDecision decision;
   for (const Tuple& row : *rel) {
-    if (!predicate.Matches(row)) continue;
-    Tuple updated = row;
-    for (const auto& [index, value] : resolved) {
-      updated.at(index) = value;
-    }
+    if (!write.predicate.Matches(row)) continue;
+    Tuple updated = write.Apply(row);
     if (updated == row) continue;  // no-op change
     bool allowed = false;
     for (const MetaTuple* window : windows) {

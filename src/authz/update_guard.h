@@ -20,15 +20,46 @@
 #ifndef VIEWAUTH_AUTHZ_UPDATE_GUARD_H_
 #define VIEWAUTH_AUTHZ_UPDATE_GUARD_H_
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "meta/view_store.h"
 #include "parser/ast.h"
+#include "predicate/predicate.h"
 #include "storage/relation.h"
 
 namespace viewauth {
+
+// Coerces a parsed literal toward an attribute type: bare identifiers
+// arrive as strings, and a non-string attribute re-parses them.
+Result<Value> CoerceLiteral(const Value& literal, ValueType type);
+
+// A delete or modify statement resolved against its one target relation.
+struct ResolvedWrite {
+  // The WHERE clause over the relation's columns.
+  ConjunctivePredicate predicate;
+  // The SET list (modify only): column index and coerced value.
+  std::vector<std::pair<int, Value>> assignments;
+  // Every column the predicate or an assignment mentions.
+  std::set<int> touched_columns;
+
+  // `row` with the assignments applied.
+  Tuple Apply(const Tuple& row) const;
+};
+
+// Resolves `assignments` (empty for a delete) and then `conditions`
+// against `schema`, the schema of `relation`; administrative and guarded
+// writes share it. `verb` ("delete" or "modify") names the statement in
+// the errors: InvalidArgument for a condition on another relation or
+// occurrence, NotFound for an unknown attribute.
+Result<ResolvedWrite> ResolveWrite(
+    std::string_view verb, std::string_view relation,
+    const RelationSchema& schema,
+    const std::vector<ModifyStmt::Assignment>& assignments,
+    const std::vector<Condition>& conditions);
 
 class UpdateGuard {
  public:

@@ -273,6 +273,113 @@ TEST(AuthzCacheTest, DeriveMaskReadsButNeverFillsDecisions) {
   EXPECT_EQ(cache.Snapshot().mask_hits, 2);
 }
 
+// A catalog driven directly, without an engine: EMPLOYEE(NAME key,
+// SALARY) with NAMES (NAME) and RICH (NAME, SALARY where SALARY > 25000)
+// granted to Brown. Both views keep the key, so the self-join refinement
+// joins them.
+struct DirectCatalog {
+  DirectCatalog() : catalog(&db.schema()) {
+    EXPECT_TRUE(db.CreateRelation(RelationSchema::Make(
+                                      "EMPLOYEE",
+                                      {{"NAME", ValueType::kString},
+                                       {"SALARY", ValueType::kInt64}},
+                                      {0})
+                                      .value())
+                    .ok());
+    for (const char* text :
+         {"view NAMES (EMPLOYEE.NAME)",
+          "view RICH (EMPLOYEE.NAME, EMPLOYEE.SALARY) where "
+          "EMPLOYEE.SALARY > 25000"}) {
+      auto view = ParseStatement(text);
+      EXPECT_TRUE(view.ok()) << view.status();
+      EXPECT_TRUE(catalog.DefineView(std::get<ViewStmt>(*view)).ok());
+    }
+    EXPECT_TRUE(catalog.Permit("NAMES", "Brown").ok());
+    EXPECT_TRUE(catalog.Permit("RICH", "Brown").ok());
+  }
+
+  ConjunctiveQuery Query(const std::string& text) const {
+    auto stmt = ParseStatement(text);
+    EXPECT_TRUE(stmt.ok()) << stmt.status();
+    return ConjunctiveQuery::FromRetrieve(db.schema(),
+                                          std::get<RetrieveStmt>(*stmt))
+        .value();
+  }
+
+  DatabaseInstance db;
+  ViewCatalog catalog;
+};
+
+// The plan is part of a decision's key: the canonical oracle's decision
+// is never compiled and the vectorized plan's is, so neither plan may be
+// served the other's.
+TEST(AuthzCacheTest, CanonicalAndVectorizedPlansKeySeparateDecisions) {
+  DirectCatalog direct;
+  AuthzCache cache;
+  Authorizer authorizer(&direct.db, &direct.catalog, &cache);
+  const ConjunctiveQuery query =
+      direct.Query("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)");
+  AuthorizationOptions canonical;
+  canonical.use_optimized_data_plan = false;
+  const AuthorizationOptions vectorized;
+
+  auto oracle = authorizer.Retrieve("Brown", query, canonical);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  auto production = authorizer.Retrieve("Brown", query, vectorized);
+  ASSERT_TRUE(production.ok()) << production.status();
+  AuthzStats stats = cache.Snapshot();
+  EXPECT_EQ(stats.mask_misses, 2);
+  EXPECT_EQ(stats.mask_hits, 0);
+  EXPECT_EQ(stats.mask_compiles, 1);
+  ASSERT_FALSE(oracle->decision->full_access);
+  EXPECT_EQ(oracle->decision->compiled, nullptr);
+  EXPECT_NE(production->decision->compiled, nullptr);
+  EXPECT_NE(oracle->decision.get(), production->decision.get());
+
+  // Each plan's repeat hits its own decision.
+  auto oracle_again = authorizer.Retrieve("Brown", query, canonical);
+  ASSERT_TRUE(oracle_again.ok());
+  EXPECT_EQ(oracle_again->decision.get(), oracle->decision.get());
+  auto production_again = authorizer.Retrieve("Brown", query, vectorized);
+  ASSERT_TRUE(production_again.ok());
+  EXPECT_EQ(production_again->decision.get(), production->decision.get());
+  stats = cache.Snapshot();
+  EXPECT_EQ(stats.mask_misses, 2);
+  EXPECT_EQ(stats.mask_hits, 2);
+}
+
+// Explain's stored-tuple count is taken with the cache off, so a cache
+// warmed by a retrieve (which holds the self-joined meta-relation) does
+// not change what Explain reports.
+TEST(AuthzCacheTest, ExplainOperandCountsIgnoreAWarmCache) {
+  DirectCatalog direct;
+  const ConjunctiveQuery query =
+      direct.Query("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)");
+
+  AuthzCache fresh_cache;
+  Authorizer fresh(&direct.db, &direct.catalog, &fresh_cache);
+  auto cold = fresh.Explain("Brown", query);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+
+  AuthzCache warm_cache;
+  Authorizer warm(&direct.db, &direct.catalog, &warm_cache);
+  ASSERT_TRUE(warm.Retrieve("Brown", query).ok());
+  ASSERT_EQ(warm_cache.Snapshot().prepared_misses, 1);
+  auto warmed = warm.Explain("Brown", query);
+  ASSERT_TRUE(warmed.ok()) << warmed.status();
+
+  ASSERT_EQ(cold->operands.size(), 1u);
+  ASSERT_EQ(warmed->operands.size(), cold->operands.size());
+  EXPECT_EQ(cold->operands[0].relation, "EMPLOYEE");
+  EXPECT_EQ(cold->operands[0].view_tuples, 2);
+  EXPECT_GT(cold->operands[0].with_self_joins, cold->operands[0].view_tuples);
+  EXPECT_EQ(warmed->operands[0].relation, cold->operands[0].relation);
+  EXPECT_EQ(warmed->operands[0].view_tuples, cold->operands[0].view_tuples);
+  EXPECT_EQ(warmed->operands[0].with_self_joins,
+            cold->operands[0].with_self_joins);
+  EXPECT_EQ(warmed->final_mask, cold->final_mask);
+}
+
 // The soundness backstop: callers that bypass the engine and mutate the
 // catalog (or schema) directly never see a stale entry, because every
 // entry is generation-checked at lookup.

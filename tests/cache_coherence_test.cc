@@ -82,7 +82,6 @@ class Torture {
     // cached_ keeps the defaults (vectorized); oracle_ runs the
     // canonical plan cold, with interpretive mask application.
     oracle_.options().enable_authz_cache = false;
-    oracle_.options().use_meta_cache = false;
     oracle_.options().use_optimized_data_plan = false;
   }
 

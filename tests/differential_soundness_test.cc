@@ -88,14 +88,12 @@ struct ScenarioSetup {
                                           AuthorizationOptions options) {
   AuthorizationOptions canonical_options = options;
   canonical_options.enable_authz_cache = false;
-  canonical_options.use_meta_cache = false;
   canonical_options.use_optimized_data_plan = false;
 
   // The fast leg is the full default pipeline: vectorized columnar data
   // plan with batch-fused compiled-mask application.
   AuthorizationOptions fast_options = options;
   fast_options.enable_authz_cache = true;
-  fast_options.use_meta_cache = true;
   fast_options.use_optimized_data_plan = true;
 
   Authorizer canonical(setup.db, setup.canonical_catalog);
@@ -363,7 +361,6 @@ TEST(DifferentialSoundness, WriteMixMutationScenarios) {
 
   AuthorizationOptions canonical_options;
   canonical_options.enable_authz_cache = false;
-  canonical_options.use_meta_cache = false;
   canonical_options.use_optimized_data_plan = false;
   AuthorizationOptions vectorized_options;  // defaults: cache + vectorized
 

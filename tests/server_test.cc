@@ -10,6 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -41,6 +43,44 @@ std::string CrossProductScript(int rows) {
 }
 
 constexpr const char* kCrossQuery = "retrieve (A.X, B.Y) where A.X > B.Y";
+
+// Forwards to an accepted socket. Once armed, the next write -- the
+// first reply after the hello ack -- is held until `drain_started`
+// returns true, and `held` records that it was. A request that finishes
+// before the test starts a drain thus stays in flight until the drain
+// begins, with no timer involved.
+class ReplyGateSocket : public Socket {
+ public:
+  struct Gate {
+    std::function<bool()> drain_started;
+    std::atomic<bool> armed{false};
+    std::atomic<bool> held{false};
+  };
+
+  ReplyGateSocket(std::unique_ptr<Socket> base, std::shared_ptr<Gate> gate)
+      : base_(std::move(base)), gate_(std::move(gate)) {}
+
+  Result<size_t> Read(char* buf, size_t max, long long timeout_ms) override {
+    return base_->Read(buf, max, timeout_ms);
+  }
+  Result<size_t> Write(std::string_view data, long long timeout_ms) override {
+    if (gate_->armed.exchange(false)) {
+      gate_->held.store(true);
+      // Bounded, so a broken drain fails the test instead of hanging it.
+      const auto give_up = Clock::now() + std::chrono::seconds(30);
+      while (!gate_->drain_started() && Clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return base_->Write(data, timeout_ms);
+  }
+  Status Shutdown() override { return base_->Shutdown(); }
+  Status Close() override { return base_->Close(); }
+
+ private:
+  std::unique_ptr<Socket> base_;
+  std::shared_ptr<Gate> gate_;
+};
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -274,7 +314,14 @@ TEST_F(ServerTest, AtCapacityConnectionsAreRejectedStructurally) {
 
 TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesQueued) {
   ASSERT_TRUE(engine_.ExecuteScript(CrossProductScript(1200)).ok());
-  StartServer(&engine_);
+  auto gate = std::make_shared<ReplyGateSocket::Gate>();
+  gate->drain_started = [this] { return server_->draining(); };
+  ServerOptions options;
+  options.socket_wrapper = [gate](std::unique_ptr<Socket> socket) {
+    return std::unique_ptr<Socket>(
+        new ReplyGateSocket(std::move(socket), gate));
+  };
+  StartServer(&engine_, options);
 
   // Pipeline two requests on a raw connection: a slow cross product and
   // a fast probe, then drain while the first is in flight.
@@ -285,6 +332,7 @@ TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesQueued) {
           .ok());
   auto hello_ack = ReadFrame(*(*socket), kDefaultMaxFrameBytes, 2000, 1000);
   ASSERT_TRUE(hello_ack.ok()) << hello_ack.status();
+  gate->armed.store(true);
 
   RequestPayload slow;
   slow.id = 1;
@@ -298,8 +346,14 @@ TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesQueued) {
   ASSERT_TRUE(WriteFully(*(*socket), pipelined, 1000).ok());
 
   std::thread stopper([&] {
-    // Let the slow retrieve start, then drain.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // Drain once the slow request is in flight: still running, or done
+    // with its reply held at the gate. Either way the fast request is
+    // still queued behind it.
+    const auto give_up = Clock::now() + std::chrono::seconds(60);
+    while (server_->stats().requests_in_flight == 0 && !gate->held.load() &&
+           Clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     server_->Stop();
   });
 
@@ -315,24 +369,18 @@ TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesQueued) {
   // The queued request gets the structured shutting-down reply.
   auto second = ReadFrame(*(*socket), kDefaultMaxFrameBytes, 10'000, 5000);
   ASSERT_TRUE(second.ok()) << second.status();
-  if (second->type == FrameType::kReply) {
-    auto second_reply = DecodeReply(second->payload);
-    ASSERT_TRUE(second_reply.ok());
-    EXPECT_EQ(second_reply->id, 2u);
-    EXPECT_EQ(second_reply->code,
-              static_cast<int32_t>(StatusCode::kUnavailable));
-    EXPECT_NE(second_reply->text.find("shutting down"), std::string::npos);
-  } else {
-    // The drain flag may have landed between the two reads; then the
-    // queued request is answered by the connection-final error frame.
-    EXPECT_EQ(second->type, FrameType::kError);
-  }
+  ASSERT_EQ(second->type, FrameType::kReply);
+  auto second_reply = DecodeReply(second->payload);
+  ASSERT_TRUE(second_reply.ok());
+  EXPECT_EQ(second_reply->id, 2u);
+  EXPECT_EQ(second_reply->code, static_cast<int32_t>(StatusCode::kUnavailable));
+  EXPECT_NE(second_reply->text.find("shutting down"), std::string::npos);
   stopper.join();
 
   EXPECT_FALSE(server_->running());
   ServerStats stats = server_->stats();
   EXPECT_EQ(stats.connections_active, 0);
-  EXPECT_GE(stats.drain_rejects + stats.connections_evicted, 1);
+  EXPECT_EQ(stats.drain_rejects, 1);
   EXPECT_GT(stats.drain_micros, 0);
   // No snapshot leaked: the drained engine is back to a single live
   // state version.

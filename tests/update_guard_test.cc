@@ -216,6 +216,48 @@ TEST_F(ModifyGuardTest, KeyConflictsRollBack) {
   EXPECT_EQ(SalaryOf("Smith"), Value::Int64(22000));
 }
 
+// Administrative and guarded writes resolve their statement with one
+// resolver; both reject a condition on another relation and an unknown
+// attribute with the same errors, before touching a row.
+TEST_F(ModifyGuardTest, WriteResolutionErrorsForAdminAndGuardedWrites) {
+  ASSERT_TRUE(engine_
+                  .ExecuteScript(R"(
+      relation DEPT (DNAME string key)
+      permit JUNIOR to hr for delete
+    )")
+                  .ok());
+  struct Case {
+    const char* statement;
+    StatusCode code;
+    const char* message;
+  };
+  const char* const kNoAge = "relation 'EMPLOYEE' has no attribute 'AGE'";
+  const std::vector<Case> cases = {
+      {"delete from EMPLOYEE where DEPT.DNAME = x",
+       StatusCode::kInvalidArgument,
+       "delete predicates may only reference the target relation"},
+      {"delete from EMPLOYEE where EMPLOYEE.AGE > 1", StatusCode::kNotFound,
+       kNoAge},
+      {"modify EMPLOYEE set SALARY = 1 where DEPT.DNAME = x",
+       StatusCode::kInvalidArgument,
+       "modify predicates may only reference the target relation"},
+      {"modify EMPLOYEE set SALARY = 1 where EMPLOYEE.AGE > 1",
+       StatusCode::kNotFound, kNoAge},
+      {"modify EMPLOYEE set AGE = 1", StatusCode::kNotFound, kNoAge},
+  };
+  for (const Case& c : cases) {
+    for (const char* suffix : {"", " as hr"}) {
+      const std::string statement = std::string(c.statement) + suffix;
+      auto out = engine_.Execute(statement);
+      ASSERT_FALSE(out.ok()) << statement;
+      EXPECT_EQ(out.status().code(), c.code) << statement;
+      EXPECT_EQ(out.status().message(), c.message) << statement;
+    }
+  }
+  EXPECT_EQ((*engine_.db().GetRelation("EMPLOYEE"))->size(), 3);
+  EXPECT_EQ(SalaryOf("Smith"), Value::Int64(22000));
+}
+
 TEST(UpdateGuardParsing, ModesRoundTrip) {
   auto permit = ParseStatement("permit V to U for insert");
   ASSERT_TRUE(permit.ok());
