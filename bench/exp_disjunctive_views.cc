@@ -29,14 +29,14 @@ int main() {
   }
   engine.SetSessionUser("auditor");
 
-  auto all = engine.Execute(
+  auto all = engine.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE, EMPLOYEE.SALARY)");
   if (!all.ok()) {
     std::cerr << all.status() << "\n";
     return 1;
   }
-  std::cout << *all << "\n";
-  const AuthorizationResult* result = engine.last_result();
+  std::cout << exp::Render(*all) << "\n";
+  const AuthorizationResult* result = &*all;
   checker.Check("union delivered (Smith via salary, Jones via title)",
                 result->answer.Contains(Tuple({Value::String("Smith"),
                                                Value::String("technician"),
@@ -53,21 +53,20 @@ int main() {
 
   // Branch-local refinement: a query inside branch 1's range comes back
   // with the salary restriction cleared (full access through branch 1).
-  auto refined = engine.Execute(
+  auto refined = engine.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE, EMPLOYEE.SALARY) "
       "where EMPLOYEE.SALARY < 23000");
   if (!refined.ok()) {
     std::cerr << refined.status() << "\n";
     return 1;
   }
-  std::cout << *refined << "\n";
+  std::cout << exp::Render(*refined) << "\n";
   checker.Check("query inside branch 1 is fully granted",
-                engine.last_result()->full_access);
+                refined->full_access);
 
   // The grant is atomic: denying the view removes every branch.
   if (!engine.Execute("deny JUNIOR_OR_MGR to auditor").ok()) return 1;
-  auto gone = engine.Execute("retrieve (EMPLOYEE.NAME)");
-  checker.Check("deny removes all branches",
-                gone.ok() && engine.last_result()->denied);
+  auto gone = engine.Retrieve("retrieve (EMPLOYEE.NAME)");
+  checker.Check("deny removes all branches", gone.ok() && gone->denied);
   return checker.Finish();
 }

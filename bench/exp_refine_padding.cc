@@ -42,28 +42,29 @@ int main() {
   // through the padded product tuples (STAFF_ALL, blank...).
   const char* query = "retrieve (STAFF.NAME, STAFF.DEPT, AUDIT.DEPT)";
 
-  auto with_padding = engine.Execute(query);
+  auto with_padding = engine.Retrieve(query);
   checker.Check("with padding: granted",
-                with_padding.ok() && !engine.last_result()->denied);
+                with_padding.ok() && !with_padding->denied);
   if (with_padding.ok()) {
-    std::cout << "with padding:\n" << *with_padding << "\n";
+    std::cout << "with padding:\n" << exp::Render(*with_padding) << "\n";
     // The STAFF columns flow (deduplicated to the two staff rows);
     // AUDIT.DEPT is withheld.
     checker.CheckEq("with padding: two masked rows",
-                    engine.last_result()->answer.size(), 2);
+                    with_padding->answer.size(), 2);
     bool audit_masked = true;
-    for (const Tuple& row : engine.last_result()->answer) {
+    for (const Tuple& row : with_padding->answer) {
       if (!row.at(2).is_null()) audit_masked = false;
     }
     checker.Check("with padding: AUDIT.DEPT column masked", audit_masked);
   }
 
   engine.options().padding = false;
-  auto without_padding = engine.Execute(query);
+  auto without_padding = engine.Retrieve(query);
   checker.Check("without padding: denied (subviews lost at projection)",
-                without_padding.ok() && engine.last_result()->denied);
+                without_padding.ok() && without_padding->denied);
   if (without_padding.ok()) {
-    std::cout << "without padding:\n" << *without_padding << "\n";
+    std::cout << "without padding:\n" << exp::Render(*without_padding)
+              << "\n";
   }
   return checker.Finish();
 }

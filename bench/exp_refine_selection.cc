@@ -71,13 +71,13 @@ int main() {
   for (const Case& c : kCases) {
     std::cout << "--- " << c.label << " (paper: " << c.paper_outcome
               << ") ---\n";
-    auto out = engine.Execute(c.query);
+    auto out = engine.Retrieve(c.query);
     if (!out.ok()) {
       std::cerr << out.status() << "\n";
       return 1;
     }
-    std::cout << *out << "\n";
-    const AuthorizationResult* result = engine.last_result();
+    std::cout << exp::Render(*out) << "\n";
+    const AuthorizationResult* result = &*out;
     checker.CheckEq(std::string(c.label) + " denied?", result->denied,
                     c.denied);
     if (c.denied) continue;
@@ -103,12 +103,12 @@ int main() {
   const char* number_only =
       "retrieve (PROJECT.NUMBER) where PROJECT.BUDGET >= 400000 and "
       "PROJECT.BUDGET <= 500000";
-  auto refined = engine.Execute(number_only);
+  auto refined = engine.Retrieve(number_only);
   checker.Check("case (3), NUMBER only, refined: granted",
-                refined.ok() && !engine.last_result()->denied);
+                refined.ok() && !refined->denied);
   engine.options().four_case = false;
-  auto base = engine.Execute(number_only);
+  auto base = engine.Retrieve(number_only);
   checker.Check("case (3), NUMBER only, base Definition 2: denied",
-                base.ok() && engine.last_result()->denied);
+                base.ok() && base->denied);
   return checker.Finish();
 }

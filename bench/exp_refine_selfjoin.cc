@@ -32,35 +32,33 @@ int main() {
 
   const char* query = "retrieve (EMPLOYEE.TITLE, EMPLOYEE.SALARY)";
 
-  auto has_full_pair = [&engine]() {
-    for (const Tuple& row : engine.last_result()->answer) {
+  auto has_full_pair = [](const AuthorizationResult& result) {
+    for (const Tuple& row : result.answer) {
       if (!row.at(0).is_null() && !row.at(1).is_null()) return true;
     }
     return false;
   };
 
-  auto joined = engine.Execute(query);
-  checker.Check("with self-joins: granted",
-                joined.ok() && !engine.last_result()->denied);
+  auto joined = engine.Retrieve(query);
+  checker.Check("with self-joins: granted", joined.ok() && !joined->denied);
   if (joined.ok()) {
-    std::cout << "with self-joins:\n" << *joined << "\n";
+    std::cout << "with self-joins:\n" << exp::Render(*joined) << "\n";
     checker.Check("with self-joins: TITLE-SALARY pairs visible",
-                  has_full_pair());
-    checker.Check("with self-joins: full access",
-                  engine.last_result()->full_access);
+                  has_full_pair(*joined));
+    checker.Check("with self-joins: full access", joined->full_access);
   }
 
   // Without the refinement the two views deliver their columns as
   // separate portions: no row ever pairs a title with a salary, because
   // the association is only derivable through the key join.
   engine.options().self_joins = false;
-  auto separate = engine.Execute(query);
+  auto separate = engine.Retrieve(query);
   checker.Check("without self-joins: still granted (portions)",
-                separate.ok() && !engine.last_result()->denied);
+                separate.ok() && !separate->denied);
   if (separate.ok()) {
-    std::cout << "without self-joins:\n" << *separate << "\n";
+    std::cout << "without self-joins:\n" << exp::Render(*separate) << "\n";
     checker.Check("without self-joins: association hidden",
-                  !has_full_pair());
+                  !has_full_pair(*separate));
   }
 
   // Losslessness guard: without a declared key, the join is not inferred
@@ -79,12 +77,8 @@ int main() {
     return 1;
   }
   keyless.SetSessionUser("clerk");
-  auto no_key = keyless.Execute(query);
-  bool keyless_pair = false;
-  for (const Tuple& row : keyless.last_result()->answer) {
-    if (!row.at(0).is_null() && !row.at(1).is_null()) keyless_pair = true;
-  }
+  auto no_key = keyless.Retrieve(query);
   checker.Check("keyless relation: join not inferred, association hidden",
-                no_key.ok() && !keyless_pair);
+                no_key.ok() && !has_full_pair(*no_key));
   return checker.Finish();
 }

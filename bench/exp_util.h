@@ -1,6 +1,6 @@
 // Helpers shared by the experiment binaries: the paper's Figure 1
-// database and a tiny PASS/FAIL check harness whose summary lines feed
-// EXPERIMENTS.md.
+// database, a printer for retrieve results and a tiny PASS/FAIL check
+// harness whose summary lines feed EXPERIMENTS.md.
 
 #ifndef VIEWAUTH_BENCH_EXP_UTIL_H_
 #define VIEWAUTH_BENCH_EXP_UTIL_H_
@@ -8,10 +8,23 @@
 #include <iostream>
 #include <string>
 
+#include "authz/authorizer.h"
+#include "engine/table_printer.h"
 #include "tests/test_util.h"
 
 namespace viewauth {
 namespace exp {
+
+// A retrieve's result as the delivered table plus its inferred permit
+// statements, or the denial.
+inline std::string Render(const AuthorizationResult& result) {
+  if (result.denied) return "permission denied\n";
+  std::string out = PrintRelation(result.answer);
+  for (const InferredPermit& permit : result.permits()) {
+    out += permit.ToString() + "\n";
+  }
+  return out;
+}
 
 class Checker {
  public:

@@ -27,8 +27,19 @@ std::string_view AuditOutcomeToString(AuditOutcome outcome) {
 }
 
 void AuditLog::Record(AuditEntry entry) {
+  std::lock_guard<std::mutex> lock(mutex_);
   entry.sequence = next_sequence_++;
   entries_.push_back(std::move(entry));
+}
+
+std::vector<AuditEntry> AuditLog::entries() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_;
+}
+
+int AuditLog::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return static_cast<int>(entries_.size());
 }
 
 Relation AuditLog::Materialize() const {
@@ -43,6 +54,7 @@ Relation AuditLog::Materialize() const {
                             {"PERMITS", ValueType::kString}})
           .value();
   Relation out(std::move(schema));
+  std::lock_guard<std::mutex> lock(mutex_);
   for (const AuditEntry& entry : entries_) {
     out.InsertUnchecked(Tuple(
         {Value::Int64(entry.sequence), Value::String(entry.user),
@@ -56,6 +68,7 @@ Relation AuditLog::Materialize() const {
 
 std::string AuditLog::ToString(int last_n) const {
   std::ostringstream out;
+  std::lock_guard<std::mutex> lock(mutex_);
   size_t begin = 0;
   if (last_n > 0 && static_cast<size_t>(last_n) < entries_.size()) {
     begin = entries_.size() - static_cast<size_t>(last_n);

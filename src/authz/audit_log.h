@@ -6,10 +6,15 @@
 // permit statements). The log stores one entry per decision and can
 // materialize itself as a relation, so administrators inspect it with
 // the same retrieve machinery (under their own permissions).
+//
+// The log synchronizes itself: concurrent sessions append from retrieves
+// (outside any engine lock) and from guarded writes (under the engine's
+// state mutex), and readers get copies, never references into the log.
 
 #ifndef VIEWAUTH_AUTHZ_AUDIT_LOG_H_
 #define VIEWAUTH_AUTHZ_AUDIT_LOG_H_
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,11 +51,12 @@ struct AuditEntry {
 
 class AuditLog {
  public:
+  // Numbers the entry (monotonic from 1) and appends it.
   void Record(AuditEntry entry);
 
-  const std::vector<AuditEntry>& entries() const { return entries_; }
-  int size() const { return static_cast<int>(entries_.size()); }
-  void Clear() { entries_.clear(); }
+  // A copy of every entry, oldest first.
+  std::vector<AuditEntry> entries() const;
+  int size() const;
 
   // AUDIT = (SEQ, USER, STATEMENT, OUTCOME, AFFECTED, WITHHELD, PERMITS).
   Relation Materialize() const;
@@ -59,6 +65,7 @@ class AuditLog {
   std::string ToString(int last_n = 0) const;
 
  private:
+  mutable std::mutex mutex_;
   std::vector<AuditEntry> entries_;
   long long next_sequence_ = 1;
 };

@@ -16,8 +16,6 @@ Engine::Engine() {
   auto catalog = std::make_shared<ViewCatalog>(db->schema_ptr());
   live_ = MakeState(std::move(db), std::move(catalog), 0);
   published_ = live_;
-  authorizer_ = std::make_unique<Authorizer>(
-      published_->db.get(), published_->catalog.get(), &authz_cache_);
 }
 
 std::shared_ptr<Engine::EngineState> Engine::MakeState(
@@ -43,8 +41,6 @@ std::shared_ptr<const Engine::EngineState> Engine::SnapshotNow() const {
 void Engine::PublishLocked() {
   std::lock_guard<std::mutex> lock(publish_mutex_);
   published_ = live_;
-  *authorizer_ = Authorizer(published_->db.get(), published_->catalog.get(),
-                            &authz_cache_);
 }
 
 uint64_t Engine::published_version() const {
@@ -101,28 +97,32 @@ Result<std::string> Engine::Execute(const std::string& statement_text) {
   return ExecuteParsed(stmt);
 }
 
-Result<std::string> Engine::ExecuteParsed(const Statement& statement) {
-  return ExecuteParsed(statement, nullptr);
-}
-
 Result<std::string> Engine::ExecuteParsed(const Statement& statement,
                                           const ExecLimits* limits) {
   // Retrieves and analyses pin the published snapshot and run lock-free;
   // every other statement may mutate engine state and serializes on the
   // state mutex.
-  if (std::holds_alternative<RetrieveStmt>(statement)) {
-    // Admission happens before the snapshot pin so a queued retrieve
-    // holds no version alive; the ticket outlives the statement, freeing
-    // the slot only after the retrieve fully unwinds.
-    VIEWAUTH_ASSIGN_OR_RETURN(AdmissionController::Ticket ticket,
-                              admission_.Admit(options_));
-    std::shared_ptr<const EngineState> snapshot = SnapshotNow();
-    return ExecuteRetrieve(std::get<RetrieveStmt>(statement), *snapshot,
-                           limits);
+  if (const auto* retrieve = std::get_if<RetrieveStmt>(&statement)) {
+    std::vector<std::string> permits;
+    VIEWAUTH_ASSIGN_OR_RETURN(AuthorizationResult result,
+                              RunRetrieve(*retrieve, limits, &permits));
+    if (result.denied) {
+      return std::string(
+          "permission denied: no permitted view covers this request");
+    }
+    TablePrintOptions print_options;
+    print_options.caption = "result for " + UserOf(*retrieve) + ":";
+    std::string out = PrintRelation(result.answer, print_options);
+    for (const std::string& permit : permits) out += permit + "\n";
+    // The delivered answer is freed here, on the thread that built it.
+    return out;
   }
-  if (std::holds_alternative<AnalyzeStmt>(statement)) {
-    std::shared_ptr<const EngineState> snapshot = SnapshotNow();
-    return ExecuteAnalyze(std::get<AnalyzeStmt>(statement), *snapshot);
+  if (const auto* analyze = std::get_if<AnalyzeStmt>(&statement)) {
+    const std::shared_ptr<const EngineState> snapshot = SnapshotNow();
+    const ViewCatalog* catalog = snapshot->catalog.get();
+    AnalysisReport report = CatalogAnalyzer(catalog).Analyze({});
+    if (analyze->audit) report.Merge(DisclosureAuditor(catalog).Audit({}));
+    return report.ToString(/*include_coverage=*/true);
   }
   std::lock_guard<std::mutex> lock(state_mutex_);
   // Fork the head: the fork shares the database and catalog objects, and
@@ -152,10 +152,9 @@ Result<std::string> Engine::ExecuteParsed(const Statement& statement,
           return ExecuteDrop(stmt);
         } else if constexpr (std::is_same_v<T, MemberStmt>) {
           return ExecuteMember(stmt);
-        } else if constexpr (std::is_same_v<T, AnalyzeStmt>) {
-          return ExecuteAnalyze(stmt, *live_);
         } else {
-          return ExecuteRetrieve(stmt, *live_);
+          // Retrieves and analyses returned above, before the lock.
+          return Status::Internal("read-only statement on the write path");
         }
       },
       statement);
@@ -221,8 +220,7 @@ Result<std::string> Engine::ExplainRetrieve(
     return Status::InvalidArgument("explain expects a retrieve statement");
   }
   const std::shared_ptr<const EngineState> snapshot = SnapshotNow();
-  const std::string& user =
-      retrieve->as_user.empty() ? session_user_ : retrieve->as_user;
+  const std::string& user = UserOf(*retrieve);
   VIEWAUTH_ASSIGN_OR_RETURN(
       ConjunctiveQuery query,
       ConjunctiveQuery::FromRetrieve(snapshot->db->schema(), *retrieve));
@@ -560,15 +558,6 @@ Result<std::string> Engine::ExecuteDeny(const DenyStmt& stmt) {
   return out;
 }
 
-Result<std::string> Engine::ExecuteAnalyze(const AnalyzeStmt& stmt,
-                                           const EngineState& state) {
-  AnalysisReport report = CatalogAnalyzer(state.catalog.get()).Analyze({});
-  if (stmt.audit) {
-    report.Merge(DisclosureAuditor(state.catalog.get()).Audit({}));
-  }
-  return report.ToString(/*include_coverage=*/true);
-}
-
 AnalysisReport Engine::AnalyzeCatalog(const AnalysisOptions& options) const {
   const std::shared_ptr<const EngineState> snapshot = SnapshotNow();
   return CatalogAnalyzer(snapshot->catalog.get()).Analyze(options);
@@ -667,11 +656,28 @@ int Engine::CancelActiveRetrieves() {
   return static_cast<int>(active_contexts_.size());
 }
 
-Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
-                                            const EngineState& state,
-                                            const ExecLimits* limits) {
-  const std::string& user =
-      stmt.as_user.empty() ? session_user_ : stmt.as_user;
+Result<AuthorizationResult> Engine::Retrieve(
+    const std::string& retrieve_text) {
+  VIEWAUTH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(retrieve_text));
+  const auto* retrieve = std::get_if<RetrieveStmt>(&stmt);
+  if (retrieve == nullptr) {
+    return Status::InvalidArgument("Retrieve expects a retrieve statement");
+  }
+  std::vector<std::string> permits;
+  return RunRetrieve(*retrieve, /*limits=*/nullptr, &permits);
+}
+
+Result<AuthorizationResult> Engine::RunRetrieve(
+    const RetrieveStmt& stmt, const ExecLimits* limits,
+    std::vector<std::string>* permits) {
+  // Admission happens before the snapshot pin so a queued retrieve holds
+  // no version alive; the ticket frees the slot only after the retrieve
+  // fully unwinds.
+  VIEWAUTH_ASSIGN_OR_RETURN(AdmissionController::Ticket ticket,
+                            admission_.Admit(options_));
+  const std::shared_ptr<const EngineState> snapshot = SnapshotNow();
+  const EngineState& state = *snapshot;
+  const std::string& user = UserOf(stmt);
 
   // The whole statement runs against the pinned snapshot: an Authorizer
   // is three pointers, so binding one per retrieve costs nothing and
@@ -703,17 +709,13 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
     // decision built fresh (the branches' cached decisions stay as they
     // are). Denied only when every branch is denied; full access only
     // when every branch is.
-    std::vector<std::vector<Condition>> branches;
-    branches.push_back(stmt.conditions);
-    for (const std::vector<Condition>& branch : stmt.or_branches) {
-      branches.push_back(branch);
-    }
     auto merged = std::make_shared<Decision>();
-    bool first = true;
     bool all_denied = true;
     bool all_full = true;
     std::set<std::string> permit_texts;
-    for (const std::vector<Condition>& branch : branches) {
+    for (size_t i = 0; i <= stmt.or_branches.size(); ++i) {
+      const std::vector<Condition>& branch =
+          i == 0 ? stmt.conditions : stmt.or_branches[i - 1];
       VIEWAUTH_ASSIGN_OR_RETURN(
           ConjunctiveQuery query,
           ConjunctiveQuery::Build(state.db->schema(), "retrieve",
@@ -721,31 +723,30 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
       VIEWAUTH_ASSIGN_OR_RETURN(
           AuthorizationResult branch_result,
           authorizer.Retrieve(user, query, options_, &ctx));
-      if (first) {
-        result = branch_result;
-        merged->mask = branch_result.mask();
-        first = false;
-      } else {
-        for (const Tuple& row : branch_result.answer) {
-          result.answer.InsertUnchecked(row);
-        }
-        for (const Tuple& row : branch_result.raw_answer) {
-          result.raw_answer.InsertUnchecked(row);
-        }
-        // Branch masks combine only when their column layouts agree;
-        // under extended masks, branches over different relation sets
-        // carry different wide layouts and contribute their permits only.
-        if (branch_result.mask().arity() == merged->mask.arity()) {
-          for (const MetaTuple& tuple : branch_result.mask().tuples()) {
-            merged->mask.Add(tuple);
-          }
-        }
-      }
       all_denied = all_denied && branch_result.denied;
       all_full = all_full && branch_result.full_access;
       for (const InferredPermit& permit : branch_result.permits()) {
         if (permit_texts.insert(permit.ToString()).second) {
           merged->permits.push_back(permit);
+        }
+      }
+      if (i == 0) {
+        merged->mask = branch_result.mask();
+        result = std::move(branch_result);
+        continue;
+      }
+      for (const Tuple& row : branch_result.answer) {
+        result.answer.InsertUnchecked(row);
+      }
+      for (const Tuple& row : branch_result.raw_answer) {
+        result.raw_answer.InsertUnchecked(row);
+      }
+      // Branch masks combine only when their column layouts agree; under
+      // extended masks, branches over different relation sets carry
+      // different wide layouts and contribute their permits only.
+      if (branch_result.mask().arity() == merged->mask.arity()) {
+        for (const MetaTuple& tuple : branch_result.mask().tuples()) {
+          merged->mask.Add(tuple);
         }
       }
     }
@@ -758,44 +759,29 @@ Result<std::string> Engine::ExecuteRetrieve(const RetrieveStmt& stmt,
   AuditEntry audit;
   audit.user = user;
   audit.statement = stmt.ToString();
-
-  std::ostringstream out;
   if (result.denied) {
-    out << "permission denied: no permitted view covers this request";
     audit.outcome = AuditOutcome::kDenied;
+  } else if (result.full_access) {
+    // Delivered without any accompanying permit statements (Example 3).
+    audit.outcome = AuditOutcome::kFullAccess;
   } else {
-    TablePrintOptions print_options;
-    print_options.caption = "result for " + user + ":";
-    out << PrintRelation(result.answer, print_options);
-    if (result.full_access) {
-      // Delivered without any accompanying permit statements (Example 3).
-      audit.outcome = AuditOutcome::kFullAccess;
-    } else {
-      audit.outcome = AuditOutcome::kPartial;
-      // Each permit renders once; the reply and the audit entry share the
-      // text.
-      std::vector<std::string> rendered;
-      for (const InferredPermit& permit : result.permits()) {
-        rendered.push_back(permit.ToString());
-        out << rendered.back() << "\n";
-      }
-      audit.permits = Join(rendered, "; ");
+    audit.outcome = AuditOutcome::kPartial;
+    // Each permit renders once; the audit entry and the reply share it.
+    for (const InferredPermit& permit : result.permits()) {
+      permits->push_back(permit.ToString());
     }
-    audit.affected = result.answer.size();
-    audit.withheld = result.raw_answer.size() - result.answer.size();
-    if (audit.withheld < 0) audit.withheld = 0;
+    audit.permits = Join(*permits, "; ");
   }
-  // The unmasked rows are not kept: free them here, on the thread that
-  // built them. Left in last_result_, they would be freed by whichever
-  // session replaces it, and on large answers that cross-thread free of
-  // every raw row measurably slows both sessions.
+  if (!result.denied) {
+    audit.affected = result.answer.size();
+    audit.withheld =
+        std::max(0, result.raw_answer.size() - result.answer.size());
+  }
+  // The unmasked rows are not handed out: free them here, on the thread
+  // that built them.
   result.raw_answer = Relation();
-  // Retrieves run lock-free on their snapshots, so concurrent sessions
-  // reach this point together; the result mutex orders their updates.
-  std::lock_guard<std::mutex> guard(result_mutex_);
   audit_log_.Record(std::move(audit));
-  last_result_ = std::move(result);
-  return out.str();
+  return result;
 }
 
 }  // namespace viewauth

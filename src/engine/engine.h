@@ -6,9 +6,16 @@
 // but whose tuples include only permitted values, and a set of inferred
 // permit statements describing the portion delivered."
 //
-// Engine owns the database instance, the view catalog and the authorizer,
-// and executes surface-language statements, returning rendered output.
-// Meta-relations and meta-tuple notation stay completely transparent.
+// Engine owns the database instance, the view catalog, the authorization
+// cache and the audit log, and executes surface-language statements,
+// returning rendered output. Engine::Retrieve returns a retrieve's
+// structured result (the masked answer, flags and inferred permits)
+// instead of text. Meta-relations and meta-tuple notation stay
+// completely transparent.
+//
+// The engine keeps no per-request state: each retrieve's result belongs
+// to its caller, and the audit log synchronizes itself and hands readers
+// copies, so concurrent sessions never share a result.
 //
 // Concurrency model — versioned snapshots. Engine state (database
 // instance + view catalog) lives in an immutable, refcounted EngineState.
@@ -69,13 +76,18 @@ class Engine {
   // output: confirmations for DDL/DML, a rendered masked relation plus
   // inferred permit statements for retrieves.
   Result<std::string> Execute(const std::string& statement_text);
-  Result<std::string> ExecuteParsed(const Statement& statement);
-  // As above, with per-statement limits composed over options() —
-  // strictest wins (TightenLimits). The wire server threads each
-  // request's deadline through here; `limits` applies to retrieves (the
-  // governed path) and may be null for "no override".
+  // As above, for a parsed statement. Non-null `limits` compose over
+  // options() — strictest wins (TightenLimits); the wire server threads
+  // each request's deadline through here. They govern retrieves only.
   Result<std::string> ExecuteParsed(const Statement& statement,
-                                    const ExecLimits* limits);
+                                    const ExecLimits* limits = nullptr);
+
+  // Runs a retrieve statement and returns its structured result: the
+  // masked answer, the denied / full-access flags and the decision with
+  // its inferred permits. The raw_answer is empty: the engine never
+  // hands out the unmasked rows. The decision is audited exactly as
+  // Execute audits it. InvalidArgument for any other statement.
+  Result<AuthorizationResult> Retrieve(const std::string& retrieve_text);
 
   // Drain gate for graceful shutdown: while draining, new retrieves are
   // shed at admission with Unavailable (queued waiters wake to the same
@@ -109,12 +121,6 @@ class Engine {
   // statement and viewauth_lint --audit both go through here.
   AnalysisReport AuditCatalog(const DisclosureAuditOptions& options = {}) const;
 
-  // Structured access to the most recent retrieve's result. Its
-  // raw_answer is empty: the engine never keeps the unmasked rows.
-  const AuthorizationResult* last_result() const {
-    return last_result_ ? &*last_result_ : nullptr;
-  }
-
   // Direct access to the head state, for setup scripts and tests. These
   // bypass the snapshot fork: writing through db()/catalog() while a
   // retrieve runs concurrently, or while a DurableEngine batch is
@@ -122,7 +128,6 @@ class Engine {
   DatabaseInstance& db() { return *live_->db; }
   const DatabaseInstance& db() const { return *live_->db; }
   ViewCatalog& catalog() { return *live_->catalog; }
-  const Authorizer& authorizer() const { return *authorizer_; }
   // The mask-pipeline cache and its observability counters (the REPL's
   // \stats command reads the snapshot).
   AuthzCache& authz_cache() { return authz_cache_; }
@@ -160,9 +165,9 @@ class Engine {
   // trace in the authorization cache. Returns how many were signalled.
   int CancelActiveRetrieves();
   // Every user-attributed decision (retrieves, guarded updates) lands in
-  // the audit log; administrative statements do not.
+  // the audit log; administrative statements do not. The log is
+  // thread-safe and its readers get copies.
   const AuditLog& audit_log() const { return audit_log_; }
-  AuditLog& audit_log() { return audit_log_; }
 
  private:
   // One immutable version of engine state. Forked per mutation; shared
@@ -179,17 +184,22 @@ class Engine {
   Result<std::string> ExecuteView(const ViewStmt& stmt);
   Result<std::string> ExecutePermit(const PermitStmt& stmt);
   Result<std::string> ExecuteDeny(const DenyStmt& stmt);
-  // The snapshot-pinned read path: `state` is the snapshot the retrieve
-  // runs against, kept alive by the caller.
-  Result<std::string> ExecuteRetrieve(const RetrieveStmt& stmt,
-                                      const EngineState& state,
-                                      const ExecLimits* limits = nullptr);
+  // The user a retrieve runs as: its `as` clause, else the session user.
+  const std::string& UserOf(const RetrieveStmt& stmt) const {
+    return stmt.as_user.empty() ? session_user_ : stmt.as_user;
+  }
+  // The one retrieve path: admission, snapshot pin, ExecContext
+  // registration, authorization of every or-branch, and the audit
+  // append. `permits` receives the inferred permits, rendered once for
+  // both the audit entry and the reply. The raw answer is freed before
+  // returning, on the calling thread.
+  Result<AuthorizationResult> RunRetrieve(const RetrieveStmt& stmt,
+                                          const ExecLimits* limits,
+                                          std::vector<std::string>* permits);
   Result<std::string> ExecuteDelete(const DeleteStmt& stmt);
   Result<std::string> ExecuteModify(const ModifyStmt& stmt);
   Result<std::string> ExecuteDrop(const DropStmt& stmt);
   Result<std::string> ExecuteMember(const MemberStmt& stmt);
-  Result<std::string> ExecuteAnalyze(const AnalyzeStmt& stmt,
-                                     const EngineState& state);
 
   // Allocates a tracked EngineState (snapshots_live accounting).
   std::shared_ptr<EngineState> MakeState(std::shared_ptr<DatabaseInstance> db,
@@ -197,7 +207,7 @@ class Engine {
                                          uint64_t version);
   // The published snapshot, pinned (the lock-free read entry point).
   std::shared_ptr<const EngineState> SnapshotNow() const;
-  // published_ = live_ and rebinds the authorizer. Requires state_mutex_.
+  // published_ = live_. Requires state_mutex_.
   void PublishLocked();
   // Copy-on-write accessors for the statement being executed under
   // state_mutex_: clone the head's database / catalog if a snapshot
@@ -233,25 +243,18 @@ class Engine {
   std::shared_ptr<EngineState> live_;
   // What SnapshotNow() hands to readers.
   std::shared_ptr<EngineState> published_;
-  // Guards published_ (and the authorizer rebind) against concurrent
-  // SnapshotNow readers; never held while executing anything.
+  // Guards published_ against concurrent SnapshotNow readers; never held
+  // while executing anything.
   mutable std::mutex publish_mutex_;
   bool defer_publication_ = false;
   uint64_t next_version_ = 1;
   AuthzCache authz_cache_;
-  // Bound to the published snapshot (the authorizer() accessor for
-  // standalone inspection); retrieves build their own cheap Authorizer
-  // over their pinned snapshot instead.
-  std::unique_ptr<Authorizer> authorizer_;
   AuthorizationOptions options_;
   std::string session_user_ = "admin";
-  std::optional<AuthorizationResult> last_result_;
   AuditLog audit_log_;
   // Serializes mutating statements (fork → execute → install). Retrieves
   // do not touch it — they read the published snapshot.
   std::mutex state_mutex_;
-  // Serializes audit/last_result_ updates between concurrent retrieves.
-  std::mutex result_mutex_;
   // Bounds concurrent retrieves per options_.max_concurrent; mutating
   // statements bypass it (they serialize on state_mutex_).
   AdmissionController admission_;

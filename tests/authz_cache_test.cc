@@ -60,9 +60,9 @@ TEST(AuthzCacheTest, PermitInvalidatesAndWidensDelivery) {
   Engine engine;
   SetupEngine(&engine);
 
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  ASSERT_NE(engine.last_result(), nullptr);
-  EXPECT_FALSE(engine.last_result()->full_access);
+  auto result1 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_FALSE(result1->full_access);
 
   // A new grant must be visible immediately: the cached NAME-only mask
   // may not be served again.
@@ -71,8 +71,9 @@ TEST(AuthzCacheTest, PermitInvalidatesAndWidensDelivery) {
                                  "EMPLOYEE.SALARY)\npermit ALL_E to Brown")
                   .ok());
   EXPECT_GE(engine.authz_stats().invalidations, 1);
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result2 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result2.ok()) << result2.status();
+  EXPECT_TRUE(result2->full_access);
   EXPECT_EQ(engine.authz_stats().mask_hits, 0);
   EXPECT_EQ(engine.authz_stats().mask_misses, 2);
 }
@@ -85,22 +86,25 @@ TEST(AuthzCacheTest, DenyInvalidatesAndNarrowsDelivery) {
                                  "EMPLOYEE.SALARY)\npermit ALL_E to Brown")
                   .ok());
 
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result1 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->full_access);
 
   ASSERT_TRUE(engine.Execute("deny ALL_E to Brown").ok());
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
+  auto result2 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result2.ok()) << result2.status();
   // Back to the NAME-only view: the stale full-access mask was dropped.
-  EXPECT_FALSE(engine.last_result()->full_access);
-  EXPECT_FALSE(engine.last_result()->denied);
+  EXPECT_FALSE(result2->full_access);
+  EXPECT_FALSE(result2->denied);
 }
 
 TEST(AuthzCacheTest, ViewRedefinitionInvalidates) {
   Engine engine;
   SetupEngine(&engine);
 
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  EXPECT_FALSE(engine.last_result()->full_access);
+  auto result1 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_FALSE(result1->full_access);
 
   // Redefine NAMES to cover both columns; the regrant and new definition
   // must take effect on the very next retrieve.
@@ -109,8 +113,9 @@ TEST(AuthzCacheTest, ViewRedefinitionInvalidates) {
                   .ExecuteScript("view NAMES (EMPLOYEE.NAME, "
                                  "EMPLOYEE.SALARY)\npermit NAMES to Brown")
                   .ok());
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result2 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result2.ok()) << result2.status();
+  EXPECT_TRUE(result2->full_access);
 }
 
 TEST(AuthzCacheTest, DdlInvalidates) {
@@ -139,23 +144,25 @@ TEST(AuthzCacheTest, PerUserIsolation) {
 
   // Same query text, different users: distinct cache entries, distinct
   // masks.
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  EXPECT_FALSE(engine.last_result()->full_access);
-  ASSERT_TRUE(
-      engine.Execute("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Klein")
-          .ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result1 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_FALSE(result1->full_access);
+  auto result2 =
+      engine.Retrieve("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Klein");
+  ASSERT_TRUE(result2.ok()) << result2.status();
+  EXPECT_TRUE(result2->full_access);
   AuthzStats stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_misses, 2);
   EXPECT_EQ(stats.mask_hits, 0);
 
   // Each user's repeat hits their own entry and keeps their own mask.
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  EXPECT_FALSE(engine.last_result()->full_access);
-  ASSERT_TRUE(
-      engine.Execute("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Klein")
-          .ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result3 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result3.ok()) << result3.status();
+  EXPECT_FALSE(result3->full_access);
+  auto result4 =
+      engine.Retrieve("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Klein");
+  ASSERT_TRUE(result4.ok()) << result4.status();
+  EXPECT_TRUE(result4->full_access);
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_misses, 2);
   EXPECT_EQ(stats.mask_hits, 2);
@@ -205,9 +212,9 @@ TEST(AuthzCacheTest, WarmHitSharesOneDecision) {
   Engine engine;
   SetupEngine(&engine);
 
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  ASSERT_NE(engine.last_result(), nullptr);
-  const std::shared_ptr<const Decision> cold = engine.last_result()->decision;
+  auto result1 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  const std::shared_ptr<const Decision> cold = result1->decision;
   ASSERT_NE(cold, nullptr);
   // Brown sees NAME only: partial access, so the vectorized plan compiled
   // the mask and the permits were rendered.
@@ -216,8 +223,9 @@ TEST(AuthzCacheTest, WarmHitSharesOneDecision) {
   EXPECT_NE(cold->compiled, nullptr);
   EXPECT_EQ(cold->permits.size(), 1u);
 
-  ASSERT_TRUE(engine.Execute(kQuery).ok());
-  EXPECT_EQ(engine.last_result()->decision.get(), cold.get());
+  auto result2 = engine.Retrieve(kQuery);
+  ASSERT_TRUE(result2.ok()) << result2.status();
+  EXPECT_EQ(result2->decision.get(), cold.get());
   const AuthzStats stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_compiles, 1);
   EXPECT_EQ(stats.mask_hits, 1);
@@ -479,8 +487,9 @@ TEST(AuthzCacheTest, PermitInvalidatesOnlyTheGranteesEntries) {
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
 
-  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result1 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->full_access);
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   stats = engine.authz_stats();
   // Brown re-derived (miss #3); Klein's repeat rode the retained entry.
@@ -538,13 +547,13 @@ TEST(AuthzCacheTest, DataMutationsDropNothing) {
   EXPECT_EQ(stats.invalidations, 0);
   EXPECT_EQ(stats.entries_invalidated, 0);
 
-  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
+  auto result1 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result1.ok()) << result1.status();
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);
   EXPECT_EQ(stats.mask_misses, 1);
   // The masked answer does include the new row (3 rows, NAME visible).
-  ASSERT_NE(engine.last_result(), nullptr);
-  EXPECT_EQ(engine.last_result()->answer.size(), 3u);
+  EXPECT_EQ(result1->answer.size(), 3u);
 }
 
 TEST(AuthzCacheTest, FreshViewDefinitionDropsNothing) {
@@ -580,8 +589,9 @@ TEST(AuthzCacheTest, DropViewInvalidatesHoldersAndRetainsOthers) {
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
 
-  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
-  EXPECT_TRUE(engine.last_result()->denied);  // grant went with the view
+  auto result1 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->denied);  // grant went with the view
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);  // Klein's repeat, from the cache
@@ -634,8 +644,9 @@ TEST(AuthzCacheTest, MembershipChangeInvalidatesOnlyTheMember) {
                       "member Brown of staff")
                   .ok());
   engine.ResetAuthzStats();
-  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result1 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->full_access);
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
 
   // Brown leaves staff: only Brown's EMPLOYEE entries drop.
@@ -645,8 +656,9 @@ TEST(AuthzCacheTest, MembershipChangeInvalidatesOnlyTheMember) {
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
 
-  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
-  EXPECT_FALSE(engine.last_result()->full_access);  // NAMES only again
+  auto result2 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result2.ok()) << result2.status();
+  EXPECT_FALSE(result2->full_access);  // NAMES only again
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);  // Klein retained
@@ -684,8 +696,9 @@ TEST(AuthzCacheTest, EntryBoundKeepsInvalidationSound) {
   EXPECT_GE(stats.entries_retained, 1);
   EXPECT_EQ(stats.invalidations_over, 0);
 
-  ASSERT_TRUE(engine.Execute(brown_query(kQueries - 1)).ok());
-  EXPECT_TRUE(engine.last_result()->full_access);
+  auto result1 = engine.Retrieve(brown_query(kQueries - 1));
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->full_access);
   ASSERT_TRUE(engine.Execute(klein_query(kQueries - 1)).ok());
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);  // Klein's survivor

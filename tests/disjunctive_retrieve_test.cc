@@ -47,11 +47,11 @@ TEST_F(DisjunctiveRetrieveTest, Parsing) {
 }
 
 TEST_F(DisjunctiveRetrieveTest, UnionOfBranches) {
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME) where EMPLOYEE.TITLE = manager "
       "or EMPLOYEE.TITLE = engineer as boss");
   ASSERT_TRUE(out.ok()) << out.status();
-  const AuthorizationResult* result = engine_.last_result();
+  const AuthorizationResult* result = &*out;
   EXPECT_FALSE(result->denied);
   EXPECT_TRUE(result->full_access);  // both branches fully inside the view
   EXPECT_EQ(result->answer.size(), 2);
@@ -62,11 +62,11 @@ TEST_F(DisjunctiveRetrieveTest, UnionOfBranches) {
 TEST_F(DisjunctiveRetrieveTest, BranchesAuthorizeIndependently) {
   // The clerk's CHEAP view covers salaries < 25000: branch 1 is inside,
   // branch 2 (high earners) is denied — the union delivers branch 1.
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) "
       "where EMPLOYEE.SALARY < 23000 or EMPLOYEE.SALARY > 31000 as clerk");
   ASSERT_TRUE(out.ok()) << out.status();
-  const AuthorizationResult* result = engine_.last_result();
+  const AuthorizationResult* result = &*out;
   EXPECT_FALSE(result->denied);
   EXPECT_FALSE(result->full_access);
   ASSERT_EQ(result->answer.size(), 1);
@@ -75,23 +75,23 @@ TEST_F(DisjunctiveRetrieveTest, BranchesAuthorizeIndependently) {
 }
 
 TEST_F(DisjunctiveRetrieveTest, AllBranchesDeniedMeansDenied) {
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.TITLE) where EMPLOYEE.SALARY < 23000 "
       "or EMPLOYEE.SALARY > 31000 as clerk");  // TITLE not in CHEAP
   ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(engine_.last_result()->denied);
+  EXPECT_TRUE(out->denied);
 }
 
 TEST_F(DisjunctiveRetrieveTest, ExtendedMasksAcrossBranches) {
   // Under extended masks the branch masks are wide; the union must stay
   // well-formed and deliver the union of the branch portions.
   engine_.options().extended_masks = true;
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) "
       "where EMPLOYEE.SALARY < 23000 or EMPLOYEE.TITLE = manager "
       "as clerk");
   ASSERT_TRUE(out.ok()) << out.status();
-  const AuthorizationResult* result = engine_.last_result();
+  const AuthorizationResult* result = &*out;
   EXPECT_FALSE(result->denied);
   // Branch 1 (inside CHEAP) delivers Smith; branch 2 filters on TITLE,
   // which CHEAP neither projects nor restricts, so it contributes
@@ -103,11 +103,11 @@ TEST_F(DisjunctiveRetrieveTest, ExtendedMasksAcrossBranches) {
 
 TEST_F(DisjunctiveRetrieveTest, DuplicateRowsCollapse) {
   // Overlapping branches: each matching row is delivered once.
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME) where EMPLOYEE.SALARY > 20000 "
       "or EMPLOYEE.SALARY > 25000 as boss");
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(engine_.last_result()->answer.size(), 3);
+  EXPECT_EQ(out->answer.size(), 3);
 }
 
 }  // namespace

@@ -49,11 +49,11 @@ class DisjunctiveViewsTest : public ::testing::Test {
 };
 
 TEST_F(DisjunctiveViewsTest, UnionOfBranchesDelivered) {
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE, EMPLOYEE.SALARY) "
       "as auditor");
   ASSERT_TRUE(out.ok()) << out.status();
-  const AuthorizationResult* result = engine_.last_result();
+  const AuthorizationResult* result = &*out;
   EXPECT_FALSE(result->denied);
   // Smith (22k, branch 1) and Jones (manager, branch 2) flow; Brown does
   // not match either branch.
@@ -72,16 +72,16 @@ TEST_F(DisjunctiveViewsTest, UnionOfBranchesDelivered) {
 // base algorithm drops it (only Smith flows); the extended-mask option
 // recovers Jones with a permit naming TITLE.
 TEST_F(DisjunctiveViewsTest, BranchNeedingExtraAttribute) {
-  auto base = engine_.Execute(
+  auto base = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as auditor");
   ASSERT_TRUE(base.ok());
-  EXPECT_EQ(engine_.last_result()->answer.size(), 1);
+  EXPECT_EQ(base->answer.size(), 1);
 
   engine_.options().extended_masks = true;
-  auto extended = engine_.Execute(
+  auto extended = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as auditor");
   ASSERT_TRUE(extended.ok());
-  const AuthorizationResult* result = engine_.last_result();
+  const AuthorizationResult* result = &*extended;
   EXPECT_TRUE(result->answer.Contains(
       Tuple({Value::String("Smith"), Value::Int64(22000)})));
   EXPECT_TRUE(result->answer.Contains(
@@ -90,11 +90,11 @@ TEST_F(DisjunctiveViewsTest, BranchNeedingExtraAttribute) {
 
 TEST_F(DisjunctiveViewsTest, BranchesRefineIndependently) {
   // A query inside branch 1's range clears that branch's restriction.
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) "
       "where EMPLOYEE.SALARY < 23000 as auditor");
   ASSERT_TRUE(out.ok());
-  const AuthorizationResult* result = engine_.last_result();
+  const AuthorizationResult* result = &*out;
   EXPECT_FALSE(result->denied);
   EXPECT_EQ(result->answer.size(), 1);
   EXPECT_TRUE(result->answer.Contains(
@@ -103,17 +103,17 @@ TEST_F(DisjunctiveViewsTest, BranchesRefineIndependently) {
 
 TEST_F(DisjunctiveViewsTest, GroupGrantAndDenyAtomicity) {
   ASSERT_TRUE(engine_.Execute("deny JUNIOR_OR_MGR to auditor").ok());
-  auto out = engine_.Execute("retrieve (EMPLOYEE.NAME) as auditor");
+  auto out = engine_.Retrieve("retrieve (EMPLOYEE.NAME) as auditor");
   ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(engine_.last_result()->denied);
+  EXPECT_TRUE(out->denied);
 }
 
 TEST_F(DisjunctiveViewsTest, DropViewRemovesAllBranches) {
   ASSERT_TRUE(engine_.catalog().DropView("JUNIOR_OR_MGR").ok());
   EXPECT_FALSE(engine_.catalog().HasView("JUNIOR_OR_MGR"));
-  auto out = engine_.Execute("retrieve (EMPLOYEE.NAME) as auditor");
+  auto out = engine_.Retrieve("retrieve (EMPLOYEE.NAME) as auditor");
   ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(engine_.last_result()->denied);
+  EXPECT_TRUE(out->denied);
 }
 
 TEST_F(DisjunctiveViewsTest, ContradictoryBranchSkipped) {
@@ -127,10 +127,10 @@ TEST_F(DisjunctiveViewsTest, ContradictoryBranchSkipped) {
   auto branches = engine_.catalog().GetViewBranches("PARTIAL");
   ASSERT_TRUE(branches.ok());
   EXPECT_EQ(branches->size(), 1u);  // the contradictory branch vanished
-  auto out = engine_.Execute(
+  auto out = engine_.Retrieve(
       "retrieve (EMPLOYEE.NAME) where EMPLOYEE.TITLE = engineer as viewer");
   ASSERT_TRUE(out.ok());
-  EXPECT_FALSE(engine_.last_result()->denied);
+  EXPECT_FALSE(out->denied);
 }
 
 TEST_F(DisjunctiveViewsTest, AllBranchesContradictoryRejected) {

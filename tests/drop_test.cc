@@ -42,9 +42,9 @@ TEST_F(DropTest, DropViewRemovesGrants) {
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(*out, "dropped view VT");
   EXPECT_FALSE(engine_.catalog().HasView("VT"));
-  auto denied = engine_.Execute("retrieve (T.A) as u");
+  auto denied = engine_.Retrieve("retrieve (T.A) as u");
   ASSERT_TRUE(denied.ok());
-  EXPECT_TRUE(engine_.last_result()->denied);
+  EXPECT_TRUE(denied->denied);
   EXPECT_TRUE(engine_.Execute("drop view VT").status().IsNotFound());
 }
 
@@ -70,10 +70,10 @@ TEST_F(DropTest, CompiledViewsSurviveSchemaChurn) {
   // compiled form.
   ASSERT_TRUE(engine_.Execute("drop relation U").ok());
   ASSERT_TRUE(engine_.Execute("relation U (C int key, D int)").ok());
-  auto out = engine_.Execute("retrieve (T.A, T.B) as u");
+  auto out = engine_.Retrieve("retrieve (T.A, T.B) as u");
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_FALSE(engine_.last_result()->denied);
-  EXPECT_EQ(engine_.last_result()->answer.size(), 1);
+  EXPECT_FALSE(out->denied);
+  EXPECT_EQ(out->answer.size(), 1);
 }
 
 }  // namespace

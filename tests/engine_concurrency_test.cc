@@ -5,9 +5,11 @@
 // liveness and snapshot refcount hygiene (run under
 // -DVIEWAUTH_SANITIZE=thread and address by tools/check.sh).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,12 +83,11 @@ TEST(EngineConcurrencyTest, ConcurrentRetrievesMutationsAndInserts) {
 
   // Quiesced state: Klein's grant cycle ended on deny, so Klein is back
   // to NAMES only; the final masks are consistent.
-  ASSERT_TRUE(
-      engine.Execute("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Klein")
-          .ok());
-  ASSERT_NE(engine.last_result(), nullptr);
-  EXPECT_FALSE(engine.last_result()->full_access);
-  EXPECT_FALSE(engine.last_result()->denied);
+  auto quiesced =
+      engine.Retrieve("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Klein");
+  ASSERT_TRUE(quiesced.ok()) << quiesced.status();
+  EXPECT_FALSE(quiesced->full_access);
+  EXPECT_FALSE(quiesced->denied);
   // All inserted rows are present.
   ASSERT_TRUE(engine.db().GetRelation("EMPLOYEE").ok());
   EXPECT_EQ((*engine.db().GetRelation("EMPLOYEE"))->size(), 3 + kInserts);
@@ -126,6 +127,122 @@ TEST(EngineConcurrencyTest, ConcurrentRetrievesShareTheCache) {
   // everything after is served from the shared mask cache.
   EXPECT_GE(stats.mask_hits, stats.retrieves - kThreads);
   EXPECT_EQ(stats.invalidations, 0);
+}
+
+// Guarded writes append to the audit log under the state mutex while
+// retrieves append outside it; the log must serialize both itself. Every
+// decision lands exactly once, numbered 1..2K without a gap or a repeat.
+TEST(EngineConcurrencyTest, GuardedWritesAndRetrievesShareOneAuditLog) {
+  Engine engine;
+  auto setup = engine.ExecuteScript(R"(
+    relation T (A int key)
+    view VT (T.A)
+    permit VT to u
+    permit VT to u for insert
+  )");
+  ASSERT_TRUE(setup.ok()) << setup.status();
+  ASSERT_EQ(engine.audit_log().size(), 0);
+
+  constexpr int kStatements = 200;
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kStatements; ++i) {
+      auto out = engine.Execute("insert into T values (" + std::to_string(i) +
+                                ") as u");
+      if (!out.ok()) failures.fetch_add(1);
+    }
+  });
+  std::thread reader([&] {
+    for (int i = 0; i < kStatements; ++i) {
+      auto out = engine.Execute("retrieve (T.A) as u");
+      if (!out.ok()) failures.fetch_add(1);
+    }
+  });
+  writer.join();
+  reader.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_EQ(engine.audit_log().size(), 2 * kStatements);
+  const std::vector<AuditEntry> entries = engine.audit_log().entries();
+  std::vector<long long> sequences;
+  int inserts = 0;
+  for (const AuditEntry& entry : entries) {
+    sequences.push_back(entry.sequence);
+    if (entry.outcome == AuditOutcome::kInsertAllowed) ++inserts;
+  }
+  EXPECT_EQ(inserts, kStatements);
+  std::sort(sequences.begin(), sequences.end());
+  for (int i = 0; i < 2 * kStatements; ++i) {
+    ASSERT_EQ(sequences[static_cast<size_t>(i)], i + 1);
+  }
+}
+
+// Each retrieve hands its caller that request's own result: concurrent
+// sessions with different grants never see each other's answers, flags
+// or permits.
+TEST(EngineConcurrencyTest, ConcurrentRetrievesReturnTheirOwnResults) {
+  Engine engine;
+  auto setup = engine.ExecuteScript(R"(
+    relation PROJECT (NUMBER string key, SPONSOR string, BUDGET int)
+    insert into PROJECT values (p1, Acme, 100000)
+    insert into PROJECT values (p2, Apex, 400000)
+    insert into PROJECT values (p3, Acme, 250000)
+    view PSA (PROJECT.NUMBER, PROJECT.SPONSOR) where PROJECT.SPONSOR = Acme
+    view ALL_P (PROJECT.NUMBER, PROJECT.SPONSOR, PROJECT.BUDGET)
+    permit PSA to Brown
+    permit ALL_P to Klein
+  )");
+  ASSERT_TRUE(setup.ok()) << setup.status();
+
+  struct Observed {
+    int rows = 0;
+    bool denied = false;
+    bool full_access = false;
+    std::vector<std::string> permits;
+    bool operator==(const Observed& other) const {
+      return rows == other.rows && denied == other.denied &&
+             full_access == other.full_access && permits == other.permits;
+    }
+  };
+  auto observe = [&](const std::string& user) -> std::optional<Observed> {
+    auto result = engine.Retrieve(
+        "retrieve (PROJECT.NUMBER, PROJECT.SPONSOR) as " + user);
+    if (!result.ok()) return std::nullopt;
+    Observed observed;
+    observed.rows = result->answer.size();
+    observed.denied = result->denied;
+    observed.full_access = result->full_access;
+    for (const InferredPermit& permit : result->permits()) {
+      observed.permits.push_back(permit.ToString());
+    }
+    return observed;
+  };
+
+  // Sequential references: Brown sees the two Acme rows under a permit,
+  // Klein sees all three rows with full access.
+  const std::optional<Observed> brown = observe("Brown");
+  const std::optional<Observed> klein = observe("Klein");
+  ASSERT_TRUE(brown.has_value() && klein.has_value());
+  EXPECT_EQ(brown->rows, 2);
+  EXPECT_FALSE(brown->full_access);
+  EXPECT_FALSE(brown->permits.empty());
+  EXPECT_EQ(klein->rows, 3);
+  EXPECT_TRUE(klein->full_access);
+  EXPECT_TRUE(klein->permits.empty());
+
+  constexpr int kPerThread = 100;
+  std::atomic<int> mismatches{0};
+  auto session = [&](const std::string& user, const Observed& want) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const std::optional<Observed> got = observe(user);
+      if (!got.has_value() || !(*got == want)) mismatches.fetch_add(1);
+    }
+  };
+  std::thread brown_session(session, "Brown", *brown);
+  std::thread klein_session(session, "Klein", *klein);
+  brown_session.join();
+  klein_session.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // A retrieve must never block behind a mutation batch parked on a slow

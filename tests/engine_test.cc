@@ -46,35 +46,49 @@ TEST_F(EngineTest, InsertCoercesBarewordNumbers) {
 }
 
 TEST_F(EngineTest, RetrieveMasksAndDescribes) {
-  auto out = engine_.Execute(
-      "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE) as Brown");
+  const char* query = "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE) as Brown";
+  auto out = engine_.Execute(query);
   ASSERT_TRUE(out.ok());
   // Names flow, titles are withheld.
   EXPECT_NE(out->find("Jones"), std::string::npos);
   EXPECT_EQ(out->find("manager"), std::string::npos);
   EXPECT_NE(out->find("permit (NAME)"), std::string::npos);
-  ASSERT_NE(engine_.last_result(), nullptr);
-  EXPECT_FALSE(engine_.last_result()->full_access);
-  EXPECT_EQ(engine_.last_result()->answer.size(), 2);
-  // The engine keeps no unmasked rows, titles included.
-  EXPECT_TRUE(engine_.last_result()->raw_answer.empty());
+  auto result = engine_.Retrieve(query);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->full_access);
+  EXPECT_EQ(result->answer.size(), 2);
+  // The engine hands out no unmasked rows, titles included.
+  EXPECT_TRUE(result->raw_answer.empty());
 }
 
 TEST_F(EngineTest, RetrieveFullAccessHasNoPermits) {
-  auto out = engine_.Execute(
-      "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Brown");
+  const char* query = "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as Brown";
+  auto out = engine_.Execute(query);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->find("permit"), std::string::npos);
-  ASSERT_NE(engine_.last_result(), nullptr);
-  EXPECT_TRUE(engine_.last_result()->full_access);
+  auto result = engine_.Retrieve(query);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->full_access);
 }
 
 TEST_F(EngineTest, RetrieveDenied) {
-  auto out = engine_.Execute("retrieve (EMPLOYEE.NAME) as Nobody");
+  const char* query = "retrieve (EMPLOYEE.NAME) as Nobody";
+  auto out = engine_.Execute(query);
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->find("permission denied"), std::string::npos);
-  EXPECT_TRUE(engine_.last_result()->denied);
-  EXPECT_TRUE(engine_.last_result()->raw_answer.empty());
+  auto result = engine_.Retrieve(query);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->denied);
+  EXPECT_TRUE(result->raw_answer.empty());
+}
+
+TEST_F(EngineTest, RetrieveRejectsOtherStatements) {
+  EXPECT_TRUE(engine_.Retrieve("insert into EMPLOYEE values (Kim, clerk, 1)")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_FALSE(engine_.Retrieve("retrieve (").ok());
+  // Neither reached the engine: no row was loaded, nothing was audited.
+  EXPECT_EQ(engine_.audit_log().size(), 0);
 }
 
 TEST_F(EngineTest, SessionUserAndAsClause) {

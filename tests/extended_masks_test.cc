@@ -64,14 +64,14 @@ TEST(ExtendedMasks, ViewPredicateBecomesRowFilter) {
       "retrieve (PATIENT.NAME, RECORD.DIAGNOSIS) "
       "where PATIENT.ID = RECORD.PATIENT_ID as assistant";
 
-  auto base = engine.Execute(query);
+  auto base = engine.Retrieve(query);
   ASSERT_TRUE(base.ok());
-  EXPECT_TRUE(engine.last_result()->denied);
+  EXPECT_TRUE(base->denied);
 
   engine.options().extended_masks = true;
-  auto extended = engine.Execute(query);
+  auto extended = engine.Retrieve(query);
   ASSERT_TRUE(extended.ok());
-  const AuthorizationResult* result = engine.last_result();
+  const AuthorizationResult* result = &*extended;
   EXPECT_FALSE(result->denied);
   ASSERT_EQ(result->answer.size(), 1);
   EXPECT_TRUE(result->answer.Contains(

@@ -88,10 +88,9 @@ TEST(GovernorTest, DeadlineAbortsCrossProductOnAllPlans) {
         << plan.name << " took " << elapsed.count() << " ms to abort";
 
     engine.options().deadline_ms = 0;
-    auto unlimited = engine.Execute(kCrossQuery);
+    auto unlimited = engine.Retrieve(kCrossQuery);
     ASSERT_TRUE(unlimited.ok()) << unlimited.status();
-    ASSERT_NE(engine.last_result(), nullptr);
-    EXPECT_EQ(engine.last_result()->answer.size(), kExpectedPairs);
+    EXPECT_EQ(unlimited->answer.size(), kExpectedPairs);
 
     const AuthzStats stats = engine.authz_stats();
     EXPECT_EQ(stats.deadline_exceeded, 1);
@@ -111,10 +110,9 @@ TEST(GovernorTest, RowBudgetAborts) {
   EXPECT_EQ(engine.authz_stats().budget_exceeded, 1);
 
   engine.options().max_rows = 0;
-  auto unlimited = engine.Execute(kCrossQuery);
+  auto unlimited = engine.Retrieve(kCrossQuery);
   ASSERT_TRUE(unlimited.ok()) << unlimited.status();
-  ASSERT_NE(engine.last_result(), nullptr);
-  EXPECT_EQ(engine.last_result()->answer.size(), kExpectedPairs);
+  EXPECT_EQ(unlimited->answer.size(), kExpectedPairs);
 }
 
 TEST(GovernorTest, ByteBudgetAborts) {
@@ -145,12 +143,14 @@ TEST(GovernorTest, BudgetedRunMatchesUnlimited) {
   ASSERT_TRUE(governed.ok()) << governed.status();
 
   EXPECT_EQ(*unlimited, *governed);
-  ASSERT_NE(governed_engine.last_result(), nullptr);
-  EXPECT_EQ(governed_engine.last_result()->answer.size(), kExpectedPairs);
   const AuthzStats stats = governed_engine.authz_stats();
   EXPECT_EQ(stats.deadline_exceeded, 0);
   EXPECT_EQ(stats.budget_exceeded, 0);
   EXPECT_EQ(stats.retrieves, 1);
+  // The same governed retrieve, structured.
+  auto governed_result = governed_engine.Retrieve(kCrossQuery);
+  ASSERT_TRUE(governed_result.ok()) << governed_result.status();
+  EXPECT_EQ(governed_result->answer.size(), kExpectedPairs);
 }
 
 // The abort-cleanliness invariant: after a governed abort, every cache
@@ -310,12 +310,11 @@ TEST(GovernorTest, GovernedAbortNeverDegradesDurableEngine) {
   auto insert = durable.Execute("insert into A values (extra, 5000)");
   ASSERT_TRUE(insert.ok()) << insert.status();
   durable.engine().options().max_rows = 0;
-  auto unlimited = durable.Execute(kCrossQuery);
+  auto unlimited = durable.engine().Retrieve(kCrossQuery);
   ASSERT_TRUE(unlimited.ok()) << unlimited.status();
-  ASSERT_NE(durable.engine().last_result(), nullptr);
   // The extra row (X = 5000) beats all 300 B.Y values, adding 300 pairs
   // to the standard 45.
-  EXPECT_EQ(durable.engine().last_result()->answer.size(), kExpectedPairs + 300);
+  EXPECT_EQ(unlimited->answer.size(), kExpectedPairs + 300);
 
   std::remove(path.c_str());
 }
@@ -367,10 +366,9 @@ TEST(GovernorTest, ConcurrentGovernedRetrievesStress) {
   engine.options().max_concurrent = 0;
   engine.options().deadline_ms = 0;
   engine.options().max_rows = 0;
-  auto out = engine.Execute(kCrossQuery);
+  auto out = engine.Retrieve(kCrossQuery);
   ASSERT_TRUE(out.ok()) << out.status();
-  ASSERT_NE(engine.last_result(), nullptr);
-  EXPECT_EQ(engine.last_result()->answer.size(), kExpectedPairs);
+  EXPECT_EQ(out->answer.size(), kExpectedPairs);
 }
 
 }  // namespace

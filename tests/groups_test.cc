@@ -23,9 +23,9 @@ class GroupsTest : public ::testing::Test {
   }
 
   bool Denied(const char* query) {
-    auto out = engine_.Execute(query);
+    auto out = engine_.Retrieve(query);
     EXPECT_TRUE(out.ok()) << out.status();
-    return engine_.last_result()->denied;
+    return out.ok() && out->denied;
   }
 
   Engine engine_;
@@ -77,9 +77,9 @@ TEST_F(GroupsTest, MembershipSurvivesDumpReplay) {
   EXPECT_NE(dump->find("member alice of hr_team"), std::string::npos);
   Engine restored;
   ASSERT_TRUE(restored.ExecuteScript(*dump).ok()) << *dump;
-  auto out = restored.Execute("retrieve (EMPLOYEE.NAME) as alice");
+  auto out = restored.Retrieve("retrieve (EMPLOYEE.NAME) as alice");
   ASSERT_TRUE(out.ok());
-  EXPECT_FALSE(restored.last_result()->denied);
+  EXPECT_FALSE(out->denied);
 }
 
 TEST_F(GroupsTest, UpdateModesWorkThroughGroups) {

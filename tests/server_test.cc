@@ -345,13 +345,16 @@ TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesQueued) {
       EncodeFrame(FrameType::kRequest, EncodeRequest(fast));
   ASSERT_TRUE(WriteFully(*(*socket), pipelined, 1000).ok());
 
+  const long long admitted_before = engine_.authz_stats().admitted;
   std::thread stopper([&] {
-    // Drain once the slow request is in flight: still running, or done
-    // with its reply held at the gate. Either way the fast request is
-    // still queued behind it.
+    // Drain once the slow request is in flight: admitted and running, or
+    // done with its reply held at the gate. Either way the fast request
+    // is still queued behind it. (The server counts a request in flight
+    // before it parses, so draining on that count alone could shed the
+    // slow retrieve at admission.)
     const auto give_up = Clock::now() + std::chrono::seconds(60);
-    while (server_->stats().requests_in_flight == 0 && !gate->held.load() &&
-           Clock::now() < give_up) {
+    while (engine_.authz_stats().admitted == admitted_before &&
+           !gate->held.load() && Clock::now() < give_up) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     server_->Stop();
