@@ -25,21 +25,6 @@ std::string GrantLocation(const ViewCatalog::Grant& grant) {
   return out;
 }
 
-std::string DenyLocation(const ViewCatalog::Grant& revocation) {
-  std::string out = "deny " + revocation.view + " to " + revocation.user;
-  if (revocation.mode != AccessMode::kRetrieve) {
-    out += " for " + std::string(AccessModeToString(revocation.mode));
-  }
-  return out;
-}
-
-// Does `grant` apply to `user`, directly or through a group the user
-// belongs to?
-bool AppliesTo(const ViewCatalog& catalog, const ViewCatalog::Grant& grant,
-               const std::string& user) {
-  return grant.user == user || catalog.IsMember(user, grant.user);
-}
-
 std::string RenderComparison(const ComparisonEntry& entry) {
   std::string out = DefaultVarName(entry.lhs);
   out += " ";
@@ -54,6 +39,14 @@ std::string RenderComparison(const ComparisonEntry& entry) {
 }
 
 }  // namespace
+
+std::string DenyLocation(const ViewCatalog::Grant& revocation) {
+  std::string out = "deny " + revocation.view + " to " + revocation.user;
+  if (revocation.mode != AccessMode::kRetrieve) {
+    out += " for " + std::string(AccessModeToString(revocation.mode));
+  }
+  return out;
+}
 
 void CheckViewSatisfiability(const ViewDefinition& def,
                              const std::string& location,
@@ -184,7 +177,7 @@ void CatalogAnalyzer::CheckSubsumedPermits(AnalysisReport* report) const {
       };
       std::vector<Applied> applied;
       for (const ViewCatalog::Grant& grant : catalog_->grants()) {
-        if (grant.mode != mode || !AppliesTo(*catalog_, grant, user)) {
+        if (grant.mode != mode || !catalog_->GrantApplies(grant, user)) {
           continue;
         }
         Result<std::vector<const ViewDefinition*>> branches =
@@ -237,7 +230,7 @@ void CatalogAnalyzer::CheckShadowedDenies(AnalysisReport* report) const {
       std::string through;
       for (const ViewCatalog::Grant& grant : catalog_->grants()) {
         if (grant.view == revocation.view && grant.mode == revocation.mode &&
-            AppliesTo(*catalog_, grant, revocation.user)) {
+            catalog_->GrantApplies(grant, revocation.user)) {
           through = GrantLocation(grant);
           break;
         }
@@ -254,7 +247,7 @@ void CatalogAnalyzer::CheckShadowedDenies(AnalysisReport* report) const {
     if (!denied.ok()) continue;
     for (const ViewCatalog::Grant& grant : catalog_->grants()) {
       if (grant.mode != revocation.mode || grant.view == revocation.view ||
-          !AppliesTo(*catalog_, grant, revocation.user)) {
+          !catalog_->GrantApplies(grant, revocation.user)) {
         continue;
       }
       Result<std::vector<const ViewDefinition*>> remaining =

@@ -74,6 +74,10 @@ void CheckSchemaDrift(const ViewDefinition& def, const DatabaseSchema& schema,
                       const std::string& location,
                       std::vector<Diagnostic>* out);
 
+// The diagnostic location of a recorded deny, in the surface language
+// ("deny SAE to Brown", "deny W to Brown for insert").
+std::string DenyLocation(const ViewCatalog::Grant& revocation);
+
 class CatalogAnalyzer {
  public:
   explicit CatalogAnalyzer(const ViewCatalog* catalog) : catalog_(catalog) {}

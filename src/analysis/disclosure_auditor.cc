@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "analysis/catalog_analyzer.h"
 #include "common/str_util.h"
 
 namespace viewauth {
@@ -18,19 +19,6 @@ bool FactCovers(const DisclosureFact& general,
     if (!general.columns.contains(column)) return false;
   }
   return specific.region.ImpliesAll(general.region) == Truth::kTrue;
-}
-
-bool AppliesTo(const ViewCatalog& catalog, const ViewCatalog::Grant& grant,
-               const std::string& user) {
-  return grant.user == user || catalog.IsMember(user, grant.user);
-}
-
-std::string DenyLocation(const ViewCatalog::Grant& revocation) {
-  std::string out = "deny " + revocation.view + " to " + revocation.user;
-  if (revocation.mode != AccessMode::kRetrieve) {
-    out += " for " + std::string(AccessModeToString(revocation.mode));
-  }
-  return out;
 }
 
 // Merged source list, first-use order, deduped. Empty when the merge
@@ -82,7 +70,7 @@ std::vector<std::string> DisclosureAuditor::PermittedViewNames(
   std::vector<std::string> names;
   for (const ViewCatalog::Grant& grant : catalog_->grants()) {
     if (grant.mode != AccessMode::kRetrieve ||
-        !AppliesTo(*catalog_, grant, user)) {
+        !catalog_->GrantApplies(grant, user)) {
       continue;
     }
     if (std::find(names.begin(), names.end(), grant.view) == names.end()) {
@@ -282,7 +270,7 @@ std::optional<Diagnostic> DisclosureAuditor::CheckDenyBypass(
   if (!denied.ok()) return std::nullopt;
   for (const ViewCatalog::Grant& grant : catalog_->grants()) {
     if (grant.mode != revocation.mode || grant.view == revocation.view ||
-        !AppliesTo(*catalog_, grant, revocation.user)) {
+        !catalog_->GrantApplies(grant, revocation.user)) {
       continue;
     }
     Result<std::vector<const ViewDefinition*>> remaining =

@@ -131,7 +131,7 @@ void AuthzCache::StoreLocked(std::string key, const AuthzGeneration& gen,
   // isolation: a retrieve pinned to an old snapshot commits its txn
   // after a newer mutation synced the cache forward — its fills are
   // simply dropped.
-  if (gen.catalog != synced_catalog_seq_) return;
+  if (gen.catalog != replayed_catalog_seq_) return;
   if (entries_.size() > kMaxEntries) ClearLocked();
   auto it = entries_.find(key);
   if (it != entries_.end()) IndexEraseLocked(key, it->second.deps.user);
@@ -191,7 +191,7 @@ void AuthzCache::ApplyCatalogMutationLocked(const CatalogMutation& record) {
 void AuthzCache::SyncCatalog(const ViewCatalog& catalog) {
   std::lock_guard<std::mutex> lock(mutex_);
   const long long target = catalog.catalog_version();
-  if (target <= synced_catalog_seq_) return;
+  if (target <= replayed_catalog_seq_) return;
   // A catalog older than our synced point needs nothing: it is a
   // snapshot of a catalog we already replayed past, and its readers are
   // screened at lookup by the entry.catalog <= reader.catalog rule —
@@ -199,7 +199,7 @@ void AuthzCache::SyncCatalog(const ViewCatalog& catalog) {
   // Store from the newer catalog be rejected or, worse, re-admitted
   // under a reused sequence number.
   std::vector<CatalogMutation> records;
-  if (!catalog.MutationsSince(synced_catalog_seq_, &records)) {
+  if (!catalog.MutationsSince(replayed_catalog_seq_, &records)) {
     // The bounded journal no longer reaches back to our synced point:
     // records were lost, so no sound selective answer exists.
     const long long dropped = ClearLocked();
@@ -213,13 +213,8 @@ void AuthzCache::SyncCatalog(const ViewCatalog& catalog) {
       ApplyCatalogMutationLocked(record);
     }
   }
-  synced_catalog_seq_ = target;
+  replayed_catalog_seq_ = target;
   CheckIndexLocked();
-}
-
-long long AuthzCache::synced_catalog_seq() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return synced_catalog_seq_;
 }
 
 void AuthzCache::CheckIndexLocked() const {

@@ -208,10 +208,6 @@ class AuthzCache {
   // generation check catches direct DDL for engineless callers.
   void Invalidate();
 
-  // The catalog journal sequence number this cache has replayed up to
-  // (tests and diagnostics).
-  long long synced_catalog_seq() const;
-
   // --- Governor bookkeeping (the governor's own books) ------------------
   // Deliberately NOT routed through AuthzCacheTxn: these counters record
   // the abort itself, so they must survive it. Counts only the three
@@ -260,7 +256,8 @@ class AuthzCache {
   // Reverse dependency index: user -> the keys of that user's entries.
   // Targeted invalidation walks only the affected users' keys.
   std::map<std::string, std::set<std::string>> by_user_;
-  long long synced_catalog_seq_ = 0;
+  // The catalog journal sequence number this cache has replayed up to.
+  long long replayed_catalog_seq_ = 0;
   AuthzStats stats_;
 };
 

@@ -116,9 +116,6 @@ class ExecContext {
   long long rows_charged() const {
     return rows_.load(std::memory_order_relaxed);
   }
-  long long bytes_charged() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
 
  private:
   bool TickSlow(long long rows, long long bytes);

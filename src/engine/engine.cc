@@ -14,19 +14,19 @@ namespace viewauth {
 Engine::Engine() {
   auto db = std::make_shared<DatabaseInstance>();
   auto catalog = std::make_shared<ViewCatalog>(db->schema_ptr());
-  live_ = MakeState(std::move(db), std::move(catalog), 0);
+  live_ = MakeState(std::move(db), std::move(catalog));
   published_ = live_;
 }
 
 std::shared_ptr<Engine::EngineState> Engine::MakeState(
-    std::shared_ptr<DatabaseInstance> db, std::shared_ptr<ViewCatalog> catalog,
-    uint64_t version) {
+    std::shared_ptr<DatabaseInstance> db,
+    std::shared_ptr<ViewCatalog> catalog) {
   // The counter rides in the deleter so a reader releasing the last pin
   // of an old version decrements it no matter when that happens.
   std::shared_ptr<std::atomic<long long>> counter = state_count_;
   counter->fetch_add(1, std::memory_order_relaxed);
   return std::shared_ptr<EngineState>(
-      new EngineState{std::move(db), std::move(catalog), version},
+      new EngineState{std::move(db), std::move(catalog)},
       [counter](EngineState* state) {
         counter->fetch_sub(1, std::memory_order_relaxed);
         delete state;
@@ -41,11 +41,6 @@ std::shared_ptr<const Engine::EngineState> Engine::SnapshotNow() const {
 void Engine::PublishLocked() {
   std::lock_guard<std::mutex> lock(publish_mutex_);
   published_ = live_;
-}
-
-uint64_t Engine::published_version() const {
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  return published_->version;
 }
 
 void Engine::SetDeferPublication(bool defer) {
@@ -130,7 +125,7 @@ Result<std::string> Engine::ExecuteParsed(const Statement& statement,
   // failure the fork is dropped whole — even a statement that fails
   // halfway through its writes leaves no trace.
   const std::shared_ptr<EngineState> prev = live_;
-  live_ = MakeState(prev->db, prev->catalog, prev->version);
+  live_ = MakeState(prev->db, prev->catalog);
   Result<std::string> out = std::visit(
       [this](const auto& stmt) -> Result<std::string> {
         using T = std::decay_t<decltype(stmt)>;
@@ -162,7 +157,6 @@ Result<std::string> Engine::ExecuteParsed(const Statement& statement,
     live_ = prev;
     return out;
   }
-  live_->version = next_version_++;
   if (!defer_publication_) PublishLocked();
   return out;
 }

@@ -36,10 +36,10 @@
 #define VIEWAUTH_ENGINE_ENGINE_H_
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/catalog_analyzer.h"
@@ -55,6 +55,10 @@
 #include "storage/relation.h"
 
 namespace viewauth {
+
+// The administrator: an engine's default session user, and the one
+// server identity that may run administrative statements and `as USER`.
+inline constexpr std::string_view kAdminUser = "admin";
 
 class Engine {
  public:
@@ -142,8 +146,6 @@ class Engine {
   long long snapshots_live() const {
     return state_count_->load(std::memory_order_relaxed);
   }
-  // Monotonic version number of the published snapshot.
-  uint64_t published_version() const;
 
   // --- deferred publication (DurableEngine group commit) ----------------
   // With deferred publication on, a committed mutation advances only the
@@ -176,7 +178,6 @@ class Engine {
   struct EngineState {
     std::shared_ptr<DatabaseInstance> db;
     std::shared_ptr<ViewCatalog> catalog;
-    uint64_t version = 0;
   };
 
   Result<std::string> ExecuteRelation(const RelationStmt& stmt);
@@ -203,8 +204,7 @@ class Engine {
 
   // Allocates a tracked EngineState (snapshots_live accounting).
   std::shared_ptr<EngineState> MakeState(std::shared_ptr<DatabaseInstance> db,
-                                         std::shared_ptr<ViewCatalog> catalog,
-                                         uint64_t version);
+                                         std::shared_ptr<ViewCatalog> catalog);
   // The published snapshot, pinned (the lock-free read entry point).
   std::shared_ptr<const EngineState> SnapshotNow() const;
   // published_ = live_. Requires state_mutex_.
@@ -247,10 +247,9 @@ class Engine {
   // while executing anything.
   mutable std::mutex publish_mutex_;
   bool defer_publication_ = false;
-  uint64_t next_version_ = 1;
   AuthzCache authz_cache_;
   AuthorizationOptions options_;
-  std::string session_user_ = "admin";
+  std::string session_user_{kAdminUser};
   AuditLog audit_log_;
   // Serializes mutating statements (fork → execute → install). Retrieves
   // do not touch it — they read the published snapshot.

@@ -111,9 +111,9 @@ std::string MetaTuple::StructuralKey(bool include_provenance) const {
   // are NOT interchangeable — one may dangle in a later product where the
   // other does not (e.g. the two EST self-join tuples of Example 3).
   if (include_provenance) {
-    out << "@";
+    out << '@';
     for (AtomId atom : origin_atoms_) out << atom << ",";
-    out << "@";
+    out << '@';
     for (VarId var : CellVars()) {
       auto it = var_atoms_.find(var);
       if (it == var_atoms_.end()) continue;

@@ -38,7 +38,7 @@ Status ViewCatalog::DefineView(const ViewStmt& stmt) {
     return DefineView(stmt.name, query);
   }
   // Disjunctive view: compile every branch, then commit atomically.
-  if (groups_.contains(stmt.name)) {
+  if (HasView(stmt.name)) {
     return Status::AlreadyExists("view '" + stmt.name +
                                  "' already exists");
   }
@@ -67,33 +67,30 @@ Status ViewCatalog::DefineView(const ViewStmt& stmt) {
                                    "' defines the empty relation (every "
                                    "branch is contradictory)");
   }
-  std::vector<std::string> keys;
-  for (size_t i = 0; i < compiled.size(); ++i) {
-    std::string key = stmt.name + "@" + std::to_string(i + 1);
-    keys.push_back(key);
-    CommitView(std::move(key), std::move(compiled[i]));
-  }
-  groups_.emplace(stmt.name, std::move(keys));
-  view_order_.push_back(stmt.name);
-  // A fresh definition carries no grants yet, so no cached entry can
-  // depend on it: empty users/scopes.
-  RecordMutation(CatalogMutation::Kind::kViewDefined, stmt.name, {}, {});
+  RegisterView(stmt.name, std::move(compiled));
   return Status::OK();
 }
 
 Status ViewCatalog::DefineView(std::string name,
                                const ConjunctiveQuery& query) {
-  if (groups_.contains(name)) {
+  if (HasView(name)) {
     return Status::AlreadyExists("view '" + name + "' already exists");
   }
   VIEWAUTH_ASSIGN_OR_RETURN(ViewDefinition def, CompileView(name, query));
-  groups_.emplace(name, std::vector<std::string>{name});
-  view_order_.push_back(name);
-  std::string view_name = name;
-  CommitView(std::move(name), std::move(def));
-  RecordMutation(CatalogMutation::Kind::kViewDefined, std::move(view_name),
-                 {}, {});
+  std::vector<ViewDefinition> branches;
+  branches.push_back(std::move(def));
+  RegisterView(std::move(name), std::move(branches));
   return Status::OK();
+}
+
+void ViewCatalog::RegisterView(std::string name,
+                               std::vector<ViewDefinition> branches) {
+  view_order_.push_back(name);
+  views_.emplace(name, std::move(branches));
+  // A fresh definition carries no grants yet, so no cached entry can
+  // depend on it: empty users/scopes.
+  RecordMutation(CatalogMutation::Kind::kViewDefined, std::move(name), {},
+                 {});
 }
 
 Result<ViewDefinition> ViewCatalog::CompileView(
@@ -304,13 +301,9 @@ Result<ViewDefinition> ViewCatalog::CompileView(
   return def;
 }
 
-void ViewCatalog::CommitView(std::string storage_key, ViewDefinition def) {
-  views_.emplace(std::move(storage_key), std::move(def));
-}
-
 Status ViewCatalog::DropView(std::string_view name) {
-  auto group = groups_.find(std::string(name));
-  if (group == groups_.end()) {
+  auto view = views_.find(name);
+  if (view == views_.end()) {
     return Status::NotFound("view '" + std::string(name) +
                             "' does not exist");
   }
@@ -330,10 +323,7 @@ Status ViewCatalog::DropView(std::string_view name) {
   std::vector<std::set<std::string>> scopes =
       affected.empty() ? std::vector<std::set<std::string>>{}
                        : BranchScopes(name);
-  for (const std::string& key : group->second) {
-    views_.erase(key);
-  }
-  groups_.erase(group);
+  views_.erase(view);
   view_order_.erase(
       std::find(view_order_.begin(), view_order_.end(), std::string(name)));
   std::erase_if(permissions_, [&name](const Grant& grant) {
@@ -363,7 +353,7 @@ std::string_view AccessModeToString(AccessMode mode) {
 
 Status ViewCatalog::Permit(std::string_view view, std::string_view user,
                            AccessMode mode) {
-  if (!groups_.contains(std::string(view))) {
+  if (!HasView(view)) {
     return Status::NotFound("view '" + std::string(view) +
                             "' does not exist");
   }
@@ -410,7 +400,7 @@ Status ViewCatalog::Deny(std::string_view view, std::string_view user,
 }
 
 bool ViewCatalog::HasView(std::string_view name) const {
-  return groups_.find(std::string(name)) != groups_.end();
+  return views_.find(name) != views_.end();
 }
 
 Result<const ViewDefinition*> ViewCatalog::GetView(
@@ -422,47 +412,32 @@ Result<const ViewDefinition*> ViewCatalog::GetView(
 
 Result<std::vector<const ViewDefinition*>> ViewCatalog::GetViewBranches(
     std::string_view name) const {
-  auto group = groups_.find(std::string(name));
-  if (group == groups_.end()) {
+  auto view = views_.find(name);
+  if (view == views_.end()) {
     return Status::NotFound("view '" + std::string(name) +
                             "' does not exist");
   }
   std::vector<const ViewDefinition*> branches;
-  for (const std::string& key : group->second) {
-    branches.push_back(&views_.at(key));
-  }
+  for (const ViewDefinition& def : view->second) branches.push_back(&def);
   return branches;
 }
 
-namespace {
-// Does a grant issued to `grantee` apply to `user`, directly or through
-// group membership?
-bool GrantApplies(
-    const std::string& grantee, std::string_view user,
-    const std::map<std::string, std::set<std::string>, std::less<>>&
-        group_members) {
-  if (grantee == user) return true;
-  auto group = group_members.find(grantee);
-  return group != group_members.end() &&
-         group->second.contains(std::string(user));
+bool ViewCatalog::GrantApplies(const Grant& grant,
+                               std::string_view user) const {
+  return grant.user == user || IsMember(user, grant.user);
 }
-}  // namespace
 
 std::vector<const ViewDefinition*> ViewCatalog::PermittedViews(
     std::string_view user, AccessMode mode) const {
   std::vector<const ViewDefinition*> result;
   for (const Grant& grant : permissions_) {
-    if (grant.mode != mode ||
-        !GrantApplies(grant.user, user, group_members_)) {
-      continue;
-    }
-    auto group = groups_.find(grant.view);
-    if (group == groups_.end()) continue;
-    for (const std::string& key : group->second) {
-      const ViewDefinition* def = &views_.at(key);
+    if (grant.mode != mode || !GrantApplies(grant, user)) continue;
+    auto view = views_.find(grant.view);
+    if (view == views_.end()) continue;
+    for (const ViewDefinition& def : view->second) {
       // A user in several granted groups must not receive duplicates.
-      if (std::find(result.begin(), result.end(), def) == result.end()) {
-        result.push_back(def);
+      if (std::find(result.begin(), result.end(), &def) == result.end()) {
+        result.push_back(&def);
       }
     }
   }
@@ -490,7 +465,7 @@ bool ViewCatalog::IsPermitted(std::string_view user, std::string_view view,
                               AccessMode mode) const {
   for (const Grant& grant : permissions_) {
     if (grant.view == view && grant.mode == mode &&
-        GrantApplies(grant.user, user, group_members_)) {
+        GrantApplies(grant, user)) {
       return true;
     }
   }
@@ -545,7 +520,7 @@ Status ViewCatalog::RemoveMember(std::string_view user,
 
 bool ViewCatalog::IsMember(std::string_view user,
                            std::string_view group) const {
-  auto it = group_members_.find(std::string(group));
+  auto it = group_members_.find(group);
   return it != group_members_.end() &&
          it->second.contains(std::string(user));
 }
@@ -571,22 +546,21 @@ Result<Relation> ViewCatalog::MaterializeMetaRelation(
   Relation out(std::move(schema));
   auto namer = [this](VarId v) { return VarName(v); };
   for (const std::string& view_name : view_order_) {
-    for (const std::string& key : groups_.at(view_name)) {
-    const ViewDefinition& def = views_.at(key);
-    for (size_t i = 0; i < def.tuples.size(); ++i) {
-      if (def.tuple_relations[i] != relation_name) continue;
-      std::vector<Value> row;
-      row.push_back(Value::String(view_name));
-      for (const MetaCell& cell : def.tuples[i].cells()) {
-        row.push_back(Value::String(cell.ToString(namer)));
+    for (const ViewDefinition& def : views_.find(view_name)->second) {
+      for (size_t i = 0; i < def.tuples.size(); ++i) {
+        if (def.tuple_relations[i] != relation_name) continue;
+        std::vector<Value> row;
+        row.push_back(Value::String(view_name));
+        for (const MetaCell& cell : def.tuples[i].cells()) {
+          row.push_back(Value::String(cell.ToString(namer)));
+        }
+        // Identical meta-tuples of one view (EST stores two equal
+        // EMPLOYEE' rows) collapse under set semantics here; the compiled
+        // ViewDefinition keeps them distinct, and display code that needs
+        // the duplicated rows (the Figure 1 reproduction) prints from the
+        // definitions.
+        out.InsertUnchecked(Tuple(std::move(row)));
       }
-      // Identical meta-tuples of one view (EST stores two equal EMPLOYEE'
-      // rows) collapse under set semantics here; the compiled
-      // ViewDefinition keeps them distinct, and display code that needs
-      // the duplicated rows (the Figure 1 reproduction) prints from the
-      // definitions.
-      out.InsertUnchecked(Tuple(std::move(row)));
-    }
     }
   }
   return out;
@@ -602,18 +576,17 @@ Relation ViewCatalog::MaterializeComparison() const {
           .value();
   Relation out(std::move(schema));
   for (const std::string& view_name : view_order_) {
-    for (const std::string& key : groups_.at(view_name)) {
-    const ViewDefinition& def = views_.at(key);
-    for (const ComparisonEntry& entry : def.comparisons) {
-      std::string y = entry.rhs_is_var
-                          ? VarName(entry.rhs_var)
-                          : entry.rhs_const.ToDisplayString(false);
-      out.InsertUnchecked(Tuple({Value::String(entry.view),
-                                 Value::String(VarName(entry.lhs)),
-                                 Value::String(std::string(
-                                     ComparatorToString(entry.op))),
-                                 Value::String(std::move(y))}));
-    }
+    for (const ViewDefinition& def : views_.find(view_name)->second) {
+      for (const ComparisonEntry& entry : def.comparisons) {
+        std::string y = entry.rhs_is_var
+                            ? VarName(entry.rhs_var)
+                            : entry.rhs_const.ToDisplayString(false);
+        out.InsertUnchecked(Tuple({Value::String(entry.view),
+                                   Value::String(VarName(entry.lhs)),
+                                   Value::String(std::string(
+                                       ComparatorToString(entry.op))),
+                                   Value::String(std::move(y))}));
+      }
     }
   }
   return out;
@@ -647,20 +620,10 @@ std::vector<std::string> ViewCatalog::AffectedUsers(
 std::vector<std::set<std::string>> ViewCatalog::BranchScopes(
     std::string_view view) const {
   std::vector<std::set<std::string>> scopes;
-  auto group = groups_.find(std::string(view));
-  if (group == groups_.end()) return scopes;
-  for (const std::string& key : group->second) {
-    const ViewDefinition& def = views_.at(key);
-    std::set<std::string> scope;
-    for (const std::string& relation : def.relations) {
-      if (HasView(relation)) {
-        std::set<std::string> nested = ViewClosureRelations(relation);
-        scope.insert(nested.begin(), nested.end());
-      } else {
-        scope.insert(relation);
-      }
-    }
-    scopes.push_back(std::move(scope));
+  auto it = views_.find(view);
+  if (it == views_.end()) return scopes;
+  for (const ViewDefinition& def : it->second) {
+    scopes.push_back(def.relations);
   }
   return scopes;
 }
@@ -680,37 +643,16 @@ bool ViewCatalog::MutationsSince(long long since,
   return true;
 }
 
-std::set<std::string> ViewCatalog::ViewClosureRelations(
-    std::string_view name) const {
-  std::set<std::string> closure;
-  std::vector<std::string> frontier{std::string(name)};
-  std::set<std::string> expanded;
-  while (!frontier.empty()) {
-    std::string current = std::move(frontier.back());
-    frontier.pop_back();
-    if (!expanded.insert(current).second) continue;
-    auto group = groups_.find(current);
-    if (group == groups_.end()) {
-      // Not a view: only the root name must be a view for the query to
-      // be meaningful; any other name is a base relation.
-      if (current != name) closure.insert(std::move(current));
-      continue;
-    }
-    for (const std::string& key : group->second) {
-      const ViewDefinition& def = views_.at(key);
-      for (const std::string& relation : def.relations) {
-        frontier.push_back(relation);
-      }
-    }
-  }
-  return closure;
-}
-
 std::vector<std::string> ViewCatalog::ViewsReferencingRelation(
     std::string_view relation) const {
+  const std::string base(relation);
   std::vector<std::string> views;
   for (const std::string& name : view_order_) {
-    if (ViewClosureRelations(name).contains(std::string(relation))) {
+    const std::vector<ViewDefinition>& branches = views_.find(name)->second;
+    if (std::any_of(branches.begin(), branches.end(),
+                    [&base](const ViewDefinition& def) {
+                      return def.relations.contains(base);
+                    })) {
       views.push_back(name);
     }
   }

@@ -94,7 +94,8 @@ struct ViewDefinition {
   std::vector<MetaTuple> tuples;
   // Relation name of each tuple (== query.atoms()[i].relation).
   std::vector<std::string> tuple_relations;
-  // Distinct relation names the view is defined over.
+  // Distinct base relations the view is defined over (a view is never
+  // defined over another view, even one named like a relation).
   std::set<std::string> relations;
   // This view's variables, in display order.
   std::vector<VarId> vars;
@@ -214,6 +215,9 @@ class ViewCatalog {
   };
   // Every grant, in grant order (used by persistence and audits).
   const std::vector<Grant>& grants() const { return permissions_; }
+  // Does `grant` apply to `user`, directly or through a group the user
+  // belongs to? Enforcement and both analyses resolve grants with this.
+  bool GrantApplies(const Grant& grant, std::string_view user) const;
 
   // A recorded deny: the administrator revoked this exact grant and has
   // not re-issued it since. The static analyzer (src/analysis) uses the
@@ -249,16 +253,10 @@ class ViewCatalog {
   bool MutationsSince(long long since, std::vector<CatalogMutation>* out)
       const;
 
-  // The base relations `name` transitively reads through the ViewCatalog:
-  // branch relations, expanded recursively should a referenced name
-  // itself be a registered view. (Today's views are conjunctive queries
-  // over base relations, so the walk terminates after one level; the
-  // closure is written transitively so layered views stay correct.)
-  // Empty set when the view does not exist.
-  std::set<std::string> ViewClosureRelations(std::string_view name) const;
-
   // Reverse-dependency query: every view (grant name, in definition
-  // order) whose transitive closure reads `relation`.
+  // order) with a branch defined over `relation`. Views are defined over
+  // base relations only, so a branch's `relations` is its whole read
+  // set, even when some view shares its name with a relation.
   std::vector<std::string> ViewsReferencingRelation(
       std::string_view relation) const;
 
@@ -269,7 +267,9 @@ class ViewCatalog {
   // Compiles one conjunctive definition without registering it.
   Result<ViewDefinition> CompileView(const std::string& display_name,
                                      const ConjunctiveQuery& query);
-  void CommitView(std::string storage_key, ViewDefinition def);
+  // Registers the compiled branches of a new view under `name` and
+  // journals the definition.
+  void RegisterView(std::string name, std::vector<ViewDefinition> branches);
 
   // Advances catalog_version_ and appends the matching journal record.
   void RecordMutation(CatalogMutation::Kind kind, std::string view,
@@ -278,7 +278,7 @@ class ViewCatalog {
   // The users a grant issued to `grantee` applies to, resolved now:
   // the grantee itself plus the current members when it is a group.
   std::vector<std::string> AffectedUsers(std::string_view grantee) const;
-  // One scope per branch of `view` (its transitive relation read set).
+  // One scope per branch of `view`: the branch's `relations`.
   std::vector<std::set<std::string>> BranchScopes(
       std::string_view view) const;
   // One scope per branch of every view `group` holds a retrieve grant
@@ -288,11 +288,12 @@ class ViewCatalog {
 
   // Owning or non-owning (no-op deleter) handle; see the constructors.
   std::shared_ptr<const DatabaseSchema> schema_;
-  // Storage keys: the view name for conjunctive views, "name@i" for the
-  // branches of disjunctive views.
-  std::map<std::string, ViewDefinition, std::less<>> views_;
-  // Grant name -> storage keys of its branches.
-  std::map<std::string, std::vector<std::string>, std::less<>> groups_;
+  // Grant name -> the view's branches: one definition for a conjunctive
+  // view, one per `or` branch for a disjunctive one. Branches are never
+  // added to or removed from a stored view, so pointers to them stay
+  // valid until the view is dropped.
+  std::map<std::string, std::vector<ViewDefinition>, std::less<>> views_;
+  // Grant names in definition order.
   std::vector<std::string> view_order_;
   // Grants in grant order.
   std::vector<Grant> permissions_;

@@ -150,7 +150,7 @@ bool Server::SendFrame(Session* session, FrameType type,
 
 Status Server::ApplySessionIdentity(Statement* statement,
                                     const std::string& user) const {
-  if (user == options_.admin_user) return Status::OK();
+  if (user == kAdminUser) return Status::OK();
   // Non-admin sessions act strictly as themselves: their identity is
   // the HELLO identity, and administrative statements are refused at
   // the protocol boundary (the paper scopes administration to the

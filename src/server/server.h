@@ -60,10 +60,6 @@ struct ServerOptions {
   // with the engine's AuthorizationOptions limits (strictest wins).
   long long default_deadline_ms = 0;
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  // Sessions running as this user may execute administrative statements
-  // and impersonate via `as USER`; everyone else is confined to their
-  // own retrieves and guarded updates.
-  std::string admin_user = "admin";
   // Test hook: wraps every accepted socket (fault injection).
   std::function<std::unique_ptr<Socket>(std::unique_ptr<Socket>)>
       socket_wrapper;

@@ -664,6 +664,58 @@ TEST(AuthzCacheTest, MembershipChangeInvalidatesOnlyTheMember) {
   EXPECT_EQ(stats.mask_hits, 1);  // Klein retained
 }
 
+// A view may share its name with a relation; it is still a view over
+// that base relation, not a layer under every other view over it. The
+// engine below has a view named EMPLOYEE beside PAY, a second view over
+// the relation EMPLOYEE, so every grant of PAY must invalidate over the
+// scope {EMPLOYEE}.
+void SetupHomonymEngine(Engine* engine) {
+  auto out = engine->ExecuteScript(R"(
+    relation EMPLOYEE (NAME string key, SALARY int)
+    insert into EMPLOYEE values (Jones, 26000)
+    insert into EMPLOYEE values (Smith, 22000)
+    view EMPLOYEE (EMPLOYEE.NAME)
+    view PAY (EMPLOYEE.NAME, EMPLOYEE.SALARY)
+  )");
+  ASSERT_TRUE(out.ok()) << out.status();
+}
+
+TEST(AuthzCacheTest, DenyBesideAHomonymViewTakesTheGrantAway) {
+  Engine engine;
+  SetupHomonymEngine(&engine);
+  ASSERT_TRUE(engine.Execute("permit PAY to Brown").ok());
+  auto granted = engine.Retrieve(kQuery);
+  ASSERT_TRUE(granted.ok()) << granted.status();
+  EXPECT_TRUE(granted->full_access);
+
+  // Brown holds no other grant: the cached full-access decision must go.
+  ASSERT_TRUE(engine.Execute("deny PAY to Brown").ok());
+  auto revoked = engine.Retrieve(kQuery);
+  ASSERT_TRUE(revoked.ok()) << revoked.status();
+  EXPECT_TRUE(revoked->denied);
+  EXPECT_EQ(revoked->answer.size(), 0);
+}
+
+TEST(AuthzCacheTest, MembershipBesideAHomonymViewChangesDelivery) {
+  Engine engine;
+  SetupHomonymEngine(&engine);
+  ASSERT_TRUE(engine.Execute("permit PAY to staff").ok());
+  auto outsider = engine.Retrieve(kQuery);
+  ASSERT_TRUE(outsider.ok()) << outsider.status();
+  EXPECT_TRUE(outsider->denied);
+
+  ASSERT_TRUE(engine.Execute("member Brown of staff").ok());
+  auto member = engine.Retrieve(kQuery);
+  ASSERT_TRUE(member.ok()) << member.status();
+  EXPECT_FALSE(member->denied);
+  EXPECT_TRUE(member->full_access);
+
+  ASSERT_TRUE(engine.Execute("unmember Brown of staff").ok());
+  auto former = engine.Retrieve(kQuery);
+  ASSERT_TRUE(former.ok()) << former.status();
+  EXPECT_TRUE(former->denied);
+}
+
 // The entry bound wipes the whole map, decisions and prepared entries
 // alike; the dependency index must stay exact across those wipes, so a
 // later targeted grant still drops the grantee's survivors and keeps the

@@ -231,6 +231,10 @@ TEST(CacheCoherenceTorture, RandomizedInterleavings) {
     ASSERT_TRUE(torture.Apply("permit V" + std::to_string(slot) + " to " +
                               kUsers[slot % kUserCount]));
   }
+  // A view named after a base relation is one more view over EMP; it
+  // must not hide EMP from the scopes of the other views' grants.
+  ASSERT_TRUE(torture.Apply("view EMP (EMP.NAME)"));
+  ASSERT_TRUE(torture.Apply("permit EMP to u7"));
   // A group grant so membership churn is part of the interleaving.
   ASSERT_TRUE(torture.Apply("permit V0 to staff"));
   ASSERT_TRUE(torture.Apply("member u6 of staff"));
@@ -321,10 +325,13 @@ TEST(CacheCoherenceTorture, RandomizedInterleavings) {
 
 // A focused deterministic interleaving around the highest-risk
 // transitions: redefinition of a view a user's cached mask embeds,
-// membership-driven grant changes, and cross-user retention.
+// membership-driven grant changes, and cross-user retention, beside a
+// view named after the relation EMP.
 TEST(CacheCoherenceTorture, DirectedRedefinitionAndMembership) {
   Torture torture;
   ASSERT_TRUE(torture.Load(Schema()));
+  ASSERT_TRUE(torture.Apply("view EMP (EMP.NAME)"));
+  ASSERT_TRUE(torture.Apply("permit EMP to u2"));
   ASSERT_TRUE(torture.Apply(
       "view SAL (EMP.NAME, EMP.SALARY) where EMP.SALARY >= 25000"));
   ASSERT_TRUE(torture.Apply("view PB (PROJ.PNO, PROJ.BUDGET)"));

@@ -64,6 +64,52 @@ TEST_F(DropTest, DropRelationRestrictedByViews) {
   EXPECT_FALSE(engine_.db().HasRelation("T"));
 }
 
+// A view named like its relation is a view over that base relation:
+// dropping another view over the relation must still take its grant
+// away, and the relation stays protected by both views.
+TEST_F(DropTest, DropViewBesideAHomonymViewRemovesGrants) {
+  ASSERT_TRUE(engine_
+                  .ExecuteScript(R"(
+                    relation EMP (NAME string key, SALARY int)
+                    insert into EMP values (Jones, 26000)
+                    view EMP (EMP.NAME)
+                    view X (EMP.NAME, EMP.SALARY)
+                    permit X to u
+                  )")
+                  .ok());
+  auto granted = engine_.Retrieve("retrieve (EMP.NAME, EMP.SALARY) as u");
+  ASSERT_TRUE(granted.ok()) << granted.status();
+  EXPECT_TRUE(granted->full_access);
+
+  ASSERT_TRUE(engine_.Execute("drop view X").ok());
+  auto denied = engine_.Retrieve("retrieve (EMP.NAME, EMP.SALARY) as u");
+  ASSERT_TRUE(denied.ok()) << denied.status();
+  EXPECT_TRUE(denied->denied);
+}
+
+TEST_F(DropTest, DropRelationRestrictedByAHomonymView) {
+  ASSERT_TRUE(engine_
+                  .ExecuteScript(R"(
+                    relation EMP (NAME string key, SALARY int)
+                    view EMP (EMP.NAME)
+                    view X (EMP.NAME, EMP.SALARY)
+                  )")
+                  .ok());
+  auto blocked = engine_.Execute("drop relation EMP");
+  ASSERT_TRUE(blocked.status().IsInvalidArgument()) << blocked.status();
+  EXPECT_NE(blocked.status().message().find("view 'EMP'"),
+            std::string::npos);
+
+  ASSERT_TRUE(engine_.Execute("drop view X").ok());
+  blocked = engine_.Execute("drop relation EMP");
+  ASSERT_TRUE(blocked.status().IsInvalidArgument()) << blocked.status();
+  EXPECT_TRUE(engine_.db().HasRelation("EMP"));
+
+  ASSERT_TRUE(engine_.Execute("drop view EMP").ok());
+  ASSERT_TRUE(engine_.Execute("drop relation EMP").ok());
+  EXPECT_FALSE(engine_.db().HasRelation("EMP"));
+}
+
 TEST_F(DropTest, CompiledViewsSurviveSchemaChurn) {
   // Stored views capture their schemas by value: dropping and recreating
   // an *unrelated* relation must not disturb an existing view's

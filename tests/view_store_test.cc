@@ -206,5 +206,30 @@ TEST(ViewStore, ViewOverUnknownRelationRejected) {
                   .IsNotFound());
 }
 
+// A view named like a relation is one more view over that base relation:
+// the journal scopes of grants on other views over it, and the reverse
+// dependency query, still name the relation itself.
+TEST(ViewStore, HomonymViewKeepsScopesOnBaseRelations) {
+  PaperDatabase fixture;
+  ViewCatalog& catalog = fixture.catalog();
+  auto stmt = ParseStatement("view EMPLOYEE (EMPLOYEE.NAME)");
+  ASSERT_TRUE(stmt.ok());
+  ASSERT_TRUE(catalog.DefineView(std::get<ViewStmt>(*stmt)).ok());
+
+  const long long before = catalog.catalog_version();
+  ASSERT_TRUE(catalog.Deny("SAE", "Brown").ok());
+  ASSERT_TRUE(catalog.Permit("ELP", "Brown").ok());
+  std::vector<CatalogMutation> records;
+  ASSERT_TRUE(catalog.MutationsSince(before, &records));
+  ASSERT_EQ(records.size(), 2u);
+  const std::set<std::string> employee{"EMPLOYEE"};
+  EXPECT_EQ(records[0].scopes, std::vector<std::set<std::string>>{employee});
+  const std::set<std::string> elp{"ASSIGNMENT", "EMPLOYEE", "PROJECT"};
+  EXPECT_EQ(records[1].scopes, std::vector<std::set<std::string>>{elp});
+
+  EXPECT_EQ(catalog.ViewsReferencingRelation("EMPLOYEE"),
+            (std::vector<std::string>{"SAE", "ELP", "EST", "EMPLOYEE"}));
+}
+
 }  // namespace
 }  // namespace viewauth
