@@ -334,67 +334,33 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
   }
 
   // S' step 1: all products first (the paper's canonical strategy).
-  // Intermediate duplicate elimination keeps the padded products from
-  // stacking combinatorially, and hopeless tuples — those missing an
-  // atom of a relation that no remaining operand ranges over — are
-  // pruned early rather than multiplied.
-  const std::map<AtomId, ViewCatalog::AtomInfo>& atom_info =
-      catalog_->atom_info();
-  auto prune_hopeless = [&](MetaRelation rel, size_t next_atom_index) {
-    std::map<std::string, int> remaining;
-    for (size_t a = next_atom_index; a < query.atoms().size(); ++a) {
-      ++remaining[query.atoms()[a].relation];
-    }
-    MetaRelation out(rel.columns());
-    for (MetaTuple& tuple : rel.tuples()) {
-      // Any operand tuple carries at most one atom of a given view (the
-      // self-join refinement never pairs a view with itself), so needing
-      // more atoms of one view over relation X than there are X slots
-      // left is hopeless.
-      std::set<AtomId> missing;
-      for (VarId var : tuple.CellVars()) {
-        auto it = tuple.var_atoms().find(var);
-        if (it == tuple.var_atoms().end()) continue;
-        for (AtomId atom : it->second) {
-          if (!tuple.origin_atoms().contains(atom)) missing.insert(atom);
-        }
-      }
-      std::map<std::pair<std::string, std::string>, int> needed;
-      for (AtomId atom : missing) {
-        auto info = atom_info.find(atom);
-        if (info != atom_info.end()) {
-          ++needed[{info->second.view, info->second.relation}];
-        }
-      }
-      bool hopeless = false;
-      for (const auto& [view_relation, count] : needed) {
-        auto rem = remaining.find(view_relation.second);
-        if (rem == remaining.end() || rem->second < count) {
-          hopeless = true;
-          break;
-        }
-      }
-      if (!hopeless) out.Add(std::move(tuple));
-    }
-    return out;
-  };
-
+  // Hopeless tuples — those missing an atom of a relation that no
+  // remaining operand ranges over — are pruned from each raw product
+  // rather than multiplied, and duplicate elimination then keeps the
+  // padded products from stacking combinatorially. Pruning first spares
+  // the keys of the tuples it drops; the two steps commute (see
+  // PruneHopeless), so the order does not change the result.
   long long pruned = 0;  // hopeless + dangling tuples removed
   MetaRelation current;
   for (size_t a = 0; a < query.atoms().size(); ++a) {
     const MetaRelation& operand = *per_relation.at(query.atoms()[a].relation);
     if (a == 0) {
-      current = operand;
+      current = operand;  // a copy: the operand may be shared with the cache
     } else {
-      current = RemoveDuplicates(
-          MetaProduct(current, operand, op_options, ctx));
+      current = MetaProduct(current, operand, op_options, ctx);
       if (ctx != nullptr && !ctx->ok()) return ctx->status();
     }
     if (options.prune_dangling) {
+      std::map<std::string, int> remaining;
+      for (size_t b = a + 1; b < query.atoms().size(); ++b) {
+        ++remaining[query.atoms()[b].relation];
+      }
       const int before = current.size();
-      current = prune_hopeless(std::move(current), a + 1);
+      current = PruneHopeless(std::move(current), remaining,
+                              catalog_->atom_info());
       pruned += before - current.size();
     }
+    current = RemoveDuplicates(std::move(current));
   }
 
   if (trace != nullptr) trace->after_products = current.size();
@@ -402,10 +368,11 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
   // Prune combined tuples that reference meta-tuples outside the result,
   // and tuples that project nothing (padding residue): no later operator
   // ever adds a projected column, so they can never contribute to the
-  // mask.
+  // mask. Both are filters over a duplicate-free relation, so no second
+  // duplicate elimination is needed.
   if (options.prune_dangling) {
     const int before = current.size();
-    current = PruneDanglingTuples(current);
+    current = PruneDanglingTuples(std::move(current));
     pruned += before - current.size();
   }
   {
@@ -422,7 +389,6 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
     }
     current = std::move(projecting);
   }
-  current = RemoveDuplicates(current);
   if (trace != nullptr) trace->after_dangling_prune = current.size();
   if (product_stage != nullptr) *product_stage = current;
 
@@ -436,7 +402,7 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
             : MetaSelection::ColumnConst(query.FlatIndex(cond.lhs), cond.op,
                                          cond.rhs_const);
     const int before = current.size();
-    current = MetaSelect(current, sel, op_options,
+    current = MetaSelect(std::move(current), sel, op_options,
                          catalog_->synthetic_allocator(), ctx);
     if (ctx != nullptr && !ctx->ok()) return ctx->status();
     if (trace != nullptr) {
@@ -501,7 +467,7 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
       }
     }
   } else {
-    current = MetaProject(current, TargetColumns(query));
+    current = MetaProject(std::move(current), TargetColumns(query));
     const std::vector<std::string> names = query.OutputColumnNames();
     const std::vector<ValueType> types = query.OutputColumnTypes();
     for (size_t i = 0; i < names.size(); ++i) {
@@ -516,7 +482,7 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
 
   // Products are done: provenance no longer matters, so tuples that
   // differ only in their origins collapse.
-  mask = RemoveDuplicates(mask, /*respect_provenance=*/false);
+  mask = RemoveDuplicates(std::move(mask), /*respect_provenance=*/false);
   if (options.subsumption) mask = RemoveSubsumed(mask);
   if (trace != nullptr) trace->final_mask = mask.size();
   return mask;

@@ -141,7 +141,9 @@ struct AuthzStats {
   long long mask_misses = 0;         // decision lookups that derived
   long long mask_compiles = 0;       // CompiledMask builds
   long long invalidations = 0;       // entries dropped as stale, any cause
-  long long meta_tuples_pruned = 0;  // hopeless + dangling tuples removed
+  // Hopeless + dangling tuples removed; hopeless ones are counted in the
+  // raw product, duplicates included.
+  long long meta_tuples_pruned = 0;
 
   // --- vectorized plan --------------------------------------------------
   // Column batches processed by the vectorized data plan, and compiled-

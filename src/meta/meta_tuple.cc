@@ -1,6 +1,7 @@
 #include "meta/meta_tuple.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "common/str_util.h"
@@ -81,48 +82,135 @@ std::string MetaTuple::ViewLabel() const {
   return Join(views_, ",");
 }
 
-std::string MetaTuple::StructuralKey(bool include_provenance) const {
-  std::ostringstream out;
-  // Cells, with variables renamed to their first-occurrence index so that
-  // alpha-equivalent tuples collide. Variable identity across *different*
-  // tuples matters for joins, so the key also appends the exported
-  // constraints using the same local names.
-  std::map<VarId, int> local;
-  auto local_name = [&local](VarId v) {
-    auto it = local.find(v);
-    if (it == local.end()) {
-      it = local.emplace(v, static_cast<int>(local.size())).first;
+namespace {
+
+void AppendInt(long long value, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+// Type tag plus value: "i5", "d0.5", "s4:Acme", "n" (NULL). Strings are
+// length-prefixed, so their contents can never be mistaken for key
+// structure.
+void AppendValue(const Value& value, std::string* out) {
+  if (value.is_int64()) {
+    out->push_back('i');
+    AppendInt(value.int64_value(), out);
+  } else if (value.is_double()) {
+    // Shortest round-trip form: distinct doubles get distinct text.
+    char buf[32];
+    out->push_back('d');
+    out->append(buf,
+                std::to_chars(buf, buf + sizeof(buf), value.double_value())
+                    .ptr);
+  } else if (value.is_string()) {
+    const std::string& text = value.string_value();
+    out->push_back('s');
+    AppendInt(static_cast<long long>(text.size()), out);
+    out->push_back(':');
+    out->append(text);
+  } else {
+    out->push_back('n');
+  }
+}
+
+// Local variable numbering: a variable's index is its first occurrence.
+// Tuples have a handful of variables, so a flat vector beats a map.
+class LocalVars {
+ public:
+  int IndexOf(VarId var) {
+    for (size_t i = 0; i < vars_.size(); ++i) {
+      if (vars_[i] == var) return static_cast<int>(i);
     }
-    return "v" + std::to_string(it->second);
-  };
-  for (const MetaCell& cell : cells_) {
-    out << cell.ToString(local_name) << "|";
+    vars_.push_back(var);
+    return static_cast<int>(vars_.size()) - 1;
   }
-  // Constraints over cell vars only, in canonical (sorted) text form.
-  std::set<VarId> vars = CellVars();
-  std::vector<TermId> terms(vars.begin(), vars.end());
-  std::vector<std::string> atom_strs;
-  for (const ConstraintAtom& atom : constraints_.ExportAtoms(terms)) {
-    atom_strs.push_back(atom.ToString(local_name));
+  void Append(VarId var, std::string* out) {
+    out->push_back('v');
+    AppendInt(IndexOf(var), out);
   }
-  std::sort(atom_strs.begin(), atom_strs.end());
-  out << "#" << Join(atom_strs, "&");
+  const std::vector<VarId>& vars() const { return vars_; }
+
+ private:
+  std::vector<VarId> vars_;
+};
+
+void AppendKey(const MetaTuple& tuple, bool stars, bool provenance,
+               std::string* out) {
+  LocalVars local;
+  for (const MetaCell& cell : tuple.cells()) {
+    if (cell.kind == CellKind::kConst) {
+      AppendValue(cell.constant, out);
+    } else if (cell.kind == CellKind::kVar) {
+      local.Append(cell.var, out);
+    }
+    if (stars && cell.projected) out->push_back('*');
+    out->push_back('|');
+  }
+  // Constraints over cell variables only, each atom encoded with the same
+  // local numbering; the atoms are sorted so that their export order does
+  // not matter.
+  std::vector<TermId> cell_vars = local.vars();
+  std::sort(cell_vars.begin(), cell_vars.end());
+  out->push_back('#');
+  std::vector<ConstraintAtom> atoms =
+      tuple.constraints().ExportAtoms(cell_vars);
+  // An encoded atom ("v0 >= i250000") usually fits a short string's
+  // inline buffer, so these allocate nothing.
+  std::vector<std::string> encoded(atoms.size());
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    const ConstraintAtom& atom = atoms[i];
+    local.Append(atom.lhs, &encoded[i]);
+    encoded[i].push_back(' ');
+    encoded[i].append(ComparatorToString(atom.op));
+    encoded[i].push_back(' ');
+    if (atom.rhs_is_term) {
+      local.Append(atom.rhs_term, &encoded[i]);
+    } else {
+      AppendValue(atom.rhs_const, &encoded[i]);
+    }
+  }
+  std::sort(encoded.begin(), encoded.end());
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    if (i > 0) out->push_back('&');
+    out->append(encoded[i]);
+  }
   // Provenance: tuples with identical cells but different atom coverage
   // are NOT interchangeable — one may dangle in a later product where the
   // other does not (e.g. the two EST self-join tuples of Example 3).
-  if (include_provenance) {
-    out << '@';
-    for (AtomId atom : origin_atoms_) out << atom << ",";
-    out << '@';
-    for (VarId var : CellVars()) {
-      auto it = var_atoms_.find(var);
-      if (it == var_atoms_.end()) continue;
-      out << local_name(var) << ":";
-      for (AtomId atom : it->second) out << atom << ",";
-      out << ";";
+  if (provenance) {
+    out->push_back('@');
+    for (AtomId atom : tuple.origin_atoms()) {
+      AppendInt(atom, out);
+      out->push_back(',');
+    }
+    out->push_back('@');
+    for (VarId var : cell_vars) {
+      auto it = tuple.var_atoms().find(var);
+      if (it == tuple.var_atoms().end()) continue;
+      local.Append(var, out);
+      out->push_back(':');
+      for (AtomId atom : it->second) {
+        AppendInt(atom, out);
+        out->push_back(',');
+      }
+      out->push_back(';');
     }
   }
-  return out.str();
+}
+
+}  // namespace
+
+std::string MetaTuple::StructuralKey(bool include_provenance) const {
+  std::string key;
+  AppendKey(*this, /*stars=*/true, include_provenance, &key);
+  return key;
+}
+
+std::string MetaTuple::SelectionKey() const {
+  std::string key;
+  AppendKey(*this, /*stars=*/false, /*provenance=*/false, &key);
+  return key;
 }
 
 std::string MetaTuple::ToString(

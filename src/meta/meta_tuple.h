@@ -36,6 +36,13 @@ namespace viewauth {
 using VarId = int;
 using AtomId = int;
 
+// A membership atom's origin: the view whose definition holds it and the
+// relation it ranges over.
+struct AtomInfo {
+  std::string view;
+  std::string relation;
+};
+
 enum class CellKind { kBlank, kConst, kVar };
 
 struct MetaCell {
@@ -112,13 +119,23 @@ class MetaTuple {
   // Combined label, e.g. "EST,SAE".
   std::string ViewLabel() const;
 
-  // A canonical key for duplicate elimination: cell structure plus the
-  // exported (normalized) constraints over cell variables. Provenance
-  // (origin atoms / variable atom sets) is part of the key by default —
-  // two tuples with identical cells may still behave differently under a
-  // later product's dangling pruning. Once all products are done (the
-  // final mask), provenance no longer matters and can be excluded.
+  // A canonical key for duplicate elimination, built in one pass into
+  // one string. It encodes each cell (blank; a constant by type tag plus
+  // value, strings length-prefixed; a variable by its first-occurrence
+  // index, so alpha-equivalent tuples collide), the projection stars, and
+  // the exported (normalized) constraints over cell variables in sorted
+  // order. Nothing is encoded by display text, so a string constant never
+  // collides with a variable or a number. Provenance (origin atoms /
+  // variable atom sets) is part of the key by default — two tuples with
+  // identical cells may still behave differently under a later product's
+  // dangling pruning. Once all products are done (the final mask),
+  // provenance no longer matters and can be excluded. The key is
+  // printable, e.g. "v0*|*|s4:Acme|#v0 >= i10@1,@v0:1,3,;".
   std::string StructuralKey(bool include_provenance = true) const;
+
+  // StructuralKey without projection stars or provenance: tuples with
+  // equal selection keys restrict the same rows (subsumption grouping).
+  std::string SelectionKey() const;
 
   // Paper-style rendering of the cells, e.g. "(x1*, *, )".
   std::string ToString(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -430,7 +431,7 @@ SelectOutcome SelectColumnColumn(MetaTuple* tuple, int lhs, int rhs,
 
 }  // namespace
 
-MetaRelation MetaSelect(const MetaRelation& input, const MetaSelection& sel,
+MetaRelation MetaSelect(MetaRelation input, const MetaSelection& sel,
                         const MetaOpOptions& options, VarAllocator* alloc,
                         ExecContext* ctx) {
   VIEWAUTH_CHECK(sel.lhs_column >= 0 && sel.lhs_column < input.arity())
@@ -438,9 +439,9 @@ MetaRelation MetaSelect(const MetaRelation& input, const MetaSelection& sel,
   MetaRelation out(input.columns());
   const ValueType lhs_type = input.columns()[sel.lhs_column].type;
   ExecMeter meter(ctx);
-  for (const MetaTuple& tuple : input.tuples()) {
+  for (MetaTuple& tuple : input.tuples()) {
     if (!meter.TickRows(1)) return out;
-    MetaTuple candidate = tuple;
+    MetaTuple candidate = std::move(tuple);
     SelectOutcome outcome;
     if (sel.rhs_is_column) {
       VIEWAUTH_CHECK(sel.rhs_column >= 0 && sel.rhs_column < input.arity())
@@ -470,11 +471,10 @@ MetaRelation MetaSelect(const MetaRelation& input, const MetaSelection& sel,
       out.Add(std::move(candidate));
     }
   }
-  return RemoveDuplicates(out);
+  return RemoveDuplicates(std::move(out));
 }
 
-MetaRelation MetaProject(const MetaRelation& input,
-                         const std::vector<int>& keep) {
+MetaRelation MetaProject(MetaRelation input, const std::vector<int>& keep) {
   std::vector<Attribute> columns;
   columns.reserve(keep.size());
   for (int c : keep) {
@@ -485,7 +485,7 @@ MetaRelation MetaProject(const MetaRelation& input,
   std::set<int> kept(keep.begin(), keep.end());
 
   MetaRelation out(std::move(columns));
-  for (const MetaTuple& tuple : input.tuples()) {
+  for (MetaTuple& tuple : input.tuples()) {
     // Definition 3: a removed attribute must be blank.
     bool droppable = true;
     for (int c = 0; c < tuple.arity(); ++c) {
@@ -495,12 +495,11 @@ MetaRelation MetaProject(const MetaRelation& input,
       }
     }
     if (!droppable) continue;
-    MetaTuple projected = tuple;
     std::vector<MetaCell> cells;
     cells.reserve(keep.size());
     for (int c : keep) cells.push_back(tuple.cells()[c]);
-    projected.cells() = std::move(cells);
-    out.Add(std::move(projected));
+    tuple.cells() = std::move(cells);
+    out.Add(std::move(tuple));
   }
   return out;
 }
@@ -547,35 +546,77 @@ void ClearImpliedRestrictions(MetaRelation* rel, const ConstraintSet& lambda,
   }
 }
 
-MetaRelation PruneDanglingTuples(const MetaRelation& input) {
+MetaRelation PruneHopeless(MetaRelation input,
+                           const std::map<std::string, int>& remaining,
+                           const std::map<AtomId, AtomInfo>& atom_info) {
   MetaRelation out(input.columns());
-  for (const MetaTuple& tuple : input.tuples()) {
-    if (!tuple.HasDanglingVariable()) out.Add(tuple);
+  // A tuple misses only a few atoms, so flat lists beat sets and maps:
+  // the distinct missing atoms, and the (view, relation) of each with its
+  // count.
+  std::vector<AtomId> missing;
+  std::vector<std::pair<const AtomInfo*, int>> needed;
+  for (MetaTuple& tuple : input.tuples()) {
+    // Any operand tuple carries at most one atom of a given view (the
+    // self-join refinement never pairs a view with itself), so needing
+    // more atoms of one view over relation X than there are X slots left
+    // is hopeless.
+    missing.clear();
+    for (const MetaCell& cell : tuple.cells()) {
+      if (cell.kind != CellKind::kVar) continue;
+      auto it = tuple.var_atoms().find(cell.var);
+      if (it == tuple.var_atoms().end()) continue;
+      for (AtomId atom : it->second) {
+        if (!tuple.origin_atoms().contains(atom)) missing.push_back(atom);
+      }
+    }
+    std::sort(missing.begin(), missing.end());
+    missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+    needed.clear();
+    for (AtomId atom : missing) {
+      auto info = atom_info.find(atom);
+      if (info == atom_info.end()) continue;
+      auto same = std::find_if(
+          needed.begin(), needed.end(), [&info](const auto& entry) {
+            return entry.first->view == info->second.view &&
+                   entry.first->relation == info->second.relation;
+          });
+      if (same == needed.end()) {
+        needed.emplace_back(&info->second, 1);
+      } else {
+        ++same->second;
+      }
+    }
+    const bool hopeless = std::any_of(
+        needed.begin(), needed.end(), [&remaining](const auto& entry) {
+          auto rem = remaining.find(entry.first->relation);
+          return rem == remaining.end() || rem->second < entry.second;
+        });
+    if (!hopeless) out.Add(std::move(tuple));
   }
   return out;
 }
 
-MetaRelation RemoveDuplicates(const MetaRelation& input,
-                              bool respect_provenance) {
+MetaRelation PruneDanglingTuples(MetaRelation input) {
   MetaRelation out(input.columns());
-  std::set<std::string> seen;
-  for (const MetaTuple& tuple : input.tuples()) {
+  for (MetaTuple& tuple : input.tuples()) {
+    if (!tuple.HasDanglingVariable()) out.Add(std::move(tuple));
+  }
+  return out;
+}
+
+MetaRelation RemoveDuplicates(MetaRelation input, bool respect_provenance) {
+  MetaRelation out(input.columns());
+  std::unordered_set<std::string> seen;
+  seen.reserve(static_cast<size_t>(input.size()));
+  for (MetaTuple& tuple : input.tuples()) {
     if (seen.insert(tuple.StructuralKey(respect_provenance)).second) {
-      out.Add(tuple);
+      out.Add(std::move(tuple));
     }
   }
   return out;
 }
 
 namespace {
-
-// Structural key ignoring projection flags and provenance, for
-// subsumption grouping (subsumption runs on the final mask only).
-std::string SelectionOnlyKey(const MetaTuple& tuple) {
-  MetaTuple stripped = tuple;
-  for (MetaCell& cell : stripped.cells()) cell.projected = false;
-  return stripped.StructuralKey(/*include_provenance=*/false);
-}
 
 std::set<int> ProjectedColumns(const MetaTuple& tuple) {
   std::set<int> cols;
@@ -607,7 +648,7 @@ MetaRelation RemoveSubsumed(const MetaRelation& input) {
   // tuples whose projection set is maximal.
   std::map<std::string, std::vector<int>> groups;
   for (int i = 0; i < n; ++i) {
-    groups[SelectionOnlyKey(input.tuples()[i])].push_back(i);
+    groups[input.tuples()[i].SelectionKey()].push_back(i);
   }
   for (const auto& [key, members] : groups) {
     (void)key;

@@ -13,14 +13,21 @@
 //                ConstraintSet decision procedures). With the option off,
 //                the base Definition 2 behaviour (always conjoin) is used.
 //
-// PruneDanglingTuples implements the post-product pruning of tuples that
-// reference meta-tuples outside the result; RemoveDuplicates and
-// RemoveSubsumed implement the "after replications are removed" cleanup.
+// PruneHopeless and PruneDanglingTuples implement the post-product
+// pruning of tuples that reference meta-tuples outside the result;
+// RemoveDuplicates and RemoveSubsumed implement the "after replications
+// are removed" cleanup.
+//
+// MetaSelect, MetaProject, the pruning operators and RemoveDuplicates take
+// their input by value and move its tuples into the result; a caller that
+// still needs the input passes a copy.
 
 #ifndef VIEWAUTH_META_OPS_H_
 #define VIEWAUTH_META_OPS_H_
 
 #include <atomic>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -88,14 +95,13 @@ MetaRelation MetaProduct(const MetaRelation& left, const MetaRelation& right,
 // onto blank cells.
 // A non-null `ctx` ticks per input tuple (the four-case analysis can
 // invoke the constraint solver per tuple) and stops once tripped.
-MetaRelation MetaSelect(const MetaRelation& input, const MetaSelection& sel,
+MetaRelation MetaSelect(MetaRelation input, const MetaSelection& sel,
                         const MetaOpOptions& options, VarAllocator* alloc,
                         ExecContext* ctx = nullptr);
 
 // Definition 3 (generalized to keep-lists): projection onto `keep`
 // columns, in order. Tuples restricting a removed column are dropped.
-MetaRelation MetaProject(const MetaRelation& input,
-                         const std::vector<int>& keep);
+MetaRelation MetaProject(MetaRelation input, const std::vector<int>& keep);
 
 // Post-pass of the four-case refinement. Selections are applied one
 // primitive predicate at a time, so a *conjunction* of query predicates
@@ -108,14 +114,27 @@ MetaRelation MetaProject(const MetaRelation& input,
 void ClearImpliedRestrictions(MetaRelation* rel, const ConstraintSet& lambda,
                               const std::function<TermId(int)>& column_term);
 
-// Post-product pruning of tuples with dangling variable references.
-MetaRelation PruneDanglingTuples(const MetaRelation& input);
+// Early pruning between meta-products: drops every tuple that can no
+// longer shed its dangling references. `remaining` counts, per relation,
+// the product operands still to come; `atom_info` names each atom's view
+// and relation. A tuple missing more atoms of one view over relation X
+// than there are X operands left is hopeless. Hopelessness reads only a
+// tuple's cells, origin atoms and variable atom sets — all part of the
+// provenance StructuralKey — so this filter commutes with
+// RemoveDuplicates and keeps the same first representatives.
+MetaRelation PruneHopeless(MetaRelation input,
+                           const std::map<std::string, int>& remaining,
+                           const std::map<AtomId, AtomInfo>& atom_info);
 
-// Structural duplicate elimination (alpha-equivalent tuples collapse).
+// Post-product pruning of tuples with dangling variable references.
+MetaRelation PruneDanglingTuples(MetaRelation input);
+
+// Structural duplicate elimination (alpha-equivalent tuples collapse;
+// the first of each class is kept, in input order).
 // `respect_provenance` must stay true while products may still follow;
 // on the final mask it can be false, collapsing tuples that differ only
 // in which view atoms produced them.
-MetaRelation RemoveDuplicates(const MetaRelation& input,
+MetaRelation RemoveDuplicates(MetaRelation input,
                               bool respect_provenance = true);
 
 // Conservative subsumption: drops a tuple whose permitted cells are a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -91,7 +92,7 @@ std::optional<MetaTuple> SelfJoinPair(const MetaTuple& r, const MetaTuple& s,
 MetaRelation WithSelfJoins(const MetaRelation& input,
                            const RelationSchema& schema, int rounds) {
   MetaRelation out(input.columns());
-  std::set<std::string> seen;
+  std::unordered_set<std::string> seen;
   for (const MetaTuple& tuple : input.tuples()) {
     seen.insert(tuple.StructuralKey());
     out.Add(tuple);

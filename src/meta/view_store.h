@@ -187,10 +187,6 @@ class ViewCatalog {
   // operands remaining is hopeless (one operand tuple carries at most one
   // atom of any given view, since self-joins never pair a view with
   // itself).
-  struct AtomInfo {
-    std::string view;
-    std::string relation;
-  };
   const std::map<AtomId, AtomInfo>& atom_info() const { return atom_info_; }
 
   // --- Figure 1 materialization -------------------------------------

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace viewauth {
 namespace {
 
@@ -124,6 +127,47 @@ TEST_F(EngineTest, OptionsArePluggable) {
       "retrieve (EMPLOYEE.TITLE) as Brown");  // nothing permitted
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->find("permission denied"), std::string::npos);
+}
+
+// A string constant spelled like a local variable name ("v0") once keyed
+// exactly like the variable in the final, provenance-free duplicate
+// elimination, so whichever of the two masks came first swallowed the
+// other: V1's A = B subview, and with it the (w, w) row, disappeared when
+// V2 was permitted first.
+TEST(EngineKeyRegression, ConstantNamedLikeAVariableKeepsBothViews) {
+  for (bool constant_view_first : {true, false}) {
+    SCOPED_TRACE(constant_view_first ? "V2 first" : "V1 first");
+    Engine engine;
+    auto setup = engine.ExecuteScript(R"(
+      relation R (A string, B string)
+      insert into R values (w, w)
+      insert into R values (v0, v0)
+      insert into R values (a, b)
+      view V2 (R.A, R.B) where R.A = v0 and R.B = v0
+      view V1 (R.A, R.B) where R.A = R.B
+    )");
+    ASSERT_TRUE(setup.ok()) << setup.status();
+    const char* grants[] = {"permit V2 to u", "permit V1 to u"};
+    if (!constant_view_first) std::swap(grants[0], grants[1]);
+    for (const char* grant : grants) {
+      ASSERT_TRUE(engine.Execute(grant).ok()) << grant;
+    }
+
+    auto result = engine.Retrieve("retrieve (R.A, R.B) as u");
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_FALSE(result->denied);
+    EXPECT_EQ(result->answer.size(), 2);
+    EXPECT_TRUE(result->answer.Contains(
+        Tuple({Value::String("w"), Value::String("w")})));
+    EXPECT_TRUE(result->answer.Contains(
+        Tuple({Value::String("v0"), Value::String("v0")})));
+    std::string permits;
+    for (const InferredPermit& permit : result->permits()) {
+      permits += permit.ToString() + "\n";
+    }
+    EXPECT_NE(permits.find("permit (A, B) where A = B\n"), std::string::npos)
+        << permits;
+  }
 }
 
 }  // namespace

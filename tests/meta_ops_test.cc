@@ -433,6 +433,92 @@ TEST(RemoveDuplicates, KeepsTuplesWithDifferentProvenance) {
   EXPECT_EQ(RemoveDuplicates(rel).size(), 2);
 }
 
+// --- Hopeless pruning commutes with duplicate elimination. ------------
+
+// Atom 1 is view V's R atom, atom 2 its S atom (both mention x1); atom 3
+// is view W's only atom, over R.
+std::map<AtomId, AtomInfo> TwoViewAtoms() {
+  return {{1, AtomInfo{"V", "R"}},
+          {2, AtomInfo{"V", "S"}},
+          {3, AtomInfo{"W", "R"}}};
+}
+
+// R' x S' with padding: V's R tuple (under two variable names), W's tuple
+// twice, and V's S tuple. The product holds duplicates (W's two copies
+// pair alike; V's two R tuples pad to alpha-equivalent tuples) and tuples
+// missing an atom of V, some of them both.
+MetaRelation ProductWithDuplicatesAndHopeless() {
+  MetaRelation left(IntColumns({"R.A"}));
+  for (VarId var : {1, 5}) {
+    MetaTuple v;
+    v.cells().push_back(MetaCell::Var(var, true));
+    v.views().insert("V");
+    v.var_atoms()[var] = {1, 2};
+    v.origin_atoms().insert(1);
+    left.Add(std::move(v));
+  }
+  for (int copy = 0; copy < 2; ++copy) {
+    MetaTuple w;
+    w.cells().push_back(MetaCell::Blank(true));
+    w.views().insert("W");
+    w.origin_atoms().insert(3);
+    left.Add(std::move(w));
+  }
+  MetaRelation right(IntColumns({"S.B"}));
+  MetaTuple s;
+  s.cells().push_back(MetaCell::Var(1, true));
+  s.views().insert("V");
+  s.var_atoms()[1] = {1, 2};
+  s.origin_atoms().insert(2);
+  right.Add(std::move(s));
+  return MetaProduct(left, right, Refined());
+}
+
+std::vector<std::string> Rendered(const MetaRelation& rel) {
+  std::vector<std::string> out;
+  for (const MetaTuple& tuple : rel.tuples()) {
+    out.push_back(tuple.ViewLabel() + " " + tuple.ToString(DefaultVarName) +
+                  " " + tuple.StructuralKey());
+  }
+  return out;
+}
+
+TEST(PruneHopeless, CommutesWithRemoveDuplicates) {
+  const MetaRelation product = ProductWithDuplicatesAndHopeless();
+  const std::map<AtomId, AtomInfo> atoms = TwoViewAtoms();
+  // After the last product no operand remains; with one S operand still
+  // to come, V's R tuple padded with blanks keeps its hope.
+  for (const std::map<std::string, int>& remaining :
+       {std::map<std::string, int>{}, std::map<std::string, int>{{"S", 1}}}) {
+    SCOPED_TRACE(remaining.empty() ? "no operand left" : "one S left");
+    // Vacuity: the product really holds both kinds of tuple.
+    ASSERT_LT(RemoveDuplicates(product).size(), product.size());
+    ASSERT_LT(PruneHopeless(product, remaining, atoms).size(),
+              product.size());
+    const MetaRelation prune_first =
+        RemoveDuplicates(PruneHopeless(product, remaining, atoms));
+    const MetaRelation dedup_first =
+        PruneHopeless(RemoveDuplicates(product), remaining, atoms);
+    EXPECT_FALSE(prune_first.empty());
+    EXPECT_EQ(Rendered(prune_first), Rendered(dedup_first));
+  }
+}
+
+TEST(PruneHopeless, DropsOnlyTuplesThatCannotComplete) {
+  const MetaRelation product = ProductWithDuplicatesAndHopeless();
+  const MetaRelation last =
+      RemoveDuplicates(PruneHopeless(product, {}, TwoViewAtoms()));
+  // V's two complete joins (x1 = x1, and the alpha-renamed x5 against x1)
+  // and W's padded tuple survive; everything missing a V atom goes.
+  ASSERT_EQ(last.size(), 3);
+  EXPECT_EQ(last.tuples()[0].ToString(DefaultVarName), "(x1*, x1*)");
+  EXPECT_EQ(last.tuples()[1].ToString(DefaultVarName), "(x5*, x1*)");
+  EXPECT_EQ(last.tuples()[2].ToString(DefaultVarName), "(*, )");
+  const MetaRelation one_left =
+      PruneHopeless(product, {{"S", 1}}, TwoViewAtoms());
+  EXPECT_GT(one_left.size(), last.size());
+}
+
 TEST(RemoveSubsumed, ProjectionSubsetWithSameSelection) {
   MetaRelation rel(IntColumns({"A", "B"}));
   MetaTuple wide;

@@ -99,6 +99,58 @@ TEST(MetaTuple, StructuralKeyProvenanceToggle) {
   EXPECT_EQ(a.StructuralKey(false), b.StructuralKey(false));
 }
 
+TEST(MetaTuple, StructuralKeyIsPrintable) {
+  // Cells, then '#' and the constraints, then '@' origins '@' per-variable
+  // atom sets; variables by first-occurrence index.
+  MetaTuple t = ElpEmployeeTuple();
+  EXPECT_EQ(t.StructuralKey(), "v0*|*||#@1,@v0:1,3,;");
+  EXPECT_EQ(t.StructuralKey(false), "v0*|*||#");
+  t.constraints().AddTermConst(1, Comparator::kGe, Value::Int64(10));
+  EXPECT_EQ(t.StructuralKey(false), "v0*|*||#v0 >= i10");
+}
+
+TEST(MetaTuple, StructuralKeyTellsStringConstantFromVariable) {
+  // A string constant spelled like a local variable name must not render
+  // like the variable: the final, provenance-free duplicate elimination
+  // would otherwise drop a different permitted subview.
+  MetaTuple constant;
+  constant.cells().push_back(MetaCell::Const(Value::String("v0"), true));
+  constant.cells().push_back(MetaCell::Const(Value::String("v0"), true));
+  MetaTuple variable;
+  variable.cells().push_back(MetaCell::Var(1, true));
+  variable.cells().push_back(MetaCell::Var(1, true));
+  EXPECT_NE(constant.StructuralKey(false), variable.StructuralKey(false));
+  EXPECT_NE(constant.StructuralKey(true), variable.StructuralKey(true));
+  EXPECT_NE(constant.SelectionKey(), variable.SelectionKey());
+}
+
+TEST(MetaTuple, StructuralKeyIsTyped) {
+  MetaTuple number;
+  number.cells().push_back(MetaCell::Const(Value::Int64(5), true));
+  MetaTuple text;
+  text.cells().push_back(MetaCell::Const(Value::String("5"), true));
+  EXPECT_NE(number.StructuralKey(false), text.StructuralKey(false));
+
+  // The same holds inside constraints.
+  MetaTuple a = ElpEmployeeTuple();
+  MetaTuple b = ElpEmployeeTuple();
+  a.constraints().AddTermConst(1, Comparator::kEq, Value::Int64(5));
+  b.constraints().AddTermConst(1, Comparator::kEq, Value::String("5"));
+  EXPECT_NE(a.StructuralKey(), b.StructuralKey());
+}
+
+TEST(MetaTuple, SelectionKeyIgnoresStarsAndProvenance) {
+  MetaTuple a = ElpEmployeeTuple();
+  MetaTuple b = ElpEmployeeTuple();
+  b.cells()[1].projected = false;
+  b.origin_atoms().clear();
+  b.origin_atoms().insert(3);
+  EXPECT_NE(a.StructuralKey(false), b.StructuralKey(false));
+  EXPECT_EQ(a.SelectionKey(), b.SelectionKey());
+  b.constraints().AddTermConst(1, Comparator::kLt, Value::Int64(3));
+  EXPECT_NE(a.SelectionKey(), b.SelectionKey());
+}
+
 TEST(MetaTuple, ToStringMatchesPaperStyle) {
   MetaTuple t = ElpEmployeeTuple();
   EXPECT_EQ(t.ToString(DefaultVarName), "(x1*, *, )");
