@@ -175,7 +175,8 @@ void WriteMaskCacheReport(const std::string& path) {
       << "    \"prepared_misses\": " << stats.prepared_misses << ",\n"
       << "    \"mask_hits\": " << stats.mask_hits << ",\n"
       << "    \"mask_misses\": " << stats.mask_misses << ",\n"
-      << "    \"invalidations\": " << stats.invalidations << ",\n"
+      << "    \"entries_invalidated\": " << stats.entries_invalidated
+      << ",\n"
       << "    \"meta_tuples_pruned\": " << stats.meta_tuples_pruned << ",\n"
       << "    \"mask_derivation_micros\": " << stats.mask_derivation_micros
       << ",\n"

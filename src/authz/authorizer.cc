@@ -74,8 +74,8 @@ std::vector<int> DeliveredColumns(const ConjunctiveQuery& query, bool wide) {
   return all;
 }
 
-// The read-set scope of a derivation for (user, query): the user and the
-// query's base relations. AddCoveredViews completes it.
+// The read set of a derivation for (user, query): the user and the
+// query's base relations.
 AuthzDependencies QueryScope(std::string_view user,
                              const ConjunctiveQuery& query) {
   AuthzDependencies deps;
@@ -88,19 +88,17 @@ AuthzDependencies QueryScope(std::string_view user,
 
 // The paper's pruning: of the user's granted views, keep those "defined
 // in these relations in their entirety" -- every relation the view
-// mentions is one of `deps->relations`. Returns them and adds their names
-// to `deps`, completing the read set that selective invalidation matches
-// catalog mutations against.
-std::vector<const ViewDefinition*> AddCoveredViews(const ViewCatalog& catalog,
-                                                   AuthzDependencies* deps) {
+// mentions is one of `scope.relations`.
+std::vector<const ViewDefinition*> CoveredViews(
+    const ViewCatalog& catalog, const AuthzDependencies& scope) {
   std::vector<const ViewDefinition*> covered;
-  for (const ViewDefinition* view : catalog.PermittedViews(deps->user)) {
-    const bool all_in_query = std::all_of(
-        view->relations.begin(), view->relations.end(),
-        [&](const std::string& r) { return deps->relations.contains(r); });
-    if (!all_in_query) continue;
-    deps->views.insert(view->name);
-    covered.push_back(view);
+  for (const ViewDefinition* view : catalog.PermittedViews(scope.user)) {
+    if (std::all_of(view->relations.begin(), view->relations.end(),
+                    [&](const std::string& r) {
+                      return scope.relations.contains(r);
+                    })) {
+      covered.push_back(view);
+    }
   }
   return covered;
 }
@@ -161,23 +159,13 @@ class Delivery {
 
 }  // namespace
 
-AuthzGeneration Authorizer::CurrentGeneration() const {
-  // Reading the clock brings the cache up to date with the catalog's
-  // mutation journal first. This is what keeps callers that mutate the
-  // catalog directly (no engine routing) sound: any entitlement change
-  // is replayed — selectively — before the generation it stamps on new
-  // entries is observed.
-  if (cache_ != nullptr) cache_->SyncCatalog(*catalog_);
-  return AuthzGeneration{catalog_->catalog_version(), db_->ddl_version()};
-}
-
 Result<MetaRelation> Authorizer::PrunedMetaRelation(
     std::string_view user, const ConjunctiveQuery& query, int atom,
     const AuthorizationOptions& options) const {
   std::optional<ExecContext> local;
   const ExecLimits limits = ExecLimitsOf(options);
   if (limits.any()) local.emplace(limits);
-  AuthzCacheTxn txn(cache_);
+  AuthzCacheTxn txn(cache_, *catalog_, db_->ddl_version());
   VIEWAUTH_ASSIGN_OR_RETURN(
       std::shared_ptr<const MetaRelation> prepared,
       PrunedMetaRelationGoverned(user, query, atom, options,
@@ -200,12 +188,10 @@ Authorizer::PrunedMetaRelationGoverned(
 
   // Cache lookup: the result depends only on the user, the target
   // relation, the set of query relations (the pruning scope), and the
-  // self-join setting. Freshness is the generation check.
+  // self-join setting. Freshness is the txn's generation check.
   const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
   std::string cache_key;
-  AuthzGeneration gen;
   if (use_cache) {
-    gen = CurrentGeneration();
     cache_key = "P|" + std::string(user) + "|" + relation + "|";
     for (const std::string& r : deps.relations) {
       cache_key += r;
@@ -213,13 +199,13 @@ Authorizer::PrunedMetaRelationGoverned(
     }
     cache_key += options.self_joins ? "|j" : "|-";
     if (std::shared_ptr<const MetaRelation> cached =
-            txn->LookupPrepared(cache_key, gen)) {
+            txn->LookupPrepared(cache_key)) {
       return cached;
     }
   }
 
   MetaRelation out(schema.attributes());
-  for (const ViewDefinition* view : AddCoveredViews(*catalog_, &deps)) {
+  for (const ViewDefinition* view : CoveredViews(*catalog_, deps)) {
     for (size_t i = 0; i < view->tuples.size(); ++i) {
       if (view->tuple_relations[i] == relation) {
         out.Add(view->tuples[i]);
@@ -236,7 +222,7 @@ Authorizer::PrunedMetaRelationGoverned(
   }
   auto prepared = std::make_shared<const MetaRelation>(std::move(out));
   if (use_cache) {
-    txn->Store(std::move(cache_key), gen, prepared, std::move(deps));
+    txn->Store(std::move(cache_key), prepared, std::move(deps));
   }
   return prepared;
 }
@@ -280,15 +266,14 @@ Result<MetaRelation> Authorizer::DeriveMask(
   std::optional<ExecContext> local;
   const ExecLimits limits = ExecLimitsOf(options);
   if (limits.any()) local.emplace(limits);
-  AuthzCacheTxn txn(cache_);
+  AuthzCacheTxn txn(cache_, *catalog_, db_->ddl_version());
   // The final mask depends only on the user, the query signature and the
   // options in the decision key, so a decision built by an earlier
   // Retrieve answers it whenever no intermediate stage was requested.
   if (cache_ != nullptr && options.enable_authz_cache &&
       product_stage == nullptr && trace == nullptr) {
     if (std::shared_ptr<const Decision> hit = txn.LookupDecision(
-            DecisionCacheKey(user, query, options, /*wide=*/false),
-            CurrentGeneration())) {
+            DecisionCacheKey(user, query, options, /*wide=*/false))) {
       txn.Commit();
       return hit->mask;
     }
@@ -711,11 +696,9 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
     AuthzCacheTxn* txn) const {
   const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
   std::string key;
-  AuthzGeneration gen;
   if (use_cache) {
-    gen = CurrentGeneration();
     key = DecisionCacheKey(user, query, options, options.extended_masks);
-    if (std::shared_ptr<const Decision> hit = txn->LookupDecision(key, gen)) {
+    if (std::shared_ptr<const Decision> hit = txn->LookupDecision(key)) {
       return hit;
     }
   }
@@ -780,11 +763,7 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
     decision->permits = Describe(mask, display, delivered);
   }
   std::shared_ptr<const Decision> out = std::move(decision);
-  if (use_cache) {
-    AuthzDependencies deps = QueryScope(user, query);
-    AddCoveredViews(*catalog_, &deps);
-    txn->Store(std::move(key), gen, out, std::move(deps));
-  }
+  if (use_cache) txn->Store(std::move(key), out, QueryScope(user, query));
   return out;
 }
 
@@ -824,7 +803,7 @@ Result<AuthorizationResult> Authorizer::Retrieve(
       ctx = &*local;
     }
   }
-  AuthzCacheTxn txn(cache_);
+  AuthzCacheTxn txn(cache_, *catalog_, db_->ddl_version());
   Result<AuthorizationResult> result =
       RetrieveGoverned(user, query, options, ctx, &txn);
   // Belt and braces: a tripped context must never deliver an answer,

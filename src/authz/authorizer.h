@@ -166,13 +166,12 @@ class Authorizer {
   // `cache` may be null (no caching, no stats — the bare pipeline).
   // When provided, it holds prepared meta-relations, per-query decisions
   // and the observability counters. Every store carries the entry's read
-  // set (user, base relations, embedded granted views) so the cache can
-  // invalidate selectively; the authorizer syncs the cache against the
-  // catalog's mutation journal at the start of every retrieve, so
-  // direct catalog mutations invalidate dependents even without an
-  // engine routing the change, and schema (DDL) staleness is still
-  // generation-checked per entry at lookup.
-  Authorizer(const DatabaseInstance* db, ViewCatalog* catalog,
+  // set (user, base relations) so the cache can invalidate selectively.
+  // Each public entry point opens one AuthzCacheTxn against `catalog`
+  // and `db`'s DDL version, which is the cache's one sync point: catalog
+  // and schema changes, whoever made them, are caught up there. The
+  // authorizer only reads `catalog`.
+  Authorizer(const DatabaseInstance* db, const ViewCatalog* catalog,
              AuthzCache* cache = nullptr)
       : db_(db), catalog_(catalog), cache_(cache) {}
 
@@ -317,11 +316,8 @@ class Authorizer {
                                        const std::vector<bool>& requested)
       const;
 
-  // The current invalidation clock (catalog version, schema version).
-  AuthzGeneration CurrentGeneration() const;
-
   const DatabaseInstance* db_;
-  ViewCatalog* catalog_;
+  const ViewCatalog* catalog_;
   AuthzCache* cache_;
 };
 

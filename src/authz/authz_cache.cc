@@ -42,7 +42,6 @@ AuthzStats& AuthzStats::operator+=(const AuthzStats& o) {
   mask_hits += o.mask_hits;
   mask_misses += o.mask_misses;
   mask_compiles += o.mask_compiles;
-  invalidations += o.invalidations;
   meta_tuples_pruned += o.meta_tuples_pruned;
   batches_evaluated += o.batches_evaluated;
   mask_batch_applies += o.mask_batch_applies;
@@ -77,11 +76,9 @@ std::string AuthzStats::ToString() const {
       << "  mask compiles:    " << mask_compiles << "\n"
       << "  vectorized:       " << batches_evaluated << " batch(es), "
       << mask_batch_applies << " mask kernel(s)\n"
-      << "  invalidations:    " << invalidations << " entry(ies) ("
+      << "  invalidations:    " << entries_invalidated << " entry(ies) ("
       << invalidations_exact << " exact event(s), " << invalidations_over
-      << " over)\n"
-      << "  inval precision:  " << entries_invalidated << " dropped, "
-      << entries_retained << " retained\n"
+      << " over), " << entries_retained << " retained\n"
       << "  meta pruned:      " << meta_tuples_pruned << " tuple(s)\n"
       << "  wall times (us):  mask=" << mask_derivation_micros
       << " data=" << data_eval_micros << " apply=" << mask_apply_micros
@@ -99,39 +96,61 @@ std::string AuthzStats::ToString() const {
   return out.str();
 }
 
+AuthzGeneration AuthzCache::Sync(const ViewCatalog& catalog,
+                                  long long ddl_version) {
+  const AuthzGeneration reader{catalog.catalog_version(), ddl_version};
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (reader.schema > synced_.schema) {
+    WipeLocked();
+    synced_.schema = reader.schema;
+  }
+  if (reader.catalog > synced_.catalog) {
+    std::vector<CatalogMutation> records;
+    if (catalog.MutationsSince(synced_.catalog, &records)) {
+      for (const CatalogMutation& record : records) {
+        ApplyCatalogMutationLocked(record);
+      }
+    } else {
+      // The bounded journal no longer reaches back to our synced point:
+      // records were lost, so no sound selective answer exists.
+      WipeLocked();
+    }
+    synced_.catalog = reader.catalog;
+    CheckIndexLocked();
+  }
+  return reader;
+}
+
 std::optional<AuthzCache::Value> AuthzCache::Find(
-    const std::string& key, const AuthzGeneration& gen, bool* stale) const {
+    const std::string& key, const AuthzGeneration& gen) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
-  // Catalog staleness is handled eagerly by SyncCatalog; the lazy check
-  // here covers the schema half (direct DDL by engineless callers). A
-  // reader pinned to an older snapshot additionally requires
-  // entry.catalog <= its own catalog version: an entry that survived
-  // journal replay up to the synced sequence is unaffected by every
-  // mutation after its store point, a superset of the mutations after
-  // any older snapshot — so older entries are valid for old readers,
-  // while an entry derived *after* the reader's snapshot may reflect
-  // entitlements the snapshot never had. From the cache's point of view
-  // such an entry is current (a newer reader will hit it); this
-  // old-snapshot reader just misses.
-  if (it->second.gen.schema != gen.schema) {
-    *stale = true;
+  // Every entry carries the synced schema (a DDL advance wipes), so an
+  // older-schema reader misses. A reader pinned to an older snapshot
+  // additionally requires entry.catalog <= its own catalog version: an
+  // entry that survived journal replay up to the synced sequence is
+  // unaffected by every mutation after its store point, a superset of
+  // the mutations after any older snapshot — so older entries are valid
+  // for old readers, while an entry derived *after* the reader's
+  // snapshot may reflect entitlements the snapshot never had. From the
+  // cache's point of view such an entry is current (a newer reader will
+  // hit it); this old-snapshot reader just misses.
+  const AuthzGeneration& stored = it->second.gen;
+  if (stored.schema != gen.schema || stored.catalog > gen.catalog) {
     return std::nullopt;
   }
-  if (it->second.gen.catalog > gen.catalog) return std::nullopt;
   return it->second.value;
 }
 
 void AuthzCache::StoreLocked(std::string key, const AuthzGeneration& gen,
                              Value value, AuthzDependencies deps) {
-  // An entry derived against a catalog sequence the cache has already
-  // synced past may be missing invalidations that were replayed in the
-  // meantime; admitting it would be unsound. Reachable under snapshot
-  // isolation: a retrieve pinned to an old snapshot commits its txn
-  // after a newer mutation synced the cache forward — its fills are
-  // simply dropped.
-  if (gen.catalog != replayed_catalog_seq_) return;
+  // An entry derived at a generation the cache has already synced past
+  // may be missing invalidations that were replayed in the meantime;
+  // admitting it would be unsound. Reachable under snapshot isolation: a
+  // retrieve pinned to an old snapshot commits its txn after a newer
+  // reader synced the cache forward — its fills are simply dropped.
+  if (gen != synced_) return;
   if (entries_.size() > kMaxEntries) ClearLocked();
   auto it = entries_.find(key);
   if (it != entries_.end()) IndexEraseLocked(key, it->second.deps.user);
@@ -184,37 +203,7 @@ void AuthzCache::ApplyCatalogMutationLocked(const CatalogMutation& record) {
 
   ++stats_.invalidations_exact;
   stats_.entries_retained += static_cast<long long>(entries_.size());
-  stats_.invalidations += dropped;
   stats_.entries_invalidated += dropped;
-}
-
-void AuthzCache::SyncCatalog(const ViewCatalog& catalog) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const long long target = catalog.catalog_version();
-  if (target <= replayed_catalog_seq_) return;
-  // A catalog older than our synced point needs nothing: it is a
-  // snapshot of a catalog we already replayed past, and its readers are
-  // screened at lookup by the entry.catalog <= reader.catalog rule —
-  // moving the clock backward (or wiping) for them would let a later
-  // Store from the newer catalog be rejected or, worse, re-admitted
-  // under a reused sequence number.
-  std::vector<CatalogMutation> records;
-  if (!catalog.MutationsSince(replayed_catalog_seq_, &records)) {
-    // The bounded journal no longer reaches back to our synced point:
-    // records were lost, so no sound selective answer exists.
-    const long long dropped = ClearLocked();
-    if (dropped > 0) {
-      stats_.invalidations += dropped;
-      stats_.entries_invalidated += dropped;
-      ++stats_.invalidations_over;
-    }
-  } else {
-    for (const CatalogMutation& record : records) {
-      ApplyCatalogMutationLocked(record);
-    }
-  }
-  replayed_catalog_seq_ = target;
-  CheckIndexLocked();
 }
 
 void AuthzCache::CheckIndexLocked() const {
@@ -237,11 +226,9 @@ void AuthzCache::CheckIndexLocked() const {
 #endif
 }
 
-void AuthzCache::Invalidate() {
-  std::lock_guard<std::mutex> lock(mutex_);
+void AuthzCache::WipeLocked() {
   const long long dropped = ClearLocked();
   if (dropped > 0) {
-    stats_.invalidations += dropped;
     stats_.entries_invalidated += dropped;
     ++stats_.invalidations_over;
   }
@@ -282,23 +269,26 @@ void AuthzCache::ResetStats() {
 
 // --- AuthzCacheTxn --------------------------------------------------------
 
+AuthzCacheTxn::AuthzCacheTxn(AuthzCache* cache, const ViewCatalog& catalog,
+                             long long ddl_version)
+    : cache_(cache) {
+  if (cache_ != nullptr) gen_ = cache_->Sync(catalog, ddl_version);
+}
+
 std::optional<AuthzCache::Value> AuthzCacheTxn::Find(
-    const std::string& key, const AuthzGeneration& gen) {
+    const std::string& key) const {
   // Latest store wins; a retrieve stages a handful of entries, so a
   // reverse linear scan beats a map.
   for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
     if (it->key == key) return it->value;
   }
-  bool stale = false;
-  std::optional<AuthzCache::Value> hit = cache_->Find(key, gen, &stale);
-  if (stale) ++stats_.invalidations;
-  return hit;
+  return cache_->Find(key, gen_);
 }
 
 std::shared_ptr<const Decision> AuthzCacheTxn::LookupDecision(
-    const std::string& key, const AuthzGeneration& gen) {
+    const std::string& key) {
   if (cache_ == nullptr) return nullptr;
-  std::optional<AuthzCache::Value> hit = Find(key, gen);
+  std::optional<AuthzCache::Value> hit = Find(key);
   if (!hit.has_value()) {
     ++stats_.mask_misses;
     return nullptr;
@@ -308,9 +298,9 @@ std::shared_ptr<const Decision> AuthzCacheTxn::LookupDecision(
 }
 
 std::shared_ptr<const MetaRelation> AuthzCacheTxn::LookupPrepared(
-    const std::string& key, const AuthzGeneration& gen) {
+    const std::string& key) {
   if (cache_ == nullptr) return nullptr;
-  std::optional<AuthzCache::Value> hit = Find(key, gen);
+  std::optional<AuthzCache::Value> hit = Find(key);
   if (!hit.has_value()) {
     ++stats_.prepared_misses;
     return nullptr;
@@ -319,11 +309,11 @@ std::shared_ptr<const MetaRelation> AuthzCacheTxn::LookupPrepared(
   return std::get<std::shared_ptr<const MetaRelation>>(std::move(*hit));
 }
 
-void AuthzCacheTxn::Store(std::string key, const AuthzGeneration& gen,
-                          AuthzCache::Value value, AuthzDependencies deps) {
+void AuthzCacheTxn::Store(std::string key, AuthzCache::Value value,
+                          AuthzDependencies deps) {
   if (cache_ == nullptr) return;
   pending_.push_back(
-      Pending{std::move(key), gen, std::move(value), std::move(deps)});
+      Pending{std::move(key), std::move(value), std::move(deps)});
 }
 
 void AuthzCacheTxn::Commit() {
@@ -331,7 +321,7 @@ void AuthzCacheTxn::Commit() {
   committed_ = true;
   std::lock_guard<std::mutex> lock(cache_->mutex_);
   for (Pending& e : pending_) {
-    cache_->StoreLocked(std::move(e.key), e.gen, std::move(e.value),
+    cache_->StoreLocked(std::move(e.key), gen_, std::move(e.value),
                         std::move(e.deps));
   }
   pending_.clear();

@@ -15,41 +15,44 @@
 // named like a flavor letter can never make two kinds collide.
 //
 // Soundness argument (selective invalidation). Every entry records its
-// read set as an AuthzDependencies: the user it was derived for, the
-// base relations of the query, and the granted views folded into it.
-// The ViewCatalog keeps a journal of its mutations (CatalogMutation in
-// meta/view_store.h), each record naming the users whose entitlements it
-// may change and the relation-set scopes it touches. SyncCatalog()
-// replays the journal from the cache's last synced sequence number and
-// drops exactly the entries whose (user, relations) dependencies a
-// record selects — a mask embeds a granted view only when the query
-// covers all of the view's relations, so "some recorded scope is a
-// subset of the entry's relations" is precisely "this entry's closure
-// touches the mutated view". Consequences:
+// read set as an AuthzDependencies: the user it was derived for and the
+// base relations of the query. The ViewCatalog keeps a journal of its
+// mutations (CatalogMutation in meta/view_store.h), each record naming
+// the users whose entitlements it may change and the relation-set scopes
+// it touches. The cache syncs in exactly one place: when a retrieve
+// opens its AuthzCacheTxn against its snapshot's catalog and DDL
+// version. The sync replays the journal from the cache's synced
+// sequence number and drops exactly the entries whose (user, relations)
+// dependencies a record selects — a mask embeds a granted view only when
+// the query covers all of the view's relations, so "some recorded scope
+// is a subset of the entry's relations" is precisely "this entry's
+// closure touches the mutated view". Consequences:
 //   * `insert`/`delete`/`modify` data statements never invalidate —
 //     masks are derived from view definitions and grants, never data;
 //   * `permit V to U` / `deny V to U` invalidates only U's (and, for a
 //     group grant, the members') entries whose relation set covers V;
-//   * view (re)definition invalidates by transitive view reachability
-//     (the scopes carry the transitive relation closure);
-//   * relation create/drop (DDL) still wipes everything — the schema
-//     half of the AuthzGeneration is compared at lookup, and the engine
-//     calls Invalidate(), counted as an over-approximate invalidation.
-// Callers that mutate the catalog directly (no engine) stay sound
-// because the Authorizer syncs the cache against the catalog journal
-// before every retrieve; a cache that has fallen behind the bounded
-// journal wipes itself rather than guess.
+//   * `drop view V` invalidates V's holders' entries over V's relation
+//     scopes; a fresh definition has no holders and drops nothing;
+//   * relation create/drop (DDL) wipes everything once, at the first
+//     sync that sees the new DDL version, counted as an over-approximate
+//     invalidation;
+//   * a cache that has fallen behind the bounded journal wipes itself
+//     rather than guess.
+// Nothing else invalidates: the engine never touches the cache when it
+// mutates, so the cache only ever sees catalogs some retrieve has read —
+// under the DurableEngine, published (fsynced) ones — and a discarded
+// batch's sequence numbers can never be reused underneath it.
 //
 // The cache is internally synchronized; concurrent sessions may look up,
-// fill, and invalidate freely. Entries are handed out as shared pointers
-// to const values, so a reader never copies one and never sees one
-// change.
+// fill and sync freely. Entries are handed out as shared pointers to
+// const values, so a reader never copies one and never sees one change.
 //
 // AuthzCacheTxn stages a single retrieve's cache traffic so an aborted
 // retrieve (deadline, budget, cancellation — any failure, in fact) leaves
-// the cache and its counters exactly as if the query had never run: reads
-// have no side effect on the cache, writes and counter deltas are
-// buffered, and Commit() publishes everything atomically on success only.
+// the cache and its counters exactly as if the query had never run, bar
+// the catch-up sync any retrieve at its snapshot runs: reads have no side
+// effect on the cache, writes and counter deltas are buffered, and
+// Commit() publishes everything atomically on success only.
 
 #ifndef VIEWAUTH_AUTHZ_AUTHZ_CACHE_H_
 #define VIEWAUTH_AUTHZ_AUTHZ_CACHE_H_
@@ -72,17 +75,15 @@ namespace viewauth {
 class ViewCatalog;
 struct CatalogMutation;
 
-// The invalidation clock. `catalog` is the ViewCatalog's journal
-// sequence number current when the entry was derived; `schema` is the
-// DDL version. Lookups require an exact schema match (catalog staleness
-// is handled eagerly by SyncCatalog's journal replay) plus
-// entry.catalog <= reader.catalog — under engine snapshot isolation a
-// retrieve may run against a catalog version older than the cache's
-// synced point, and entries stored after its snapshot must look like
-// misses to it (entries stored before remain sound for it precisely
-// because they survived the journal replay in between). Store rejects
-// an entry derived against any catalog sequence other than the synced
-// one.
+// The invalidation clock: `catalog` is a ViewCatalog's journal sequence
+// number, `schema` a DatabaseInstance's DDL version. A txn reads both
+// from its retrieve's snapshot. Lookups require an exact schema match
+// plus entry.catalog <= reader.catalog — under engine snapshot isolation
+// a retrieve may run against a catalog older than the cache's synced
+// point, and entries stored after its snapshot must look like misses to
+// it (entries stored before remain sound for it precisely because they
+// survived the journal replay in between). Store rejects an entry
+// derived at any generation other than the synced one.
 struct AuthzGeneration {
   long long catalog = 0;
   long long schema = 0;
@@ -90,15 +91,12 @@ struct AuthzGeneration {
   bool operator==(const AuthzGeneration&) const = default;
 };
 
-// The read set of one cached entry: who it was derived for, the base
-// relations of the query, and the granted views folded into the result.
-// The (user, relations) pair is what selective invalidation matches
-// CatalogMutation records against; `views` is recorded for diagnostics
-// and debug-build invariant checks.
+// The read set of one cached entry: who it was derived for and the base
+// relations of the query — what selective invalidation matches
+// CatalogMutation records against.
 struct AuthzDependencies {
   std::string user;
   std::set<std::string> relations;
-  std::set<std::string> views;
 };
 
 // One inferred permit statement, structured and rendered.
@@ -140,7 +138,6 @@ struct AuthzStats {
   long long mask_hits = 0;           // decision lookups served
   long long mask_misses = 0;         // decision lookups that derived
   long long mask_compiles = 0;       // CompiledMask builds
-  long long invalidations = 0;       // entries dropped as stale, any cause
   // Hopeless + dangling tuples removed; hopeless ones are counted in the
   // raw product, duplicates included.
   long long meta_tuples_pruned = 0;
@@ -152,7 +149,9 @@ struct AuthzStats {
   long long mask_batch_applies = 0;
 
   // --- invalidation precision -------------------------------------------
-  // How selective the dependency-tracked scheme is in practice.
+  // How selective the dependency-tracked scheme is in practice. Booked by
+  // the sync a retrieve's txn runs, i.e. at the first retrieve after the
+  // mutation.
   long long entries_invalidated = 0;  // dropped by catalog/DDL events
   long long entries_retained = 0;     // survivors of targeted events
   long long invalidations_exact = 0;  // dependency-matched drop events
@@ -193,23 +192,6 @@ class AuthzCache {
   AuthzCache(const AuthzCache&) = delete;
   AuthzCache& operator=(const AuthzCache&) = delete;
 
-  // Replays the catalog's mutation journal from this cache's last
-  // synced sequence number, dropping exactly the entries each record's
-  // (users, scopes) dependency test selects. The engine routes every
-  // catalog mutation (permit/deny/view definition/drop/membership) here;
-  // the Authorizer also syncs before each retrieve, which is what keeps
-  // callers that mutate the catalog directly sound. Falls back to a
-  // full wipe — counted as an over-approximate invalidation — when the
-  // bounded journal no longer reaches back to the synced point.
-  void SyncCatalog(const ViewCatalog& catalog);
-
-  // Drops every entry immediately, counted as one over-approximate
-  // invalidation event. The engine routes relation create/drop (DDL)
-  // here: a schema change can alter coverage decisions for any user, so
-  // no per-entry dependency test applies. The schema half of the
-  // generation check catches direct DDL for engineless callers.
-  void Invalidate();
-
   // --- Governor bookkeeping (the governor's own books) ------------------
   // Deliberately NOT routed through AuthzCacheTxn: these counters record
   // the abort itself, so they must survive it. Counts only the three
@@ -229,22 +211,35 @@ class AuthzCache {
     Value value;
   };
 
+  // The one sync point, run by AuthzCacheTxn's constructor: catches the
+  // cache up to a reader at (catalog, ddl_version) and returns the
+  // reader's generation. A newer DDL version wipes everything once (a
+  // schema change can alter coverage decisions for any user, so no
+  // per-entry dependency test applies); a newer catalog replays its
+  // journal from the synced sequence number, dropping exactly the
+  // entries each record's (users, scopes) dependency test selects, or
+  // wipes when the bounded journal no longer reaches back that far.
+  // Wipes count as over-approximate invalidations. A reader older than
+  // the synced point moves nothing: it only misses newer entries, and
+  // its stores are rejected.
+  AuthzGeneration Sync(const ViewCatalog& catalog, long long ddl_version);
   // Side-effect-free read: the value under `key` when a reader at `gen`
-  // may use it. An entry whose schema generation no longer matches
-  // reports *stale = true and stays until the next store under its key
-  // (or a wipe) replaces it.
+  // may use it.
   std::optional<Value> Find(const std::string& key,
-                            const AuthzGeneration& gen, bool* stale) const;
+                            const AuthzGeneration& gen) const;
   // Admits one entry and records its read set in the dependency index; a
-  // store whose generation predates the cache's synced catalog sequence
-  // is rejected (the entry was derived against a catalog the cache has
-  // already moved past). Requires mutex_ held.
+  // store derived at any generation other than the synced one is
+  // rejected (the cache has moved past it, or it never got there).
+  // Requires mutex_ held.
   void StoreLocked(std::string key, const AuthzGeneration& gen, Value value,
                    AuthzDependencies deps);
   // Removes one user's index reference to `key`. Requires mutex_ held.
   void IndexEraseLocked(const std::string& key, const std::string& user);
   // Drops every entry; returns how many there were. Requires mutex_ held.
   long long ClearLocked();
+  // ClearLocked, booked as one over-approximate invalidation when it
+  // dropped anything. Requires mutex_ held.
+  void WipeLocked();
   // One journal record: drops the dependent entries of each affected
   // user, counts exact/retained precision figures.
   void ApplyCatalogMutationLocked(const CatalogMutation& record);
@@ -258,33 +253,39 @@ class AuthzCache {
   // Reverse dependency index: user -> the keys of that user's entries.
   // Targeted invalidation walks only the affected users' keys.
   std::map<std::string, std::set<std::string>> by_user_;
-  // The catalog journal sequence number this cache has replayed up to.
-  long long replayed_catalog_seq_ = 0;
+  // The generation this cache has synced to: the catalog journal
+  // sequence number it has replayed up to and the DDL version it has
+  // wiped for.
+  AuthzGeneration synced_;
   AuthzStats stats_;
 };
 
-// Stages one retrieve's cache traffic. Reads consult this txn's pending
-// stores first (a retrieve may re-derive under the same key), then the
-// live cache; writes and counter deltas stay local until Commit().
-// Dropping the txn without committing discards everything — the
-// abort-cleanliness mechanism for governed (and any other) failures.
-// Owned by the one thread running the retrieve.
+// Stages one retrieve's cache traffic. Opening a txn syncs the cache to
+// the retrieve's snapshot (AuthzCache::Sync) and fixes the generation
+// every lookup and store of the txn uses. Reads consult this txn's
+// pending stores first (a retrieve may re-derive under the same key),
+// then the live cache; writes and counter deltas stay local until
+// Commit(). Dropping the txn without committing discards everything —
+// the abort-cleanliness mechanism for governed (and any other)
+// failures. The sync itself is catalog work, not the query's traffic:
+// it stays done even when the txn is dropped. Owned by the one thread
+// running the retrieve.
 class AuthzCacheTxn {
  public:
-  // `cache` may be null (caching disabled): lookups miss without
-  // counting, stores and Commit are no-ops.
-  explicit AuthzCacheTxn(AuthzCache* cache) : cache_(cache) {}
+  // `catalog` and `ddl_version` are the retrieve's snapshot. `cache` may
+  // be null (caching disabled): lookups miss without counting, stores
+  // and Commit are no-ops.
+  AuthzCacheTxn(AuthzCache* cache, const ViewCatalog& catalog,
+                long long ddl_version);
   AuthzCacheTxn(const AuthzCacheTxn&) = delete;
   AuthzCacheTxn& operator=(const AuthzCacheTxn&) = delete;
 
   // Decision lookups count a mask hit or miss; prepared lookups a
   // prepared hit or miss. Both return null on a miss.
-  std::shared_ptr<const Decision> LookupDecision(const std::string& key,
-                                                 const AuthzGeneration& gen);
-  std::shared_ptr<const MetaRelation> LookupPrepared(
-      const std::string& key, const AuthzGeneration& gen);
-  void Store(std::string key, const AuthzGeneration& gen,
-             AuthzCache::Value value, AuthzDependencies deps);
+  std::shared_ptr<const Decision> LookupDecision(const std::string& key);
+  std::shared_ptr<const MetaRelation> LookupPrepared(const std::string& key);
+  void Store(std::string key, AuthzCache::Value value,
+             AuthzDependencies deps);
 
   // The buffered counter deltas, published by Commit().
   AuthzStats& stats() { return stats_; }
@@ -299,17 +300,15 @@ class AuthzCacheTxn {
   // untouched as the entries themselves.
   struct Pending {
     std::string key;
-    AuthzGeneration gen;
     AuthzCache::Value value;
     AuthzDependencies deps;
   };
 
   // The value under `key`: pending stores first, then the live cache.
-  // Counts a stale observation.
-  std::optional<AuthzCache::Value> Find(const std::string& key,
-                                        const AuthzGeneration& gen);
+  std::optional<AuthzCache::Value> Find(const std::string& key) const;
 
   AuthzCache* cache_;
+  AuthzGeneration gen_;
   std::vector<Pending> pending_;
   AuthzStats stats_;
   bool committed_ = false;

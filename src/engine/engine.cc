@@ -55,18 +55,8 @@ void Engine::PublishStaged() {
 
 void Engine::DiscardStaged() {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  std::shared_ptr<EngineState> published;
-  {
-    std::lock_guard<std::mutex> publish_lock(publish_mutex_);
-    published = published_;
-  }
-  if (live_ == published) return;
-  live_ = std::move(published);
-  // The cache's journal sync advanced into the discarded catalog
-  // versions; their sequence numbers must not be reused underneath it.
-  // The engine is entering fail-stop degraded mode anyway, so the
-  // over-approximate wipe costs nothing.
-  authz_cache_.Invalidate();
+  std::lock_guard<std::mutex> publish_lock(publish_mutex_);
+  live_ = published_;
 }
 
 DatabaseInstance& Engine::MutableDb() {
@@ -311,7 +301,6 @@ Result<std::string> Engine::ExecuteRelation(const RelationStmt& stmt) {
   // The create cloned the schema under any live snapshot; repoint the
   // head catalog at the new schema object.
   MutableCatalog();
-  authz_cache_.Invalidate();
   return "created relation " + stmt.name;
 }
 
@@ -452,11 +441,7 @@ Result<std::string> Engine::ExecuteModify(const ModifyStmt& stmt) {
 
 Result<std::string> Engine::ExecuteDrop(const DropStmt& stmt) {
   if (stmt.is_view) {
-    ViewCatalog& catalog = MutableCatalog();
-    VIEWAUTH_RETURN_NOT_OK(catalog.DropView(stmt.name));
-    // Selective: the drop's journal record names exactly the grant
-    // holders and the view's relation scopes.
-    authz_cache_.SyncCatalog(catalog);
+    VIEWAUTH_RETURN_NOT_OK(MutableCatalog().DropView(stmt.name));
     return "dropped view " + stmt.name;
   }
   // Restrict semantics: a relation referenced by any stored view cannot
@@ -473,32 +458,21 @@ Result<std::string> Engine::ExecuteDrop(const DropStmt& stmt) {
   // The drop cloned the schema under any live snapshot; repoint the head
   // catalog at the new schema object.
   MutableCatalog();
-  // DDL changes coverage decisions for any user; no per-entry dependency
-  // test applies, so this is the over-approximate full wipe.
-  authz_cache_.Invalidate();
   return "dropped relation " + stmt.name;
 }
 
 Result<std::string> Engine::ExecuteMember(const MemberStmt& stmt) {
-  // Membership changes invalidate only the joining/leaving user's
-  // entries, over the scopes of the group's grants.
   ViewCatalog& catalog = MutableCatalog();
   if (stmt.remove) {
     VIEWAUTH_RETURN_NOT_OK(catalog.RemoveMember(stmt.user, stmt.group));
-    authz_cache_.SyncCatalog(catalog);
     return "removed " + stmt.user + " from " + stmt.group;
   }
   VIEWAUTH_RETURN_NOT_OK(catalog.AddMember(stmt.user, stmt.group));
-  authz_cache_.SyncCatalog(catalog);
   return "added " + stmt.user + " to " + stmt.group;
 }
 
 Result<std::string> Engine::ExecuteView(const ViewStmt& stmt) {
-  ViewCatalog& catalog = MutableCatalog();
-  VIEWAUTH_RETURN_NOT_OK(catalog.DefineView(stmt));
-  // A fresh view carries no grants, so this drops nothing; the sync
-  // just advances the cache's journal position.
-  authz_cache_.SyncCatalog(catalog);
+  VIEWAUTH_RETURN_NOT_OK(MutableCatalog().DefineView(stmt));
   return "defined view " + stmt.name;
 }
 
@@ -521,12 +495,8 @@ AccessMode ToAccessMode(GrantMode mode) {
 }  // namespace
 
 Result<std::string> Engine::ExecutePermit(const PermitStmt& stmt) {
-  ViewCatalog& catalog = MutableCatalog();
-  VIEWAUTH_RETURN_NOT_OK(
-      catalog.Permit(stmt.view, stmt.user, ToAccessMode(stmt.mode)));
-  // Selective: drops only the grantee's (or, for a group, the members')
-  // entries whose relation set covers the view.
-  authz_cache_.SyncCatalog(catalog);
+  VIEWAUTH_RETURN_NOT_OK(MutableCatalog().Permit(stmt.view, stmt.user,
+                                                 ToAccessMode(stmt.mode)));
   std::string out = "permitted " + stmt.view + " to " + stmt.user;
   if (stmt.mode != GrantMode::kRetrieve) {
     out += " for " + std::string(GrantModeToString(stmt.mode));
@@ -538,10 +508,8 @@ Result<std::string> Engine::ExecutePermit(const PermitStmt& stmt) {
 }
 
 Result<std::string> Engine::ExecuteDeny(const DenyStmt& stmt) {
-  ViewCatalog& catalog = MutableCatalog();
-  VIEWAUTH_RETURN_NOT_OK(
-      catalog.Deny(stmt.view, stmt.user, ToAccessMode(stmt.mode)));
-  authz_cache_.SyncCatalog(catalog);
+  VIEWAUTH_RETURN_NOT_OK(MutableCatalog().Deny(stmt.view, stmt.user,
+                                               ToAccessMode(stmt.mode)));
   std::string out = "denied " + stmt.view + " to " + stmt.user;
   if (stmt.mode != GrantMode::kRetrieve) {
     out += " for " + std::string(GrantModeToString(stmt.mode));

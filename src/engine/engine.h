@@ -28,7 +28,9 @@
 // statement simply drops the fork. The DurableEngine additionally defers
 // publication until a commit batch is fsynced (SetDeferPublication), so
 // readers also never observe an acknowledged-then-rolled-back state.
-// The authorization cache is shared across snapshots; entries are keyed
+// The authorization cache is shared across snapshots, and mutations never
+// touch it: each retrieve's cache txn catches it up to the retrieve's own
+// snapshot, so it only ever sees published catalogs. Entries are keyed
 // by catalog version so old-snapshot readers hit only entries their
 // catalog version already covers (authz/authz_cache.h).
 
@@ -157,9 +159,8 @@ class Engine {
   // Publishes the staged head (after the batch fsync succeeded).
   void PublishStaged();
   // Drops every staged-but-unpublished mutation, restoring the head to
-  // the published snapshot (whole-batch abort). Wipes the authorization
-  // cache: its journal sync may have advanced into the discarded catalog
-  // versions, whose sequence numbers must never be reused underneath it.
+  // the published snapshot (whole-batch abort). The authorization cache
+  // keeps its entries: it never synced past the published snapshot.
   void DiscardStaged();
 
   // Cooperatively cancels every retrieve currently executing: each one

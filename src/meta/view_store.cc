@@ -637,9 +637,10 @@ bool ViewCatalog::MutationsSince(long long since,
   const long long oldest_covered =
       catalog_version_ - static_cast<long long>(journal_.size());
   if (since < oldest_covered) return false;
-  for (const CatalogMutation& record : journal_) {
-    if (record.seq > since) out->push_back(record);
-  }
+  // Sequence numbers are contiguous: record seq lives at index
+  // seq - oldest_covered - 1.
+  out->insert(out->end(), journal_.begin() + (since - oldest_covered),
+              journal_.end());
   return true;
 }
 

@@ -3,14 +3,9 @@
 // Allocating a projected key Tuple per row (`row.Project(key_cols)`) in
 // the hash-join build/probe loops would dominate the data-side hot path.
 // A KeyView instead collects `const Value*` references to the key cells
-// of a (possibly scattered) row. Its own Hash uses the exact combine
-// scheme of Tuple::Hash, so a view over (v1..vk) hashes identically to
-// Tuple({v1..vk}) — hash tables built from either agree.
-//
-// KeyView equality is strict Value equality (Value::operator==: same
-// type, same contents, NULL == NULL), matching Tuple::operator==. The
-// vectorized hash join does not use it: its keys match by the canonical
-// selection's numeric equality (algebra/vectorized.cc, JoinKeyHash).
+// of a (possibly scattered) row. The vectorized hash join hashes it with
+// JoinKeyHash and matches keys by the canonical selection's numeric
+// equality (algebra/vectorized.cc).
 
 #ifndef VIEWAUTH_STORAGE_KEY_VIEW_H_
 #define VIEWAUTH_STORAGE_KEY_VIEW_H_
@@ -33,14 +28,6 @@ class KeyView {
 
   size_t size() const { return refs_.size(); }
   const Value& at(size_t i) const { return *refs_[i]; }
-
-  // Same combine as Tuple::Hash over the referenced values.
-  size_t Hash() const;
-
-  // Strict component-wise Value equality (coherent with Hash: equal views
-  // always hash equal).
-  bool operator==(const KeyView& other) const;
-  bool operator!=(const KeyView& other) const { return !(*this == other); }
 
  private:
   std::vector<const Value*> refs_;

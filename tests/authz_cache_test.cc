@@ -3,6 +3,10 @@
 // (permit, deny, view drop/redefinition, DDL), per-user isolation, the
 // entry bound, and the generation-counter soundness argument for callers
 // that mutate the catalog directly (no engine involved).
+//
+// The cache syncs only when a retrieve opens its txn, so the
+// invalidation counters move at the first retrieve after a mutation:
+// every check of them below reads after such a retrieve.
 
 #include <memory>
 #include <string>
@@ -17,6 +21,17 @@
 namespace viewauth {
 namespace {
 
+// Replays the catalog journal into the cache without filling it: a
+// retrieve with the cache switched off still opens its txn, the cache's
+// one sync point. Setups call it before resetting the counters, so a
+// test's counters see only the test's own mutations.
+void ReplaySetup(Engine* engine) {
+  engine->options().enable_authz_cache = false;
+  auto out = engine->Execute("retrieve (EMPLOYEE.NAME) as nobody");
+  engine->options().enable_authz_cache = true;
+  ASSERT_TRUE(out.ok()) << out.status();
+}
+
 // An engine with the test schema loaded: EMPLOYEE(NAME key, SALARY) with
 // two rows, a NAME-only view granted to Brown.
 void SetupEngine(Engine* engine) {
@@ -28,6 +43,7 @@ void SetupEngine(Engine* engine) {
     permit NAMES to Brown
   )");
   ASSERT_TRUE(out.ok()) << out.status();
+  ReplaySetup(engine);
   engine->ResetAuthzStats();
 }
 
@@ -70,10 +86,10 @@ TEST(AuthzCacheTest, PermitInvalidatesAndWidensDelivery) {
                   .ExecuteScript("view ALL_E (EMPLOYEE.NAME, "
                                  "EMPLOYEE.SALARY)\npermit ALL_E to Brown")
                   .ok());
-  EXPECT_GE(engine.authz_stats().invalidations, 1);
   auto result2 = engine.Retrieve(kQuery);
   ASSERT_TRUE(result2.ok()) << result2.status();
   EXPECT_TRUE(result2->full_access);
+  EXPECT_GE(engine.authz_stats().entries_invalidated, 1);
   EXPECT_EQ(engine.authz_stats().mask_hits, 0);
   EXPECT_EQ(engine.authz_stats().mask_misses, 2);
 }
@@ -123,12 +139,12 @@ TEST(AuthzCacheTest, DdlInvalidates) {
   SetupEngine(&engine);
 
   ASSERT_TRUE(engine.Execute(kQuery).ok());
-  const long long before = engine.authz_stats().invalidations;
+  const long long before = engine.authz_stats().entries_invalidated;
   ASSERT_TRUE(
       engine.Execute("relation DEPT (DNAME string key, HEAD string)").ok());
-  EXPECT_GT(engine.authz_stats().invalidations, before);
   // The repeat after DDL re-derives.
   ASSERT_TRUE(engine.Execute(kQuery).ok());
+  EXPECT_GT(engine.authz_stats().entries_invalidated, before);
   EXPECT_EQ(engine.authz_stats().mask_hits, 0);
   EXPECT_EQ(engine.authz_stats().mask_misses, 2);
 }
@@ -426,7 +442,7 @@ TEST(AuthzCacheTest, DirectCatalogMutationIsCaughtByGenerationCheck) {
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->full_access);
 
-  // Direct catalog mutation — no engine, nobody calls Invalidate().
+  // Direct catalog mutation — no engine routes it anywhere.
   ASSERT_TRUE(catalog
                   .DefineView(parse_view(
                       "view ALL_E (EMPLOYEE.NAME, EMPLOYEE.SALARY)"))
@@ -436,8 +452,51 @@ TEST(AuthzCacheTest, DirectCatalogMutationIsCaughtByGenerationCheck) {
   auto second = authorizer.Retrieve("Brown", *query);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->full_access);
-  // The stale entry was detected and dropped at lookup.
-  EXPECT_GE(cache.Snapshot().invalidations, 1);
+  // The stale entry was dropped by the second retrieve's sync.
+  EXPECT_GE(cache.Snapshot().entries_invalidated, 1);
+}
+
+// A cache more than the journal's 4,096 records behind its reader cannot
+// replay selectively: the reader's sync wipes it once, books the wipe as
+// one over-invalidation, and the retrieve still sees the latest grants.
+TEST(AuthzCacheTest, CacheBehindTheJournalWipesOnceAndStaysCorrect) {
+  DirectCatalog direct;
+  AuthzCache cache;
+  Authorizer authorizer(&direct.db, &direct.catalog, &cache);
+  const ConjunctiveQuery query =
+      direct.Query("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)");
+  auto first = authorizer.Retrieve("Brown", query);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(first->full_access);
+  cache.ResetStats();
+
+  // 4,096 membership toggles, then a full grant: 4,098 records.
+  for (int i = 0; i < 4096; ++i) {
+    ASSERT_TRUE((i % 2 == 0 ? direct.catalog.AddMember("Klein", "staff")
+                            : direct.catalog.RemoveMember("Klein", "staff"))
+                    .ok());
+  }
+  auto all = ParseStatement("view ALL_E (EMPLOYEE.NAME, EMPLOYEE.SALARY)");
+  ASSERT_TRUE(all.ok());
+  ASSERT_TRUE(direct.catalog.DefineView(std::get<ViewStmt>(*all)).ok());
+  ASSERT_TRUE(direct.catalog.Permit("ALL_E", "Brown").ok());
+
+  auto second = authorizer.Retrieve("Brown", query);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second->full_access);
+  AuthzStats stats = cache.Snapshot();
+  EXPECT_EQ(stats.invalidations_over, 1);
+  EXPECT_EQ(stats.invalidations_exact, 0);
+  EXPECT_EQ(stats.entries_invalidated, 2);  // the decision and its prepared
+  EXPECT_EQ(stats.mask_misses, 1);
+
+  // The wiped cache fills again at the new generation.
+  auto third = authorizer.Retrieve("Brown", query);
+  ASSERT_TRUE(third.ok()) << third.status();
+  EXPECT_EQ(third->decision.get(), second->decision.get());
+  stats = cache.Snapshot();
+  EXPECT_EQ(stats.invalidations_over, 1);
+  EXPECT_EQ(stats.mask_hits, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -461,6 +520,7 @@ void SetupTwoRelationEngine(Engine* engine) {
     permit DEPTS to Klein
   )");
   ASSERT_TRUE(out.ok()) << out.status();
+  ReplaySetup(engine);
   engine->ResetAuthzStats();
 }
 
@@ -481,15 +541,15 @@ TEST(AuthzCacheTest, PermitInvalidatesOnlyTheGranteesEntries) {
                   .ExecuteScript("view ALL_E (EMPLOYEE.NAME, "
                                  "EMPLOYEE.SALARY)\npermit ALL_E to Brown")
                   .ok());
+  auto result1 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->full_access);
   AuthzStats stats = engine.authz_stats();
   EXPECT_GE(stats.invalidations_exact, 1);
   EXPECT_EQ(stats.invalidations_over, 0);
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
 
-  auto result1 = engine.Retrieve(kEmpQueryBrown);
-  ASSERT_TRUE(result1.ok()) << result1.status();
-  EXPECT_TRUE(result1->full_access);
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   stats = engine.authz_stats();
   // Brown re-derived (miss #3); Klein's repeat rode the retained entry.
@@ -506,13 +566,11 @@ TEST(AuthzCacheTest, PermitOutsideTheEntriesScopeRetainsThem) {
   // the cached entry's read set {EMPLOYEE}, so the entry survives even
   // though user and event-user coincide.
   ASSERT_TRUE(engine.Execute("permit DEPTS to Brown").ok());
-  AuthzStats stats = engine.authz_stats();
+  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
+  const AuthzStats stats = engine.authz_stats();
   EXPECT_GE(stats.invalidations_exact, 1);
   EXPECT_EQ(stats.entries_invalidated, 0);
   EXPECT_GE(stats.entries_retained, 1);
-
-  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
-  stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);
   EXPECT_EQ(stats.mask_misses, 1);
 }
@@ -525,11 +583,9 @@ TEST(AuthzCacheTest, NonRetrieveModeGrantDropsNothing) {
   // Insert-mode grants never feed retrieve-time masks; the journal
   // records them with an empty scope list and nothing drops.
   ASSERT_TRUE(engine.Execute("permit NAMES to Brown for insert").ok());
-  AuthzStats stats = engine.authz_stats();
-  EXPECT_EQ(stats.entries_invalidated, 0);
-
   ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
-  stats = engine.authz_stats();
+  const AuthzStats stats = engine.authz_stats();
+  EXPECT_EQ(stats.entries_invalidated, 0);
   EXPECT_EQ(stats.mask_hits, 1);
   EXPECT_EQ(stats.mask_misses, 1);
 }
@@ -543,13 +599,10 @@ TEST(AuthzCacheTest, DataMutationsDropNothing) {
   // reapplied to the new rows.
   ASSERT_TRUE(
       engine.Execute("insert into EMPLOYEE values (Davis, 31000)").ok());
-  AuthzStats stats = engine.authz_stats();
-  EXPECT_EQ(stats.invalidations, 0);
-  EXPECT_EQ(stats.entries_invalidated, 0);
-
   auto result1 = engine.Retrieve(kEmpQueryBrown);
   ASSERT_TRUE(result1.ok()) << result1.status();
-  stats = engine.authz_stats();
+  const AuthzStats stats = engine.authz_stats();
+  EXPECT_EQ(stats.entries_invalidated, 0);
   EXPECT_EQ(stats.mask_hits, 1);
   EXPECT_EQ(stats.mask_misses, 1);
   // The masked answer does include the new row (3 rows, NAME visible).
@@ -564,12 +617,10 @@ TEST(AuthzCacheTest, FreshViewDefinitionDropsNothing) {
   // A brand-new view has no grants: no user can be affected yet.
   ASSERT_TRUE(
       engine.Execute("view WIDE (EMPLOYEE.NAME, EMPLOYEE.SALARY)").ok());
-  AuthzStats stats = engine.authz_stats();
+  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
+  const AuthzStats stats = engine.authz_stats();
   EXPECT_EQ(stats.entries_invalidated, 0);
   EXPECT_EQ(stats.invalidations_over, 0);
-
-  ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
-  stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);
   EXPECT_EQ(stats.mask_misses, 1);
 }
@@ -583,15 +634,15 @@ TEST(AuthzCacheTest, DropViewInvalidatesHoldersAndRetainsOthers) {
   // Dropping NAMES affects its holder Brown (scope {EMPLOYEE}); Klein's
   // DEPT entries must survive.
   ASSERT_TRUE(engine.Execute("drop view NAMES").ok());
+  auto result1 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->denied);  // grant went with the view
   AuthzStats stats = engine.authz_stats();
   EXPECT_GE(stats.invalidations_exact, 1);
   EXPECT_EQ(stats.invalidations_over, 0);
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
 
-  auto result1 = engine.Retrieve(kEmpQueryBrown);
-  ASSERT_TRUE(result1.ok()) << result1.status();
-  EXPECT_TRUE(result1->denied);  // grant went with the view
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);  // Klein's repeat, from the cache
@@ -611,12 +662,11 @@ TEST(AuthzCacheTest, MultiRelationViewGrantInvalidatesCoveringEntry) {
   // A DEPT-scoped grant to Brown must drop the covering entry (scope
   // {DEPT} IS a subset of {EMPLOYEE, DEPT}) while Klein's is retained.
   ASSERT_TRUE(engine.Execute("permit DEPTS to Brown").ok());
+  ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   const AuthzStats stats = engine.authz_stats();
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
-
-  ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
-  EXPECT_EQ(engine.authz_stats().mask_hits, 1);
+  EXPECT_EQ(stats.mask_hits, 1);
 }
 
 TEST(AuthzCacheTest, DdlCountsAsOverInvalidation) {
@@ -624,10 +674,12 @@ TEST(AuthzCacheTest, DdlCountsAsOverInvalidation) {
   SetupTwoRelationEngine(&engine);
   ASSERT_TRUE(engine.Execute(kEmpQueryBrown).ok());
 
-  // Relation DDL rewrites the schema universe: the cache takes the full
-  // wipe and books it as an over-invalidation, not an exact one.
+  // Relation DDL rewrites the schema universe: the next retrieve's sync
+  // takes the full wipe and books it as an over-invalidation, not an
+  // exact one.
   ASSERT_TRUE(
       engine.Execute("relation LOC (CITY string key, REGION string)").ok());
+  ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   const AuthzStats stats = engine.authz_stats();
   EXPECT_GE(stats.invalidations_over, 1);
   EXPECT_GE(stats.entries_invalidated, 1);
@@ -643,6 +695,7 @@ TEST(AuthzCacheTest, MembershipChangeInvalidatesOnlyTheMember) {
                       "permit ALL_E to staff\n"
                       "member Brown of staff")
                   .ok());
+  ReplaySetup(&engine);
   engine.ResetAuthzStats();
   auto result1 = engine.Retrieve(kEmpQueryBrown);
   ASSERT_TRUE(result1.ok()) << result1.status();
@@ -651,14 +704,14 @@ TEST(AuthzCacheTest, MembershipChangeInvalidatesOnlyTheMember) {
 
   // Brown leaves staff: only Brown's EMPLOYEE entries drop.
   ASSERT_TRUE(engine.Execute("unmember Brown of staff").ok());
+  auto result2 = engine.Retrieve(kEmpQueryBrown);
+  ASSERT_TRUE(result2.ok()) << result2.status();
+  EXPECT_FALSE(result2->full_access);  // NAMES only again
   AuthzStats stats = engine.authz_stats();
   EXPECT_GE(stats.invalidations_exact, 1);
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
 
-  auto result2 = engine.Retrieve(kEmpQueryBrown);
-  ASSERT_TRUE(result2.ok()) << result2.status();
-  EXPECT_FALSE(result2->full_access);  // NAMES only again
   ASSERT_TRUE(engine.Execute(kDeptQueryKlein).ok());
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);  // Klein retained
@@ -743,14 +796,14 @@ TEST(AuthzCacheTest, EntryBoundKeepsInvalidationSound) {
                   .ExecuteScript("view ALL_E (EMPLOYEE.NAME, "
                                  "EMPLOYEE.SALARY)\npermit ALL_E to Brown")
                   .ok());
+  auto result1 = engine.Retrieve(brown_query(kQueries - 1));
+  ASSERT_TRUE(result1.ok()) << result1.status();
+  EXPECT_TRUE(result1->full_access);
   AuthzStats stats = engine.authz_stats();
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
   EXPECT_EQ(stats.invalidations_over, 0);
 
-  auto result1 = engine.Retrieve(brown_query(kQueries - 1));
-  ASSERT_TRUE(result1.ok()) << result1.status();
-  EXPECT_TRUE(result1->full_access);
   ASSERT_TRUE(engine.Execute(klein_query(kQueries - 1)).ok());
   stats = engine.authz_stats();
   EXPECT_EQ(stats.mask_hits, 1);  // Klein's survivor
@@ -774,8 +827,8 @@ TEST(AuthzCacheTest, AbortedRetrieveStagesNoDependencyEdges) {
   subject.options().max_rows = 0;
 
   // Both engines warm the same entries, then take the same targeted
-  // mutation. If the abort had leaked dependency edges, the subject's
-  // drop/retain tallies would differ here.
+  // mutation, which the next retrieve replays. If the abort had leaked
+  // dependency edges, the subject's drop/retain tallies would differ.
   for (Engine* engine : {&control, &subject}) {
     ASSERT_TRUE(engine->Execute(kEmpQueryBrown).ok());
     ASSERT_TRUE(engine->Execute(kDeptQueryKlein).ok());
@@ -784,22 +837,21 @@ TEST(AuthzCacheTest, AbortedRetrieveStagesNoDependencyEdges) {
                                     "EMPLOYEE.SALARY)\npermit ALL_E to Brown")
                     .ok());
   }
-  const AuthzStats s = subject.authz_stats();
-  const AuthzStats c = control.authz_stats();
-  EXPECT_EQ(s.entries_invalidated, c.entries_invalidated);
-  EXPECT_EQ(s.entries_retained, c.entries_retained);
-  EXPECT_EQ(s.invalidations_exact, c.invalidations_exact);
-  EXPECT_EQ(s.invalidations_over, c.invalidations_over);
-  EXPECT_EQ(s.invalidations, c.invalidations);
-
   auto subject_out = subject.Execute(kEmpQueryBrown);
   auto control_out = control.Execute(kEmpQueryBrown);
   ASSERT_TRUE(subject_out.ok());
   ASSERT_TRUE(control_out.ok());
   EXPECT_EQ(*subject_out, *control_out);
-  EXPECT_EQ(subject.authz_stats().mask_hits, control.authz_stats().mask_hits);
-  EXPECT_EQ(subject.authz_stats().mask_misses,
-            control.authz_stats().mask_misses);
+
+  const AuthzStats s = subject.authz_stats();
+  const AuthzStats c = control.authz_stats();
+  EXPECT_GE(c.entries_invalidated, 1);
+  EXPECT_EQ(s.entries_invalidated, c.entries_invalidated);
+  EXPECT_EQ(s.entries_retained, c.entries_retained);
+  EXPECT_EQ(s.invalidations_exact, c.invalidations_exact);
+  EXPECT_EQ(s.invalidations_over, c.invalidations_over);
+  EXPECT_EQ(s.mask_hits, c.mask_hits);
+  EXPECT_EQ(s.mask_misses, c.mask_misses);
 }
 
 }  // namespace

@@ -732,6 +732,75 @@ TEST_F(DurableTest, TransientFsyncFailureAbortsTheWholeBatch) {
   EXPECT_EQ((*reopened)->engine().db().GetRelation("T").value()->size(), 1);
 }
 
+// A batch abort rolls back the staged head, not the authorization cache:
+// the cache only ever synced to the published snapshot, so every decision
+// it holds stays valid for readers of that snapshot.
+TEST_F(DurableTest, BatchAbortKeepsCachedDecisions) {
+  FaultInjectingFileSystem fs(FileSystem::Default());
+  DurableOptions options;
+  options.fs = &fs;
+  options.transient_retry_attempts = 0;
+  auto durable = DurableEngine::Open(path_, options);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  ASSERT_TRUE((*durable)
+                  ->ExecuteScript("relation T (A int, B int)\n"
+                                  "insert into T values (1, 10)\n"
+                                  "view TA (T.A)\n"
+                                  "permit TA to Brown")
+                  .ok());
+  constexpr const char* kQuery = "retrieve (T.A, T.B) as Brown";
+  ASSERT_TRUE((*durable)->Execute(kQuery).ok());  // warms the decision
+  Engine& engine = (*durable)->engine();
+  engine.ResetAuthzStats();
+
+  fs.ScheduleSyncFailure(1);
+  ASSERT_FALSE((*durable)->Execute("insert into T values (2, 20)").ok());
+  ASSERT_TRUE((*durable)->degraded());
+
+  ASSERT_TRUE((*durable)->Execute(kQuery).ok());
+  const AuthzStats stats = engine.authz_stats();
+  EXPECT_EQ(stats.mask_hits, 1);
+  EXPECT_EQ(stats.mask_misses, 0);
+  EXPECT_EQ(stats.entries_invalidated, 0);
+}
+
+// While a batch is parked at its fsync, readers keep reading — and
+// filling the cache from — the published snapshot: the staged grant has
+// not moved the cache past it.
+TEST_F(DurableTest, ReadersFillTheCacheWhileABatchIsStaged) {
+  GateFileSystem gate(FileSystem::Default());
+  DurableOptions options;
+  options.fs = &gate;
+  auto durable = DurableEngine::Open(path_, options);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  ASSERT_TRUE((*durable)
+                  ->ExecuteScript("relation DEPT (DNAME string key, "
+                                  "BUDGET int)\n"
+                                  "insert into DEPT values (eng, 500)\n"
+                                  "view DS (DEPT.DNAME)\n"
+                                  "permit DS to Brown")
+                  .ok());
+  Engine& engine = (*durable)->engine();
+  engine.ResetAuthzStats();
+
+  gate.CloseGate();
+  std::thread writer([&] {
+    EXPECT_TRUE((*durable)->Execute("permit DS to Klein").ok());
+  });
+  gate.AwaitWaiter();
+  constexpr const char* kQuery = "retrieve (DEPT.DNAME, DEPT.BUDGET) as Brown";
+  const bool first = (*durable)->Execute(kQuery).ok();
+  const bool second = (*durable)->Execute(kQuery).ok();
+  const AuthzStats stats = engine.authz_stats();
+  gate.OpenGate();
+  writer.join();
+
+  EXPECT_TRUE(first);
+  EXPECT_TRUE(second);
+  EXPECT_EQ(stats.mask_misses, 1);
+  EXPECT_EQ(stats.mask_hits, 1);
+}
+
 TEST_F(DurableTest, TransientFsyncFailureSelfHealsWithRetries) {
   FaultInjectingFileSystem fs(FileSystem::Default());
   DurableOptions options;

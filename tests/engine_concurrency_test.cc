@@ -126,7 +126,7 @@ TEST(EngineConcurrencyTest, ConcurrentRetrievesShareTheCache) {
   // No mutations ran: at most a handful of concurrent first-misses, and
   // everything after is served from the shared mask cache.
   EXPECT_GE(stats.mask_hits, stats.retrieves - kThreads);
-  EXPECT_EQ(stats.invalidations, 0);
+  EXPECT_EQ(stats.entries_invalidated, 0);
 }
 
 // Guarded writes append to the audit log under the state mutex while

@@ -1,6 +1,4 @@
-// Unit tests for schemas, tuples, relations, database instances, and the
-// in-place join-key hashing of the vectorized hash join
-// (storage/key_view.h).
+// Unit tests for schemas, tuples, relations and database instances.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +9,6 @@
 #include <vector>
 
 #include "schema/schema.h"
-#include "storage/key_view.h"
 #include "storage/relation.h"
 #include "storage/tuple.h"
 #include "tests/test_util.h"
@@ -461,55 +458,6 @@ TEST(DatabaseInstance, CreateInsertDrop) {
   EXPECT_EQ((*rel)->size(), 1);
   EXPECT_TRUE(db.DropRelation("EMPLOYEE").ok());
   EXPECT_FALSE(db.HasRelation("EMPLOYEE"));
-}
-
-// ---------------------------------------------------------------------
-// KeyView: hash coherence with Tuple::Hash and strict equality.
-// ---------------------------------------------------------------------
-
-KeyView ViewOf(const std::vector<Value>& values) {
-  KeyView view;
-  for (const Value& v : values) view.Add(v);
-  return view;
-}
-
-TEST(KeyView, HashMatchesTupleHashAcrossTypes) {
-  const std::vector<std::vector<Value>> keys = {
-      {Value::Int64(42)},
-      {Value::Int64(-7), Value::Int64(0)},
-      {Value::Double(3.25)},
-      {Value::Double(5.0), Value::Int64(5)},
-      {Value::String("Acme")},
-      {Value::String(""), Value::String("bq-45")},
-      {Value::Null()},
-      {Value::Null(), Value::Int64(1), Value::String("x")},
-      {},
-  };
-  for (const std::vector<Value>& values : keys) {
-    const Tuple tuple{std::vector<Value>(values)};
-    EXPECT_EQ(ViewOf(values).Hash(), tuple.Hash())
-        << "key of arity " << values.size();
-  }
-}
-
-TEST(KeyView, EqualityIsStrictAndCoherentWithHash) {
-  // Strict Value equality: Int64(5) and Double(5.0) are different keys
-  // even though Value::Satisfies(kEq) relates them numerically — this is
-  // the Tuple::operator== semantics the hash join has always used.
-  const std::vector<Value> int_key = {Value::Int64(5)};
-  const std::vector<Value> double_key = {Value::Double(5.0)};
-  EXPECT_FALSE(ViewOf(int_key) == ViewOf(double_key));
-  EXPECT_TRUE(ViewOf(int_key) == ViewOf(int_key));
-
-  // NULL == NULL for grouping purposes, as with Tuple equality.
-  const std::vector<Value> null_key = {Value::Null()};
-  EXPECT_TRUE(ViewOf(null_key) == ViewOf(null_key));
-
-  // Equal views must hash equal (the unordered-map contract).
-  const std::vector<Value> a = {Value::String("Jones"), Value::Int64(26000)};
-  const std::vector<Value> b = {Value::String("Jones"), Value::Int64(26000)};
-  ASSERT_TRUE(ViewOf(a) == ViewOf(b));
-  EXPECT_EQ(ViewOf(a).Hash(), ViewOf(b).Hash());
 }
 
 }  // namespace

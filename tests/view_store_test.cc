@@ -231,5 +231,38 @@ TEST(ViewStore, HomonymViewKeepsScopesOnBaseRelations) {
             (std::vector<std::string>{"SAE", "ELP", "EST", "EMPLOYEE"}));
 }
 
+// The journal keeps the newest 4,096 records. A reader exactly that far
+// behind still gets every record, oldest first; one record further and
+// MutationsSince reports the loss instead of a partial answer.
+TEST(ViewStore, MutationsSinceReportsTruncationPastTheJournalCapacity) {
+  PaperDatabase fixture;
+  ViewCatalog& catalog = fixture.catalog();
+  constexpr long long kCapacity = 4096;
+  const long long since = catalog.catalog_version();
+  for (long long i = 0; i < kCapacity; ++i) {
+    ASSERT_TRUE((i % 2 == 0 ? catalog.AddMember("Klein", "staff")
+                            : catalog.RemoveMember("Klein", "staff"))
+                    .ok());
+  }
+  std::vector<CatalogMutation> records;
+  ASSERT_TRUE(catalog.MutationsSince(since, &records));
+  ASSERT_EQ(static_cast<long long>(records.size()), kCapacity);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, since + 1 + static_cast<long long>(i));
+  }
+  records.clear();
+  ASSERT_TRUE(catalog.MutationsSince(catalog.catalog_version() - 2, &records));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].seq, catalog.catalog_version() - 1);
+  EXPECT_EQ(records[1].seq, catalog.catalog_version());
+
+  ASSERT_TRUE(catalog.AddMember("Klein", "staff").ok());
+  records.clear();
+  EXPECT_FALSE(catalog.MutationsSince(since, &records));
+  EXPECT_TRUE(records.empty());
+  ASSERT_TRUE(catalog.MutationsSince(since + 1, &records));
+  EXPECT_EQ(static_cast<long long>(records.size()), kCapacity);
+}
+
 }  // namespace
 }  // namespace viewauth
