@@ -24,14 +24,15 @@ long long MicrosSince(SteadyClock::time_point start) {
       .count();
 }
 
-// Cache key of a decision: the user, the mask flavor (final or wide),
-// every option that changes the derived tuples, the plan (only the
-// vectorized plan's decisions carry a compiled mask), and the query's
-// canonical signature.
-std::string DecisionCacheKey(std::string_view user,
-                             const ConjunctiveQuery& query,
+// Cache key of a decision: its kind tag (exact or class), the user, the
+// mask flavor (final or wide), every option that changes the derived
+// tuples, the plan (only the vectorized plan's decisions carry a
+// compiled mask), and the query's signature: canonical for the exact
+// key, by order class for the class key.
+std::string DecisionCacheKey(std::string_view tag, std::string_view user,
+                             const std::string& signature,
                              const AuthorizationOptions& o, bool wide) {
-  std::string key = "D|";
+  std::string key(tag);
   key += user;
   key += wide ? "|W|" : "|F|";
   key += o.padding ? 'p' : '-';
@@ -41,7 +42,7 @@ std::string DecisionCacheKey(std::string_view user,
   key += o.self_joins ? 'j' : '-';
   key += o.use_optimized_data_plan ? 'v' : 'c';
   key += "|";
-  key += query.CanonicalSignature();
+  key += signature;
   return key;
 }
 
@@ -84,6 +85,27 @@ AuthzDependencies QueryScope(std::string_view user,
     deps.relations.insert(atom.relation);
   }
   return deps;
+}
+
+// Cache key of an entry derived from a user's prepared meta-relations:
+// its kind tag, the user, `detail` (the target relation of a prepared
+// meta-relation, empty for a profile), the relation set of the query
+// (the pruning scope) and the self-join setting.
+std::string PreparedCacheKey(std::string_view tag,
+                             const AuthzDependencies& scope,
+                             std::string_view detail,
+                             const AuthorizationOptions& options) {
+  std::string key(tag);
+  key += scope.user;
+  key += "|";
+  key += detail;
+  key += "|";
+  for (const std::string& r : scope.relations) {
+    key += r;
+    key += ",";
+  }
+  key += options.self_joins ? "|j" : "|-";
+  return key;
 }
 
 // The paper's pruning: of the user's granted views, keep those "defined
@@ -192,12 +214,7 @@ Authorizer::PrunedMetaRelationGoverned(
   const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
   std::string cache_key;
   if (use_cache) {
-    cache_key = "P|" + std::string(user) + "|" + relation + "|";
-    for (const std::string& r : deps.relations) {
-      cache_key += r;
-      cache_key += ",";
-    }
-    cache_key += options.self_joins ? "|j" : "|-";
+    cache_key = PreparedCacheKey(kPreparedTag, deps, relation, options);
     if (std::shared_ptr<const MetaRelation> cached =
             txn->LookupPrepared(cache_key)) {
       return cached;
@@ -266,37 +283,38 @@ Result<MetaRelation> Authorizer::DeriveMask(
   std::optional<ExecContext> local;
   const ExecLimits limits = ExecLimitsOf(options);
   if (limits.any()) local.emplace(limits);
+  ExecContext* ctx = local.has_value() ? &*local : nullptr;
   AuthzCacheTxn txn(cache_, *catalog_, db_->ddl_version());
-  // The final mask depends only on the user, the query signature and the
-  // options in the decision key, so a decision built by an earlier
-  // Retrieve answers it whenever no intermediate stage was requested.
+  // The final mask depends only on the user, the query signature (or the
+  // order class of its constants) and the options in the decision key,
+  // so a decision built by an earlier Retrieve answers it whenever no
+  // intermediate stage was requested.
+  Operands operands;
   if (cache_ != nullptr && options.enable_authz_cache &&
       product_stage == nullptr && trace == nullptr) {
-    if (std::shared_ptr<const Decision> hit = txn.LookupDecision(
-            DecisionCacheKey(user, query, options, /*wide=*/false))) {
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        DecisionKeys keys,
+        KeysFor(user, query, options, /*wide=*/false, &operands, ctx, &txn));
+    if (std::shared_ptr<const Decision> hit =
+            txn.LookupDecision(keys.by_class, keys.exact)) {
       txn.Commit();
       return hit->mask;
     }
   }
-  Result<MetaRelation> result = DeriveMaskGoverned(
-      user, query, options, /*wide=*/false, product_stage, trace,
-      local.has_value() ? &*local : nullptr, &txn);
+  Result<MetaRelation> result =
+      DeriveMaskGoverned(user, query, options, std::move(operands),
+                         /*wide=*/false, product_stage, trace, ctx, &txn);
   if (result.ok()) txn.Commit();
   return result;
 }
 
-Result<MetaRelation> Authorizer::DeriveMaskGoverned(
+Result<Authorizer::Operands> Authorizer::PreparedOperands(
     std::string_view user, const ConjunctiveQuery& query,
-    const AuthorizationOptions& options, bool wide,
-    MetaRelation* product_stage, MaskTrace* trace, ExecContext* ctx,
+    const AuthorizationOptions& options, MaskTrace* trace, ExecContext* ctx,
     AuthzCacheTxn* txn) const {
-  MetaOpOptions op_options;
-  op_options.padding = options.padding;
-  op_options.four_case = options.four_case;
-
   // Per-relation meta-relations are identical for repeated occurrences;
   // compute once per relation name.
-  std::map<std::string, std::shared_ptr<const MetaRelation>> per_relation;
+  Operands per_relation;
   for (size_t a = 0; a < query.atoms().size(); ++a) {
     const std::string& rel = query.atoms()[a].relation;
     if (per_relation.contains(rel)) continue;
@@ -316,6 +334,58 @@ Result<MetaRelation> Authorizer::DeriveMaskGoverned(
         PrunedMetaRelationGoverned(user, query, atom, options, ctx, txn));
     if (trace != nullptr) trace->operands.back().with_self_joins = meta->size();
     per_relation.emplace(rel, std::move(meta));
+  }
+  return per_relation;
+}
+
+Result<Authorizer::DecisionKeys> Authorizer::KeysFor(
+    std::string_view user, const ConjunctiveQuery& query,
+    const AuthorizationOptions& options, bool wide, Operands* operands,
+    ExecContext* ctx, AuthzCacheTxn* txn) const {
+  DecisionKeys keys;
+  keys.exact = DecisionCacheKey(kExactDecisionTag, user,
+                                query.CanonicalSignature(), options, wide);
+  // A query without constants has nothing to abstract: its exact key is
+  // its class.
+  if (std::none_of(query.conditions().begin(), query.conditions().end(),
+                   [](const CalculusCondition& c) {
+                     return !c.rhs_is_column;
+                   })) {
+    return keys;
+  }
+  const AuthzDependencies scope = QueryScope(user, query);
+  std::string profile_key =
+      PreparedCacheKey(kProfileTag, scope, "", options);
+  std::shared_ptr<const ConstantProfile> profile =
+      txn->LookupProfile(profile_key);
+  if (profile == nullptr) {
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        *operands, PreparedOperands(user, query, options, nullptr, ctx, txn));
+    profile = std::make_shared<const ConstantProfile>(
+        ConstantProfile::Build(*operands));
+    txn->Store(std::move(profile_key), profile, scope);
+  }
+  keys.constant_class = profile->ClassOf(query);
+  if (keys.constant_class.has_value()) {
+    keys.by_class = DecisionCacheKey(kClassDecisionTag, user,
+                                     keys.constant_class->signature, options,
+                                     wide);
+  }
+  return keys;
+}
+
+Result<MetaRelation> Authorizer::DeriveMaskGoverned(
+    std::string_view user, const ConjunctiveQuery& query,
+    const AuthorizationOptions& options, Operands per_relation, bool wide,
+    MetaRelation* product_stage, MaskTrace* trace, ExecContext* ctx,
+    AuthzCacheTxn* txn) const {
+  MetaOpOptions op_options;
+  op_options.padding = options.padding;
+  op_options.four_case = options.four_case;
+
+  if (per_relation.empty()) {
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        per_relation, PreparedOperands(user, query, options, trace, ctx, txn));
   }
 
   // S' step 1: all products first (the paper's canonical strategy).
@@ -695,10 +765,14 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
     const AuthorizationOptions& options, ExecContext* ctx,
     AuthzCacheTxn* txn) const {
   const bool use_cache = cache_ != nullptr && options.enable_authz_cache;
-  std::string key;
+  DecisionKeys keys;
+  Operands operands;
   if (use_cache) {
-    key = DecisionCacheKey(user, query, options, options.extended_masks);
-    if (std::shared_ptr<const Decision> hit = txn->LookupDecision(key)) {
+    VIEWAUTH_ASSIGN_OR_RETURN(keys, KeysFor(user, query, options,
+                                            options.extended_masks,
+                                            &operands, ctx, txn));
+    if (std::shared_ptr<const Decision> hit =
+            txn->LookupDecision(keys.by_class, keys.exact)) {
       return hit;
     }
   }
@@ -706,8 +780,8 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
   auto decision = std::make_shared<Decision>();
   VIEWAUTH_ASSIGN_OR_RETURN(
       decision->mask,
-      DeriveMaskGoverned(user, query, options, options.extended_masks,
-                         nullptr, nullptr, ctx, txn));
+      DeriveMaskGoverned(user, query, options, std::move(operands),
+                         options.extended_masks, nullptr, nullptr, ctx, txn));
   // The delivered columns' grants decide denied and full access.
   const std::vector<int> requested =
       DeliveredColumns(query, options.extended_masks);
@@ -763,7 +837,14 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
     decision->permits = Describe(mask, display, delivered);
   }
   std::shared_ptr<const Decision> out = std::move(decision);
-  if (use_cache) txn->Store(std::move(key), out, QueryScope(user, query));
+  if (use_cache) {
+    // No rewriting on a hit: only a mask that names no free constant of
+    // the query serves its whole class.
+    const bool by_class = keys.constant_class.has_value() &&
+                          keys.constant_class->Admits(out->mask);
+    txn->Store(by_class ? std::move(keys.by_class) : std::move(keys.exact),
+               out, QueryScope(user, query));
+  }
   return out;
 }
 

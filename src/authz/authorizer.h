@@ -20,17 +20,24 @@
 //      exactly the delivered portion.
 // Steps 1-3 and 6 depend only on the grants, so their outcome — the
 // mask, its compiled form, the permits and the denied / full-access
-// verdict — is one cached Decision per query (authz/authz_cache.h).
+// verdict — is one cached Decision (authz/authz_cache.h). It is keyed by
+// the query's canonical signature, or, when the query's constants have
+// an order class among the user's view constants and the mask names
+// none of them, by that class (authz/constant_class.h): every query of
+// the class is then served the one derivation.
 
 #ifndef VIEWAUTH_AUTHZ_AUTHORIZER_H_
 #define VIEWAUTH_AUTHZ_AUTHORIZER_H_
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algebra/evaluator.h"
 #include "authz/authz_cache.h"
+#include "authz/constant_class.h"
 #include "calculus/conjunctive_query.h"
 #include "common/exec_context.h"
 #include "common/result.h"
@@ -198,9 +205,10 @@ class Authorizer {
 
   // Runs S' end to end (steps 1-3), yielding the mask over the answer
   // columns. Without a product stage or trace it consults the decision
-  // cache, counting a hit or a miss, and returns the cached mask on a
-  // hit; a miss derives the mask but stores no decision (only Retrieve
-  // builds decisions).
+  // cache under the query's class and exact keys, counting a hit or a
+  // miss, and returns the cached mask on a hit; a miss derives the mask
+  // but stores no decision (only Retrieve builds decisions; the
+  // constant profile behind the class key is kept).
   Result<MetaRelation> DeriveMask(std::string_view user,
                                   const ConjunctiveQuery& query,
                                   const AuthorizationOptions& options = {},
@@ -280,9 +288,31 @@ class Authorizer {
                           ExecContext* ctx, AuthorizationResult* result,
                           Relation* wide_answer) const;
 
-  // The decision for (user, query, options): one cache lookup, and on a
-  // miss the whole build — derive, decide, compile, describe — staged in
-  // `txn` with its read set.
+  // The prepared meta-relation of each relation of a query, by name.
+  using Operands = std::map<std::string, std::shared_ptr<const MetaRelation>>;
+
+  // The keys a decision for (user, query, options, wide) may be cached
+  // under.
+  struct DecisionKeys {
+    std::string exact;     // "D|...": the canonical signature
+    std::string by_class;  // "K|...": empty when the query has no class
+    std::optional<ConstantClass> constant_class;
+  };
+
+  // The decision keys of a query. A query with constants needs the
+  // user's constant profile for its relation set; on a profile miss it
+  // is built from the prepared meta-relations, which are left in
+  // `operands` for the derivation that is likely to follow.
+  Result<DecisionKeys> KeysFor(std::string_view user,
+                               const ConjunctiveQuery& query,
+                               const AuthorizationOptions& options, bool wide,
+                               Operands* operands, ExecContext* ctx,
+                               AuthzCacheTxn* txn) const;
+
+  // The decision for (user, query, options): one cache lookup (class key,
+  // then exact key), and on a miss the whole build — derive, decide,
+  // compile, describe — staged in `txn` with its read set, under the
+  // class key when the mask names no free constant of the query.
   Result<std::shared_ptr<const Decision>> DecisionFor(
       std::string_view user, const ConjunctiveQuery& query,
       const AuthorizationOptions& options, ExecContext* ctx,
@@ -295,7 +325,15 @@ class Authorizer {
       std::string_view user, const ConjunctiveQuery& query, int atom,
       const AuthorizationOptions& options, ExecContext* ctx,
       AuthzCacheTxn* txn) const;
-  // S' without any decision lookup: the products with their pruning,
+  // Steps 1-2 for every relation of `query` (through the prepared
+  // cache), recording the operand stages in `trace` when non-null.
+  Result<Operands> PreparedOperands(std::string_view user,
+                                    const ConjunctiveQuery& query,
+                                    const AuthorizationOptions& options,
+                                    MaskTrace* trace, ExecContext* ctx,
+                                    AuthzCacheTxn* txn) const;
+  // S' without any decision lookup, over `operands` (fetched here when
+  // empty): the products with their pruning,
   // the selections with the four-case post-pass, then the final mask,
   // projected onto the requested columns and named like the answer; or,
   // when `wide`, the extended mask, which keeps every product column
@@ -304,7 +342,7 @@ class Authorizer {
   // options.subsumption) subsumed tuples are removed.
   Result<MetaRelation> DeriveMaskGoverned(
       std::string_view user, const ConjunctiveQuery& query,
-      const AuthorizationOptions& options, bool wide,
+      const AuthorizationOptions& options, Operands operands, bool wide,
       MetaRelation* product_stage, MaskTrace* trace, ExecContext* ctx,
       AuthzCacheTxn* txn) const;
 

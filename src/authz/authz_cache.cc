@@ -10,8 +10,13 @@
 namespace viewauth {
 
 namespace {
-// Workloads touch few distinct (user, query shape, options) keys; a
-// runaway key space indicates synthetic churn, so reset past this bound.
+// The entry bound. Prepared meta-relations and constant profiles number
+// one per (user, relation set), and class-keyed decisions one per order
+// class of a query shape's constants, so a workload that keeps within
+// this bound is one whose shapes and classes repeat; queries with
+// exact-keyed decisions and fresh constants (an Int64 next to a view
+// bound, a double, a mask that names its constant) are what cross it,
+// and what EvictLocked drops first.
 constexpr size_t kMaxEntries = 1024;
 
 // Does some recorded scope select an entry with this relation read set?
@@ -40,6 +45,7 @@ AuthzStats& AuthzStats::operator+=(const AuthzStats& o) {
   prepared_hits += o.prepared_hits;
   prepared_misses += o.prepared_misses;
   mask_hits += o.mask_hits;
+  class_hits += o.class_hits;
   mask_misses += o.mask_misses;
   mask_compiles += o.mask_compiles;
   meta_tuples_pruned += o.meta_tuples_pruned;
@@ -49,6 +55,7 @@ AuthzStats& AuthzStats::operator+=(const AuthzStats& o) {
   entries_retained += o.entries_retained;
   invalidations_exact += o.invalidations_exact;
   invalidations_over += o.invalidations_over;
+  entries_evicted += o.entries_evicted;
   mask_derivation_micros += o.mask_derivation_micros;
   data_eval_micros += o.data_eval_micros;
   mask_apply_micros += o.mask_apply_micros;
@@ -71,14 +78,15 @@ std::string AuthzStats::ToString() const {
       << "  retrieves:        " << retrieves << "\n"
       << "  prepared cache:   " << prepared_hits << " hit(s), "
       << prepared_misses << " miss(es)\n"
-      << "  mask cache:       " << mask_hits << " hit(s), " << mask_misses
-      << " miss(es)\n"
+      << "  mask cache:       " << mask_hits << " hit(s) (" << class_hits
+      << " by class), " << mask_misses << " miss(es)\n"
       << "  mask compiles:    " << mask_compiles << "\n"
       << "  vectorized:       " << batches_evaluated << " batch(es), "
       << mask_batch_applies << " mask kernel(s)\n"
       << "  invalidations:    " << entries_invalidated << " entry(ies) ("
       << invalidations_exact << " exact event(s), " << invalidations_over
-      << " over), " << entries_retained << " retained\n"
+      << " over), " << entries_retained << " retained, "
+      << entries_evicted << " evicted\n"
       << "  meta pruned:      " << meta_tuples_pruned << " tuple(s)\n"
       << "  wall times (us):  mask=" << mask_derivation_micros
       << " data=" << data_eval_micros << " apply=" << mask_apply_micros
@@ -151,12 +159,35 @@ void AuthzCache::StoreLocked(std::string key, const AuthzGeneration& gen,
   // retrieve pinned to an old snapshot commits its txn after a newer
   // reader synced the cache forward — its fills are simply dropped.
   if (gen != synced_) return;
-  if (entries_.size() > kMaxEntries) ClearLocked();
+  if (entries_.size() > kMaxEntries) EvictLocked();
   auto it = entries_.find(key);
   if (it != entries_.end()) IndexEraseLocked(key, it->second.deps.user);
   by_user_[deps.user].insert(key);
   entries_.insert_or_assign(std::move(key),
                             Entry{gen, std::move(deps), std::move(value)});
+}
+
+void AuthzCache::EvictLocked() {
+  // Prepared meta-relations and profiles are cheap to keep and expensive
+  // to rebuild; exact-keyed decisions are the ones least likely to be
+  // asked for again.
+  for (std::string_view tag : {kExactDecisionTag, kClassDecisionTag}) {
+    stats_.entries_evicted += EraseKindLocked(tag);
+    if (entries_.size() <= kMaxEntries) return;
+  }
+  stats_.entries_evicted += ClearLocked();
+}
+
+long long AuthzCache::EraseKindLocked(std::string_view tag) {
+  long long dropped = 0;
+  // Keys of one kind are contiguous in the map.
+  auto it = entries_.lower_bound(std::string(tag));
+  while (it != entries_.end() && it->first.starts_with(tag)) {
+    IndexEraseLocked(it->first, it->second.deps.user);
+    it = entries_.erase(it);
+    ++dropped;
+  }
+  return dropped;
 }
 
 // --- dependency index and selective invalidation --------------------------
@@ -286,15 +317,29 @@ std::optional<AuthzCache::Value> AuthzCacheTxn::Find(
 }
 
 std::shared_ptr<const Decision> AuthzCacheTxn::LookupDecision(
-    const std::string& key) {
+    const std::string& class_key, const std::string& exact_key) {
   if (cache_ == nullptr) return nullptr;
-  std::optional<AuthzCache::Value> hit = Find(key);
+  std::optional<AuthzCache::Value> hit;
+  if (!class_key.empty()) hit = Find(class_key);
+  if (hit.has_value()) {
+    ++stats_.class_hits;
+  } else {
+    hit = Find(exact_key);
+  }
   if (!hit.has_value()) {
     ++stats_.mask_misses;
     return nullptr;
   }
   ++stats_.mask_hits;
   return std::get<std::shared_ptr<const Decision>>(std::move(*hit));
+}
+
+std::shared_ptr<const ConstantProfile> AuthzCacheTxn::LookupProfile(
+    const std::string& key) {
+  if (cache_ == nullptr) return nullptr;
+  std::optional<AuthzCache::Value> hit = Find(key);
+  if (!hit.has_value()) return nullptr;
+  return std::get<std::shared_ptr<const ConstantProfile>>(std::move(*hit));
 }
 
 std::shared_ptr<const MetaRelation> AuthzCacheTxn::LookupPrepared(

@@ -2,17 +2,26 @@
 // generated for every query; once generated, they should be stored with
 // the original view definitions, until these definitions are modified").
 //
-// One map of immutable, shared entries of two kinds, both
+// One map of immutable, shared entries of four kinds, all
 // dependency-tracked:
 //   * decisions — the end product of the paper's Section 5 pipeline for
 //     one query: the mask A', its compiled form, the inferred permit
-//     statements and the denied / full-access verdict, keyed by (user,
-//     canonical query signature, mask-affecting options, plan);
-//   * prepared authorizations — the pruned, self-join-extended
+//     statements and the denied / full-access verdict. A decision is
+//     keyed by (user, mask-affecting options, plan) and either the
+//     query's canonical signature ("D|", the exact key) or the order
+//     class of its constants ("K|", the class key; see
+//     authz/constant_class.h): a query whose constants sit in the same
+//     places among the user's view constants as an earlier one's, and
+//     whose mask names none of its own constants, is served that
+//     earlier derivation;
+//   * prepared authorizations ("P|") — the pruned, self-join-extended
 //     per-relation meta-relations of Authorizer steps 1-2, keyed by
-//     (user, target relation, set of relations in Q, self-join rounds).
-// Every key starts with its kind tag ("D|" or "P|"), so a relation
-// named like a flavor letter can never make two kinds collide.
+//     (user, target relation, set of relations in Q, self-join rounds);
+//   * constant profiles ("C|") — the components and view constants of
+//     one user's prepared meta-relations over one relation set, which a
+//     class key is computed from.
+// Every key starts with its kind tag, so a relation named like a flavor
+// letter can never make two kinds collide.
 //
 // Soundness argument (selective invalidation). Every entry records its
 // read set as an AuthzDependencies: the user it was derived for and the
@@ -26,7 +35,10 @@
 // dependencies a record selects — a mask embeds a granted view only when
 // the query covers all of the view's relations, so "some recorded scope
 // is a subset of the entry's relations" is precisely "this entry's
-// closure touches the mutated view". Consequences:
+// closure touches the mutated view". Class-keyed decisions and
+// profiles carry the same read set as the prepared meta-relations they
+// come from, so a grant drops a class entry exactly when it would drop
+// an exact one. Consequences:
 //   * `insert`/`delete`/`modify` data statements never invalidate —
 //     masks are derived from view definitions and grants, never data;
 //   * `permit V to U` / `deny V to U` invalidates only U's (and, for a
@@ -41,7 +53,9 @@
 // Nothing else invalidates: the engine never touches the cache when it
 // mutates, so the cache only ever sees catalogs some retrieve has read —
 // under the DurableEngine, published (fsynced) ones — and a discarded
-// batch's sequence numbers can never be reused underneath it.
+// batch's sequence numbers can never be reused underneath it. The entry
+// bound evicts, but an evicted entry is only ever re-derived, never
+// served stale.
 //
 // The cache is internally synchronized; concurrent sessions may look up,
 // fill and sync freely. Entries are handed out as shared pointers to
@@ -63,6 +77,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -72,8 +87,15 @@
 
 namespace viewauth {
 
+class ConstantProfile;
 class ViewCatalog;
 struct CatalogMutation;
+
+// The kind tags every cache key starts with.
+inline constexpr std::string_view kExactDecisionTag = "D|";
+inline constexpr std::string_view kClassDecisionTag = "K|";
+inline constexpr std::string_view kPreparedTag = "P|";
+inline constexpr std::string_view kProfileTag = "C|";
 
 // The invalidation clock: `catalog` is a ViewCatalog's journal sequence
 // number, `schema` a DatabaseInstance's DDL version. A txn reads both
@@ -136,6 +158,7 @@ struct AuthzStats {
   long long prepared_hits = 0;
   long long prepared_misses = 0;
   long long mask_hits = 0;           // decision lookups served
+  long long class_hits = 0;          // ... of them, under a class key
   long long mask_misses = 0;         // decision lookups that derived
   long long mask_compiles = 0;       // CompiledMask builds
   // Hopeless + dangling tuples removed; hopeless ones are counted in the
@@ -156,6 +179,9 @@ struct AuthzStats {
   long long entries_retained = 0;     // survivors of targeted events
   long long invalidations_exact = 0;  // dependency-matched drop events
   long long invalidations_over = 0;   // full wipes (DDL, journal loss)
+  // Entries dropped by the entry bound (not invalidations: nothing they
+  // held was stale).
+  long long entries_evicted = 0;
   long long mask_derivation_micros = 0;  // S' (decision) wall time
   long long data_eval_micros = 0;        // S (data-plan) wall time
   long long mask_apply_micros = 0;       // step-5 masking wall time
@@ -183,10 +209,11 @@ struct AuthzStats {
 
 class AuthzCache {
  public:
-  // What an entry holds: a decision ("D|" keys) or a prepared
-  // meta-relation ("P|" keys).
+  // What an entry holds: a decision ("D|" and "K|" keys), a prepared
+  // meta-relation ("P|" keys) or a constant profile ("C|" keys).
   using Value = std::variant<std::shared_ptr<const Decision>,
-                             std::shared_ptr<const MetaRelation>>;
+                             std::shared_ptr<const MetaRelation>,
+                             std::shared_ptr<const ConstantProfile>>;
 
   AuthzCache() = default;
   AuthzCache(const AuthzCache&) = delete;
@@ -233,6 +260,14 @@ class AuthzCache {
   // Requires mutex_ held.
   void StoreLocked(std::string key, const AuthzGeneration& gen, Value value,
                    AuthzDependencies deps);
+  // The entry bound, crossed: drops exact-keyed decisions, then
+  // class-keyed ones while still over the bound, and everything only when
+  // prepared meta-relations and profiles alone are over it. Books what
+  // it dropped as entries_evicted. Requires mutex_ held.
+  void EvictLocked();
+  // Drops every entry whose key starts with `tag`; returns how many.
+  // Requires mutex_ held.
+  long long EraseKindLocked(std::string_view tag);
   // Removes one user's index reference to `key`. Requires mutex_ held.
   void IndexEraseLocked(const std::string& key, const std::string& user);
   // Drops every entry; returns how many there were. Requires mutex_ held.
@@ -280,10 +315,14 @@ class AuthzCacheTxn {
   AuthzCacheTxn(const AuthzCacheTxn&) = delete;
   AuthzCacheTxn& operator=(const AuthzCacheTxn&) = delete;
 
-  // Decision lookups count a mask hit or miss; prepared lookups a
-  // prepared hit or miss. Both return null on a miss.
-  std::shared_ptr<const Decision> LookupDecision(const std::string& key);
+  // A decision lookup tries the class key (when not empty) and then the
+  // exact key, and counts one mask hit (and a class hit when the class
+  // key served it) or one miss. A prepared lookup counts a prepared hit
+  // or miss; a profile lookup counts nothing. All return null on a miss.
+  std::shared_ptr<const Decision> LookupDecision(const std::string& class_key,
+                                                 const std::string& exact_key);
   std::shared_ptr<const MetaRelation> LookupPrepared(const std::string& key);
+  std::shared_ptr<const ConstantProfile> LookupProfile(const std::string& key);
   void Store(std::string key, AuthzCache::Value value,
              AuthzDependencies deps);
 

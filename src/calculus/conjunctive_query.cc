@@ -239,27 +239,50 @@ ConjunctiveQuery ConjunctiveQuery::WithAllColumnsProjected() const {
 }
 
 std::string ConjunctiveQuery::CanonicalSignature() const {
-  std::ostringstream out;
-  for (const MembershipAtom& atom : atoms_) {
-    out << atom.relation << ":" << atom.occurrence << ";";
-  }
-  out << "|t:";
-  for (const ColumnRef& ref : targets_) {
-    out << FlatIndex(ref) << ",";
-  }
-  out << "|c:";
+  std::vector<std::string> labels;
   for (const CalculusCondition& c : conditions_) {
-    out << FlatIndex(c.lhs) << " " << ComparatorToString(c.op) << " ";
-    if (c.rhs_is_column) {
-      out << "#" << FlatIndex(c.rhs_column);
-    } else {
-      // Type-tagged so that int 5 and string "5" cannot collide.
-      out << ValueTypeToString(c.rhs_const.type()) << ":"
-          << c.rhs_const.ToDisplayString(false);
-    }
-    out << ";";
+    if (c.rhs_is_column) continue;
+    // Type-tagged so that int 5 and string "5" cannot collide.
+    std::string label(ValueTypeToString(c.rhs_const.type()));
+    label += ':';
+    label += c.rhs_const.ToDisplayString(false);
+    labels.push_back(std::move(label));
   }
-  return out.str();
+  return SignatureWith(labels);
+}
+
+std::string ConjunctiveQuery::SignatureWith(
+    const std::vector<std::string>& labels) const {
+  // Built by appending: the authorization cache computes a signature on
+  // every retrieve.
+  std::string out;
+  for (const MembershipAtom& atom : atoms_) {
+    out += atom.relation;
+    out += ':';
+    out += std::to_string(atom.occurrence);
+    out += ';';
+  }
+  out += "|t:";
+  for (const ColumnRef& ref : targets_) {
+    out += std::to_string(FlatIndex(ref));
+    out += ',';
+  }
+  out += "|c:";
+  size_t next_label = 0;
+  for (const CalculusCondition& c : conditions_) {
+    out += std::to_string(FlatIndex(c.lhs));
+    out += ' ';
+    out += ComparatorToString(c.op);
+    out += ' ';
+    if (c.rhs_is_column) {
+      out += '#';
+      out += std::to_string(FlatIndex(c.rhs_column));
+    } else {
+      out += labels.at(next_label++);
+    }
+    out += ';';
+  }
+  return out;
 }
 
 std::string ConjunctiveQuery::ToString() const {

@@ -123,6 +123,15 @@ class ConjunctiveQuery {
   // authorization cache key derived masks by (user, signature).
   std::string CanonicalSignature() const;
 
+  // CanonicalSignature with the constant of the i-th column-constant
+  // condition (in condition order) written as `labels[i]` instead of its
+  // type-tagged text. The authorization cache passes each constant's
+  // order class (authz/constant_class.h), so that queries of one shape
+  // whose constants share their classes share one signature. A label
+  // must not begin like a type name, so that it never reads as a
+  // constant.
+  std::string SignatureWith(const std::vector<std::string>& labels) const;
+
  private:
   std::string name_;
   std::vector<MembershipAtom> atoms_;

@@ -329,7 +329,7 @@ const ConstraintSet::Solved& ConstraintSet::Normalized() const {
     }
 
     // -- Phase 4: bound propagation + integer tightening, to fixpoint.
-    for (int iter = 0; iter < 32; ++iter) {
+    for (int iter = 0; iter < kMaxIntegerTightening; ++iter) {
       bool changed = false;
       auto lower_before = s.lower;
       auto upper_before = s.upper;

@@ -42,6 +42,14 @@ namespace viewauth {
 
 using TermId = int;
 
+// The most bound-propagation rounds the solver runs per normalization.
+// Each round moves an integer bound by at most one (a strict bound
+// tightened to the next integer), so every value the solver derives lies
+// within this distance of some constant of the source atoms. The
+// authorization cache's constant classes (authz/constant_class.h) rely
+// on that bound.
+inline constexpr int kMaxIntegerTightening = 32;
+
 // One atomic constraint: `lhs op rhs` where rhs is a term or a constant.
 struct ConstraintAtom {
   static ConstraintAtom TermConst(TermId lhs, Comparator op, Value rhs) {

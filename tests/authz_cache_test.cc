@@ -769,28 +769,48 @@ TEST(AuthzCacheTest, MembershipBesideAHomonymViewChangesDelivery) {
   EXPECT_TRUE(former->denied);
 }
 
-// The entry bound wipes the whole map, decisions and prepared entries
-// alike; the dependency index must stay exact across those wipes, so a
-// later targeted grant still drops the grantee's survivors and keeps the
-// other user's. (The debug-build index check runs on that grant.)
+// Crossing the entry bound evicts decisions and keeps the prepared
+// meta-relations and constant profiles; the dependency index must stay
+// exact across those evictions, so a later targeted grant still drops
+// the grantee's survivors and keeps the other user's. (The debug-build
+// index check runs on that grant.) Each query's mask conjoins the
+// query's own constant (a case-4 overlap with the RICH views), so every
+// decision keeps its exact key and 1,100 constants per user make 2,200
+// entries: past the 1,024-entry bound twice over.
 TEST(AuthzCacheTest, EntryBoundKeepsInvalidationSound) {
   Engine engine;
   SetupTwoRelationEngine(&engine);
+  ASSERT_TRUE(engine
+                  .ExecuteScript(R"(
+    view RICH_E (EMPLOYEE.NAME, EMPLOYEE.SALARY) where EMPLOYEE.SALARY > 20000
+    view RICH_D (DEPT.DNAME, DEPT.BUDGET) where DEPT.BUDGET > 100000
+    permit RICH_E to Brown
+    permit RICH_D to Klein
+  )")
+                  .ok());
+  ReplaySetup(&engine);
+  engine.ResetAuthzStats();
   constexpr int kQueries = 1100;  // past the 1,024-entry bound, twice over
   auto brown_query = [](int i) {
     return "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) where "
-           "EMPLOYEE.SALARY = " +
-           std::to_string(i) + " as Brown";
+           "EMPLOYEE.SALARY < " +
+           std::to_string(30000 + i) + " as Brown";
   };
   auto klein_query = [](int i) {
-    return "retrieve (DEPT.DNAME, DEPT.BUDGET) where DEPT.BUDGET = " +
-           std::to_string(i) + " as Klein";
+    return "retrieve (DEPT.DNAME, DEPT.BUDGET) where DEPT.BUDGET < " +
+           std::to_string(200000 + i) + " as Klein";
   };
   for (int i = 0; i < kQueries; ++i) {
     ASSERT_TRUE(engine.Execute(brown_query(i)).ok());
     ASSERT_TRUE(engine.Execute(klein_query(i)).ok());
   }
-  ASSERT_EQ(engine.authz_stats().mask_misses, 2 * kQueries);
+  AuthzStats stats = engine.authz_stats();
+  ASSERT_EQ(stats.mask_misses, 2 * kQueries);
+  ASSERT_EQ(stats.class_hits, 0);
+  // Two evictions, each of decisions only: the four prepared
+  // meta-relations were built once and never rebuilt.
+  EXPECT_GE(stats.entries_evicted, 2 * 1000);
+  EXPECT_EQ(stats.prepared_misses, 2);
 
   ASSERT_TRUE(engine
                   .ExecuteScript("view ALL_E (EMPLOYEE.NAME, "
@@ -799,7 +819,7 @@ TEST(AuthzCacheTest, EntryBoundKeepsInvalidationSound) {
   auto result1 = engine.Retrieve(brown_query(kQueries - 1));
   ASSERT_TRUE(result1.ok()) << result1.status();
   EXPECT_TRUE(result1->full_access);
-  AuthzStats stats = engine.authz_stats();
+  stats = engine.authz_stats();
   EXPECT_GE(stats.entries_invalidated, 1);
   EXPECT_GE(stats.entries_retained, 1);
   EXPECT_EQ(stats.invalidations_over, 0);

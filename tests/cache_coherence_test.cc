@@ -23,52 +23,19 @@
 
 #include <algorithm>
 #include <random>
-#include <regex>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "tests/test_util.h"
 
 namespace viewauth {
 namespace {
 
-// Synthetic selection variables (w-vars) get ids from the catalog
-// allocator; cache hits skip allocations, so the numbering diverges
-// between the cached and oracle engines even though the masks are
-// structurally identical. Collapse them before comparing.
-std::string NormalizeSyntheticVars(const std::string& text) {
-  static const std::regex kWVar("w[0-9]+");
-  return std::regex_replace(text, kWVar, "w#");
-}
-
-// Everything observable about one retrieve, in comparable form.
-struct Observed {
-  bool denied = false;
-  bool full_access = false;
-  std::vector<Tuple> answer;
-  std::vector<std::string> mask_keys;
-  std::vector<std::string> permits;
-
-  bool operator==(const Observed& other) const = default;
-};
-
-Observed Summarize(const AuthorizationResult& result) {
-  Observed o;
-  o.denied = result.denied;
-  o.full_access = result.full_access;
-  o.answer = result.answer.SortedRows();
-  for (const MetaTuple& tuple : result.mask().tuples()) {
-    o.mask_keys.push_back(tuple.StructuralKey(/*include_provenance=*/false));
-  }
-  std::sort(o.mask_keys.begin(), o.mask_keys.end());
-  for (const InferredPermit& permit : result.permits()) {
-    o.permits.push_back(NormalizeSyntheticVars(permit.ToString()));
-  }
-  std::sort(o.permits.begin(), o.permits.end());
-  return o;
-}
+using testing_util::Observed;
+using testing_util::Summarize;
 
 constexpr const char* kUsers[] = {"u0", "u1", "u2", "u3",
                                   "u4", "u5", "u6", "u7"};

@@ -15,8 +15,17 @@
 // alpha-normalized structural keys), inferred permits (synthetic w-vars
 // normalized), denied/full-access flags — must agree across all three
 // executions.
+//
+// After the warm repeat, the fast authorizer runs the query's *sibling*:
+// the same shape with its constants moved within their order classes
+// (authz/constant_class.h), or next to and onto the nearest view bound
+// where they have none. A class hit serves the sibling the decision
+// derived for the original query, so the sibling's observables are
+// compared with a canonical run of the sibling; the campaign counts the
+// class hits, so the leg cannot pass vacuously.
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <regex>
 #include <set>
@@ -27,6 +36,7 @@
 
 #include "authz/authorizer.h"
 #include "authz/authz_cache.h"
+#include "authz/constant_class.h"
 #include "calculus/conjunctive_query.h"
 #include "meta/view_store.h"
 #include "parser/ast.h"
@@ -36,6 +46,10 @@ namespace viewauth {
 namespace {
 
 constexpr const char* kColumns[] = {"A", "B", "C", "D"};
+
+// The fewest class hits the single-relation campaign's sibling leg may
+// take.
+constexpr long long kMinSiblingClassHits = 20;
 
 // Synthetic variables (base-mode selection conjoins) get fresh ids from
 // the catalog allocator; their numbering depends on execution history, so
@@ -74,18 +88,81 @@ Observed Summarize(const AuthorizationResult& result) {
   return o;
 }
 
+// The view constants of each column ("R.A"), as the scenario defined
+// them.
+using ViewConstants = std::map<std::string, std::set<int64_t>>;
+
+std::string ColumnName(const AttributeRef& ref) {
+  return ref.relation + "." + ref.attribute;
+}
+
+// The conditions of a query's sibling. Per column: when every view
+// constant of the column lies more than kClassGuard below (above) every
+// query constant on it, all of them move up (down) by 1000 together,
+// which keeps their order class; otherwise each moves to the nearest
+// view constant plus `near_offset` (-1, 0 or +1), next to or onto a
+// bound, where it has no class.
+std::vector<Condition> SiblingConditions(
+    const std::vector<Condition>& conditions,
+    const ViewConstants& view_constants, int near_offset) {
+  std::map<std::string, std::vector<int64_t>> query_constants;
+  for (const Condition& cond : conditions) {
+    if (cond.rhs.is_attribute) continue;
+    query_constants[ColumnName(cond.lhs)].push_back(
+        cond.rhs.constant.int64_value());
+  }
+  std::map<std::string, int64_t> shift;
+  for (const auto& [column, values] : query_constants) {
+    auto it = view_constants.find(column);
+    const std::set<int64_t> none;
+    const std::set<int64_t>& views = it == view_constants.end() ? none
+                                                                : it->second;
+    const int64_t lo = *std::min_element(values.begin(), values.end());
+    const int64_t hi = *std::max_element(values.begin(), values.end());
+    if (std::all_of(views.begin(), views.end(),
+                    [&](int64_t v) { return v < lo - kClassGuard; })) {
+      shift[column] = 1000;
+    } else if (std::all_of(views.begin(), views.end(), [&](int64_t v) {
+                 return v > hi + kClassGuard;
+               })) {
+      shift[column] = -1000;
+    }
+  }
+  std::vector<Condition> sibling = conditions;
+  for (Condition& cond : sibling) {
+    if (cond.rhs.is_attribute) continue;
+    const std::string column = ColumnName(cond.lhs);
+    const int64_t c = cond.rhs.constant.int64_value();
+    auto moved = shift.find(column);
+    if (moved != shift.end()) {
+      cond.rhs.constant = Value::Int64(c + moved->second);
+      continue;
+    }
+    const std::set<int64_t>& views = view_constants.at(column);
+    int64_t nearest = *views.begin();
+    for (int64_t v : views) {
+      if (std::llabs(v - c) < std::llabs(nearest - c)) nearest = v;
+    }
+    cond.rhs.constant = Value::Int64(nearest + near_offset);
+  }
+  return sibling;
+}
+
 // Runs one scenario through the canonical and fast pipelines over two
 // independently built (but identically defined) catalogs, and reports a
-// divergence via gtest on the caller's line.
+// divergence via gtest on the caller's line. `sibling` runs after the
+// warm repeat on the same cache; `class_hits`, when set, accumulates how
+// often the cache served it by class.
 struct ScenarioSetup {
   const DatabaseInstance* db;
   ViewCatalog* canonical_catalog;
   ViewCatalog* fast_catalog;
 };
 
-::testing::AssertionResult PipelinesAgree(const ScenarioSetup& setup,
-                                          const ConjunctiveQuery& query,
-                                          AuthorizationOptions options) {
+::testing::AssertionResult PipelinesAgree(
+    const ScenarioSetup& setup, const ConjunctiveQuery& query,
+    const ConjunctiveQuery& sibling, AuthorizationOptions options,
+    long long* class_hits = nullptr) {
   AuthorizationOptions canonical_options = options;
   canonical_options.enable_authz_cache = false;
   canonical_options.use_optimized_data_plan = false;
@@ -138,6 +215,24 @@ struct ScenarioSetup {
   if (!(warm_obs == expected)) {
     return describe(warm_obs, "warm (cached, vectorized) fast");
   }
+  const long long class_hits_before = cache.Snapshot().class_hits;
+  auto sibling_fast = fast.Retrieve("u", sibling, fast_options);
+  auto sibling_canonical =
+      canonical.Retrieve("u", sibling, canonical_options);
+  if (!sibling_fast.ok() || !sibling_canonical.ok()) {
+    return ::testing::AssertionFailure()
+           << "sibling retrieve failed on " << sibling.ToString() << ": "
+           << (sibling_fast.ok() ? sibling_canonical.status()
+                                 : sibling_fast.status());
+  }
+  const long long hits = cache.Snapshot().class_hits - class_hits_before;
+  if (class_hits != nullptr) *class_hits += hits;
+  if (!(Summarize(*sibling_fast) == Summarize(*sibling_canonical))) {
+    return ::testing::AssertionFailure()
+           << "sibling " << sibling.ToString() << " of "
+           << query.ToString() << " diverged from its canonical run ("
+           << (hits > 0 ? "class hit" : "no class hit") << ")";
+  }
   return ::testing::AssertionSuccess();
 }
 
@@ -151,6 +246,7 @@ TEST(DifferentialSoundness, SingleRelationScenarios) {
   std::uniform_int_distribution<int> opd(0, 5);
 
   int executed = 0;
+  long long class_hits = 0;
   for (int scenario = 0; scenario < 260; ++scenario) {
     DatabaseInstance db;
     ASSERT_TRUE(db.CreateRelation(RelationSchema::Make(
@@ -172,6 +268,7 @@ TEST(DifferentialSoundness, SingleRelationScenarios) {
     // so their variable ids line up.
     ViewCatalog canonical_catalog(&db.schema());
     ViewCatalog fast_catalog(&db.schema());
+    ViewConstants view_constants;
     const int view_count = nviews(rng);
     for (int v = 0; v < view_count; ++v) {
       std::set<int> view_targets;
@@ -198,6 +295,10 @@ TEST(DifferentialSoundness, SingleRelationScenarios) {
       if (!view.ok()) continue;
       if (!canonical_catalog.DefineView(name, *view).ok()) continue;
       ASSERT_TRUE(fast_catalog.DefineView(name, *view).ok());
+      for (const Condition& cond : conditions) {
+        view_constants[ColumnName(cond.lhs)].insert(
+            cond.rhs.constant.int64_value());
+      }
       ASSERT_TRUE(canonical_catalog.Permit(name, "u").ok());
       ASSERT_TRUE(fast_catalog.Permit(name, "u").ok());
     }
@@ -224,6 +325,10 @@ TEST(DifferentialSoundness, SingleRelationScenarios) {
     auto query = ConjunctiveQuery::Build(db.schema(), "q", targets,
                                          conditions);
     if (!query.ok()) continue;
+    auto sibling = ConjunctiveQuery::Build(
+        db.schema(), "sibling", targets,
+        SiblingConditions(conditions, view_constants, scenario % 3 - 1));
+    ASSERT_TRUE(sibling.ok()) << sibling.status();
 
     AuthorizationOptions options;
     options.four_case = rng() % 2 == 0;
@@ -232,13 +337,16 @@ TEST(DifferentialSoundness, SingleRelationScenarios) {
     options.extended_masks = rng() % 2 == 0;
 
     ScenarioSetup setup{&db, &canonical_catalog, &fast_catalog};
-    EXPECT_TRUE(PipelinesAgree(setup, *query, options))
+    EXPECT_TRUE(
+        PipelinesAgree(setup, *query, *sibling, options, &class_hits))
         << "scenario " << scenario;
     ++executed;
     if (HasFailure()) break;  // one divergence is enough detail
   }
   // The promoted tier's contract: at least 200 executed comparisons.
   EXPECT_GE(executed, 200);
+  // The sibling leg must take class hits, not only misses.
+  EXPECT_GE(class_hits, kMinSiblingClassHits);
 }
 
 TEST(DifferentialSoundness, TwoRelationJoinScenarios) {
@@ -301,8 +409,13 @@ TEST(DifferentialSoundness, TwoRelationJoinScenarios) {
     ASSERT_TRUE(canonical_catalog.Permit("VJ", "u").ok());
     ASSERT_TRUE(fast_catalog.Permit("VJ", "u").ok());
 
-    auto query = make_join_query("q", view_lo + (rng() % 3));
+    const int64_t query_lo = view_lo + (rng() % 3);
+    auto query = make_join_query("q", query_lo);
     ASSERT_TRUE(query.ok());
+    // The range constant sits within the guard of the view's bound, so
+    // the sibling moves it next to or onto that bound.
+    auto sibling = make_join_query("sibling", view_lo + scenario % 3 - 1);
+    ASSERT_TRUE(sibling.ok());
 
     AuthorizationOptions options;
     options.four_case = rng() % 2 == 0;
@@ -314,7 +427,7 @@ TEST(DifferentialSoundness, TwoRelationJoinScenarios) {
     options.self_joins = rng() % 2 == 0;
 
     ScenarioSetup setup{&db, &canonical_catalog, &fast_catalog};
-    EXPECT_TRUE(PipelinesAgree(setup, *query, options))
+    EXPECT_TRUE(PipelinesAgree(setup, *query, *sibling, options))
         << "join scenario " << scenario;
     ++executed;
     if (HasFailure()) break;

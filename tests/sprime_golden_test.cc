@@ -15,6 +15,11 @@
 // Each query runs under both plans and once each with padding, the
 // four-case refinement and self-join inference switched off.
 //
+// A second pass over the chain queries checks the authorization cache's
+// class keys (authz/constant_class.h): each query is served the decision
+// derived for its sibling, whose constants sit in the same order class,
+// and must still reproduce the fixture byte for byte.
+//
 // On a mismatch the test writes what it derived to
 // <case>.actual.txt in its working directory (build/tests under ctest)
 // and names the first differing line; after an intended change, review
@@ -22,12 +27,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "authz/authorizer.h"
+#include "authz/constant_class.h"
 #include "engine/engine.h"
 #include "meta/meta_tuple.h"
 #include "tests/test_util.h"
@@ -125,6 +134,8 @@ constexpr int kUsers = 8;
 constexpr int kRelations = 3;
 constexpr int kViewsPerGroup = 3;
 constexpr int kKeySpace = 32768;
+// The fewest queries of the sibling pass a class hit must serve.
+constexpr long long kMinChainClassHits = 200;
 
 std::string ChainCatalogScript() {
   std::ostringstream out;
@@ -168,22 +179,76 @@ std::string ChainCatalogScript() {
   return out.str();
 }
 
-// Query i: a join_cold chain for user i mod 8 with key constants spread
-// across the join views' key ranges; every third query also bounds a B
-// column, so the four-case selection conjoins and clears as well.
-std::string ChainQuery(int i) {
-  const int c0 = (i * 4099 + 17) % kKeySpace;
-  const int c1 = (i * 7919 + 3001) % kKeySpace;
-  const int c2 = (i * 1237 + 9000) % kKeySpace;
+// The constants of query i: R0.KEY, R1.KEY and R2.KEY, and on every
+// third query an R1.B bound.
+std::vector<int> ChainConstants(int i) {
+  std::vector<int> constants = {(i * 4099 + 17) % kKeySpace,
+                                (i * 7919 + 3001) % kKeySpace,
+                                (i * 1237 + 9000) % kKeySpace};
+  if (i % 3 == 1) constants.push_back((i * 37) % 700);
+  return constants;
+}
+
+// Query i with the given constants: a join_cold chain for user i mod 8
+// with key constants spread across the join views' key ranges; the B
+// bound makes the four-case selection conjoin and clear as well.
+std::string ChainQueryWith(int i, const std::vector<int>& constants) {
   std::string text =
       "retrieve (R0.KEY, R0.B, R1.KEY, R1.B, R2.KEY, R2.B) where "
       "R0.A = R1.KEY and R1.A = R2.KEY and R0.KEY = " +
-      std::to_string(c0) + " and R1.KEY = " + std::to_string(c1) +
-      " and R2.KEY = " + std::to_string(c2);
-  if (i % 3 == 1) {
-    text += " and R1.B >= " + std::to_string((i * 37) % 700);
+      std::to_string(constants[0]) + " and R1.KEY = " +
+      std::to_string(constants[1]) + " and R2.KEY = " +
+      std::to_string(constants[2]);
+  if (constants.size() > 3) {
+    text += " and R1.B >= " + std::to_string(constants[3]);
   }
   return text + " as u" + std::to_string(i % kUsers);
+}
+
+std::string ChainQuery(int i) { return ChainQueryWith(i, ChainConstants(i)); }
+
+// The view constants a chain query's constants are compared with: the
+// key bounds of user u's join views (R0.KEY's from the R0-R1 views,
+// R1.KEY's from the R1-R2 views, which are the same numbers; R2.KEY has
+// none) and the B bounds of u's range views.
+std::vector<int> KeyBounds(int u) {
+  std::vector<int> bounds;
+  for (int v = 0; v < kViewsPerGroup; ++v) {
+    bounds.push_back(v * 10923 + u * 256);
+    bounds.push_back(v * 10923 + u * 256 + 8192);
+  }
+  return bounds;
+}
+std::vector<int> BBounds(int u) {
+  std::vector<int> bounds;
+  for (int v = 0; v < kViewsPerGroup; ++v) {
+    bounds.push_back(v * 330 + u * 8);
+    bounds.push_back(v * 330 + u * 8 + 400);
+  }
+  return bounds;
+}
+
+// A constant of the same order class as `c` among `bounds`: the middle of
+// the span of its interval that keeps more than kClassGuard from both
+// ends (or 1000 further out in an unbounded interval), moved off `c`
+// itself. A constant within the guard of a bound has no class and stays.
+int SiblingConstant(int c, const std::vector<int>& bounds) {
+  int lo = std::numeric_limits<int>::min();
+  int hi = std::numeric_limits<int>::max();
+  for (int b : bounds) {
+    if (std::abs(b - c) <= kClassGuard) return c;
+    if (b < c) lo = std::max(lo, b);
+    if (b > c) hi = std::min(hi, b);
+  }
+  int sibling;
+  if (lo == std::numeric_limits<int>::min()) {
+    sibling = c - 1000;
+  } else if (hi == std::numeric_limits<int>::max()) {
+    sibling = c + 1000;
+  } else {
+    sibling = (lo + hi) / 2;
+  }
+  return sibling != c ? sibling : c + 1;
 }
 
 std::string RunOnChainCatalog(const std::vector<std::string>& queries,
@@ -207,6 +272,39 @@ TEST(SPrimeGolden, ChainQueries) {
   for (int i = 0; i < 54; ++i) queries.push_back(ChainQuery(i));
   EXPECT_TRUE(
       MatchesGolden("chain_queries", RunOnChainCatalog(queries, "chain ")));
+}
+
+// The sibling pass: in one engine with the cache on, each query's
+// sibling (its constants moved within their order classes) derives and
+// fills the cache first, then the query itself is served — by a class
+// hit wherever its constants have a class and its mask names none of
+// them — and must reproduce the query's fixture exactly, mask order,
+// variables and permit text included.
+TEST(SPrimeGolden, ChainSiblingsServeTheFixture) {
+  Engine engine;
+  auto setup = engine.ExecuteScript(ChainCatalogScript());
+  ASSERT_TRUE(setup.ok()) << setup.status();
+  std::string text;
+  for (int i = 0; i < 54; ++i) {
+    const int u = i % kUsers;
+    std::vector<int> sibling = ChainConstants(i);
+    sibling[0] = SiblingConstant(sibling[0], KeyBounds(u));
+    sibling[1] = SiblingConstant(sibling[1], KeyBounds(u));
+    sibling[2] = SiblingConstant(sibling[2], {});
+    if (sibling.size() > 3) sibling[3] = SiblingConstant(sibling[3], BBounds(u));
+    for (const Variant& variant : Variants()) {
+      engine.options() = variant.options;
+      engine.options().enable_authz_cache = true;
+      ASSERT_TRUE(engine.Retrieve(ChainQueryWith(i, sibling)).ok());
+      text += Render("chain " + std::to_string(i), ChainQuery(i), variant,
+                     engine.Retrieve(ChainQuery(i)));
+    }
+  }
+  EXPECT_TRUE(MatchesGolden("chain_queries", text));
+  // Most of the corpus has classes (246 of the 270 retrieves when this
+  // pass was written); a constant within the guard of a bound, or a mask
+  // that names its constant, keeps the exact key.
+  EXPECT_GE(engine.authz_stats().class_hits, kMinChainClassHits);
 }
 
 TEST(SPrimeGolden, SameRelationTwice) {

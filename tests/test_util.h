@@ -4,8 +4,11 @@
 #ifndef VIEWAUTH_TESTS_TEST_UTIL_H_
 #define VIEWAUTH_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
+#include <regex>
 #include <string>
+#include <vector>
 
 #include "authz/authorizer.h"
 #include "calculus/conjunctive_query.h"
@@ -30,6 +33,42 @@ inline constexpr double kSanitizerSlowdown = 1;
 #else
 inline constexpr double kSanitizerSlowdown = 1;
 #endif
+
+// Synthetic selection variables (w-vars) get ids from the catalog
+// allocator; cache hits skip allocations, so the numbering diverges
+// between a cached and an oracle run even though the masks are
+// structurally identical. Collapse them before comparing.
+inline std::string NormalizeSyntheticVars(const std::string& text) {
+  static const std::regex kWVar("w[0-9]+");
+  return std::regex_replace(text, kWVar, "w#");
+}
+
+// Everything observable about one retrieve, in comparable form.
+struct Observed {
+  bool denied = false;
+  bool full_access = false;
+  std::vector<Tuple> answer;
+  std::vector<std::string> mask_keys;
+  std::vector<std::string> permits;
+
+  bool operator==(const Observed& other) const = default;
+};
+
+inline Observed Summarize(const AuthorizationResult& result) {
+  Observed o;
+  o.denied = result.denied;
+  o.full_access = result.full_access;
+  o.answer = result.answer.SortedRows();
+  for (const MetaTuple& tuple : result.mask().tuples()) {
+    o.mask_keys.push_back(tuple.StructuralKey(/*include_provenance=*/false));
+  }
+  std::sort(o.mask_keys.begin(), o.mask_keys.end());
+  for (const InferredPermit& permit : result.permits()) {
+    o.permits.push_back(NormalizeSyntheticVars(permit.ToString()));
+  }
+  std::sort(o.permits.begin(), o.permits.end());
+  return o;
+}
 
 #define VIEWAUTH_TEST_OK(expr)                                    \
   do {                                                            \
