@@ -343,11 +343,14 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
   }
 
   // --- Phase 3: the single materialization point — final projection in
-  // batch windows, governor ticked once per window, deduplicated by the
-  // result relation.
+  // batch windows, governor ticked once per window. The rows of `current`
+  // are distinct row-id combinations, so a projection that keeps every
+  // atom's identity appends without probing; any other is deduplicated
+  // by the result relation.
   VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema schema,
                             query.OutputSchema(result_name));
   Relation result(schema);
+  const bool distinct = query.ProjectsDistinctRows();
   const size_t row_count = current.size() / static_cast<size_t>(stride);
   const std::vector<ColumnRef>& targets = query.targets();
   const long long out_bytes =
@@ -366,7 +369,7 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
       for (const ColumnRef& ref : targets) {
         values.push_back(value_at(row_base, ref.atom, ref.attr));
       }
-      result.InsertUnchecked(Tuple(std::move(values)));
+      result.AddOutputRow(Tuple(std::move(values)), distinct);
     }
     if (stats != nullptr) ++stats->batches_evaluated;
   }

@@ -863,10 +863,15 @@ Status Authorizer::RetrieveExtended(const ConjunctiveQuery& query,
   result->raw_answer = Relation(answer_schema);
   const long long answer_bytes =
       ApproxTupleBytes(static_cast<int>(target_columns.size()));
+  // The wide rows are distinct, one per combination of atom rows. Only
+  // the vectorized plan relies on that: the canonical oracle keeps
+  // deduplicating, so the differential tier checks the rule here too.
+  const bool distinct =
+      options.use_optimized_data_plan && query.ProjectsDistinctRows();
   ExecMeter meter(ctx);
   for (const Tuple& row : *wide_answer) {
     if (!meter.Tick(1, answer_bytes)) return ctx->status();
-    result->raw_answer.InsertUnchecked(row.Project(target_columns));
+    result->raw_answer.AddOutputRow(row.Project(target_columns), distinct);
   }
   result->data_stats.output_rows = result->raw_answer.size();
   return Status::OK();

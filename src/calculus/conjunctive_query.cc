@@ -221,6 +221,26 @@ Result<RelationSchema> ConjunctiveQuery::OutputSchema(
                               std::move(attributes));
 }
 
+bool ConjunctiveQuery::ProjectsDistinctRows() const {
+  for (size_t a = 0; a < atoms_.size(); ++a) {
+    const RelationSchema& schema = atom_schemas_[a];
+    std::vector<bool> kept(static_cast<size_t>(schema.arity()), false);
+    for (const ColumnRef& ref : targets_) {
+      if (ref.atom == static_cast<int>(a)) {
+        kept[static_cast<size_t>(ref.attr)] = true;
+      }
+    }
+    if (schema.has_key()) {
+      for (int c : schema.key()) {
+        if (!kept[static_cast<size_t>(c)]) return false;
+      }
+    } else if (std::find(kept.begin(), kept.end(), false) != kept.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 ValueType ConjunctiveQuery::ColumnType(const ColumnRef& ref) const {
   return atom_schemas_[static_cast<size_t>(ref.atom)]
       .attribute(ref.attr)

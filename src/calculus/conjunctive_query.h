@@ -104,6 +104,13 @@ class ConjunctiveQuery {
   // The answer's relation scheme (named `relation_name`).
   Result<RelationSchema> OutputSchema(std::string relation_name) const;
 
+  // True when the targets keep, for every atom, its declared key, or all
+  // its columns when it declares none. A relation holds each row once
+  // (by key, or whole), so distinct combinations of atom rows then
+  // project to distinct answer rows, and the answer needs no
+  // deduplication (DESIGN.md §17).
+  bool ProjectsDistinctRows() const;
+
   // Type of the attribute a column refers to.
   ValueType ColumnType(const ColumnRef& ref) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace viewauth {
@@ -72,22 +73,24 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 }
 
 std::string FormatWithCommas(long long value) {
-  const bool negative = value < 0;
-  unsigned long long magnitude =
-      negative ? 0ULL - static_cast<unsigned long long>(value)
-               : static_cast<unsigned long long>(value);
-  std::string digits = std::to_string(magnitude);
   std::string out;
-  out.reserve(digits.size() + digits.size() / 3 + 1);
-  int count = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (count != 0 && count % 3 == 0) out.push_back(',');
-    out.push_back(*it);
-    ++count;
-  }
-  if (negative) out.push_back('-');
-  std::reverse(out.begin(), out.end());
+  AppendWithCommas(value, &out);
   return out;
+}
+
+void AppendWithCommas(long long value, std::string* out) {
+  char digits[24];
+  char* const end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  char grouped[32];
+  char* cursor = grouped;
+  const char* digit = digits;
+  if (*digit == '-') *cursor++ = *digit++;
+  const auto n = static_cast<size_t>(end - digit);
+  for (size_t i = 0; i < n; ++i) {
+    if (i != 0 && (n - i) % 3 == 0) *cursor++ = ',';
+    *cursor++ = digit[i];
+  }
+  out->append(grouped, static_cast<size_t>(cursor - grouped));
 }
 
 }  // namespace viewauth

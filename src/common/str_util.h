@@ -43,6 +43,8 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 // Formats an int64 with thousands separators, e.g. 250000 -> "250,000".
 // Used by the table printer to mirror the paper's figures.
 std::string FormatWithCommas(long long value);
+// Appends FormatWithCommas(value) to `out` without a temporary string.
+void AppendWithCommas(long long value, std::string* out);
 
 }  // namespace viewauth
 

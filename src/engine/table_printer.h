@@ -25,8 +25,9 @@ struct TablePrintOptions {
 std::string PrintRelation(const Relation& relation,
                           const TablePrintOptions& options = {});
 
-// Renders any rows-of-strings table with a header, shared by the meta
-// displays.
+// Renders any rows-of-strings table with a header, in PrintRelation's
+// layout (both write through one layout function). A short row leaves
+// blank cells; cells past the header are not shown.
 std::string PrintTable(const std::vector<std::string>& header,
                        const std::vector<std::vector<std::string>>& rows,
                        const std::string& caption = "");

@@ -46,12 +46,13 @@ void ChunkImages::Clear() {
 }
 
 Relation::Relation(const Relation& other)
-    : schema_(other.schema_),
-      chunks_(other.chunks_),
-      size_(other.size_),
-      identity_(other.identity_) {
-  // Readers of `other` may be building a column index right now.
+    : schema_(other.schema_), chunks_(other.chunks_), size_(other.size_) {
+  // Readers of `other` may be building a column index or catching the
+  // identity index up right now.
   std::lock_guard<std::mutex> lock(other.index_mutex_);
+  identity_ = other.identity_;
+  identity_rows_.store(other.identity_rows_.load(std::memory_order_acquire),
+                       std::memory_order_release);
   column_indexes_ = other.column_indexes_;
 }
 
@@ -60,9 +61,11 @@ Relation& Relation::operator=(const Relation& other) {
   schema_ = other.schema_;
   chunks_ = other.chunks_;
   size_ = other.size_;
-  identity_ = other.identity_;
   {
     std::lock_guard<std::mutex> lock(other.index_mutex_);
+    identity_ = other.identity_;
+    identity_rows_.store(other.identity_rows_.load(std::memory_order_acquire),
+                         std::memory_order_release);
     column_indexes_ = other.column_indexes_;
   }
   tail_images_.Clear();
@@ -74,6 +77,7 @@ Relation::Relation(Relation&& other) noexcept
       chunks_(std::move(other.chunks_)),
       size_(std::exchange(other.size_, 0)),
       identity_(std::move(other.identity_)),
+      identity_rows_(other.identity_rows_.exchange(0)),
       column_indexes_(std::move(other.column_indexes_)) {}
 
 Relation& Relation::operator=(Relation&& other) noexcept {
@@ -82,6 +86,8 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   chunks_ = std::move(other.chunks_);
   size_ = std::exchange(other.size_, 0);
   identity_ = std::move(other.identity_);
+  identity_rows_.store(other.identity_rows_.exchange(0),
+                       std::memory_order_release);
   column_indexes_ = std::move(other.column_indexes_);
   tail_images_.Clear();
   return *this;
@@ -132,10 +138,27 @@ size_t Relation::ProbeHash(const Tuple& tuple) const {
   return size_ > kScanRows ? IdentityHash(tuple) : 0;
 }
 
+void Relation::CatchUpIdentity() const {
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  const uint32_t covered = identity_rows_.load(std::memory_order_acquire);
+  if (covered == size_) return;  // another reader caught up first
+  std::vector<size_t> hashes(size_ - covered);
+  for (RowId id = covered; id < size_; ++id) {
+    hashes[id - covered] = IdentityHash(row(id));
+  }
+  identity_.AddRange(covered, hashes);
+  identity_rows_.store(size_, std::memory_order_release);
+}
+
 template <typename Visit>
 void Relation::ForEachIdentityCandidate(size_t probe_hash,
                                         Visit visit) const {
   if (size_ > kScanRows) {
+    // A reader that sees the index complete also sees its entries: the
+    // catch-up's release store follows them, and this load acquires it.
+    if (identity_rows_.load(std::memory_order_acquire) != size_) {
+      CatchUpIdentity();
+    }
     identity_.ForEach(probe_hash, visit);
     return;
   }
@@ -187,7 +210,27 @@ bool Relation::InsertUnchecked(Tuple tuple) {
   return true;
 }
 
+void Relation::AddOutputRow(Tuple tuple, bool distinct) {
+  if (distinct) {
+    AppendDistinct(std::move(tuple));
+  } else {
+    InsertUnchecked(std::move(tuple));
+  }
+}
+
 void Relation::Append(Tuple tuple, size_t probe_hash) {
+  const RowId id = size_;
+  AppendDistinct(std::move(tuple));
+  // An index that covered every earlier row takes the new one too; past
+  // a gap (AppendDistinct, or the first growth beyond kScanRows) the
+  // next probe indexes the whole gap at once.
+  if (id != 0 && identity_rows_.load(std::memory_order_acquire) == id) {
+    identity_.Add(probe_hash, id);
+    identity_rows_.store(size_, std::memory_order_release);
+  }
+}
+
+void Relation::AppendDistinct(Tuple tuple) {
   const RowId id = size_;
   const uint32_t offset = id & (kChunkRows - 1);
   // A new chunk starts with a few slots and doubles as it fills.
@@ -216,14 +259,6 @@ void Relation::Append(Tuple tuple, size_t probe_hash) {
   tail->slot(offset) = std::move(tuple);
   ++size_;
   tail_images_.Clear();
-  if (size_ == kScanRows + 1) {
-    // Outgrew the scan: index every row so far.
-    std::vector<size_t> hashes(size_);
-    for (RowId r = 0; r < size_; ++r) hashes[r] = IdentityHash(row(r));
-    identity_ = RowIndex::Build(hashes);
-  } else if (size_ > kScanRows) {
-    identity_.Add(probe_hash, id);
-  }
 }
 
 bool Relation::Erase(const Tuple& tuple) {
@@ -240,7 +275,13 @@ bool Relation::Erase(const Tuple& tuple) {
   }
   chunks_.resize(first_chunk);
   size_ = first;
-  identity_.Truncate(first);
+  if (first > kScanRows) {
+    identity_.Truncate(first);
+    identity_rows_.store(first, std::memory_order_release);
+  } else {
+    identity_ = RowIndex();
+    identity_rows_.store(0, std::memory_order_release);
+  }
   for (auto& [column, index] : column_indexes_) index.Truncate(first);
   for (Tuple& t : moved) {
     const size_t hash = ProbeHash(t);
@@ -254,6 +295,7 @@ void Relation::Clear() {
   chunks_.clear();
   size_ = 0;
   identity_ = RowIndex();
+  identity_rows_.store(0, std::memory_order_release);
   column_indexes_.clear();
   tail_images_.Clear();
 }
@@ -273,7 +315,8 @@ Relation::ColumnIndex Relation::IndexOn(int column) const {
     for (RowId id = 0; id < size_; ++id) {
       hashes[id] = row(id).values()[static_cast<size_t>(column)].Hash();
     }
-    it = column_indexes_.emplace(column, RowIndex::Build(hashes)).first;
+    it = column_indexes_.emplace(column, RowIndex()).first;
+    it->second.AddRange(0, hashes);
   }
   return ColumnIndex(this, &it->second, static_cast<size_t>(column));
 }

@@ -111,6 +111,16 @@ class Relation {
   // are correct by construction). Still deduplicates. Returns true if the
   // tuple was new.
   bool InsertUnchecked(Tuple tuple);
+  // Appends a tuple the caller knows is new (equal to no row present),
+  // without validation and without probing or extending the identity
+  // index: the next probe indexes the rows appended this way, so the
+  // relation stays a set for every later reader and writer. For operator
+  // outputs that are distinct by construction.
+  void AppendDistinct(Tuple tuple);
+  // AppendDistinct when `distinct` (the caller knows every row it adds
+  // is new, as ConjunctiveQuery::ProjectsDistinctRows proves for a
+  // projection), InsertUnchecked otherwise.
+  void AddOutputRow(Tuple tuple, bool distinct);
 
   // Removes a tuple if present; returns true if it was removed. Rows
   // after it move up one id: the chunks from the erased row's onward
@@ -258,23 +268,35 @@ class Relation {
   // use and 0 otherwise.
   static constexpr uint32_t kScanRows = 32;
   size_t ProbeHash(const Tuple& tuple) const;
+  // Indexes the rows appended since the identity index last caught up
+  // (AppendDistinct, or crossing kScanRows); called by a probe that saw
+  // the index short of size(). Const so that readers may probe:
+  // concurrent catch-ups serialize on `index_mutex_`.
+  void CatchUpIdentity() const;
   // Calls `visit(id)` for every row that may share the identity of the
-  // tuple hashing to `probe_hash`, until `visit` returns false.
+  // tuple hashing to `probe_hash`, until `visit` returns false. Catches
+  // the identity index up first.
   template <typename Visit>
   void ForEachIdentityCandidate(size_t probe_hash, Visit visit) const;
   // The id of the row equal to `tuple`, or size() when there is none.
   RowId Find(const Tuple& tuple, size_t probe_hash) const;
 
-  // Appends a tuple known to be new and maintains every index.
+  // Appends a tuple known to be new and maintains every index;
+  // `probe_hash` is ProbeHash(tuple) taken just before, after catch-up.
   void Append(Tuple tuple, size_t probe_hash);
 
   RelationSchema schema_;
   std::vector<std::shared_ptr<Chunk>> chunks_;
   uint32_t size_ = 0;
-  RowIndex identity_;
+  // The identity index covers rows [0, identity_rows_). It is 0 while the
+  // relation is small enough to scan (and until the first probe past
+  // that size), and otherwise above kScanRows. Writers extend both in
+  // step; a probe first indexes whatever lies beyond (CatchUpIdentity).
+  mutable RowIndex identity_;
+  mutable std::atomic<uint32_t> identity_rows_{0};
   // Lazily built column indexes (which writers extend) and the last
-  // chunk's images; `index_mutex_` serializes builds from concurrent
-  // readers.
+  // chunk's images; `index_mutex_` serializes builds and identity
+  // catch-ups from concurrent readers.
   mutable std::mutex index_mutex_;
   mutable std::map<int, RowIndex> column_indexes_;
   mutable ChunkImages tail_images_;

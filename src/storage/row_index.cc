@@ -36,22 +36,27 @@ void RowIndex::Truncate(RowId first) {
   }
 }
 
-RowIndex RowIndex::Build(const std::vector<size_t>& hashes) {
-  RowIndex index;
-  if (hashes.empty()) return index;
+void RowIndex::AddRange(RowId first, const std::vector<size_t>& hashes) {
+  if (hashes.empty()) return;
   std::vector<Shard> parts(kShards);
-  for (size_t id = 0; id < hashes.size(); ++id) {
-    const uint64_t mixed = Mix(hashes[id]);
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    const uint64_t mixed = Mix(hashes[i]);
     parts[static_cast<size_t>(ShardOf(mixed))].push_back(
-        Entry{static_cast<uint32_t>(mixed), static_cast<RowId>(id)});
+        Entry{static_cast<uint32_t>(mixed), first + static_cast<RowId>(i)});
   }
-  index.shards_.resize(kShards);
-  for (size_t s = 0; s < parts.size(); ++s) {
-    if (parts[s].empty()) continue;
-    std::sort(parts[s].begin(), parts[s].end());
-    index.shards_[s] = std::make_shared<Shard>(std::move(parts[s]));
+  for (int s = 0; s < kShards; ++s) {
+    Shard& part = parts[static_cast<size_t>(s)];
+    if (part.empty()) continue;
+    std::sort(part.begin(), part.end());
+    Shard& shard = MutableShard(s);
+    if (shard.empty()) {
+      shard = std::move(part);
+      continue;
+    }
+    const auto old_end = static_cast<std::ptrdiff_t>(shard.size());
+    shard.insert(shard.end(), part.begin(), part.end());
+    std::inplace_merge(shard.begin(), shard.begin() + old_end, shard.end());
   }
-  return index;
 }
 
 }  // namespace viewauth

@@ -59,8 +59,10 @@ class RowIndex {
     }
   }
 
-  // Builds the index over ids [0, hashes.size()), id i under hashes[i].
-  static RowIndex Build(const std::vector<size_t>& hashes);
+  // Adds ids [first, first + hashes.size()), id first + i under
+  // hashes[i], at the cost of one sort and one merge per touched shard.
+  // Every id added so far must be below `first`.
+  void AddRange(RowId first, const std::vector<size_t>& hashes);
 
  private:
   struct Entry {

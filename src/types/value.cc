@@ -157,6 +157,13 @@ bool Value::operator<(const Value& other) const {
   if (ra != rb) return ra < rb;
   if (ra == 0) return false;  // NULL == NULL
   if (ra == 1) {
+    // Int64 pairs compare exactly: distinct integers beyond 2^53 share a
+    // double image. A mixed pair orders by (double image, Int64 before
+    // Double), which keeps the order strict weak: within one double
+    // image the Int64s (exactly ordered) precede the Double.
+    if (is_int64() && other.is_int64()) {
+      return int64_value() < other.int64_value();
+    }
     const double a = AsDouble();
     const double b = other.AsDouble();
     if (a != b) return a < b;

@@ -100,8 +100,9 @@ class Value {
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  // Total order for container use: NULL < numerics < strings; numerics
-  // among themselves by numeric value (ties broken int64 < double).
+  // Total order for container use: NULL < numerics < strings; two
+  // int64s by exact value; other numerics by numeric value, ties broken
+  // int64 < double.
   bool operator<(const Value& other) const;
 
   size_t Hash() const;

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -170,6 +172,54 @@ TEST(Crc32, IncrementalEqualsOneShot) {
     crc = Crc32Update(crc, std::string_view(data).substr(0, split));
     crc = Crc32Update(crc, std::string_view(data).substr(split));
     EXPECT_EQ(crc, Crc32(data)) << "split at " << split;
+  }
+}
+
+// The bit-at-a-time CRC32 definition, the reference the sliced table
+// implementation must reproduce.
+uint32_t ReferenceCrc32(uint32_t crc, std::string_view data) {
+  crc = ~crc;
+  for (unsigned char byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLength = 4096;
+  constexpr size_t kMaxOffset = 8;
+  std::string buffer(kMaxLength + kMaxOffset, '\0');
+  uint32_t state = 0x12345678u;
+  for (char& c : buffer) {
+    state = state * 1664525u + 1013904223u;  // LCG: deterministic bytes
+    c = static_cast<char>(state >> 24);
+  }
+  const std::string_view all(buffer);
+  for (size_t offset = 0; offset < kMaxOffset; ++offset) {
+    // The reference extends its previous prefix by one byte.
+    uint32_t reference = kCrc32Init;
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      if (length > 0) {
+        reference =
+            ReferenceCrc32(reference, all.substr(offset + length - 1, 1));
+      }
+      ASSERT_EQ(Crc32(all.substr(offset, length)), reference)
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // Chunked updates of every size up to 17 agree with the one-shot value,
+  // so a running checksum may split its input anywhere.
+  const std::string_view data = all.substr(3, 1000);
+  const uint32_t whole = ReferenceCrc32(kCrc32Init, data);
+  for (size_t chunk = 1; chunk <= 17; ++chunk) {
+    uint32_t crc = kCrc32Init;
+    for (size_t at = 0; at < data.size(); at += chunk) {
+      crc = Crc32Update(crc, data.substr(at, chunk));
+    }
+    EXPECT_EQ(crc, whole) << "chunk " << chunk;
   }
 }
 

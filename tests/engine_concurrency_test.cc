@@ -308,22 +308,36 @@ TEST(EngineConcurrencyTest, AbortedAndCancelledRetrievesReleaseSnapshots) {
   engine.options().max_rows = 0;
   EXPECT_EQ(engine.snapshots_live(), 1);
 
-  // Cooperative cancellation of retrieves mid-flight.
+  // Cooperative cancellation of one retrieve known to be in flight. Its
+  // self-product of W has 4,000,000 rows, which two contradictory
+  // conditions then filter to none: governor probes throughout, and a
+  // run long enough (about 0.1 s unoptimized, uncancelled) that the
+  // polling below finds it registered. CancelActiveRetrieves reports
+  // how many retrieves it signalled, so the test knows the signal
+  // reached this one.
+  std::string load = "relation W (A int)\n";
+  for (int i = 0; i < 2000; ++i) {
+    load += "insert into W values (" + std::to_string(i) + ")\n";
+  }
+  load += "view VW (W.A)\npermit VW to u\n";
+  ASSERT_TRUE(engine.ExecuteScript(load).ok());
+  EXPECT_EQ(engine.snapshots_live(), 1);
   std::atomic<bool> done{false};
-  std::atomic<int> cancelled{0};
+  Result<std::string> out = std::string();
   std::thread reader([&] {
-    for (int i = 0; i < 2000 && cancelled.load() == 0; ++i) {
-      auto out = engine.Execute("retrieve (T.A) as u");
-      if (!out.ok() && out.status().IsCancelled()) cancelled.fetch_add(1);
-    }
+    out = engine.Execute(
+        "retrieve (W.A, W:2.A) where W.A < W:2.A and W:2.A < W.A as u");
     done.store(true);
   });
-  while (!done.load()) {
-    engine.CancelActiveRetrieves();
+  int signalled = 0;
+  while (signalled == 0 && !done.load()) {
+    signalled = engine.CancelActiveRetrieves();
     std::this_thread::yield();
   }
   reader.join();
-  EXPECT_GT(cancelled.load(), 0);
+  EXPECT_EQ(signalled, 1);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsCancelled()) << out.status();
 
   // Everything unwound: one live state, and the engine still works.
   EXPECT_EQ(engine.snapshots_live(), 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -440,6 +441,109 @@ TEST(Relation, KeyedLoadIsLinear) {
   EXPECT_EQ(rel.size(), kRows);
   // A scan per insert (the quadratic load) takes minutes here.
   EXPECT_LT(seconds, 1.0 * testing_util::kSanitizerSlowdown);
+}
+
+// A keyless two-column row; distinct for distinct i.
+Tuple PairRow(int i) { return Tuple({Value::Int64(i), Value::Int64(i % 7)}); }
+
+Relation PairRelation() {
+  return Relation(RelationSchema::Make("P", {{"A", ValueType::kInt64},
+                                             {"B", ValueType::kInt64}})
+                      .value());
+}
+
+TEST(Relation, AppendDistinctIsCaughtUpByEveryProbe) {
+  // Past kScanRows and across chunk boundaries, so the identity index
+  // must cover rows it never saw appended.
+  constexpr int kRows = 2 * 1024 + 77;
+  Relation rel = PairRelation();
+  for (int i = 0; i < kRows; ++i) rel.AppendDistinct(PairRow(i));
+  ASSERT_EQ(rel.size(), kRows);
+
+  // A copy taken before any probe catches up on its own.
+  const Relation copy = rel;
+  for (int i = 0; i < kRows; i += 97) EXPECT_TRUE(copy.Contains(PairRow(i)));
+  EXPECT_FALSE(copy.Contains(PairRow(kRows)));
+
+  // Insert of a duplicate is absorbed; a new row lands once.
+  ASSERT_TRUE(rel.Insert(PairRow(kRows - 1)).ok());
+  EXPECT_EQ(rel.size(), kRows);
+  ASSERT_TRUE(rel.Insert(PairRow(kRows)).ok());
+  EXPECT_EQ(rel.size(), kRows + 1);
+  // More distinct rows, then the unchecked path sees all of them.
+  rel.AppendDistinct(PairRow(kRows + 1));
+  EXPECT_FALSE(rel.InsertUnchecked(PairRow(kRows + 1)));
+  EXPECT_FALSE(rel.InsertUnchecked(PairRow(0)));
+  EXPECT_TRUE(rel.InsertUnchecked(PairRow(kRows + 2)));
+  EXPECT_EQ(rel.size(), kRows + 3);
+  for (int i = 0; i < kRows + 3; ++i) {
+    ASSERT_TRUE(rel.Contains(PairRow(i))) << i;
+  }
+  EXPECT_FALSE(rel.Contains(PairRow(kRows + 3)));
+
+  // Erase in the first chunk, then append past the gap again.
+  ASSERT_TRUE(rel.Erase(PairRow(5)));
+  EXPECT_FALSE(rel.Erase(PairRow(5)));
+  EXPECT_FALSE(rel.Contains(PairRow(5)));
+  rel.AppendDistinct(PairRow(5));
+  EXPECT_TRUE(rel.Contains(PairRow(5)));
+  EXPECT_EQ(rel.size(), kRows + 3);
+
+  // SameTuples against the same set built by Insert, in another order.
+  Relation inserted = PairRelation();
+  for (int i = kRows + 2; i >= 0; --i) {
+    ASSERT_TRUE(inserted.Insert(PairRow(i)).ok());
+  }
+  EXPECT_TRUE(rel.SameTuples(inserted));
+  EXPECT_TRUE(inserted.SameTuples(rel));
+  Relation fresh = PairRelation();
+  for (int i = 0; i < kRows + 3; ++i) fresh.AppendDistinct(PairRow(i + 1));
+  EXPECT_FALSE(fresh.SameTuples(rel));
+  // The copy never saw the writes.
+  EXPECT_EQ(copy.size(), kRows);
+  EXPECT_FALSE(copy.Contains(PairRow(kRows)));
+}
+
+TEST(Relation, AppendDistinctBelowTheScanSizeAndKeyed) {
+  // Small relations scan instead of indexing; the first probe past the
+  // scan size indexes everything at once.
+  Relation small = PairRelation();
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(small.Insert(PairRow(i)).ok());
+  for (int i = 10; i < 40; ++i) small.AppendDistinct(PairRow(i));
+  ASSERT_TRUE(small.Insert(PairRow(39)).ok());
+  ASSERT_TRUE(small.Insert(PairRow(3)).ok());
+  EXPECT_EQ(small.size(), 40);
+  for (int i = 0; i < 40; ++i) EXPECT_TRUE(small.Contains(PairRow(i))) << i;
+
+  // A keyed relation still refuses a second row for a key it holds.
+  Relation keyed(MakeEmployeeSchema());
+  for (int i = 0; i < 100; ++i) keyed.AppendDistinct(EmployeeRow(i));
+  EXPECT_TRUE(keyed.Insert(EmployeeRow(42, 1)).IsSchemaMismatch());
+  ASSERT_TRUE(keyed.Insert(EmployeeRow(42)).ok());
+  EXPECT_EQ(keyed.size(), 100);
+}
+
+TEST(Relation, ConcurrentProbesCatchUpOnce) {
+  // Readers sharing one relation race to catch its identity index up;
+  // every one of them must see every row (and TSan must stay quiet).
+  constexpr int kRows = 3 * 1024;
+  constexpr int kReaders = 4;
+  Relation rel = PairRelation();
+  for (int i = 0; i < kRows; ++i) rel.AppendDistinct(PairRow(i));
+  const Relation& shared = rel;
+  std::vector<std::thread> readers;
+  std::atomic<int> found{0};
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&shared, &found, r] {
+      int mine = 0;
+      for (int i = r; i < kRows + r; ++i) {
+        mine += shared.Contains(PairRow(i % kRows)) ? 1 : 0;
+      }
+      found.fetch_add(mine);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(found.load(), kReaders * kRows);
 }
 
 TEST(DatabaseInstance, CreateInsertDrop) {

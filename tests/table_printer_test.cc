@@ -4,8 +4,108 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <sstream>
+
 namespace viewauth {
 namespace {
+
+// The renderer as it was before PrintRelation rendered in one pass
+// (sorted tuple copies, a vector of cell strings, an ostringstream),
+// kept here only as the reference the output must match byte for byte.
+std::string ReferenceTable(const std::vector<std::string>& header,
+                           const std::vector<std::vector<std::string>>& rows,
+                           const std::string& caption) {
+  std::vector<size_t> widths(header.size(), 0);
+  for (size_t i = 0; i < header.size(); ++i) {
+    widths[i] = header[i].size();
+  }
+  for (const auto& row : rows) {
+    for (size_t i = 0; i < row.size() && i < widths.size(); ++i) {
+      widths[i] = std::max(widths[i], row[i].size());
+    }
+  }
+  std::ostringstream out;
+  if (!caption.empty()) out << caption << "\n";
+  auto emit_row = [&](const std::vector<std::string>& row) {
+    out << "|";
+    for (size_t i = 0; i < widths.size(); ++i) {
+      const std::string& cell = i < row.size() ? row[i] : std::string();
+      out << " " << cell << std::string(widths[i] - cell.size(), ' ')
+          << " |";
+    }
+    out << "\n";
+  };
+  emit_row(header);
+  out << "|";
+  for (size_t width : widths) {
+    out << std::string(width + 2, '-') << "|";
+  }
+  out << "\n";
+  for (const auto& row : rows) emit_row(row);
+  return out.str();
+}
+
+std::string ReferencePrintRelation(const Relation& relation,
+                                   const TablePrintOptions& options) {
+  std::vector<std::string> header;
+  for (const Attribute& attr : relation.schema().attributes()) {
+    header.push_back(attr.name);
+  }
+  std::vector<Tuple> data =
+      options.sorted ? relation.SortedRows()
+                     : std::vector<Tuple>(relation.begin(), relation.end());
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(data.size());
+  for (const Tuple& tuple : data) {
+    std::vector<std::string> row;
+    row.reserve(static_cast<size_t>(tuple.arity()));
+    for (const Value& value : tuple.values()) {
+      if (value.is_null()) {
+        row.push_back(options.null_text);
+      } else if (value.is_string()) {
+        row.push_back(value.string_value());  // raw, no quoting
+      } else {
+        row.push_back(value.ToDisplayString(options.thousands_separators));
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return ReferenceTable(header, rows, options.caption);
+}
+
+// Every combination of the options that change the output.
+std::vector<TablePrintOptions> AllOptions() {
+  std::vector<TablePrintOptions> all;
+  for (bool sorted : {true, false}) {
+    for (bool commas : {true, false}) {
+      for (const char* caption : {"", "result for u:"}) {
+        for (const char* null_text : {"-", "(withheld)"}) {
+          TablePrintOptions options;
+          options.sorted = sorted;
+          options.thousands_separators = commas;
+          options.caption = caption;
+          options.null_text = null_text;
+          all.push_back(options);
+        }
+      }
+    }
+  }
+  return all;
+}
+
+void ExpectMatchesReference(const Relation& rel) {
+  for (const TablePrintOptions& options : AllOptions()) {
+    SCOPED_TRACE("sorted=" + std::to_string(options.sorted) +
+                 " commas=" + std::to_string(options.thousands_separators) +
+                 " caption='" + options.caption + "' null='" +
+                 options.null_text + "'");
+    EXPECT_EQ(PrintRelation(rel, options),
+              ReferencePrintRelation(rel, options));
+  }
+}
 
 Relation SampleRelation() {
   RelationSchema schema =
@@ -66,6 +166,18 @@ TEST(TablePrinter, GenericTable) {
   EXPECT_NE(ragged.find("| only |"), std::string::npos);
 }
 
+TEST(TablePrinter, GenericTableMatchesReference) {
+  const std::vector<std::vector<std::string>> rows = {
+      {"1", "2"}, {"333", "4"}, {"only"}, {}, {"x", "y", "past header"},
+      {"", "a much longer cell"}};
+  for (const char* caption : {"", "caption"}) {
+    EXPECT_EQ(PrintTable({"A", "LONG_HEADER"}, rows, caption),
+              ReferenceTable({"A", "LONG_HEADER"}, rows, caption));
+    EXPECT_EQ(PrintTable({"A", "B"}, {}, caption),
+              ReferenceTable({"A", "B"}, {}, caption));
+  }
+}
+
 TEST(TablePrinter, EmptyRelation) {
   RelationSchema schema =
       RelationSchema::Make("T", {{"A", ValueType::kInt64}}).value();
@@ -74,6 +186,77 @@ TEST(TablePrinter, EmptyRelation) {
   EXPECT_NE(out.find("| A"), std::string::npos);
   // Header + separator only.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
+}
+
+TEST(TablePrinter, MatchesReferenceOnEdgeCells) {
+  RelationSchema schema =
+      RelationSchema::Make("T", {{"I", ValueType::kInt64},
+                                 {"DOUBLE_COLUMN", ValueType::kDouble},
+                                 {"S", ValueType::kString}})
+          .value();
+  Relation rel(schema);
+  auto add = [&](Value i, Value d, Value s) {
+    ASSERT_TRUE(rel.Insert(Tuple({std::move(i), std::move(d), std::move(s)}))
+                    .ok());
+  };
+  add(Value::Int64(INT64_MIN), Value::Double(-0.5), Value::String(""));
+  add(Value::Int64(INT64_MAX), Value::Double(1e20), Value::String("a b"));
+  add(Value::Int64(-1), Value::Double(3.0), Value::String("it's"));
+  add(Value::Int64(-999), Value::Double(1e-7), Value::String("x,y;z"));
+  add(Value::Int64(-1000), Value::Double(123456789.0), Value::String("'q'"));
+  add(Value::Int64(0), Value::Null(), Value::String("tab\there"));
+  add(Value::Int64(999), Value::Int64(7), Value::Null());
+  add(Value::Int64(1000), Value::Double(2.5), Value::String("long cell text"));
+  add(Value::Int64(123456), Value::Double(-0.0), Value::String("-"));
+  add(Value::Int64(1234567), Value::Double(0.1), Value::String("ä"));
+  add(Value::Null(), Value::Null(), Value::Null());
+  add(Value::Int64(int64_t{1} << 53), Value::Double(9007199254740992.0),
+      Value::String("two53"));
+  add(Value::Int64((int64_t{1} << 53) + 1), Value::Double(1.0 / 3.0),
+      Value::String("two53+1"));
+  ExpectMatchesReference(rel);
+}
+
+TEST(TablePrinter, MatchesReferenceOnEmptyAndRaggedRelations) {
+  RelationSchema schema =
+      RelationSchema::Make("T", {{"LONG_HEADER", ValueType::kInt64},
+                                 {"B", ValueType::kString}})
+          .value();
+  Relation rel(schema);
+  ExpectMatchesReference(rel);
+  // Operator outputs may hold tuples of another arity: missing cells are
+  // blank, extra cells are not shown.
+  ASSERT_TRUE(rel.InsertUnchecked(Tuple({Value::Int64(5)})));
+  ASSERT_TRUE(rel.InsertUnchecked(
+      Tuple({Value::Int64(4), Value::String("b"), Value::String("extra")})));
+  ASSERT_TRUE(rel.InsertUnchecked(Tuple({})));
+  ExpectMatchesReference(rel);
+}
+
+TEST(TablePrinter, MatchesReferenceOnLargeRandomRelations) {
+  RelationSchema schema =
+      RelationSchema::Make("R", {{"KEY", ValueType::kInt64},
+                                 {"A", ValueType::kInt64},
+                                 {"B", ValueType::kDouble}})
+          .value();
+  // Leading cells all Int64 with many ties, then with a few NULLs and
+  // keys beyond 2^53 among them.
+  for (bool all_int : {true, false}) {
+    SCOPED_TRACE(all_int ? "all-int leading cells" : "mixed leading cells");
+    Relation rel(schema);
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < 3000; ++i) {
+      const auto a = static_cast<int64_t>(rng() % 2000) - 1000;
+      Value b = rng() % 5 == 0 ? Value::Null()
+                               : Value::Double(static_cast<double>(a) / 8);
+      Value key = Value::Int64(static_cast<int64_t>(rng() % 64) - 32);
+      if (!all_int && i % 97 == 0) key = Value::Null();
+      if (!all_int && i % 10 == 0) key = Value::Int64((int64_t{1} << 53) + i);
+      rel.InsertUnchecked(
+          Tuple({std::move(key), Value::Int64(a), std::move(b)}));
+    }
+    ExpectMatchesReference(rel);
+  }
 }
 
 }  // namespace

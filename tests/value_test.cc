@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 namespace viewauth {
 namespace {
 
@@ -62,6 +66,39 @@ TEST(Value, TotalOrderForContainers) {
   EXPECT_TRUE(Value::Int64(3) < Value::Int64(4));
   EXPECT_TRUE(Value::Int64(3) < Value::Double(3.0));  // tie: int first
   EXPECT_FALSE(Value::Double(3.0) < Value::Int64(3));
+}
+
+TEST(Value, TotalOrderIsExactBeyondTwoToThe53) {
+  // 2^53 and 2^53 + 1 share a double image; as Int64s they must not tie.
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const Value a = Value::Int64(kBig);
+  const Value b = Value::Int64(kBig + 1);
+  const Value c = Value::Int64(kBig + 2);
+  EXPECT_TRUE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_TRUE(b < c);
+  EXPECT_TRUE(Value::Int64(-kBig - 1) < Value::Int64(-kBig));
+  EXPECT_TRUE(Value::Int64(INT64_MIN) < Value::Int64(INT64_MIN + 1));
+  EXPECT_TRUE(Value::Int64(INT64_MAX - 1) < Value::Int64(INT64_MAX));
+  // A mixed pair orders by double image, then Int64 before Double: every
+  // Int64 whose image is 2^53 precedes Double(2^53), which precedes the
+  // Int64s whose image is larger.
+  const Value d = Value::Double(static_cast<double>(kBig));
+  EXPECT_TRUE(a < d);
+  EXPECT_TRUE(b < d);  // image of 2^53 + 1 is 2^53 (round to even)
+  EXPECT_FALSE(d < b);
+  EXPECT_TRUE(d < c);
+  // Strict weak order: sorting a shuffled mix is stable under re-sorting
+  // and every adjacent pair is ordered or equivalent one way only.
+  std::vector<Value> values = {c, d, Value::Double(0.5), b, a,
+                               Value::Int64(0), Value::Double(kBig + 4.0)};
+  std::sort(values.begin(), values.end());
+  for (size_t i = 0; i + 1 < values.size(); ++i) {
+    EXPECT_FALSE(values[i + 1] < values[i]) << i;
+  }
+  EXPECT_EQ(values, (std::vector<Value>{Value::Int64(0), Value::Double(0.5),
+                                        a, b, d, c,
+                                        Value::Double(kBig + 4.0)}));
 }
 
 TEST(Value, HashConsistentWithCrossNumericEquality) {

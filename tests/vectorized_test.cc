@@ -12,6 +12,7 @@
 
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "algebra/evaluator.h"
@@ -359,6 +360,125 @@ TEST(Vectorized, MixedTypeColumnsMatchCanonical) {
     EXPECT_TRUE(canonical->SameTuples(*vectorized))
         << text << "\ncanonical: " << canonical->size()
         << " rows, vectorized: " << vectorized->size() << " rows";
+  }
+}
+
+ConjunctiveQuery QueryOver(const DatabaseInstance& db, const std::string& text) {
+  auto stmt = ParseStatement(text);
+  EXPECT_TRUE(stmt.ok()) << text;
+  auto query =
+      ConjunctiveQuery::FromRetrieve(db.schema(), std::get<RetrieveStmt>(*stmt));
+  EXPECT_TRUE(query.ok()) << text << ": " << query.status();
+  return *query;
+}
+
+// Distinct integers beyond 2^53 share a double image. The range scan
+// binary-searches each chunk's ordered index, so it is exact only if the
+// index orders them exactly; the canonical plan filters with Satisfies,
+// which compares two Int64s exactly.
+TEST(Vectorized, RangeScanIsExactBeyondTwoToThe53) {
+  constexpr int64_t kBig = int64_t{1} << 53;
+  DatabaseInstance db;
+  ASSERT_TRUE(db.CreateRelation(RelationSchema::Make(
+                                    "T", {{"K", ValueType::kInt64},
+                                          {"V", ValueType::kInt64}})
+                                    .value())
+                  .ok());
+  // Inserted out of order, with small keys around them.
+  for (int64_t k : {kBig + 3, kBig - 3, kBig + 1, kBig, kBig + 2, kBig - 1,
+                    kBig - 2, int64_t{7}, kBig + 4, int64_t{-5}}) {
+    ASSERT_TRUE(db.Insert("T", Tuple({Value::Int64(k), Value::Int64(k % 10)}))
+                    .ok());
+  }
+  const Relation& rel = **db.GetRelation("T");
+  const Comparator ops[] = {Comparator::kLt, Comparator::kLe, Comparator::kGt,
+                            Comparator::kGe, Comparator::kEq};
+  for (int64_t bound = kBig - 2; bound <= kBig + 2; ++bound) {
+    for (Comparator op : ops) {
+      const std::string text = "retrieve (T.K, T.V) where T.K " +
+                               std::string(ComparatorToString(op)) + " " +
+                               std::to_string(bound);
+      SCOPED_TRACE(text);
+      const ConjunctivePredicate pred(
+          {SelectionAtom::ColumnConst(0, op, Value::Int64(bound))});
+      Relation selected(rel.schema());
+      for (uint32_t id :
+           VectorizedSelectRowIds(rel, rel.schema(), pred, nullptr)) {
+        ASSERT_TRUE(selected.InsertUnchecked(rel.row(id)));
+      }
+      auto canonical = EvaluateCanonical(QueryOver(db, text), db);
+      ASSERT_TRUE(canonical.ok());
+      EXPECT_TRUE(selected.SameTuples(*canonical))
+          << "vectorized " << selected.size() << " rows, canonical "
+          << canonical->size();
+      int expected = 0;
+      for (const Tuple& row : rel) {
+        expected += row.at(0).Satisfies(op, Value::Int64(bound)) ? 1 : 0;
+      }
+      EXPECT_EQ(canonical->size(), expected);
+    }
+  }
+}
+
+// The final projection skips the identity index exactly when it keeps
+// every atom's identity (its key, or all columns of a keyless atom);
+// either way the answer is the canonical plan's.
+TEST(Vectorized, DistinctProjectionRuleIsExact) {
+  DatabaseInstance db;
+  ASSERT_TRUE(db.CreateRelation(RelationSchema::Make(
+                                    "R", {{"A", ValueType::kInt64},
+                                          {"B", ValueType::kInt64}})
+                                    .value())
+                  .ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema::Make(
+                                    "K", {{"ID", ValueType::kInt64},
+                                          {"X", ValueType::kInt64},
+                                          {"Y", ValueType::kString}},
+                                    {0})
+                                    .value())
+                  .ok());
+  // Small enough for the canonical plan's full products.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(
+        db.Insert("R", Tuple({Value::Int64(i % 20), Value::Int64(i)})).ok());
+    ASSERT_TRUE(db.Insert("K", Tuple({Value::Int64(i), Value::Int64(i % 8),
+                                      Value::String("y")}))
+                    .ok());
+  }
+  struct Case {
+    const char* text;
+    bool distinct;
+    int rows;  // distinct answer rows
+  };
+  const Case cases[] = {
+      // Drops B of a keyless atom: 200 rows project onto 20 values.
+      {"retrieve (R.A)", false, 20},
+      {"retrieve (R.B, R.A)", true, 200},
+      // Keeps the key of a keyed atom, not all its columns.
+      {"retrieve (K.ID, K.X) where K.X < 2", true, 50},
+      {"retrieve (K.X, K.Y)", false, 8},
+      // A self-join keeping both atoms' columns.
+      {"retrieve (R.A, R.B, R:2.A, R:2.B) where R.B = R:2.A", true, 200},
+      // ... and one keeping only one side's: 400 combinations, 200 rows.
+      {"retrieve (R.A, R.B) where R.A = R:2.A and R:2.B < 40", false, 200},
+      {"retrieve (R.A, K.ID) where R.B = K.ID and K.X = 3", false, 25},
+      {"retrieve (R.A, R.B, K.ID) where R.B = K.X", true, 200},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    const ConjunctiveQuery query = QueryOver(db, c.text);
+    EXPECT_EQ(query.ProjectsDistinctRows(), c.distinct);
+    auto canonical = EvaluateCanonical(query, db);
+    EvalStats stats;
+    auto vectorized = EvaluateVectorized(query, db, "ANSWER", &stats);
+    ASSERT_TRUE(canonical.ok());
+    ASSERT_TRUE(vectorized.ok());
+    EXPECT_EQ(vectorized->size(), c.rows);
+    EXPECT_EQ(stats.output_rows, c.rows);
+    EXPECT_TRUE(canonical->SameTuples(*vectorized));
+    EXPECT_TRUE(vectorized->SameTuples(*canonical));
+    // The answer stays a set for later writers.
+    EXPECT_FALSE(vectorized->InsertUnchecked(*vectorized->begin()));
   }
 }
 
