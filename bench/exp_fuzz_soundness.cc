@@ -286,7 +286,7 @@ int main() {
     ++join_scenarios;
 
     // Brute-force expected result.
-    Relation expected(result->raw_answer.schema());
+    Relation expected(result->answer.schema());
     const Relation* r1 = db.GetRelation("R1").value();
     const Relation* r2 = db.GetRelation("R2").value();
     for (const Tuple& a : *r1) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "algebra/scan.h"
@@ -34,7 +36,58 @@ size_t JoinKeyHash(const KeyView& key) {
   return h;
 }
 
+// Drops each row of `rows` whose cells under `targets` equal an earlier
+// row's. The cells hash as their Tuple would and compare with Value
+// equality, so the rows kept are the ones Relation's identity index
+// would keep, in their order. Returns false once the governor trips.
+bool KeepFirstOfEachProjection(const std::vector<ColumnRef>& targets,
+                               RowIdAnswer* rows, ExecContext* ctx) {
+  const size_t stride = static_cast<size_t>(rows->stride);
+  const size_t row_count = rows->size();
+  auto same_projection = [&](size_t a, size_t b) {
+    return std::all_of(targets.begin(), targets.end(),
+                       [&](const ColumnRef& ref) {
+                         return rows->cell(a, ref) == rows->cell(b, ref);
+                       });
+  };
+  // Kept rows are compacted to the front as they are found, so a kept
+  // row's position is at most the position of the row checked against
+  // it.
+  std::unordered_multimap<size_t, size_t> kept_by_hash;
+  size_t kept = 0;
+  ExecMeter meter(ctx);
+  for (size_t r = 0; r < row_count; ++r) {
+    if (!meter.TickRows(1)) return false;
+    const size_t h = HashCells(targets.size(), [&](size_t i) -> const Value& {
+      return rows->cell(r, targets[i]);
+    });
+    auto [lo, hi] = kept_by_hash.equal_range(h);
+    if (std::any_of(lo, hi, [&](const std::pair<const size_t, size_t>& e) {
+          return same_projection(e.second, r);
+        })) {
+      continue;
+    }
+    if (kept != r) {
+      std::copy_n(rows->ids.begin() + static_cast<long>(r * stride), stride,
+                  rows->ids.begin() + static_cast<long>(kept * stride));
+    }
+    kept_by_hash.emplace(h, kept);
+    ++kept;
+  }
+  rows->ids.resize(kept * stride);
+  return true;
+}
+
 }  // namespace
+
+RowIdAnswer AllRowsOf(const Relation& rel) {
+  RowIdAnswer rows;
+  rows.base = {&rel};
+  rows.slot_of_atom = {0};
+  rows.ids.resize(static_cast<size_t>(rel.size()));
+  std::iota(rows.ids.begin(), rows.ids.end(), 0);
+  return rows;
+}
 
 std::vector<uint32_t> VectorizedSelectRowIds(const Relation& rel,
                                              const RelationSchema& schema,
@@ -80,10 +133,9 @@ std::vector<uint32_t> VectorizedSelectRowIds(const Relation& rel,
   return out;
 }
 
-Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
-                                    const DatabaseInstance& db,
-                                    const std::string& result_name,
-                                    EvalStats* stats, ExecContext* ctx) {
+Result<RowIdAnswer> EvaluateRowIds(const ConjunctiveQuery& query,
+                                   const DatabaseInstance& db,
+                                   EvalStats* stats, ExecContext* ctx) {
   const int num_atoms = static_cast<int>(query.atoms().size());
 
   // --- Phase 1: per-atom batched scans with pushed-down single-atom
@@ -342,17 +394,28 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
     if (!apply_ready_conditions()) return ctx->status();
   }
 
-  // --- Phase 3: the single materialization point — final projection in
-  // batch windows, governor ticked once per window. The rows of `current`
-  // are distinct row-id combinations, so a projection that keeps every
-  // atom's identity appends without probing; any other is deduplicated
-  // by the result relation.
-  VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema schema,
-                            query.OutputSchema(result_name));
-  Relation result(schema);
-  const bool distinct = query.ProjectsDistinctRows();
-  const size_t row_count = current.size() / static_cast<size_t>(stride);
-  const std::vector<ColumnRef>& targets = query.targets();
+  // The rows of `current` are distinct row-id combinations, so a
+  // projection that keeps every atom's identity yields distinct answer
+  // rows; any other is deduplicated here, before any row is built.
+  RowIdAnswer answer{std::move(base), std::move(slot_of_atom),
+                     std::move(current), stride};
+  if (!query.ProjectsDistinctRows() &&
+      !KeepFirstOfEachProjection(query.targets(), &answer, ctx)) {
+    return ctx->status();
+  }
+  if (stats != nullptr) {
+    stats->output_rows = static_cast<long long>(answer.size());
+  }
+  return answer;
+}
+
+Relation MaterializeRowIds(const RowIdAnswer& rows,
+                           const std::vector<ColumnRef>& targets,
+                           RelationSchema schema, EvalStats* stats,
+                           ExecContext* ctx) {
+  // Final projection in batch windows, governor ticked once per window.
+  Relation result(std::move(schema));
+  const size_t row_count = rows.size();
   const long long out_bytes =
       ApproxTupleBytes(static_cast<int>(targets.size()));
   ExecMeter meter(ctx);
@@ -360,16 +423,13 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
     const size_t n = std::min<size_t>(kColumnBatchRows, row_count - wb);
     if (!meter.Tick(static_cast<long long>(n),
                     static_cast<long long>(n) * out_bytes)) {
-      return ctx->status();
+      return result;
     }
     for (size_t r = wb; r < wb + n; ++r) {
-      const size_t row_base = r * static_cast<size_t>(stride);
       std::vector<Value> values;
       values.reserve(targets.size());
-      for (const ColumnRef& ref : targets) {
-        values.push_back(value_at(row_base, ref.atom, ref.attr));
-      }
-      result.AddOutputRow(Tuple(std::move(values)), distinct);
+      for (const ColumnRef& ref : targets) values.push_back(rows.cell(r, ref));
+      result.AppendDistinct(Tuple(std::move(values)));
     }
     if (stats != nullptr) ++stats->batches_evaluated;
   }
@@ -377,6 +437,20 @@ Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
     stats->tuples_materialized += static_cast<long long>(row_count);
     stats->output_rows = result.size();
   }
+  return result;
+}
+
+Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
+                                    const DatabaseInstance& db,
+                                    const std::string& result_name,
+                                    EvalStats* stats, ExecContext* ctx) {
+  VIEWAUTH_ASSIGN_OR_RETURN(RowIdAnswer rows,
+                            EvaluateRowIds(query, db, stats, ctx));
+  VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema schema,
+                            query.OutputSchema(result_name));
+  Relation result =
+      MaterializeRowIds(rows, query.targets(), std::move(schema), stats, ctx);
+  if (ctx != nullptr && !ctx->ok()) return ctx->status();
   return result;
 }
 

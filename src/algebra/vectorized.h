@@ -8,7 +8,9 @@
 // of base-relation *indices* (one uint32_t per joined atom); equality
 // join keys hash in place over the referenced Values
 // (storage/key_view.h); tuples materialize once, at the final
-// projection. Every selection runs over columnar batches
+// projection, and only for the rows a caller needs: the authorizer's
+// step 5 masks the row ids themselves (EvaluateRowIds) and builds only
+// the rows it delivers. Every selection runs over columnar batches
 // (storage/column_batch.h): ~1024-row windows are gathered into typed
 // column arrays once, each predicate atom runs as a branch-light kernel
 // that compacts a selection vector, and the ExecContext is ticked once
@@ -45,8 +47,55 @@ std::vector<uint32_t> VectorizedSelectRowIds(const Relation& rel,
                                              EvalStats* stats,
                                              ExecContext* ctx = nullptr);
 
-// A non-null `ctx` governs the evaluation with per-batch ticking; the
-// run aborts with the context's status once it trips.
+// S's answer before its final projection: one row of base-relation row
+// ids per answer row. Row r names row ids[r * stride + slot_of_atom[a]]
+// of base[a] for each query atom a. The relations are borrowed: the
+// answer must not outlive the database it was evaluated against.
+struct RowIdAnswer {
+  std::vector<const Relation*> base;
+  std::vector<int> slot_of_atom;
+  std::vector<uint32_t> ids;  // row-major, `stride` entries per row
+  int stride = 1;
+
+  size_t size() const { return ids.size() / static_cast<size_t>(stride); }
+  // Attribute `ref.attr` of atom `ref.atom` in row `r`.
+  const Value& cell(size_t r, const ColumnRef& ref) const {
+    const size_t slot = static_cast<size_t>(slot_of_atom[ref.atom]);
+    return base[ref.atom]
+        ->row(ids[r * static_cast<size_t>(stride) + slot])
+        .at(ref.attr);
+  }
+};
+
+// Every row of `rel`, in order, as a one-atom row-id answer.
+RowIdAnswer AllRowsOf(const Relation& rel);
+
+// Phases 1-2 of the plan: scans and joins over row ids, with no row
+// materialized. The rows are exactly EvaluateVectorized's answer rows,
+// in its order: when the query ProjectsDistinctRows every combination
+// is kept; otherwise each row whose projected cells equal an earlier
+// row's is dropped, under the hash and Value equality of Relation's
+// identity index. A non-null `ctx` governs the evaluation with
+// per-batch ticking; the run aborts with the context's status once it
+// trips.
+Result<RowIdAnswer> EvaluateRowIds(const ConjunctiveQuery& query,
+                                   const DatabaseInstance& db,
+                                   EvalStats* stats = nullptr,
+                                   ExecContext* ctx = nullptr);
+
+// Phase 3, the plan's one materialization point: the rows of `rows`
+// projected onto `targets`, in order, as a relation over `schema`. The
+// rows must be distinct under the projection (EvaluateRowIds' are). A
+// non-null `ctx` ticks once per batch window and stops the projection
+// once tripped; callers must check ctx->status() before using the
+// (then partial) result.
+Relation MaterializeRowIds(const RowIdAnswer& rows,
+                           const std::vector<ColumnRef>& targets,
+                           RelationSchema schema, EvalStats* stats = nullptr,
+                           ExecContext* ctx = nullptr);
+
+// EvaluateRowIds followed by MaterializeRowIds onto the query's
+// targets.
 Result<Relation> EvaluateVectorized(const ConjunctiveQuery& query,
                                     const DatabaseInstance& db,
                                     const std::string& result_name = "ANSWER",

@@ -155,16 +155,23 @@ class Delivery {
   // Whether mask tuple t grants any delivered column.
   bool relevant(size_t t) const { return relevant_[t]; }
 
-  // Appends `row` as mask tuple t delivers it: granted cells carry the
-  // row's values, the rest are withheld (NULL).
-  void Deliver(size_t t, const Tuple& row, Relation* out) const {
+  // Appends the row whose i-th delivered cell is `cell(i)` as mask
+  // tuple t delivers it: granted cells carry the row's values, the rest
+  // are withheld (NULL).
+  template <typename Cell>
+  void Deliver(size_t t, Cell cell, Relation* out) const {
     std::vector<Value> values;
     values.reserve(target_columns_.size());
     for (size_t i = 0; i < target_columns_.size(); ++i) {
-      values.push_back(grants_[t][i] ? row.at(target_columns_[i])
-                                     : Value::Null());
+      values.push_back(grants_[t][i] ? cell(i) : Value::Null());
     }
     out->InsertUnchecked(Tuple(std::move(values)));
+  }
+  // Deliver for a row holding every mask column.
+  void Deliver(size_t t, const Tuple& row, Relation* out) const {
+    Deliver(
+        t, [&](size_t i) -> const Value& { return row.at(target_columns_[i]); },
+        out);
   }
 
   // Appends the all-withheld row kept when fully masked rows are not
@@ -640,27 +647,54 @@ Relation Authorizer::ApplyWideMaskVectorized(
     const std::vector<int>& target_columns,
     const RelationSchema& answer_schema, bool drop_fully_masked_rows,
     ExecContext* ctx, EvalStats* stats) {
+  std::vector<ColumnRef> columns(
+      static_cast<size_t>(wide_answer.schema().arity()));
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c] = ColumnRef{0, static_cast<int>(c)};
+  }
+  return ApplyWideMaskVectorized(AllRowsOf(wide_answer), columns, wide_mask,
+                                 target_columns, answer_schema,
+                                 drop_fully_masked_rows, ctx, stats);
+}
+
+Relation Authorizer::ApplyWideMaskVectorized(
+    const RowIdAnswer& rows, const std::vector<ColumnRef>& columns,
+    const CompiledMask& wide_mask, const std::vector<int>& target_columns,
+    const RelationSchema& answer_schema, bool drop_fully_masked_rows,
+    ExecContext* ctx, EvalStats* stats) {
   Relation out(answer_schema);
-  const int wide_arity = wide_answer.schema().arity();
   const size_t num_tuples = wide_mask.tuples.size();
   const Delivery delivery(num_tuples, target_columns, [&](size_t t, int col) {
     return wide_mask.tuples[t].IsProjected(col);
   });
+  std::vector<ColumnSource> sources;
+  sources.reserve(columns.size());
+  for (const ColumnRef& ref : columns) {
+    sources.push_back(ColumnSource{rows.base[ref.atom],
+                                   rows.slot_of_atom[ref.atom], ref.attr});
+  }
+  std::vector<ColumnRef> delivered;
+  delivered.reserve(target_columns.size());
+  for (int col : target_columns) delivered.push_back(columns[col]);
 
   // Per batch: one bitmap word-run per mask tuple recording which batch
   // ordinals it accepted. The kernels run tuple-major (so each gathered
   // column is reused across tuples), while delivery below runs row-major
-  // — identical delivery order to the interpretive ApplyWideMask.
+  // — identical delivery order to the interpretive ApplyWideMask. Only
+  // delivered rows are built, and their bytes are the ones charged.
   const size_t words = (kColumnBatchRows + 63) / 64;
   std::vector<uint64_t> bits(num_tuples * words);
+  const long long row_bytes =
+      ApproxTupleBytes(static_cast<int>(target_columns.size()));
   ColumnBatch batch;
   std::vector<uint32_t> sel;
   ExecMeter meter(ctx);
-  for (int c = 0; c < wide_answer.num_chunks(); ++c) {
-    const std::span<const Tuple> rows = wide_answer.chunk(c);
-    const size_t n = rows.size();
+  const size_t row_count = rows.size();
+  const size_t stride = static_cast<size_t>(rows.stride);
+  for (size_t wb = 0; wb < row_count; wb += kColumnBatchRows) {
+    const size_t n = std::min<size_t>(kColumnBatchRows, row_count - wb);
     if (!meter.TickRows(static_cast<long long>(n))) break;
-    batch.Reset(rows, wide_arity);
+    batch.Reset(sources, rows.ids.data() + wb * stride, n, rows.stride);
     std::fill(bits.begin(), bits.end(), 0);
     bool any_delivery = false;
     for (size_t t = 0; t < num_tuples; ++t) {
@@ -674,18 +708,29 @@ Relation Authorizer::ApplyWideMaskVectorized(
       }
     }
     if (!any_delivery && drop_fully_masked_rows) continue;
+    const int before = out.size();
     for (size_t i = 0; i < n; ++i) {
       bool any = false;
-      const Tuple& wide_row = rows[i];
       for (size_t t = 0; t < num_tuples; ++t) {
         if (((bits[t * words + i / 64] >> (i % 64)) & 1) == 0) continue;
         any = true;
-        delivery.Deliver(t, wide_row, &out);
+        delivery.Deliver(
+            t,
+            [&](size_t k) -> const Value& {
+              return rows.cell(wb + i, delivered[k]);
+            },
+            &out);
       }
       if (!any && !drop_fully_masked_rows) delivery.DeliverWithheld(&out);
     }
+    if (!meter.Tick(0, (out.size() - before) * row_bytes)) break;
   }
   return out;
+}
+
+Relation RawAnswer::Materialize() const {
+  if (!ids_.has_value()) return rows_;
+  return MaterializeRowIds(*ids_, targets_, rows_.schema());
 }
 
 std::vector<InferredPermit> Authorizer::DescribeMask(
@@ -850,17 +895,17 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
 
 Status Authorizer::RetrieveExtended(const ConjunctiveQuery& query,
                                     const AuthorizationOptions& options,
-                                    ExecContext* ctx,
-                                    AuthorizationResult* result,
+                                    ExecContext* ctx, EvalStats* stats,
+                                    Relation* raw_answer,
                                     Relation* wide_answer) const {
   VIEWAUTH_ASSIGN_OR_RETURN(
       *wide_answer, EvaluateData(query.WithAllColumnsProjected(), *db_,
-                                 "WIDE", options, &result->data_stats, ctx));
+                                 "WIDE", options, stats, ctx));
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
   const std::vector<int> target_columns = TargetColumns(query);
   VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema answer_schema,
                             query.OutputSchema("ANSWER"));
-  result->raw_answer = Relation(answer_schema);
+  *raw_answer = Relation(std::move(answer_schema));
   const long long answer_bytes =
       ApproxTupleBytes(static_cast<int>(target_columns.size()));
   // The wide rows are distinct, one per combination of atom rows. Only
@@ -871,9 +916,9 @@ Status Authorizer::RetrieveExtended(const ConjunctiveQuery& query,
   ExecMeter meter(ctx);
   for (const Tuple& row : *wide_answer) {
     if (!meter.Tick(1, answer_bytes)) return ctx->status();
-    result->raw_answer.AddOutputRow(row.Project(target_columns), distinct);
+    raw_answer->AddOutputRow(row.Project(target_columns), distinct);
   }
-  result->data_stats.output_rows = result->raw_answer.size();
+  stats->output_rows = raw_answer->size();
   return Status::OK();
 }
 
@@ -929,47 +974,71 @@ Result<AuthorizationResult> Authorizer::RetrieveGoverned(
   result.denied = decision.denied;
   result.full_access = decision.full_access;
 
-  // S. Step 5 masks the rows it yields: the answer itself, or the wide
-  // answer of the extended flow.
+  // S. Step 5 masks the rows it yields: the vectorized plan's row ids,
+  // the canonical plan's answer, or the extended flow's wide answer.
+  VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema answer_schema,
+                            query.OutputSchema("ANSWER"));
+  const bool row_ids =
+      options.use_optimized_data_plan && !options.extended_masks;
   start = SteadyClock::now();
-  Relation wide_answer;
+  RowIdAnswer ids;
+  Relation raw_answer;   // A, unless S yields row ids
+  Relation wide_answer;  // the extended flow's rows before projection
   if (options.extended_masks) {
-    VIEWAUTH_RETURN_NOT_OK(
-        RetrieveExtended(query, options, ctx, &result, &wide_answer));
+    VIEWAUTH_RETURN_NOT_OK(RetrieveExtended(query, options, ctx,
+                                            &result.data_stats, &raw_answer,
+                                            &wide_answer));
+  } else if (row_ids) {
+    VIEWAUTH_ASSIGN_OR_RETURN(
+        ids, EvaluateRowIds(query, *db_, &result.data_stats, ctx));
+    // Full access delivers A itself, so S builds it whole.
+    if (decision.full_access) {
+      result.answer = MaterializeRowIds(ids, query.targets(), answer_schema,
+                                        &result.data_stats, ctx);
+    }
   } else {
     VIEWAUTH_ASSIGN_OR_RETURN(
-        result.raw_answer, EvaluateData(query, *db_, "ANSWER", options,
-                                        &result.data_stats, ctx));
+        raw_answer, EvaluateCanonical(query, *db_, "ANSWER",
+                                      &result.data_stats, ctx));
   }
   stats.data_eval_micros += MicrosSince(start);
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
 
   if (decision.denied) {
-    result.answer = Relation(result.raw_answer.schema());
-    return result;
+    result.answer = Relation(answer_schema);
+  } else if (decision.full_access) {
+    // Delivered without accompanying permit statements.
+    if (!row_ids) result.answer = raw_answer;
+  } else {
+    start = SteadyClock::now();
+    // A compiled mask exists exactly under the vectorized plan.
+    if (row_ids) {
+      result.answer = ApplyWideMaskVectorized(
+          ids, query.targets(), *decision.compiled,
+          DeliveredColumns(query, /*wide=*/false), answer_schema,
+          options.drop_fully_masked_rows, ctx, &result.data_stats);
+    } else {
+      const Relation& rows =
+          options.extended_masks ? wide_answer : raw_answer;
+      const std::vector<int> target_columns =
+          DeliveredColumns(query, options.extended_masks);
+      result.answer =
+          decision.compiled != nullptr
+              ? ApplyWideMaskVectorized(rows, *decision.compiled,
+                                        target_columns, answer_schema,
+                                        options.drop_fully_masked_rows, ctx,
+                                        &result.data_stats)
+              : ApplyWideMask(rows, decision.mask, target_columns,
+                              answer_schema, options.drop_fully_masked_rows,
+                              ctx);
+    }
+    if (ctx != nullptr && !ctx->ok()) return ctx->status();
+    stats.mask_apply_micros += MicrosSince(start);
   }
-  if (decision.full_access) {
-    result.answer = result.raw_answer;
-    return result;  // delivered without accompanying permit statements
-  }
-
-  const Relation& rows =
-      options.extended_masks ? wide_answer : result.raw_answer;
-  const std::vector<int> target_columns =
-      DeliveredColumns(query, options.extended_masks);
-  start = SteadyClock::now();
-  // A compiled mask exists exactly under the vectorized plan.
-  result.answer =
-      decision.compiled != nullptr
-          ? ApplyWideMaskVectorized(rows, *decision.compiled, target_columns,
-                                    result.raw_answer.schema(),
-                                    options.drop_fully_masked_rows, ctx,
-                                    &result.data_stats)
-          : ApplyWideMask(rows, decision.mask, target_columns,
-                          result.raw_answer.schema(),
-                          options.drop_fully_masked_rows, ctx);
-  if (ctx != nullptr && !ctx->ok()) return ctx->status();
-  stats.mask_apply_micros += MicrosSince(start);
+  result.raw_answer =
+      row_ids ? RawAnswer(std::move(ids), query.targets(),
+                          std::move(answer_schema))
+              : RawAnswer(std::move(raw_answer));
   return result;
 }
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "algebra/evaluator.h"
+#include "algebra/vectorized.h"
 #include "authz/authz_cache.h"
 #include "authz/constant_class.h"
 #include "calculus/conjunctive_query.h"
@@ -146,12 +147,40 @@ struct MaskTrace {
   std::string ToString() const;
 };
 
+// The unmasked answer A. The vectorized plan keeps S's row ids and
+// builds the rows only on Materialize(); the canonical plan and the
+// extended-mask flow own the rows. Row ids point into the database S
+// ran against, so a handle must not outlive it: the engine drops it
+// before releasing its snapshot.
+class RawAnswer {
+ public:
+  RawAnswer() = default;
+  explicit RawAnswer(Relation rows) : rows_(std::move(rows)) {}
+  // `schema` names the columns of `targets`, the answer's projection.
+  RawAnswer(RowIdAnswer ids, std::vector<ColumnRef> targets,
+            RelationSchema schema)
+      : rows_(std::move(schema)),
+        ids_(std::move(ids)),
+        targets_(std::move(targets)) {}
+
+  int size() const {
+    return ids_.has_value() ? static_cast<int>(ids_->size()) : rows_.size();
+  }
+  // The rows, in S's order.
+  Relation Materialize() const;
+
+ private:
+  Relation rows_;  // the rows, or only their schema when ids_ is set
+  std::optional<RowIdAnswer> ids_;
+  std::vector<ColumnRef> targets_;
+};
+
 struct AuthorizationResult {
   // The delivered relation: requested structure, withheld cells NULL.
   Relation answer;
-  // The unmasked answer (diagnostics and experiments only; never shown
-  // to the requesting user by the engine front-end).
-  Relation raw_answer;
+  // The unmasked answer (audit counts, diagnostics and experiments only;
+  // never shown to the requesting user by the engine front-end).
+  RawAnswer raw_answer;
   // The decision the answer was masked by, shared with the cache. Set by
   // every successful Retrieve.
   std::shared_ptr<const Decision> decision;
@@ -246,14 +275,24 @@ class Authorizer {
                                 bool drop_fully_masked_rows,
                                 ExecContext* ctx = nullptr);
 
-  // Vectorized step 5 (options.use_optimized_data_plan): the answer is
-  // walked in column batches, each relevant mask tuple of the compiled
-  // mask runs its FilterBatch kernel over a selection vector, and only
-  // authorized (row, tuple) deliveries materialize. Row-for-row
-  // identical output to the interpretive functions above, and
-  // ApplyMaskVectorized is ApplyWideMaskVectorized with every column a
-  // target, as ApplyMask is ApplyWideMask. A non-null `stats` counts
-  // mask_batch_applies.
+  // Vectorized step 5 (options.use_optimized_data_plan), the one
+  // kernel: S's row-id rows are walked in column batches that gather
+  // mask column c as cell `columns[c]` of each row, each relevant mask
+  // tuple of the compiled mask runs its FilterBatch kernel over a
+  // selection vector, and only authorized (row, tuple) deliveries
+  // materialize. Row-for-row identical output to ApplyWideMask on the
+  // materialized rows. A non-null `stats` counts mask_batch_applies; a
+  // non-null `ctx` ticks per batch and stops masking once tripped, as
+  // for ApplyMask.
+  static Relation ApplyWideMaskVectorized(
+      const RowIdAnswer& rows, const std::vector<ColumnRef>& columns,
+      const CompiledMask& wide_mask, const std::vector<int>& target_columns,
+      const RelationSchema& answer_schema, bool drop_fully_masked_rows,
+      ExecContext* ctx = nullptr, EvalStats* stats = nullptr);
+  // The kernel over a materialized relation, viewed as a one-atom
+  // row-id answer (AllRowsOf). ApplyMaskVectorized is
+  // ApplyWideMaskVectorized with every column a target, as ApplyMask is
+  // ApplyWideMask.
   static Relation ApplyMaskVectorized(const Relation& answer,
                                       const CompiledMask& mask,
                                       bool drop_fully_masked_rows,
@@ -282,11 +321,11 @@ class Authorizer {
   // S for the extended-mask flow (options.extended_masks): evaluates the
   // answer before the final projection into `wide_answer`, so that mask
   // predicates over non-requested attributes can be tested per row, and
-  // projects the raw answer from it. (The standard flow's S is one call.)
+  // projects `raw_answer` from it. (The standard flow's S is one call.)
   Status RetrieveExtended(const ConjunctiveQuery& query,
                           const AuthorizationOptions& options,
-                          ExecContext* ctx, AuthorizationResult* result,
-                          Relation* wide_answer) const;
+                          ExecContext* ctx, EvalStats* stats,
+                          Relation* raw_answer, Relation* wide_answer) const;
 
   // The prepared meta-relation of each relation of a query, by name.
   using Operands = std::map<std::string, std::shared_ptr<const MetaRelation>>;

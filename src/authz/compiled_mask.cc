@@ -174,8 +174,8 @@ void CompiledMaskTuple::FilterBatch(ColumnBatch* batch,
     for (size_t g = 0; g < group_vars_.size(); ++g) {
       check.AddTermConst(
           group_vars_[g], Comparator::kEq,
-          batch->value(i, var_cols_flat_[static_cast<size_t>(
-                              group_begin_[g])]));
+          batch->column(var_cols_flat_[static_cast<size_t>(group_begin_[g])])
+              .value(i));
     }
     if (check.IsSatisfiable()) (*sel)[out++] = i;
   }

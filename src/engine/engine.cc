@@ -675,6 +675,9 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     bool all_denied = true;
     bool all_full = true;
     std::set<std::string> permit_texts;
+    // The union of the branches' unmasked answers, so that `withheld`
+    // counts rows the branches share once.
+    Relation raw_union;
     for (size_t i = 0; i <= stmt.or_branches.size(); ++i) {
       const std::vector<Condition>& branch =
           i == 0 ? stmt.conditions : stmt.or_branches[i - 1];
@@ -694,14 +697,15 @@ Result<AuthorizationResult> Engine::RunRetrieve(
       }
       if (i == 0) {
         merged->mask = branch_result.mask();
+        raw_union = branch_result.raw_answer.Materialize();
         result = std::move(branch_result);
         continue;
       }
       for (const Tuple& row : branch_result.answer) {
         result.answer.InsertUnchecked(row);
       }
-      for (const Tuple& row : branch_result.raw_answer) {
-        result.raw_answer.InsertUnchecked(row);
+      for (const Tuple& row : branch_result.raw_answer.Materialize()) {
+        raw_union.InsertUnchecked(row);
       }
       // Branch masks combine only when their column layouts agree; under
       // extended masks, branches over different relation sets carry
@@ -716,6 +720,7 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     result.full_access = merged->full_access = all_full;
     if (result.full_access) merged->permits.clear();
     result.decision = std::move(merged);
+    result.raw_answer = RawAnswer(std::move(raw_union));
   }
 
   AuditEntry audit;
@@ -739,9 +744,10 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     audit.withheld =
         std::max(0, result.raw_answer.size() - result.answer.size());
   }
-  // The unmasked rows are not handed out: free them here, on the thread
-  // that built them.
-  result.raw_answer = Relation();
+  // The unmasked answer is not handed out: drop it here, on the thread
+  // that built it, before the snapshot its row ids point into is
+  // released.
+  result.raw_answer = RawAnswer();
   audit_log_.Record(std::move(audit));
   return result;
 }

@@ -84,7 +84,8 @@ Result<ReplyPayload> Client::RoundTrip(FrameType type,
     Poison();
     return Status::Internal("unexpected frame type from server");
   }
-  VIEWAUTH_ASSIGN_OR_RETURN(ReplyPayload reply, DecodeReply(read->payload));
+  VIEWAUTH_ASSIGN_OR_RETURN(ReplyPayload reply,
+                            DecodeReply(std::move(read->payload)));
   if (reply.id != expect_id) {
     Poison();
     return Status::Internal("reply id " + std::to_string(reply.id) +

@@ -47,18 +47,47 @@ bool KnownType(uint8_t type) {
   return false;
 }
 
+// Appends the reply payload: header, then text.
+void AppendReply(const ReplyPayload& reply, std::string* out) {
+  PutU64(out, reply.id);
+  PutU32(out, static_cast<uint32_t>(reply.code));
+  out->append(reply.text);
+}
+
+// A frame's header placeholder and type byte, with room reserved for a
+// `payload_bytes`-byte payload appended in place.
+std::string StartFrame(FrameType type, size_t payload_bytes) {
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + 1 + payload_bytes);
+  frame.resize(kFrameHeaderBytes);
+  frame.push_back(static_cast<char>(type));
+  return frame;
+}
+
+// Fills in the header of a frame whose body is complete: the body's
+// length, and its CRC computed where it lies.
+void FinishFrame(std::string* frame) {
+  const std::string_view body =
+      std::string_view(*frame).substr(kFrameHeaderBytes);
+  std::string header;
+  PutU32(&header, static_cast<uint32_t>(body.size()));
+  PutU32(&header, Crc32(body));
+  frame->replace(0, kFrameHeaderBytes, header);
+}
+
 }  // namespace
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
-  std::string body;
-  body.reserve(1 + payload.size());
-  body.push_back(static_cast<char>(type));
-  body.append(payload);
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  PutU32(&frame, Crc32(body));
-  frame.append(body);
+  std::string frame = StartFrame(type, payload.size());
+  frame.append(payload);
+  FinishFrame(&frame);
+  return frame;
+}
+
+std::string EncodeReplyFrame(const ReplyPayload& reply) {
+  std::string frame = StartFrame(FrameType::kReply, 12 + reply.text.size());
+  AppendReply(reply, &frame);
+  FinishFrame(&frame);
   return frame;
 }
 
@@ -112,9 +141,11 @@ Result<Frame> ReadFrame(Socket& socket, uint32_t max_frame_bytes,
     return Status::InvalidArgument("unknown frame type byte " +
                                    std::to_string(type));
   }
+  // The payload stays in the buffer it was read into.
   Frame frame;
   frame.type = static_cast<FrameType>(type);
-  frame.payload = body.substr(1);
+  body.erase(0, 1);
+  frame.payload = std::move(body);
   return frame;
 }
 
@@ -141,20 +172,20 @@ Result<RequestPayload> DecodeRequest(std::string_view payload) {
 std::string EncodeReply(const ReplyPayload& reply) {
   std::string payload;
   payload.reserve(12 + reply.text.size());
-  PutU64(&payload, reply.id);
-  PutU32(&payload, static_cast<uint32_t>(reply.code));
-  payload.append(reply.text);
+  AppendReply(reply, &payload);
   return payload;
 }
 
-Result<ReplyPayload> DecodeReply(std::string_view payload) {
+Result<ReplyPayload> DecodeReply(std::string payload) {
   if (payload.size() < 12) {
     return Status::InvalidArgument("reply payload shorter than its header");
   }
   ReplyPayload reply;
   reply.id = GetU64(payload.data());
   reply.code = static_cast<int32_t>(GetU32(payload.data() + 8));
-  reply.text.assign(payload.substr(12));
+  // The text keeps the payload's buffer.
+  payload.erase(0, 12);
+  reply.text = std::move(payload);
   return reply;
 }
 

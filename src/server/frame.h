@@ -97,7 +97,12 @@ struct ReplyPayload {
 };
 
 std::string EncodeReply(const ReplyPayload& reply);
-Result<ReplyPayload> DecodeReply(std::string_view payload);
+// The whole reply frame, EncodeFrame(kReply, EncodeReply(reply)), built
+// in one buffer: the text is copied once.
+std::string EncodeReplyFrame(const ReplyPayload& reply);
+// The reply's text takes over the payload's buffer: pass an rvalue to
+// decode without copying.
+Result<ReplyPayload> DecodeReply(std::string payload);
 
 }  // namespace viewauth
 

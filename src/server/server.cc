@@ -135,8 +135,12 @@ void Server::ReapFinishedSessionsLocked() {
 
 bool Server::SendFrame(Session* session, FrameType type,
                        std::string_view payload) {
-  Status written = WriteFully(*session->socket, EncodeFrame(type, payload),
-                              options_.io_timeout_ms);
+  return SendEncoded(session, EncodeFrame(type, payload));
+}
+
+bool Server::SendEncoded(Session* session, std::string_view frame) {
+  Status written =
+      WriteFully(*session->socket, frame, options_.io_timeout_ms);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   if (written.ok()) {
     ++stats_.frames_out;
@@ -238,17 +242,18 @@ bool Server::HandleRequest(Session* session, const std::string& user,
       reply.text = outcome.status().message();
     }
   }
-  std::string payload = EncodeReply(reply);
-  if (payload.size() + 1 > options_.max_frame_bytes) {
+  std::string encoded = EncodeReplyFrame(reply);
+  const size_t body_bytes = encoded.size() - kFrameHeaderBytes;
+  if (body_bytes > options_.max_frame_bytes) {
     // The rendering outgrew the frame cap; deliver a structured error
     // instead of an unframeable reply.
     ReplyPayload too_large;
     too_large.id = reply.id;
     too_large.code = static_cast<int32_t>(StatusCode::kResourceExhausted);
-    too_large.text = "reply of " + std::to_string(payload.size()) +
+    too_large.text = "reply of " + std::to_string(body_bytes - 1) +
                      " bytes exceeds the frame cap; narrow the request";
     reply = std::move(too_large);
-    payload = EncodeReply(reply);
+    encoded = EncodeReplyFrame(reply);
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -261,7 +266,7 @@ bool Server::HandleRequest(Session* session, const std::string& user,
       }
     }
   }
-  return SendFrame(session, FrameType::kReply, payload);
+  return SendEncoded(session, encoded);
 }
 
 void Server::RunSession(Session* session) {
@@ -332,7 +337,7 @@ void Server::RunSession(Session* session) {
       ack.id = 0;
       ack.code = 0;
       ack.text = "hello " + user;
-      if (!SendFrame(session, FrameType::kReply, EncodeReply(ack))) break;
+      if (!SendEncoded(session, EncodeReplyFrame(ack))) break;
       continue;
     }
     if (frame.type == FrameType::kRequest) {
@@ -351,7 +356,7 @@ void Server::RunSession(Session* session) {
       }
       reply.code = 0;
       reply.text = StatsReport();
-      if (!SendFrame(session, FrameType::kReply, EncodeReply(reply))) break;
+      if (!SendEncoded(session, EncodeReplyFrame(reply))) break;
       continue;
     }
     if (frame.type == FrameType::kGoodbye) break;

@@ -145,6 +145,8 @@ class Server {
   // Best-effort framed send under the io timeout; a failure or timeout
   // marks the connection for eviction.
   bool SendFrame(Session* session, FrameType type, std::string_view payload);
+  // SendFrame for a frame already encoded (EncodeReplyFrame).
+  bool SendEncoded(Session* session, std::string_view frame);
   void ReapFinishedSessionsLocked();
 
   Engine* engine_;

@@ -1,5 +1,7 @@
 #include "storage/column_batch.h"
 
+#include "storage/relation.h"
+
 namespace viewauth {
 
 namespace {
@@ -79,15 +81,25 @@ void ColumnVector::Classify() {
   }
 }
 
-void ColumnBatch::Reset(std::span<const Tuple> rows, int arity) {
-  rows_ = rows;
-  columns_.resize(static_cast<size_t>(arity));
-  gathered_.assign(static_cast<size_t>(arity), 0);
+void ColumnBatch::Reset(std::span<const ColumnSource> sources,
+                        const uint32_t* ids, size_t count, int stride) {
+  sources_ = sources;
+  ids_ = ids;
+  count_ = count;
+  stride_ = static_cast<size_t>(stride);
+  columns_.resize(sources.size());
+  gathered_.assign(sources.size(), 0);
 }
 
 const ColumnVector& ColumnBatch::column(int col) {
   if (gathered_[col] == 0) {
-    columns_[col].Gather(rows_, col);
+    const ColumnSource& source = sources_[static_cast<size_t>(col)];
+    const Relation& rel = *source.rel;
+    const uint32_t* ids = ids_ + source.slot;
+    const size_t stride = stride_;
+    columns_[col].Gather(count_, source.attr, [&](size_t i) -> const Tuple& {
+      return rel.row(ids[i * stride]);
+    });
     gathered_[col] = 1;
   }
   return columns_[col];

@@ -1,8 +1,10 @@
 // Columnar batches for the vectorized data plan (DESIGN.md §17).
 //
-// A ColumnBatch is a window of up to kColumnBatchRows contiguous rows —
-// one chunk of a Relation (storage/relation.h) — with lazy per-column
-// gathering into ColumnVectors. A ColumnVector classifies the gathered
+// A ColumnBatch is a window of up to kColumnBatchRows rows of the
+// vectorized plan's row ids (algebra/vectorized.h), with lazy
+// per-column gathering into ColumnVectors: each batch column reads one
+// attribute of one base relation through the (relation, row id)
+// indirection. A ColumnVector classifies the gathered
 // window: when every cell is non-null and of one concrete type it
 // exposes a flat typed array (int64_t / double / const std::string*)
 // that the predicate kernels below iterate with branch-light,
@@ -84,25 +86,35 @@ class ColumnVector {
   std::vector<const std::string*> str_;
 };
 
-// A window of contiguous rows with per-column lazily gathered
-// ColumnVectors. Reusable: Reset keeps column capacity across batches.
+class Relation;
+
+// Where a batch column's cells live: attribute `attr` of the row of
+// `rel` whose id sits in slot `slot` of each row-id row.
+struct ColumnSource {
+  const Relation* rel = nullptr;
+  int slot = 0;
+  int attr = 0;
+};
+
+// A window of row-id rows with per-column lazily gathered
+// ColumnVectors; column c holds the cells sources[c] names. Reusable:
+// Reset keeps column capacity across batches.
 class ColumnBatch {
  public:
-  // Window over `rows` (which must outlive the batch's use).
-  void Reset(std::span<const Tuple> rows, int arity);
-
-  size_t size() const { return rows_.size(); }
-  const Tuple& row(size_t i) const { return rows_[i]; }
+  // Window of `count` rows whose ids start at `ids`, `stride` ids per
+  // row. `sources`, `ids` and the relations must outlive the batch's
+  // use.
+  void Reset(std::span<const ColumnSource> sources, const uint32_t* ids,
+             size_t count, int stride);
 
   // Column `col`, gathered on first access per Reset.
   const ColumnVector& column(int col);
-  // Boxed cell access without forcing a gather of the whole column.
-  const Value& value(size_t i, int col) const {
-    return row(i).values()[col];
-  }
 
  private:
-  std::span<const Tuple> rows_;
+  std::span<const ColumnSource> sources_;
+  const uint32_t* ids_ = nullptr;
+  size_t count_ = 0;
+  size_t stride_ = 1;
   std::vector<ColumnVector> columns_;
   std::vector<char> gathered_;
 };

@@ -12,6 +12,7 @@ const ColumnVector& ChunkImages::ColumnOn(std::span<const Tuple> rows,
   if (it == columns_.end()) {
     it = columns_.emplace(column, ColumnVector()).first;
     it->second.Gather(rows, column);
+    built_.store(true, std::memory_order_release);
   }
   return it->second;
 }
@@ -35,14 +36,19 @@ const OrderedIndex& ChunkImages::OrderedIndexOn(std::span<const Tuple> rows,
                 return a.second < b.second;
               });
     it = ordered_.emplace(column, std::move(built)).first;
+    built_.store(true, std::memory_order_release);
   }
   return it->second;
 }
 
 void ChunkImages::Clear() {
+  // Builders are readers, and readers exclude writers, so no image can
+  // appear between this check and the clear.
+  if (!built_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(mutex_);
   columns_.clear();
   ordered_.clear();
+  built_.store(false, std::memory_order_release);
 }
 
 Relation::Relation(const Relation& other)
@@ -118,12 +124,11 @@ Status Relation::ValidateTuple(const Tuple& tuple) const {
 
 size_t Relation::IdentityHash(const Tuple& tuple) const {
   if (!KeyedIdentity(tuple)) return tuple.Hash();
-  // Tuple::Hash's combine over the key columns, without projecting.
-  size_t h = 0x345678;
-  for (int c : schema_.key()) {
-    h = h * 1000003 ^ tuple.values()[static_cast<size_t>(c)].Hash();
-  }
-  return h;
+  // The key projection's hash, without projecting.
+  const std::vector<int>& key = schema_.key();
+  return HashCells(key.size(), [&](size_t i) -> const Value& {
+    return tuple.values()[static_cast<size_t>(key[i])];
+  });
 }
 
 bool Relation::SameIdentity(const Tuple& a, const Tuple& b) const {

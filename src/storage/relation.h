@@ -45,10 +45,14 @@ class ChunkImages {
  public:
   const ColumnVector& ColumnOn(std::span<const Tuple> rows, int column);
   const OrderedIndex& OrderedIndexOn(std::span<const Tuple> rows, int column);
+  // Drops every image. Costs one atomic load when none was built, so a
+  // writer may call it on every append.
   void Clear();
 
  private:
   std::mutex mutex_;
+  // Set under `mutex_` when an image is built, reset by Clear.
+  std::atomic<bool> built_{false};
   std::map<int, ColumnVector> columns_;
   std::map<int, OrderedIndex> ordered_;
 };

@@ -31,11 +31,8 @@ bool Tuple::operator<(const Tuple& other) const {
 }
 
 size_t Tuple::Hash() const {
-  size_t h = 0x345678;
-  for (const Value& v : values_) {
-    h = h * 1000003 ^ v.Hash();
-  }
-  return h;
+  return HashCells(values_.size(),
+                   [this](size_t i) -> const Value& { return values_[i]; });
 }
 
 std::string Tuple::ToString() const {

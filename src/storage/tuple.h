@@ -46,6 +46,15 @@ class Tuple {
   std::vector<Value> values_;
 };
 
+// Tuple::Hash of the tuple whose i-th cell is `cell(i)`, i < n, without
+// building it.
+template <typename Cell>
+size_t HashCells(size_t n, Cell cell) {
+  size_t h = 0x345678;
+  for (size_t i = 0; i < n; ++i) h = h * 1000003 ^ cell(i).Hash();
+  return h;
+}
+
 struct TupleHash {
   size_t operator()(const Tuple& t) const { return t.Hash(); }
 };

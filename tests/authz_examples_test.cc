@@ -136,7 +136,7 @@ TEST(PaperExamples, Example3BrownSameTitlePairs) {
   // Every employee matches only itself (all titles unique): 3 rows, none
   // masked.
   EXPECT_EQ(result->answer.size(), 3);
-  EXPECT_TRUE(result->answer.SameTuples(result->raw_answer));
+  EXPECT_TRUE(result->answer.SameTuples(result->raw_answer.Materialize()));
   EXPECT_TRUE(result->answer.Contains(
       Tuple({Value::String("Jones"), Value::Int64(26000),
              Value::String("Jones"), Value::Int64(26000)})));

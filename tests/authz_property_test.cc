@@ -294,7 +294,7 @@ TEST_P(AuthzPropertyTest, MaskedIsSubsetOfRaw) {
     ASSERT_TRUE(result.ok());
     for (const Tuple& row : result->answer) {
       bool matched = false;
-      for (const Tuple& raw : result->raw_answer) {
+      for (const Tuple& raw : result->raw_answer.Materialize()) {
         bool compatible = true;
         for (int i = 0; i < row.arity(); ++i) {
           if (!row.at(i).is_null() && !(row.at(i) == raw.at(i))) {

@@ -34,6 +34,8 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/evaluator.h"
+#include "algebra/vectorized.h"
 #include "authz/authorizer.h"
 #include "authz/authz_cache.h"
 #include "authz/constant_class.h"
@@ -76,7 +78,7 @@ Observed Summarize(const AuthorizationResult& result) {
   o.denied = result.denied;
   o.full_access = result.full_access;
   o.answer = result.answer.SortedRows();
-  o.raw_answer = result.raw_answer.SortedRows();
+  o.raw_answer = result.raw_answer.Materialize().SortedRows();
   for (const MetaTuple& tuple : result.mask().tuples()) {
     o.mask_keys.push_back(tuple.StructuralKey(/*include_provenance=*/false));
   }
@@ -188,6 +190,20 @@ struct ScenarioSetup {
     return ::testing::AssertionFailure()
            << "fast retrieve failed: "
            << (cold.ok() ? warm.status() : cold.status());
+  }
+  // S on row ids, materialized, is the canonical plan's answer.
+  auto ids = EvaluateRowIds(query, *setup.db);
+  auto canonical_rows = EvaluateCanonical(query, *setup.db);
+  if (!ids.ok() || !canonical_rows.ok()) {
+    return ::testing::AssertionFailure()
+           << "S failed on " << query.ToString() << ": "
+           << (ids.ok() ? canonical_rows.status() : ids.status());
+  }
+  if (MaterializeRowIds(*ids, query.targets(), canonical_rows->schema())
+          .SortedRows() != canonical_rows->SortedRows()) {
+    return ::testing::AssertionFailure()
+           << "row-id S diverged from the canonical plan on "
+           << query.ToString();
   }
   const AuthzStats stats = cache.Snapshot();
   if (stats.mask_hits < 1) {

@@ -110,5 +110,21 @@ TEST_F(DisjunctiveRetrieveTest, DuplicateRowsCollapse) {
   EXPECT_EQ(out->answer.size(), 3);
 }
 
+TEST_F(DisjunctiveRetrieveTest, AuditCountsOverlappingBranchesOnce) {
+  // Both branches hold Jones and Smith; the unmasked union is all three
+  // employees. CHEAP delivers Smith alone, so two rows are withheld, not
+  // the four a per-branch count would give.
+  ASSERT_TRUE(engine_
+                  .Execute("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) "
+                           "where EMPLOYEE.SALARY > 20000 "
+                           "or EMPLOYEE.SALARY < 30000 as clerk")
+                  .ok());
+  const AuditLog& log = engine_.audit_log();
+  ASSERT_EQ(log.size(), 1);
+  EXPECT_EQ(log.entries()[0].outcome, AuditOutcome::kPartial);
+  EXPECT_EQ(log.entries()[0].affected, 1);
+  EXPECT_EQ(log.entries()[0].withheld, 2);
+}
+
 }  // namespace
 }  // namespace viewauth

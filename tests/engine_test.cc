@@ -61,7 +61,7 @@ TEST_F(EngineTest, RetrieveMasksAndDescribes) {
   EXPECT_FALSE(result->full_access);
   EXPECT_EQ(result->answer.size(), 2);
   // The engine hands out no unmasked rows, titles included.
-  EXPECT_TRUE(result->raw_answer.empty());
+  EXPECT_EQ(result->raw_answer.size(), 0);
 }
 
 TEST_F(EngineTest, RetrieveFullAccessHasNoPermits) {
@@ -82,7 +82,7 @@ TEST_F(EngineTest, RetrieveDenied) {
   auto result = engine_.Retrieve(query);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->denied);
-  EXPECT_TRUE(result->raw_answer.empty());
+  EXPECT_EQ(result->raw_answer.size(), 0);
 }
 
 TEST_F(EngineTest, RetrieveRejectsOtherStatements) {

@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +66,41 @@ std::vector<Tuple> RandomRows(std::mt19937& rng, size_t n, bool uniform) {
   return rows;
 }
 
+// A batch over every row of a relation, batch column c reading
+// attribute c.
+class WholeRelationBatch {
+ public:
+  explicit WholeRelationBatch(const Relation& rel) : rows_(AllRowsOf(rel)) {
+    for (int c = 0; c < rel.schema().arity(); ++c) {
+      sources_.push_back(ColumnSource{&rel, 0, c});
+    }
+    batch_.Reset(sources_, rows_.ids.data(), rows_.size(), rows_.stride);
+  }
+  WholeRelationBatch(const WholeRelationBatch&) = delete;
+  WholeRelationBatch& operator=(const WholeRelationBatch&) = delete;
+  ColumnBatch& batch() { return batch_; }
+
+ private:
+  RowIdAnswer rows_;
+  std::vector<ColumnSource> sources_;
+  ColumnBatch batch_;
+};
+
+// `rows` (two cells each) as a relation with a third column holding the
+// row's ordinal, so equal rows stay distinct.
+Relation TaggedRelation(const std::vector<Tuple>& rows) {
+  Relation rel(RelationSchema::Make("ROWS", {{"A", ValueType::kInt64},
+                                             {"B", ValueType::kInt64},
+                                             {"ORD", ValueType::kInt64}})
+                   .value());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<Value> values = rows[i].values();
+    values.push_back(Value::Int64(static_cast<int64_t>(i)));
+    rel.AppendDistinct(Tuple(std::move(values)));
+  }
+  return rel;
+}
+
 TEST(ColumnBatchKernels, AgreeWithSatisfiesOnRandomWindows) {
   const Comparator ops[] = {Comparator::kEq, Comparator::kNe,
                             Comparator::kLt, Comparator::kLe,
@@ -74,8 +109,9 @@ TEST(ColumnBatchKernels, AgreeWithSatisfiesOnRandomWindows) {
   for (int trial = 0; trial < 40; ++trial) {
     const bool uniform = trial % 2 == 0;
     const std::vector<Tuple> rows = RandomRows(rng, 64, uniform);
-    ColumnBatch batch;
-    batch.Reset(rows, /*arity=*/2);
+    const Relation rel = TaggedRelation(rows);
+    WholeRelationBatch whole(rel);
+    ColumnBatch& batch = whole.batch();
     const Value rhs_const = RandomValue(rng);
     for (Comparator op : ops) {
       // Column-vs-constant.
@@ -117,13 +153,14 @@ TEST(ColumnBatchKernels, AgreeWithSatisfiesOnRandomWindows) {
 TEST(ColumnBatchKernels, NullConstantClearsSelection) {
   // NULL never satisfies any comparator, so a NULL rhs empties the
   // selection wholesale.
-  const std::vector<Tuple> rows = {Tuple({Value::Int64(1)}),
-                                   Tuple({Value::Null()})};
-  ColumnBatch batch;
-  batch.Reset(rows, /*arity=*/1);
+  const std::vector<Tuple> rows = {Tuple({Value::Int64(1), Value::Null()}),
+                                   Tuple({Value::Null(), Value::Null()})};
+  const Relation rel = TaggedRelation(rows);
+  WholeRelationBatch whole(rel);
   std::vector<uint32_t> sel;
   ResetSelection(&sel, rows.size());
-  FilterColumnConst(batch.column(0), Comparator::kEq, Value::Null(), &sel);
+  FilterColumnConst(whole.batch().column(0), Comparator::kEq, Value::Null(),
+                    &sel);
   EXPECT_TRUE(sel.empty());
 }
 
@@ -573,19 +610,16 @@ TEST(MaskBatch, FilterBatchAgreesWithSatisfiesOnPaperMasks) {
       auto answer = EvaluateVectorized(query, fixture.db());
       ASSERT_TRUE(answer.ok()) << text;
       const CompiledMask compiled = CompiledMask::Compile(*mask);
-      // The paper's answers fit one chunk, which is one batch.
-      ASSERT_LE(answer->num_chunks(), 1) << text;
-      const std::span<const Tuple> rows =
-          answer->empty() ? std::span<const Tuple>() : answer->chunk(0);
-      ColumnBatch batch;
-      batch.Reset(rows, answer->schema().arity());
+      // The paper's answers fit one batch.
+      ASSERT_LE(answer->size(), static_cast<int>(kColumnBatchRows)) << text;
+      WholeRelationBatch whole(*answer);
       for (size_t t = 0; t < compiled.tuples.size(); ++t) {
         std::vector<uint32_t> sel;
-        ResetSelection(&sel, rows.size());
-        compiled.tuples[t].FilterBatch(&batch, &sel);
+        ResetSelection(&sel, static_cast<size_t>(answer->size()));
+        compiled.tuples[t].FilterBatch(&whole.batch(), &sel);
         std::vector<uint32_t> want;
-        for (uint32_t i = 0; i < rows.size(); ++i) {
-          if (compiled.tuples[t].Satisfies(rows[i])) {
+        for (RowId i = 0; i < static_cast<RowId>(answer->size()); ++i) {
+          if (compiled.tuples[t].Satisfies(answer->row(i))) {
             want.push_back(i);
           }
         }
@@ -662,6 +696,149 @@ TEST(MaskBatch, CanonicalPlanNeverCompilesAMask) {
     EXPECT_EQ(want->answer.SortedRows(), got->answer.SortedRows())
         << "extended=" << extended;
   }
+}
+
+// ---------------------------------------------------------------------
+// Step 5 over row ids: the one vectorized kernel, fed S's row ids,
+// against the interpretive ApplyWideMask on the materialized raw answer
+// — same rows, same delivery order — across batch windows, joins,
+// self-joins, duplicate projections, NULL cells and both settings of
+// drop_fully_masked_rows.
+// ---------------------------------------------------------------------
+
+// The paper's database grown past one batch: 1,300 more employees over
+// 100 titles, every seventh salary NULL, each assigned to one project.
+void GrowPaperDatabase(PaperDatabase* fixture) {
+  const char* projects[] = {"bq-45", "sv-72", "vg-13"};
+  for (int i = 0; i < 1300; ++i) {
+    const std::string name = "E" + std::to_string(i);
+    const Value salary =
+        i % 7 == 0 ? Value::Null() : Value::Int64(20000 + (i * 37) % 15000);
+    ASSERT_TRUE(fixture->db()
+                    .Insert("EMPLOYEE",
+                            Tuple({Value::String(name),
+                                   Value::String("t" + std::to_string(i % 100)),
+                                   salary}))
+                    .ok());
+    ASSERT_TRUE(fixture->db()
+                    .Insert("ASSIGNMENT", Tuple({Value::String(name),
+                                                 Value::String(projects[i % 3])}))
+                    .ok());
+  }
+}
+
+constexpr const char* kRowIdQueries[] = {
+    // One atom, NULL salaries.
+    "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE, EMPLOYEE.SALARY)",
+    // Not distinct: equal (title, salary) pairs, NULLs among them.
+    "retrieve (EMPLOYEE.TITLE, EMPLOYEE.SALARY)",
+    // A three-atom join, and one whose projection is not distinct.
+    "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY, PROJECT.NUMBER, "
+    "PROJECT.BUDGET) where EMPLOYEE.NAME = ASSIGNMENT.E_NAME "
+    "and ASSIGNMENT.P_NO = PROJECT.NUMBER",
+    "retrieve (EMPLOYEE.TITLE, PROJECT.NUMBER) "
+    "where EMPLOYEE.NAME = ASSIGNMENT.E_NAME "
+    "and ASSIGNMENT.P_NO = PROJECT.NUMBER",
+    // A self-join.
+    "retrieve (EMPLOYEE:1.NAME, EMPLOYEE:2.NAME, EMPLOYEE:1.TITLE) "
+    "where EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE",
+};
+
+TEST(RowIdMask, KernelMatchesApplyWideMaskRowForRow) {
+  PaperDatabase fixture;
+  GrowPaperDatabase(&fixture);
+  Authorizer authorizer = fixture.MakeAuthorizer();
+  int delivering_runs = 0;
+  for (const char* text : kRowIdQueries) {
+    ConjunctiveQuery query = fixture.Query(text);
+    auto ids = EvaluateRowIds(query, fixture.db());
+    ASSERT_TRUE(ids.ok()) << text;
+    const RelationSchema schema = query.OutputSchema("ANSWER").value();
+    const Relation raw = MaterializeRowIds(*ids, query.targets(), schema);
+    std::vector<int> all(query.targets().size());
+    std::iota(all.begin(), all.end(), 0);
+    for (const char* user : {"Brown", "Klein"}) {
+      auto mask = authorizer.DeriveMask(user, query);
+      ASSERT_TRUE(mask.ok()) << text;
+      const CompiledMask compiled = CompiledMask::Compile(*mask);
+      for (const bool drop : {true, false}) {
+        const Relation want =
+            Authorizer::ApplyWideMask(raw, *mask, all, schema, drop);
+        const Relation got = Authorizer::ApplyWideMaskVectorized(
+            *ids, query.targets(), compiled, all, schema, drop);
+        ASSERT_EQ(want.size(), got.size())
+            << text << " user=" << user << " drop=" << drop;
+        for (RowId i = 0; i < static_cast<RowId>(want.size()); ++i) {
+          ASSERT_TRUE(want.row(i) == got.row(i))
+              << text << " user=" << user << " drop=" << drop << " row "
+              << i << ": " << want.row(i).ToString() << " vs "
+              << got.row(i).ToString();
+        }
+        if (want.size() > static_cast<int>(kColumnBatchRows)) {
+          ++delivering_runs;
+        }
+      }
+    }
+  }
+  // Several runs deliver more than one batch of rows.
+  EXPECT_GE(delivering_runs, 4);
+}
+
+TEST(RowIdMask, DuplicateProjectionsAreDeliveredOnce) {
+  PaperDatabase fixture;
+  GrowPaperDatabase(&fixture);
+  // 1,303 employees, 103 titles.
+  ConjunctiveQuery query = fixture.Query("retrieve (EMPLOYEE.TITLE)");
+  ASSERT_FALSE(query.ProjectsDistinctRows());
+  auto ids = EvaluateRowIds(query, fixture.db());
+  ASSERT_TRUE(ids.ok());
+  EXPECT_EQ(ids->size(), 103u);
+  auto canonical = EvaluateCanonical(query, fixture.db());
+  ASSERT_TRUE(canonical.ok());
+  EXPECT_EQ(static_cast<int>(ids->size()), canonical->size());
+
+  // Through the authorizer: the raw answer counts each title once, and
+  // materializes to exactly EvaluateVectorized's rows, in order.
+  Authorizer authorizer = fixture.MakeAuthorizer();
+  auto result = authorizer.Retrieve("Klein", query);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->raw_answer.size(), 103);
+  const Relation raw = result->raw_answer.Materialize();
+  auto vectorized = EvaluateVectorized(query, fixture.db());
+  ASSERT_TRUE(vectorized.ok());
+  ASSERT_EQ(raw.size(), vectorized->size());
+  for (RowId i = 0; i < static_cast<RowId>(raw.size()); ++i) {
+    EXPECT_TRUE(raw.row(i) == vectorized->row(i)) << "row " << i;
+  }
+  EXPECT_EQ(raw.SortedRows(), canonical->SortedRows());
+}
+
+TEST(RowIdMask, GovernorTripMidKernelDeliversNothing) {
+  PaperDatabase fixture;
+  GrowPaperDatabase(&fixture);
+  AuthzCache cache;
+  Authorizer authorizer(&fixture.db(), &fixture.catalog(), &cache);
+  // Brown's grants cover this query partially, so step 5 runs the
+  // kernel over all 1,303 rows.
+  ConjunctiveQuery query = fixture.Query(
+      "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE, EMPLOYEE.SALARY)");
+  auto warm = authorizer.Retrieve("Brown", query);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_FALSE(warm->full_access);
+  ASSERT_FALSE(warm->denied);
+
+  // The budget covers S's scan, and not the kernel's first batch.
+  ExecContext s_only(ExecLimits{/*deadline_ms=*/0, /*max_rows=*/1LL << 40,
+                                /*max_bytes=*/0});
+  ASSERT_TRUE(EvaluateRowIds(query, fixture.db(), nullptr, &s_only).ok());
+  const long long s_rows = s_only.rows_charged();
+  ASSERT_GT(s_rows, 0);
+  ExecContext ctx(ExecLimits{/*deadline_ms=*/0, /*max_rows=*/s_rows + 500,
+                             /*max_bytes=*/0});
+  auto tripped = authorizer.Retrieve("Brown", query, {}, &ctx);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(ctx.rows_charged(), s_rows);  // S finished; step 5 tripped
 }
 
 // ---------------------------------------------------------------------
