@@ -1,10 +1,12 @@
 // PERF-4: mask application cost versus answer size — the production
-// step 5, a compiled mask applied batch-at-a-time
-// (Authorizer::ApplyMaskVectorized) — and the cost of the self-join
-// precomputation the paper suggests caching "with the original view
-// definitions".
+// step 5, the row-id kernel (Authorizer::ApplyWideMaskVectorized over
+// S's row ids) writing the delivered cells into column images — and the
+// cost of the self-join precomputation the paper suggests caching "with
+// the original view definitions".
 
 #include <benchmark/benchmark.h>
+
+#include <numeric>
 
 #include "algebra/vectorized.h"
 #include "authz/compiled_mask.h"
@@ -16,25 +18,52 @@ namespace {
 
 using bench_util::MakeWorkload;
 
-void BM_ApplyMask(benchmark::State& state) {
-  auto w = MakeWorkload(/*relations=*/1,
-                        /*rows=*/static_cast<int>(state.range(0)),
-                        /*views_per_relation=*/3);
-  ConjunctiveQuery query = w->Query("retrieve (R0.KEY, R0.A, R0.C)");
+// Times step 5 as RetrieveGoverned runs it on partial access: S's row
+// ids for `retrieve_text`, masked by the compiled mask of user u.
+void RunKernel(benchmark::State& state, bench_util::Workload* w,
+               const std::string& retrieve_text) {
+  ConjunctiveQuery query = w->Query(retrieve_text);
   auto mask = w->authorizer->DeriveMask("u", query);
   VIEWAUTH_CHECK(mask.ok());
-  auto answer = EvaluateVectorized(query, w->db);
-  VIEWAUTH_CHECK(answer.ok());
+  auto ids = EvaluateRowIds(query, w->db);
+  VIEWAUTH_CHECK(ids.ok());
+  const RelationSchema schema = query.OutputSchema("ANSWER").value();
+  std::vector<int> delivered(query.targets().size());
+  std::iota(delivered.begin(), delivered.end(), 0);
   const CompiledMask compiled = CompiledMask::Compile(*mask);
+  int rows = 0;
   for (auto _ : state) {
-    Relation masked = Authorizer::ApplyMaskVectorized(
-        *answer, compiled, /*drop_fully_masked_rows=*/true);
+    ColumnAnswer masked = Authorizer::ApplyWideMaskVectorized(
+        *ids, query.targets(), compiled, delivered, schema,
+        /*drop_fully_masked_rows=*/true);
+    rows = masked.size();
     benchmark::DoNotOptimize(masked);
   }
   state.counters["rows"] = static_cast<double>(state.range(0));
+  state.counters["delivered"] = rows;
   state.counters["mask_tuples"] = mask->size();
 }
-BENCHMARK(BM_ApplyMask)->RangeMultiplier(4)->Range(64, 16384);
+
+// Full pattern: every mask tuple projects every requested column, so
+// each delivered row is its S row and the kernel's rule path skips the
+// duplicate filter. Three solver-backed tuples (A >= 0, 50, 100).
+void BM_ApplyMaskFullPattern(benchmark::State& state) {
+  auto w = MakeWorkload(/*relations=*/1,
+                        /*rows=*/static_cast<int>(state.range(0)),
+                        /*views_per_relation=*/3);
+  RunKernel(state, w.get(), "retrieve (R0.KEY, R0.A, R0.B)");
+}
+BENCHMARK(BM_ApplyMaskFullPattern)->RangeMultiplier(4)->Range(64, 16384);
+
+// Partial pattern: no view grants C, so every delivered row withholds a
+// cell and the kernel's hash path filters duplicates.
+void BM_ApplyMaskPartialPattern(benchmark::State& state) {
+  auto w = MakeWorkload(/*relations=*/1,
+                        /*rows=*/static_cast<int>(state.range(0)),
+                        /*views_per_relation=*/3);
+  RunKernel(state, w.get(), "retrieve (R0.KEY, R0.A, R0.C)");
+}
+BENCHMARK(BM_ApplyMaskPartialPattern)->RangeMultiplier(4)->Range(64, 16384);
 
 void BM_ApplyMaskConstantOnly(benchmark::State& state) {
   // A mask of constant/blank cells only runs constant-comparison kernels
@@ -50,18 +79,7 @@ void BM_ApplyMaskConstantOnly(benchmark::State& state) {
   VIEWAUTH_CHECK(stmt.ok());
   VIEWAUTH_CHECK(w->catalog->DefineView(std::get<ViewStmt>(*stmt)).ok());
   VIEWAUTH_CHECK(w->catalog->Permit("CONSTV", "u").ok());
-  ConjunctiveQuery query = w->Query("retrieve (R0.KEY, R0.A, R0.B)");
-  auto mask = w->authorizer->DeriveMask("u", query);
-  VIEWAUTH_CHECK(mask.ok());
-  auto answer = EvaluateVectorized(query, w->db);
-  VIEWAUTH_CHECK(answer.ok());
-  const CompiledMask compiled = CompiledMask::Compile(*mask);
-  for (auto _ : state) {
-    Relation masked = Authorizer::ApplyMaskVectorized(
-        *answer, compiled, /*drop_fully_masked_rows=*/true);
-    benchmark::DoNotOptimize(masked);
-  }
-  state.counters["rows"] = static_cast<double>(state.range(0));
+  RunKernel(state, w.get(), "retrieve (R0.KEY, R0.A, R0.B)");
 }
 BENCHMARK(BM_ApplyMaskConstantOnly)->RangeMultiplier(4)->Range(64, 16384);
 

@@ -91,7 +91,7 @@ int main() {
   std::cout << "[Motro] (NAME, TITLE, SALARY):\n"
             << PrintRelation(reduced->answer) << "\n";
   bool salary_masked = !reduced->denied && reduced->answer.size() == 2;
-  for (const Tuple& row : reduced->answer) {
+  for (const Tuple& row : reduced->answer.Materialize()) {
     if (!row.at(2).is_null()) salary_masked = false;
   }
   checker.Check("Motro reduces it to (NAME, TITLE) with SALARY masked",

@@ -83,7 +83,7 @@ int main() {
     return 1;
   }
   bool names_only = reduced->answer.size() > 0;
-  for (const Tuple& row : reduced->answer) {
+  for (const Tuple& row : reduced->answer.Materialize()) {
     if (row.at(0).is_null() || !row.at(1).is_null()) names_only = false;
   }
   checker.Check("Motro model reduces it to names", names_only);

@@ -38,15 +38,15 @@ int main() {
   std::cout << exp::Render(*all) << "\n";
   const AuthorizationResult* result = &*all;
   checker.Check("union delivered (Smith via salary, Jones via title)",
-                result->answer.Contains(Tuple({Value::String("Smith"),
-                                               Value::String("technician"),
-                                               Value::Int64(22000)})) &&
-                    result->answer.Contains(
+                result->answer.Materialize().Contains(
+                    Tuple({Value::String("Smith"), Value::String("technician"),
+                           Value::Int64(22000)})) &&
+                    result->answer.Materialize().Contains(
                         Tuple({Value::String("Jones"),
                                Value::String("manager"),
                                Value::Int64(26000)})));
   bool brown_absent = true;
-  for (const Tuple& row : result->answer) {
+  for (const Tuple& row : result->answer.Materialize()) {
     if (row.at(0) == Value::String("Brown")) brown_absent = false;
   }
   checker.Check("rows outside every branch stay hidden", brown_absent);

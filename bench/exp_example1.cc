@@ -50,8 +50,8 @@ int main() {
                   2);
   checker.CheckEq("delivered rows (Acme only)", result->answer.size(), 1);
   checker.Check("delivered row is (bq-45, Acme)",
-                result->answer.Contains(Tuple({Value::String("bq-45"),
-                                               Value::String("Acme")})));
+                result->answer.Materialize().Contains(
+                    Tuple({Value::String("bq-45"), Value::String("Acme")})));
   checker.CheckEq("inferred permit count", result->permits().size(), 1u);
   if (!result->permits().empty()) {
     checker.CheckEq("inferred permit text", result->permits()[0].ToString(),

@@ -77,7 +77,8 @@ int main() {
     auto delivered_opt = authorizer.Retrieve(user, query);
     auto delivered_can = authorizer.Retrieve(user, query, via_canonical);
     if (delivered_opt.ok() && delivered_can.ok() &&
-        delivered_opt->answer.SameTuples(delivered_can->answer)) {
+        delivered_opt->answer.Materialize().SameTuples(
+            delivered_can->answer.Materialize())) {
       ++delivery_agrees;
     }
   }

@@ -160,7 +160,7 @@ int main() {
     ++scenarios_run;
 
     const Relation* base = db.GetRelation("R").value();
-    for (const Tuple& answer_row : result->answer) {
+    for (const Tuple& answer_row : result->answer.Materialize()) {
       for (size_t i = 0; i < target_columns.size(); ++i) {
         if (answer_row.at(static_cast<int>(i)).is_null()) continue;
         ++cells_checked;
@@ -299,7 +299,7 @@ int main() {
       }
     }
     if (!result->full_access) ++full_access_missed;
-    if (!result->answer.SameTuples(expected)) ++join_mismatches;
+    if (!result->answer.Materialize().SameTuples(expected)) ++join_mismatches;
   }
   std::cout << "join scenarios:          " << join_scenarios << "\n"
             << "delivery mismatches:     " << join_mismatches << "\n"

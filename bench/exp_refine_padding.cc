@@ -52,7 +52,7 @@ int main() {
     checker.CheckEq("with padding: two masked rows",
                     with_padding->answer.size(), 2);
     bool audit_masked = true;
-    for (const Tuple& row : with_padding->answer) {
+    for (const Tuple& row : with_padding->answer.Materialize()) {
       if (!row.at(2).is_null()) audit_masked = false;
     }
     checker.Check("with padding: AUDIT.DEPT column masked", audit_masked);

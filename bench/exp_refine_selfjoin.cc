@@ -33,7 +33,7 @@ int main() {
   const char* query = "retrieve (EMPLOYEE.TITLE, EMPLOYEE.SALARY)";
 
   auto has_full_pair = [](const AuthorizationResult& result) {
-    for (const Tuple& row : result.answer) {
+    for (const Tuple& row : result.answer.Materialize()) {
       if (!row.at(0).is_null() && !row.at(1).is_null()) return true;
     }
     return false;

@@ -4,7 +4,6 @@
 #include <functional>
 #include <numeric>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "algebra/scan.h"
@@ -53,7 +52,7 @@ bool KeepFirstOfEachProjection(const std::vector<ColumnRef>& targets,
   // Kept rows are compacted to the front as they are found, so a kept
   // row's position is at most the position of the row checked against
   // it.
-  std::unordered_multimap<size_t, size_t> kept_by_hash;
+  FirstOfEqualRows first_of_equal;
   size_t kept = 0;
   ExecMeter meter(ctx);
   for (size_t r = 0; r < row_count; ++r) {
@@ -61,21 +60,43 @@ bool KeepFirstOfEachProjection(const std::vector<ColumnRef>& targets,
     const size_t h = HashCells(targets.size(), [&](size_t i) -> const Value& {
       return rows->cell(r, targets[i]);
     });
-    auto [lo, hi] = kept_by_hash.equal_range(h);
-    if (std::any_of(lo, hi, [&](const std::pair<const size_t, size_t>& e) {
-          return same_projection(e.second, r);
-        })) {
+    if (!first_of_equal.Keep(
+            h, kept, [&](size_t k) { return same_projection(k, r); })) {
       continue;
     }
     if (kept != r) {
       std::copy_n(rows->ids.begin() + static_cast<long>(r * stride), stride,
                   rows->ids.begin() + static_cast<long>(kept * stride));
     }
-    kept_by_hash.emplace(h, kept);
     ++kept;
   }
   rows->ids.resize(kept * stride);
   return true;
+}
+
+// Phase 3's loop, shared by both answer forms: calls `emit(r)` for each
+// row r of `rows` in batch windows, the governor ticked once per window
+// for the window's rows and their ApproxTupleBytes over `arity` cells.
+// Stops at the window that trips it.
+template <typename Emit>
+void ProjectRowIds(const RowIdAnswer& rows, size_t arity, EvalStats* stats,
+                   ExecContext* ctx, Emit emit) {
+  const size_t row_count = rows.size();
+  const long long out_bytes = ApproxTupleBytes(static_cast<int>(arity));
+  ExecMeter meter(ctx);
+  for (size_t wb = 0; wb < row_count; wb += kColumnBatchRows) {
+    const size_t n = std::min<size_t>(kColumnBatchRows, row_count - wb);
+    if (!meter.Tick(static_cast<long long>(n),
+                    static_cast<long long>(n) * out_bytes)) {
+      return;
+    }
+    for (size_t r = wb; r < wb + n; ++r) emit(r);
+    if (stats != nullptr) ++stats->batches_evaluated;
+  }
+  if (stats != nullptr) {
+    stats->tuples_materialized += static_cast<long long>(row_count);
+    stats->output_rows = static_cast<long long>(row_count);
+  }
 }
 
 }  // namespace
@@ -413,30 +434,26 @@ Relation MaterializeRowIds(const RowIdAnswer& rows,
                            const std::vector<ColumnRef>& targets,
                            RelationSchema schema, EvalStats* stats,
                            ExecContext* ctx) {
-  // Final projection in batch windows, governor ticked once per window.
   Relation result(std::move(schema));
-  const size_t row_count = rows.size();
-  const long long out_bytes =
-      ApproxTupleBytes(static_cast<int>(targets.size()));
-  ExecMeter meter(ctx);
-  for (size_t wb = 0; wb < row_count; wb += kColumnBatchRows) {
-    const size_t n = std::min<size_t>(kColumnBatchRows, row_count - wb);
-    if (!meter.Tick(static_cast<long long>(n),
-                    static_cast<long long>(n) * out_bytes)) {
-      return result;
-    }
-    for (size_t r = wb; r < wb + n; ++r) {
-      std::vector<Value> values;
-      values.reserve(targets.size());
-      for (const ColumnRef& ref : targets) values.push_back(rows.cell(r, ref));
-      result.AppendDistinct(Tuple(std::move(values)));
-    }
-    if (stats != nullptr) ++stats->batches_evaluated;
-  }
-  if (stats != nullptr) {
-    stats->tuples_materialized += static_cast<long long>(row_count);
-    stats->output_rows = result.size();
-  }
+  ProjectRowIds(rows, targets.size(), stats, ctx, [&](size_t r) {
+    std::vector<Value> values;
+    values.reserve(targets.size());
+    for (const ColumnRef& ref : targets) values.push_back(rows.cell(r, ref));
+    result.AppendDistinct(Tuple(std::move(values)));
+  });
+  return result;
+}
+
+ColumnAnswer GatherRowIds(const RowIdAnswer& rows,
+                          const std::vector<ColumnRef>& targets,
+                          RelationSchema schema, EvalStats* stats,
+                          ExecContext* ctx) {
+  ColumnAnswer result(std::move(schema));
+  result.Reserve(rows.size());
+  ProjectRowIds(rows, targets.size(), stats, ctx, [&](size_t r) {
+    result.AppendRow(
+        [&](size_t c) -> const Value& { return rows.cell(r, targets[c]); });
+  });
   return result;
 }
 

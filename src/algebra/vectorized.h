@@ -9,12 +9,13 @@
 // join keys hash in place over the referenced Values
 // (storage/key_view.h); tuples materialize once, at the final
 // projection, and only for the rows a caller needs: the authorizer's
-// step 5 masks the row ids themselves (EvaluateRowIds) and builds only
-// the rows it delivers. Every selection runs over columnar batches
-// (storage/column_batch.h): ~1024-row windows are gathered into typed
-// column arrays once, each predicate atom runs as a branch-light kernel
-// that compacts a selection vector, and the ExecContext is ticked once
-// per batch instead of once per row.
+// step 5 masks the row ids themselves (EvaluateRowIds) and writes only
+// the cells it delivers, into column images (storage/column_answer.h).
+// Every selection runs over columnar batches (storage/column_batch.h):
+// ~1024-row windows are gathered into typed column arrays once, each
+// predicate atom runs as a branch-light kernel that compacts a selection
+// vector, and the ExecContext is ticked once per batch instead of once
+// per row.
 //
 // The answer relation is the same as EvaluateCanonical's (the
 // differential tier asserts it), so the paper's Figure 2 commutative
@@ -32,6 +33,7 @@
 #include "common/exec_context.h"
 #include "common/result.h"
 #include "predicate/predicate.h"
+#include "storage/column_answer.h"
 #include "storage/relation.h"
 
 namespace viewauth {
@@ -93,6 +95,14 @@ Relation MaterializeRowIds(const RowIdAnswer& rows,
                            const std::vector<ColumnRef>& targets,
                            RelationSchema schema, EvalStats* stats = nullptr,
                            ExecContext* ctx = nullptr);
+
+// MaterializeRowIds into column images: the same rows, the same order
+// and the same governance, with each cell appended to its column's image
+// instead of a per-row Tuple. Full access delivers S's answer this way.
+ColumnAnswer GatherRowIds(const RowIdAnswer& rows,
+                          const std::vector<ColumnRef>& targets,
+                          RelationSchema schema, EvalStats* stats = nullptr,
+                          ExecContext* ctx = nullptr);
 
 // EvaluateRowIds followed by MaterializeRowIds onto the query's
 // targets.

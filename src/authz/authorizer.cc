@@ -75,6 +75,16 @@ std::vector<int> DeliveredColumns(const ConjunctiveQuery& query, bool wide) {
   return all;
 }
 
+// Every column of `rel`, in order, as columns of its one-atom row-id
+// answer (AllRowsOf).
+std::vector<ColumnRef> ColumnsOf(const Relation& rel) {
+  std::vector<ColumnRef> columns(static_cast<size_t>(rel.schema().arity()));
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c] = ColumnRef{0, static_cast<int>(c)};
+  }
+  return columns;
+}
+
 // The read set of a derivation for (user, query): the user and the
 // query's base relations.
 AuthzDependencies QueryScope(std::string_view user,
@@ -125,6 +135,12 @@ std::vector<const ViewDefinition*> CoveredViews(
   return covered;
 }
 
+// A withheld cell: NULL.
+const Value& Withheld() {
+  static const Value kWithheld;
+  return kWithheld;
+}
+
 // Step 5's delivery rule, shared by the interpretive and the vectorized
 // mask application. Each mask tuple is a separate permitted view of the
 // answer; its rows are delivered with exactly its projected columns.
@@ -155,23 +171,38 @@ class Delivery {
   // Whether mask tuple t grants any delivered column.
   bool relevant(size_t t) const { return relevant_[t]; }
 
-  // Appends the row whose i-th delivered cell is `cell(i)` as mask
-  // tuple t delivers it: granted cells carry the row's values, the rest
-  // are withheld (NULL).
-  template <typename Cell>
-  void Deliver(size_t t, Cell cell, Relation* out) const {
+  // Whether every relevant mask tuple grants every delivered column:
+  // then each delivered row is its answer row's delivered cells, whichever
+  // tuple delivers it.
+  bool grants_whole_rows() const {
+    for (size_t t = 0; t < grants_.size(); ++t) {
+      if (relevant_[t] && std::find(grants_[t].begin(), grants_[t].end(),
+                                    false) != grants_[t].end()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Delivered cell i of the row whose i-th delivered cell is `cell(i)`,
+  // as mask tuple t delivers it: the row's value when t grants the
+  // column, withheld otherwise.
+  template <typename CellAt>
+  const Value& CellOf(size_t t, size_t i, CellAt cell) const {
+    return grants_[t][i] ? cell(i) : Withheld();
+  }
+
+  // Appends the row holding every mask column as mask tuple t delivers
+  // it.
+  void Deliver(size_t t, const Tuple& row, Relation* out) const {
     std::vector<Value> values;
     values.reserve(target_columns_.size());
     for (size_t i = 0; i < target_columns_.size(); ++i) {
-      values.push_back(grants_[t][i] ? cell(i) : Value::Null());
+      values.push_back(CellOf(t, i, [&](size_t k) -> const Value& {
+        return row.at(target_columns_[k]);
+      }));
     }
     out->InsertUnchecked(Tuple(std::move(values)));
-  }
-  // Deliver for a row holding every mask column.
-  void Deliver(size_t t, const Tuple& row, Relation* out) const {
-    Deliver(
-        t, [&](size_t i) -> const Value& { return row.at(target_columns_[i]); },
-        out);
   }
 
   // Appends the all-withheld row kept when fully masked rows are not
@@ -612,8 +643,10 @@ Relation Authorizer::ApplyMaskVectorized(const Relation& answer,
   // Every column of the answer is a delivered column.
   std::vector<int> all_columns(static_cast<size_t>(answer.schema().arity()));
   std::iota(all_columns.begin(), all_columns.end(), 0);
-  return ApplyWideMaskVectorized(answer, mask, all_columns, answer.schema(),
-                                 drop_fully_masked_rows, ctx, stats);
+  return ApplyWideMaskVectorized(AllRowsOf(answer), ColumnsOf(answer), mask,
+                                 all_columns, answer.schema(),
+                                 drop_fully_masked_rows, ctx, stats)
+      .Materialize();
 }
 
 Relation Authorizer::ApplyWideMask(const Relation& wide_answer,
@@ -642,27 +675,12 @@ Relation Authorizer::ApplyWideMask(const Relation& wide_answer,
   return out;
 }
 
-Relation Authorizer::ApplyWideMaskVectorized(
-    const Relation& wide_answer, const CompiledMask& wide_mask,
-    const std::vector<int>& target_columns,
-    const RelationSchema& answer_schema, bool drop_fully_masked_rows,
-    ExecContext* ctx, EvalStats* stats) {
-  std::vector<ColumnRef> columns(
-      static_cast<size_t>(wide_answer.schema().arity()));
-  for (size_t c = 0; c < columns.size(); ++c) {
-    columns[c] = ColumnRef{0, static_cast<int>(c)};
-  }
-  return ApplyWideMaskVectorized(AllRowsOf(wide_answer), columns, wide_mask,
-                                 target_columns, answer_schema,
-                                 drop_fully_masked_rows, ctx, stats);
-}
-
-Relation Authorizer::ApplyWideMaskVectorized(
+ColumnAnswer Authorizer::ApplyWideMaskVectorized(
     const RowIdAnswer& rows, const std::vector<ColumnRef>& columns,
     const CompiledMask& wide_mask, const std::vector<int>& target_columns,
     const RelationSchema& answer_schema, bool drop_fully_masked_rows,
     ExecContext* ctx, EvalStats* stats) {
-  Relation out(answer_schema);
+  ColumnAnswer out(answer_schema);
   const size_t num_tuples = wide_mask.tuples.size();
   const Delivery delivery(num_tuples, target_columns, [&](size_t t, int col) {
     return wide_mask.tuples[t].IsProjected(col);
@@ -675,13 +693,43 @@ Relation Authorizer::ApplyWideMaskVectorized(
   }
   std::vector<ColumnRef> delivered;
   delivered.reserve(target_columns.size());
-  for (int col : target_columns) delivered.push_back(columns[col]);
+  std::vector<bool> covered(columns.size(), false);
+  for (int col : target_columns) {
+    delivered.push_back(columns[col]);
+    covered[static_cast<size_t>(col)] = true;
+  }
+  // The rule path: the rows are distinct over `columns`, so when the
+  // delivered columns are all of them and every relevant tuple grants
+  // every one, each delivered row is its distinct answer row — an answer
+  // row is delivered once (by its first accepting tuple) and no probe is
+  // needed. Otherwise a withheld cell can make two delivered rows equal,
+  // and the filter keeps the first of each.
+  const bool whole_rows =
+      drop_fully_masked_rows && delivery.grants_whole_rows() &&
+      std::find(covered.begin(), covered.end(), false) == covered.end();
+  // The filter: appends the row whose k-th cell is `cell(k)` unless an
+  // equal row was delivered before.
+  FirstOfEqualRows first_of_equal;
+  const size_t arity = target_columns.size();
+  auto deliver_first = [&](auto cell) {
+    const size_t hash = HashCells(arity, cell);
+    auto same = [&](size_t r) {
+      for (size_t k = 0; k < arity; ++k) {
+        if (!(out.cell(r, k) == cell(k))) return false;
+      }
+      return true;
+    };
+    if (first_of_equal.Keep(hash, static_cast<size_t>(out.size()), same)) {
+      out.AppendRow(cell);
+    }
+  };
 
   // Per batch: one bitmap word-run per mask tuple recording which batch
   // ordinals it accepted. The kernels run tuple-major (so each gathered
   // column is reused across tuples), while delivery below runs row-major
   // — identical delivery order to the interpretive ApplyWideMask. Only
-  // delivered rows are built, and their bytes are the ones charged.
+  // delivered cells are copied, and their rows' bytes are the ones
+  // charged.
   const size_t words = (kColumnBatchRows + 63) / 64;
   std::vector<uint64_t> bits(num_tuples * words);
   const long long row_bytes =
@@ -710,18 +758,24 @@ Relation Authorizer::ApplyWideMaskVectorized(
     if (!any_delivery && drop_fully_masked_rows) continue;
     const int before = out.size();
     for (size_t i = 0; i < n; ++i) {
+      auto answer_cell = [&](size_t k) -> const Value& {
+        return rows.cell(wb + i, delivered[k]);
+      };
       bool any = false;
       for (size_t t = 0; t < num_tuples; ++t) {
         if (((bits[t * words + i / 64] >> (i % 64)) & 1) == 0) continue;
         any = true;
-        delivery.Deliver(
-            t,
-            [&](size_t k) -> const Value& {
-              return rows.cell(wb + i, delivered[k]);
-            },
-            &out);
+        if (whole_rows) {
+          out.AppendRow(answer_cell);
+          break;
+        }
+        deliver_first([&](size_t k) -> const Value& {
+          return delivery.CellOf(t, k, answer_cell);
+        });
       }
-      if (!any && !drop_fully_masked_rows) delivery.DeliverWithheld(&out);
+      if (!any && !drop_fully_masked_rows) {
+        deliver_first([](size_t) -> const Value& { return Withheld(); });
+      }
     }
     if (!meter.Tick(0, (out.size() - before) * row_bytes)) break;
   }
@@ -991,10 +1045,10 @@ Result<AuthorizationResult> Authorizer::RetrieveGoverned(
   } else if (row_ids) {
     VIEWAUTH_ASSIGN_OR_RETURN(
         ids, EvaluateRowIds(query, *db_, &result.data_stats, ctx));
-    // Full access delivers A itself, so S builds it whole.
+    // Full access delivers A itself, gathered whole.
     if (decision.full_access) {
-      result.answer = MaterializeRowIds(ids, query.targets(), answer_schema,
-                                        &result.data_stats, ctx);
+      result.answer = GatherRowIds(ids, query.targets(), answer_schema,
+                                   &result.data_stats, ctx);
     }
   } else {
     VIEWAUTH_ASSIGN_OR_RETURN(
@@ -1005,10 +1059,10 @@ Result<AuthorizationResult> Authorizer::RetrieveGoverned(
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
 
   if (decision.denied) {
-    result.answer = Relation(answer_schema);
+    result.answer = ColumnAnswer(answer_schema);
   } else if (decision.full_access) {
     // Delivered without accompanying permit statements.
-    if (!row_ids) result.answer = raw_answer;
+    if (!row_ids) result.answer = ColumnAnswer(raw_answer);
   } else {
     start = SteadyClock::now();
     // A compiled mask exists exactly under the vectorized plan.
@@ -1022,15 +1076,16 @@ Result<AuthorizationResult> Authorizer::RetrieveGoverned(
           options.extended_masks ? wide_answer : raw_answer;
       const std::vector<int> target_columns =
           DeliveredColumns(query, options.extended_masks);
-      result.answer =
-          decision.compiled != nullptr
-              ? ApplyWideMaskVectorized(rows, *decision.compiled,
-                                        target_columns, answer_schema,
-                                        options.drop_fully_masked_rows, ctx,
-                                        &result.data_stats)
-              : ApplyWideMask(rows, decision.mask, target_columns,
-                              answer_schema, options.drop_fully_masked_rows,
-                              ctx);
+      if (decision.compiled != nullptr) {
+        result.answer = ApplyWideMaskVectorized(
+            AllRowsOf(rows), ColumnsOf(rows), *decision.compiled,
+            target_columns, answer_schema, options.drop_fully_masked_rows,
+            ctx, &result.data_stats);
+      } else {
+        result.answer = ColumnAnswer(
+            ApplyWideMask(rows, decision.mask, target_columns, answer_schema,
+                          options.drop_fully_masked_rows, ctx));
+      }
     }
     if (ctx != nullptr && !ctx->ok()) return ctx->status();
     stats.mask_apply_micros += MicrosSince(start);

@@ -45,6 +45,7 @@
 #include "meta/meta_tuple.h"
 #include "meta/ops.h"
 #include "meta/view_store.h"
+#include "storage/column_answer.h"
 #include "storage/relation.h"
 
 namespace viewauth {
@@ -176,8 +177,9 @@ class RawAnswer {
 };
 
 struct AuthorizationResult {
-  // The delivered relation: requested structure, withheld cells NULL.
-  Relation answer;
+  // The delivered rows, column by column: requested structure, withheld
+  // cells NULL.
+  ColumnAnswer answer;
   // The unmasked answer (audit counts, diagnostics and experiments only;
   // never shown to the requesting user by the engine front-end).
   RawAnswer raw_answer;
@@ -279,30 +281,26 @@ class Authorizer {
   // kernel: S's row-id rows are walked in column batches that gather
   // mask column c as cell `columns[c]` of each row, each relevant mask
   // tuple of the compiled mask runs its FilterBatch kernel over a
-  // selection vector, and only authorized (row, tuple) deliveries
-  // materialize. Row-for-row identical output to ApplyWideMask on the
-  // materialized rows. A non-null `stats` counts mask_batch_applies; a
-  // non-null `ctx` ticks per batch and stops masking once tripped, as
-  // for ApplyMask.
-  static Relation ApplyWideMaskVectorized(
+  // selection vector, and only authorized (row, tuple) deliveries write
+  // cells, each into its column's image. The rows must be distinct over
+  // `columns` (EvaluateRowIds' are, over the query's targets, and so are
+  // AllRowsOf(relation)'s over every column). Row-for-row identical
+  // output to ApplyWideMask on the materialized rows. A non-null `stats`
+  // counts mask_batch_applies; a non-null `ctx` ticks per batch and
+  // stops masking once tripped, as for ApplyMask.
+  static ColumnAnswer ApplyWideMaskVectorized(
       const RowIdAnswer& rows, const std::vector<ColumnRef>& columns,
       const CompiledMask& wide_mask, const std::vector<int>& target_columns,
       const RelationSchema& answer_schema, bool drop_fully_masked_rows,
       ExecContext* ctx = nullptr, EvalStats* stats = nullptr);
   // The kernel over a materialized relation, viewed as a one-atom
-  // row-id answer (AllRowsOf). ApplyMaskVectorized is
-  // ApplyWideMaskVectorized with every column a target, as ApplyMask is
-  // ApplyWideMask.
+  // row-id answer (AllRowsOf) with every column delivered, as ApplyMask
+  // is ApplyWideMask; the delivered rows are materialized.
   static Relation ApplyMaskVectorized(const Relation& answer,
                                       const CompiledMask& mask,
                                       bool drop_fully_masked_rows,
                                       ExecContext* ctx = nullptr,
                                       EvalStats* stats = nullptr);
-  static Relation ApplyWideMaskVectorized(
-      const Relation& wide_answer, const CompiledMask& wide_mask,
-      const std::vector<int>& target_columns,
-      const RelationSchema& answer_schema, bool drop_fully_masked_rows,
-      ExecContext* ctx = nullptr, EvalStats* stats = nullptr);
 
   // True when `row` satisfies the selection predicate of `tuple`.
   static bool RowSatisfies(const MetaTuple& tuple, const Tuple& row);

@@ -675,8 +675,9 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     bool all_denied = true;
     bool all_full = true;
     std::set<std::string> permit_texts;
-    // The union of the branches' unmasked answers, so that `withheld`
-    // counts rows the branches share once.
+    // The unions of the branches' delivered and unmasked answers, so
+    // that rows the branches share count once.
+    Relation answer_union;
     Relation raw_union;
     for (size_t i = 0; i <= stmt.or_branches.size(); ++i) {
       const std::vector<Condition>& branch =
@@ -697,12 +698,13 @@ Result<AuthorizationResult> Engine::RunRetrieve(
       }
       if (i == 0) {
         merged->mask = branch_result.mask();
+        answer_union = branch_result.answer.Materialize();
         raw_union = branch_result.raw_answer.Materialize();
         result = std::move(branch_result);
         continue;
       }
-      for (const Tuple& row : branch_result.answer) {
-        result.answer.InsertUnchecked(row);
+      for (const Tuple& row : branch_result.answer.Materialize()) {
+        answer_union.InsertUnchecked(row);
       }
       for (const Tuple& row : branch_result.raw_answer.Materialize()) {
         raw_union.InsertUnchecked(row);
@@ -720,6 +722,7 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     result.full_access = merged->full_access = all_full;
     if (result.full_access) merged->permits.clear();
     result.decision = std::move(merged);
+    result.answer = ColumnAnswer(answer_union);
     result.raw_answer = RawAnswer(std::move(raw_union));
   }
 

@@ -1,9 +1,12 @@
 #include "engine/table_printer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/str_util.h"
 
@@ -81,6 +84,72 @@ std::string WriteTable(const std::vector<std::string_view>& header,
   return out;
 }
 
+// The row numbers [0, rows) in Tuple's order of their rows:
+// lexicographic over the cells, a shorter row first when one is a
+// prefix of the other. `width(r)` is row r's cell count and `cell(r, c)`
+// its c-th cell.
+template <typename Width, typename CellAt>
+std::vector<size_t> SortedRowNumbers(size_t rows, Width width, CellAt cell) {
+  auto less = [&](size_t a, size_t b) {
+    const size_t width_a = width(a);
+    const size_t width_b = width(b);
+    for (size_t c = 0; c < std::min(width_a, width_b); ++c) {
+      const Value& x = cell(a, c);
+      const Value& y = cell(b, c);
+      if (x < y) return true;
+      if (y < x) return false;
+    }
+    return width_a < width_b;
+  };
+  std::vector<size_t> order(rows);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), less);
+  return order;
+}
+
+// The one relation renderer, over any row store: `width(r)` is row r's
+// cell count and `cell(r, c)` its c-th cell. Row numbers sort, never
+// the rows. Every cell then renders once into the arena; a row shorter
+// than the header leaves blank cells, and cells past the header are not
+// shown.
+template <typename Width, typename CellAt>
+std::string RenderRows(const RelationSchema& schema, size_t rows, Width width,
+                       CellAt cell, const TablePrintOptions& options) {
+  std::vector<std::string_view> names;
+  for (const Attribute& attr : schema.attributes()) names.push_back(attr.name);
+
+  std::vector<size_t> order;
+  if (options.sorted) {
+    order = SortedRowNumbers(rows, width, cell);
+  } else {
+    order.resize(rows);
+    std::iota(order.begin(), order.end(), size_t{0});
+  }
+
+  Cells cells(names);
+  cells.ends.reserve(rows * names.size());
+  for (size_t r : order) {
+    const size_t row_width = width(r);
+    for (size_t c = 0; c < names.size(); ++c) {
+      const size_t start = cells.arena.size();
+      if (c < row_width) {
+        const Value& value = cell(r, c);
+        if (value.is_null()) {
+          cells.arena += options.null_text;
+        } else if (value.is_int64() && options.thousands_separators) {
+          AppendWithCommas(value.int64_value(), &cells.arena);
+        } else if (value.is_string()) {
+          cells.arena += value.string_value();  // raw, no quoting
+        } else {
+          cells.arena += value.ToString();
+        }
+      }
+      cells.End(c, start);
+    }
+  }
+  return WriteTable(names, cells, rows, options.caption);
+}
+
 }  // namespace
 
 std::string PrintTable(const std::vector<std::string>& header,
@@ -102,44 +171,25 @@ std::string PrintTable(const std::vector<std::string>& header,
 
 std::string PrintRelation(const Relation& relation,
                           const TablePrintOptions& options) {
-  std::vector<std::string_view> names;
-  for (const Attribute& attr : relation.schema().attributes()) {
-    names.push_back(attr.name);
-  }
+  return RenderRows(
+      relation.schema(), static_cast<size_t>(relation.size()),
+      [&](size_t r) {
+        return relation.row(static_cast<RowId>(r)).values().size();
+      },
+      [&](size_t r, size_t c) -> const Value& {
+        return relation.row(static_cast<RowId>(r)).values()[c];
+      },
+      options);
+}
 
-  // Row ids sort, never copies of the tuples.
-  std::vector<RowId> order(static_cast<size_t>(relation.size()));
-  std::iota(order.begin(), order.end(), RowId{0});
-  if (options.sorted) {
-    std::sort(order.begin(), order.end(), [&](RowId a, RowId b) {
-      return relation.row(a) < relation.row(b);
-    });
-  }
-
-  // Every cell renders once into the arena. A tuple shorter than the
-  // header leaves blank cells, and cells past the header are not shown.
-  Cells cells(names);
-  cells.ends.reserve(order.size() * names.size());
-  for (RowId id : order) {
-    const std::vector<Value>& values = relation.row(id).values();
-    for (size_t c = 0; c < names.size(); ++c) {
-      const size_t start = cells.arena.size();
-      if (c < values.size()) {
-        const Value& value = values[c];
-        if (value.is_null()) {
-          cells.arena += options.null_text;
-        } else if (value.is_int64() && options.thousands_separators) {
-          AppendWithCommas(value.int64_value(), &cells.arena);
-        } else if (value.is_string()) {
-          cells.arena += value.string_value();  // raw, no quoting
-        } else {
-          cells.arena += value.ToString();
-        }
-      }
-      cells.End(c, start);
-    }
-  }
-  return WriteTable(names, cells, order.size(), options.caption);
+std::string PrintRelation(const ColumnAnswer& answer,
+                          const TablePrintOptions& options) {
+  const auto arity = static_cast<size_t>(answer.arity());
+  return RenderRows(
+      answer.schema(), static_cast<size_t>(answer.size()),
+      [arity](size_t) { return arity; },
+      [&](size_t r, size_t c) -> const Value& { return answer.cell(r, c); },
+      options);
 }
 
 }  // namespace viewauth

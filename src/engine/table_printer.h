@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/column_answer.h"
 #include "storage/relation.h"
 
 namespace viewauth {
@@ -22,7 +23,11 @@ struct TablePrintOptions {
   std::string caption;
 };
 
+// Both overloads render through one body and print equal rows
+// identically; the second reads a delivered answer's column images.
 std::string PrintRelation(const Relation& relation,
+                          const TablePrintOptions& options = {});
+std::string PrintRelation(const ColumnAnswer& answer,
                           const TablePrintOptions& options = {});
 
 // Renders any rows-of-strings table with a header, in PrintRelation's

@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "types/value.h"
@@ -54,6 +55,30 @@ size_t HashCells(size_t n, Cell cell) {
   for (size_t i = 0; i < n; ++i) h = h * 1000003 ^ cell(i).Hash();
   return h;
 }
+
+// Keeps the first of each set of equal rows, the rule a Relation's
+// identity index applies: rows hash with HashCells and the caller
+// compares them with Value equality. Rows are named by the caller's
+// row numbers. Shared by the vectorized plan's distinct projection and
+// step 5's delivery filter, which keep rows without building Tuples.
+class FirstOfEqualRows {
+ public:
+  // Records `row` under `hash` and returns true, unless `same(kept)`
+  // holds for a row `kept` recorded under `hash` before; then returns
+  // false and records nothing.
+  template <typename Same>
+  bool Keep(size_t hash, size_t row, Same same) {
+    auto [lo, hi] = kept_.equal_range(hash);
+    for (auto it = lo; it != hi; ++it) {
+      if (same(it->second)) return false;
+    }
+    kept_.emplace(hash, row);
+    return true;
+  }
+
+ private:
+  std::unordered_multimap<size_t, size_t> kept_;
+};
 
 struct TupleHash {
   size_t operator()(const Tuple& t) const { return t.Hash(); }

@@ -175,10 +175,13 @@ bool Value::operator<(const Value& other) const {
 size_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
   if (is_int64()) {
-    // Hash int64 via its double image so that Int64(5) and Double(5.0)
-    // (which compare equal) hash identically when exactly representable.
+    // An Int64 whose double image is exact hashes as that double, so the
+    // hash agrees with the numeric equality of Compare and Satisfies
+    // (operator== never equates an Int64 with a Double). The range check
+    // comes first: from 2^63 - 512 up the image rounds to 2^63, which no
+    // int64_t holds, so casting it back would be undefined.
     const double d = static_cast<double>(int64_value());
-    if (static_cast<int64_t>(d) == int64_value()) {
+    if (d < 0x1p63 && static_cast<int64_t>(d) == int64_value()) {
       return std::hash<double>()(d);
     }
     return std::hash<int64_t>()(int64_value());

@@ -31,7 +31,7 @@ TEST(PaperExamples, Example1BrownLargeProjects) {
   // delivered (the Apex row is fully masked and dropped).
   EXPECT_EQ(result->raw_answer.size(), 2);
   ASSERT_EQ(result->answer.size(), 1);
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("bq-45"), Value::String("Acme")})));
 
   // Mask: one tuple, both columns projected, SPONSOR = Acme.
@@ -68,7 +68,7 @@ TEST(PaperExamples, Example2KleinEngineerSalaries) {
 
   // Brown (engineer, sv-72 at 450k) matches; salary must be masked.
   ASSERT_EQ(result->answer.size(), 1);
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("Brown"), Value::Null()})));
 
   // Mask: NAME projected, SALARY not, no residual selection.
@@ -136,8 +136,9 @@ TEST(PaperExamples, Example3BrownSameTitlePairs) {
   // Every employee matches only itself (all titles unique): 3 rows, none
   // masked.
   EXPECT_EQ(result->answer.size(), 3);
-  EXPECT_TRUE(result->answer.SameTuples(result->raw_answer.Materialize()));
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().SameTuples(
+      result->raw_answer.Materialize()));
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("Jones"), Value::Int64(26000),
              Value::String("Jones"), Value::Int64(26000)})));
 }
@@ -160,7 +161,7 @@ TEST(PaperExamples, Example3WithoutSelfJoins) {
 
   EXPECT_FALSE(result->full_access);
   // Names are deliverable through EST x EST; salaries are not.
-  for (const Tuple& row : result->answer) {
+  for (const Tuple& row : result->answer.Materialize()) {
     EXPECT_FALSE(row.at(0).is_null());
     EXPECT_TRUE(row.at(1).is_null());
     EXPECT_FALSE(row.at(2).is_null());

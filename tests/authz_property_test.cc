@@ -157,11 +157,11 @@ bool RowSatisfiesRaw(
   return true;
 }
 
-long long CountDeliveredCells(const Relation& relation) {
+long long CountDeliveredCells(const ColumnAnswer& answer) {
   long long count = 0;
-  for (const Tuple& row : relation) {
-    for (const Value& value : row.values()) {
-      if (!value.is_null()) ++count;
+  for (size_t r = 0; r < static_cast<size_t>(answer.size()); ++r) {
+    for (size_t c = 0; c < static_cast<size_t>(answer.arity()); ++c) {
+      if (!answer.cell(r, c).is_null()) ++count;
     }
   }
   return count;
@@ -185,7 +185,7 @@ TEST_P(AuthzPropertyTest, NoCellBeyondPermittedViews) {
     ASSERT_TRUE(result.ok()) << result.status();
 
     const Relation* base = s.db.GetRelation("R").value();
-    for (const Tuple& answer_row : result->answer) {
+    for (const Tuple& answer_row : result->answer.Materialize()) {
       for (size_t i = 0; i < rq->target_columns.size(); ++i) {
         if (answer_row.at(static_cast<int>(i)).is_null()) continue;
         const int column = rq->target_columns[i];
@@ -292,7 +292,7 @@ TEST_P(AuthzPropertyTest, MaskedIsSubsetOfRaw) {
     Authorizer authorizer(&s.db, s.catalog.get());
     auto result = authorizer.Retrieve("u", rq->query);
     ASSERT_TRUE(result.ok());
-    for (const Tuple& row : result->answer) {
+    for (const Tuple& row : result->answer.Materialize()) {
       bool matched = false;
       for (const Tuple& raw : result->raw_answer.Materialize()) {
         bool compatible = true;
@@ -352,7 +352,8 @@ TEST(AuthzInvariants, CacheInvalidatesOnCatalogMutation) {
   auto after_regrant = authorizer.Retrieve("Brown", query);
   ASSERT_TRUE(after_regrant.ok());
   EXPECT_FALSE(after_regrant->denied);
-  EXPECT_TRUE(after_regrant->answer.SameTuples(before->answer));
+  EXPECT_TRUE(after_regrant->answer.Materialize().SameTuples(
+      before->answer.Materialize()));
 }
 
 TEST(AuthzInvariants, NoViewsMeansDenied) {

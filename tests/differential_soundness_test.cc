@@ -13,8 +13,8 @@
 //     TWICE so the repeat is served from the cache.
 // Every observable — delivered answer, raw answer, mask (compared by
 // alpha-normalized structural keys), inferred permits (synthetic w-vars
-// normalized), denied/full-access flags — must agree across all three
-// executions.
+// normalized), denied/full-access flags, and the delivered answer's
+// rendered reply — must agree across all three executions.
 //
 // After the warm repeat, the fast authorizer runs the query's *sibling*:
 // the same shape with its constants moved within their order classes
@@ -40,6 +40,7 @@
 #include "authz/authz_cache.h"
 #include "authz/constant_class.h"
 #include "calculus/conjunctive_query.h"
+#include "engine/table_printer.h"
 #include "meta/view_store.h"
 #include "parser/ast.h"
 #include "storage/relation.h"
@@ -77,7 +78,7 @@ Observed Summarize(const AuthorizationResult& result) {
   Observed o;
   o.denied = result.denied;
   o.full_access = result.full_access;
-  o.answer = result.answer.SortedRows();
+  o.answer = result.answer.Materialize().SortedRows();
   o.raw_answer = result.raw_answer.Materialize().SortedRows();
   for (const MetaTuple& tuple : result.mask().tuples()) {
     o.mask_keys.push_back(tuple.StructuralKey(/*include_provenance=*/false));
@@ -211,6 +212,20 @@ struct ScenarioSetup {
            << "repeat retrieve was not served from the mask cache";
   }
 
+  // The reply the engine would render: the canonical leg's rows through
+  // the Relation renderer, each fast leg's through its column images.
+  const std::string want_reply =
+      PrintRelation(canonical_result->answer.Materialize());
+  for (const AuthorizationResult* got : {&*cold, &*warm}) {
+    if (PrintRelation(got->answer) != want_reply) {
+      return ::testing::AssertionFailure()
+             << "rendered reply diverged on query " << query.ToString()
+             << ":\n"
+             << want_reply << "vs\n"
+             << PrintRelation(got->answer);
+    }
+  }
+
   const Observed expected = Summarize(*canonical_result);
   const Observed cold_obs = Summarize(*cold);
   const Observed warm_obs = Summarize(*warm);
@@ -243,7 +258,9 @@ struct ScenarioSetup {
   }
   const long long hits = cache.Snapshot().class_hits - class_hits_before;
   if (class_hits != nullptr) *class_hits += hits;
-  if (!(Summarize(*sibling_fast) == Summarize(*sibling_canonical))) {
+  if (!(Summarize(*sibling_fast) == Summarize(*sibling_canonical)) ||
+      PrintRelation(sibling_fast->answer) !=
+          PrintRelation(sibling_canonical->answer.Materialize())) {
     return ::testing::AssertionFailure()
            << "sibling " << sibling.ToString() << " of "
            << query.ToString() << " diverged from its canonical run ("

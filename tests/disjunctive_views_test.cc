@@ -57,13 +57,13 @@ TEST_F(DisjunctiveViewsTest, UnionOfBranchesDelivered) {
   EXPECT_FALSE(result->denied);
   // Smith (22k, branch 1) and Jones (manager, branch 2) flow; Brown does
   // not match either branch.
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("Smith"), Value::String("technician"),
              Value::Int64(22000)})));
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("Jones"), Value::String("manager"),
              Value::Int64(26000)})));
-  for (const Tuple& row : result->answer) {
+  for (const Tuple& row : result->answer.Materialize()) {
     EXPECT_NE(row.at(0), Value::String("Brown"));
   }
 }
@@ -82,9 +82,9 @@ TEST_F(DisjunctiveViewsTest, BranchNeedingExtraAttribute) {
       "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY) as auditor");
   ASSERT_TRUE(extended.ok());
   const AuthorizationResult* result = &*extended;
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("Smith"), Value::Int64(22000)})));
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("Jones"), Value::Int64(26000)})));
 }
 
@@ -97,7 +97,7 @@ TEST_F(DisjunctiveViewsTest, BranchesRefineIndependently) {
   const AuthorizationResult* result = &*out;
   EXPECT_FALSE(result->denied);
   EXPECT_EQ(result->answer.size(), 1);
-  EXPECT_TRUE(result->answer.Contains(
+  EXPECT_TRUE(result->answer.Materialize().Contains(
       Tuple({Value::String("Smith"), Value::Int64(22000)})));
 }
 

@@ -157,9 +157,9 @@ TEST(EngineKeyRegression, ConstantNamedLikeAVariableKeepsBothViews) {
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_FALSE(result->denied);
     EXPECT_EQ(result->answer.size(), 2);
-    EXPECT_TRUE(result->answer.Contains(
+    EXPECT_TRUE(result->answer.Materialize().Contains(
         Tuple({Value::String("w"), Value::String("w")})));
-    EXPECT_TRUE(result->answer.Contains(
+    EXPECT_TRUE(result->answer.Materialize().Contains(
         Tuple({Value::String("v0"), Value::String("v0")})));
     std::string permits;
     for (const InferredPermit& permit : result->permits()) {

@@ -96,7 +96,15 @@ std::vector<TablePrintOptions> AllOptions() {
   return all;
 }
 
+// Matches the reference under every option combination; when every row
+// has the schema's arity, so does the relation's column answer, rendered
+// by the column-image overload and compared byte for byte with its
+// Materialize()d relation.
 void ExpectMatchesReference(const Relation& rel) {
+  const bool uniform =
+      std::all_of(rel.begin(), rel.end(), [&](const Tuple& row) {
+        return row.arity() == rel.schema().arity();
+      });
   for (const TablePrintOptions& options : AllOptions()) {
     SCOPED_TRACE("sorted=" + std::to_string(options.sorted) +
                  " commas=" + std::to_string(options.thousands_separators) +
@@ -104,6 +112,11 @@ void ExpectMatchesReference(const Relation& rel) {
                  options.null_text + "'");
     EXPECT_EQ(PrintRelation(rel, options),
               ReferencePrintRelation(rel, options));
+    if (uniform) {
+      const ColumnAnswer answer(rel);
+      EXPECT_EQ(PrintRelation(answer, options),
+                PrintRelation(answer.Materialize(), options));
+    }
   }
 }
 
@@ -176,6 +189,22 @@ TEST(TablePrinter, GenericTableMatchesReference) {
     EXPECT_EQ(PrintTable({"A", "B"}, {}, caption),
               ReferenceTable({"A", "B"}, {}, caption));
   }
+}
+
+TEST(TablePrinter, ColumnAnswerKeepsRowsAndOrder) {
+  const Relation rel = SampleRelation();
+  const ColumnAnswer answer(rel);
+  ASSERT_EQ(answer.size(), rel.size());
+  ASSERT_EQ(answer.arity(), 2);
+  EXPECT_EQ(answer.cell(1, 0), Value::String("Brown"));
+  EXPECT_TRUE(answer.cell(1, 1).is_null());
+  const Relation back = answer.Materialize();
+  ASSERT_EQ(back.size(), rel.size());
+  for (RowId i = 0; i < static_cast<RowId>(rel.size()); ++i) {
+    EXPECT_TRUE(back.row(i) == rel.row(i)) << "row " << i;
+  }
+  EXPECT_TRUE(back.Contains(rel.row(0)));  // the copy is still a set
+  ExpectMatchesReference(rel);
 }
 
 TEST(TablePrinter, EmptyRelation) {

@@ -58,7 +58,7 @@ inline Observed Summarize(const AuthorizationResult& result) {
   Observed o;
   o.denied = result.denied;
   o.full_access = result.full_access;
-  o.answer = result.answer.SortedRows();
+  o.answer = result.answer.Materialize().SortedRows();
   for (const MetaTuple& tuple : result.mask().tuples()) {
     o.mask_keys.push_back(tuple.StructuralKey(/*include_provenance=*/false));
   }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace viewauth {
@@ -105,6 +106,22 @@ TEST(Value, HashConsistentWithCrossNumericEquality) {
   // Int64(5) and Double(5.0) compare equal under Satisfies(kEq), so
   // their hashes agree where exactly representable.
   EXPECT_EQ(Value::Int64(5).Hash(), Value::Double(5.0).Hash());
+}
+
+TEST(Value, HashIsDefinedAtInt64Extremes) {
+  // From 2^63 - 512 up an Int64's double image rounds to 2^63, which no
+  // int64_t holds: these hash as integers, without casting back.
+  for (const int64_t v : {INT64_MAX, INT64_MAX - 1, INT64_MAX - 511}) {
+    EXPECT_EQ(Value::Int64(v).Hash(), std::hash<int64_t>()(v)) << v;
+  }
+  // Exact images keep hashing as their double, at both ends of the range.
+  const int64_t top_exact = INT64_MAX - 1023;  // 2^63 - 1024
+  EXPECT_EQ(Value::Int64(top_exact).Hash(),
+            Value::Double(static_cast<double>(top_exact)).Hash());
+  EXPECT_EQ(Value::Int64(INT64_MIN).Hash(), Value::Double(-0x1p63).Hash());
+  // Below the top, inexact images hash as integers, as they always have.
+  const int64_t inexact = (int64_t{1} << 53) + 1;
+  EXPECT_EQ(Value::Int64(inexact).Hash(), std::hash<int64_t>()(inexact));
 }
 
 TEST(Value, DisplayStrings) {

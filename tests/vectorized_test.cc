@@ -20,6 +20,7 @@
 #include "authz/authz_cache.h"
 #include "authz/compiled_mask.h"
 #include "parser/parser.h"
+#include "storage/column_answer.h"
 #include "storage/column_batch.h"
 #include "tests/test_util.h"
 
@@ -693,7 +694,8 @@ TEST(MaskBatch, CanonicalPlanNeverCompilesAMask) {
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(cache.Snapshot().mask_compiles, compiles_before + 1)
         << "extended=" << extended;
-    EXPECT_EQ(want->answer.SortedRows(), got->answer.SortedRows())
+    EXPECT_EQ(want->answer.Materialize().SortedRows(),
+              got->answer.Materialize().SortedRows())
         << "extended=" << extended;
   }
 }
@@ -764,8 +766,10 @@ TEST(RowIdMask, KernelMatchesApplyWideMaskRowForRow) {
       for (const bool drop : {true, false}) {
         const Relation want =
             Authorizer::ApplyWideMask(raw, *mask, all, schema, drop);
-        const Relation got = Authorizer::ApplyWideMaskVectorized(
-            *ids, query.targets(), compiled, all, schema, drop);
+        const Relation got =
+            Authorizer::ApplyWideMaskVectorized(*ids, query.targets(),
+                                                compiled, all, schema, drop)
+                .Materialize();
         ASSERT_EQ(want.size(), got.size())
             << text << " user=" << user << " drop=" << drop;
         for (RowId i = 0; i < static_cast<RowId>(want.size()); ++i) {
@@ -782,6 +786,132 @@ TEST(RowIdMask, KernelMatchesApplyWideMaskRowForRow) {
   }
   // Several runs deliver more than one batch of rows.
   EXPECT_GE(delivering_runs, 4);
+}
+
+// A keyless relation R (K, A, B) and views over it, granted to user u,
+// for step-5 cases the paper's database does not reach.
+class MaskScenario {
+ public:
+  MaskScenario() {
+    VIEWAUTH_TEST_OK(db_.CreateRelation(
+        RelationSchema::Make("R", {{"K", ValueType::kInt64},
+                                   {"A", ValueType::kInt64},
+                                   {"B", ValueType::kInt64}})
+            .value()));
+    catalog_ = std::make_unique<ViewCatalog>(&db_.schema());
+  }
+
+  void Insert(Value k, Value a, Value b) {
+    VIEWAUTH_TEST_OK(
+        db_.Insert("R", Tuple({std::move(k), std::move(a), std::move(b)})));
+  }
+  void Permit(const std::string& name, const std::string& view_text) {
+    auto stmt = ParseStatement("view " + name + " " + view_text);
+    VIEWAUTH_CHECK(stmt.ok()) << stmt.status().ToString();
+    VIEWAUTH_TEST_OK(catalog_->DefineView(std::get<ViewStmt>(*stmt)));
+    VIEWAUTH_TEST_OK(catalog_->Permit(name, "u"));
+  }
+
+  // Runs the kernel over S's row ids for `retrieve_text`, checks its
+  // rows against the interpretive ApplyWideMask's row for row, and
+  // returns them. `mask_tuples` receives the mask's size.
+  Relation KernelRows(const std::string& retrieve_text, bool drop,
+                      int* mask_tuples = nullptr) {
+    auto stmt = ParseStatement(retrieve_text);
+    VIEWAUTH_CHECK(stmt.ok()) << stmt.status().ToString();
+    ConjunctiveQuery query =
+        ConjunctiveQuery::FromRetrieve(db_.schema(),
+                                       std::get<RetrieveStmt>(*stmt))
+            .value();
+    auto mask = Authorizer(&db_, catalog_.get()).DeriveMask("u", query);
+    VIEWAUTH_CHECK(mask.ok()) << mask.status().ToString();
+    if (mask_tuples != nullptr) *mask_tuples = mask->size();
+    auto ids = EvaluateRowIds(query, db_);
+    VIEWAUTH_CHECK(ids.ok()) << ids.status().ToString();
+    const RelationSchema schema = query.OutputSchema("ANSWER").value();
+    const Relation raw = MaterializeRowIds(*ids, query.targets(), schema);
+    std::vector<int> all(query.targets().size());
+    std::iota(all.begin(), all.end(), 0);
+    const Relation want =
+        Authorizer::ApplyWideMask(raw, *mask, all, schema, drop);
+    const ColumnAnswer got = Authorizer::ApplyWideMaskVectorized(
+        *ids, query.targets(), CompiledMask::Compile(*mask), all, schema,
+        drop);
+    const Relation rows = got.Materialize();
+    EXPECT_EQ(want.size(), rows.size()) << retrieve_text;
+    for (RowId i = 0; i < static_cast<RowId>(
+                              std::min(want.size(), rows.size()));
+         ++i) {
+      EXPECT_TRUE(want.row(i) == rows.row(i))
+          << retrieve_text << " row " << i << ": " << want.row(i).ToString()
+          << " vs " << rows.row(i).ToString();
+    }
+    return rows;
+  }
+
+ private:
+  DatabaseInstance db_;
+  std::unique_ptr<ViewCatalog> catalog_;
+};
+
+TEST(RowIdMask, RowAcceptedByTwoFullPatternTuplesIsDeliveredOnce) {
+  MaskScenario scenario;
+  for (int k = 0; k < 2000; ++k) {
+    scenario.Insert(Value::Int64(k), Value::Int64(k % 10), Value::Int64(0));
+  }
+  // Both tuples project every delivered column and accept A in 3..5.
+  scenario.Permit("LOW", "(R.K, R.A) where R.A <= 5");
+  scenario.Permit("HIGH", "(R.K, R.A) where R.A >= 3");
+  int mask_tuples = 0;
+  const Relation rows =
+      scenario.KernelRows("retrieve (R.K, R.A)", true, &mask_tuples);
+  EXPECT_EQ(mask_tuples, 2);
+  EXPECT_EQ(rows.size(), 2000);
+}
+
+TEST(RowIdMask, RowsEqualOnAPartialPatternAreDeliveredOnce) {
+  MaskScenario scenario;
+  for (int k = 0; k < 2000; ++k) {
+    scenario.Insert(Value::Int64(k), Value::Int64(k % 7), Value::Int64(k % 3));
+  }
+  // ONLY_A withholds K, so the rows sharing an A collapse to one; the
+  // full tuple delivers its rows whole.
+  scenario.Permit("ONLY_A", "(R.A)");
+  scenario.Permit("SOME", "(R.K, R.A) where R.K < 40");
+  for (const bool drop : {true, false}) {
+    const Relation rows = scenario.KernelRows("retrieve (R.K, R.A)", drop);
+    EXPECT_EQ(rows.size(), 7 + 40) << "drop=" << drop;
+  }
+}
+
+TEST(RowIdMask, WithheldCellEqualsAGenuineNull) {
+  MaskScenario scenario;
+  scenario.Insert(Value::Int64(1), Value::Int64(5), Value::Int64(0));
+  scenario.Insert(Value::Null(), Value::Int64(5), Value::Int64(0));
+  // K_IS_1 delivers (1, 5) with K withheld, FIVES delivers (NULL, 5)
+  // whole: the two are one row.
+  scenario.Permit("K_IS_1", "(R.A) where R.K = 1");
+  scenario.Permit("FIVES", "(R.K, R.A) where R.A = 5");
+  int mask_tuples = 0;
+  const Relation rows =
+      scenario.KernelRows("retrieve (R.K, R.A)", true, &mask_tuples);
+  EXPECT_EQ(mask_tuples, 2);
+  ASSERT_EQ(rows.size(), 2);
+  EXPECT_TRUE(rows.Contains(Tuple({Value::Null(), Value::Int64(5)})));
+  EXPECT_TRUE(rows.Contains(Tuple({Value::Int64(1), Value::Int64(5)})));
+}
+
+TEST(RowIdMask, FullyWithheldRowsAreKeptOnce) {
+  MaskScenario scenario;
+  for (int k = 0; k < 3000; ++k) {
+    scenario.Insert(Value::Int64(k), Value::Int64(k % 100), Value::Int64(0));
+  }
+  // A full-pattern mask, but rows it rejects are kept all withheld: the
+  // 2,970 of them collapse to one all-NULL row.
+  scenario.Permit("LOW", "(R.K, R.A) where R.A = 0");
+  const Relation rows = scenario.KernelRows("retrieve (R.K, R.A)", false);
+  EXPECT_EQ(rows.size(), 30 + 1);
+  EXPECT_TRUE(rows.Contains(Tuple({Value::Null(), Value::Null()})));
 }
 
 TEST(RowIdMask, DuplicateProjectionsAreDeliveredOnce) {
@@ -839,6 +969,29 @@ TEST(RowIdMask, GovernorTripMidKernelDeliversNothing) {
   ASSERT_FALSE(tripped.ok());
   EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(ctx.rows_charged(), s_rows);  // S finished; step 5 tripped
+
+  // The kernel charges ApproxTupleBytes of the delivered columns per
+  // delivered row: a byte budget of exactly that passes, one byte less
+  // trips, and so does a budget that runs out after the first batch.
+  auto ids = EvaluateRowIds(query, fixture.db());
+  ASSERT_TRUE(ids.ok());
+  const RelationSchema schema = query.OutputSchema("ANSWER").value();
+  const std::vector<int> all = {0, 1, 2};
+  const CompiledMask& compiled = *warm->decision->compiled;
+  const ColumnAnswer whole = Authorizer::ApplyWideMaskVectorized(
+      *ids, query.targets(), compiled, all, schema, true);
+  ASSERT_GT(whole.size(), 1);
+  const long long charge = whole.size() * ApproxTupleBytes(3);
+  for (const long long budget : {charge, charge - 1, charge / 4}) {
+    ExecContext bytes_only(ExecLimits{/*deadline_ms=*/0, /*max_rows=*/0,
+                                      /*max_bytes=*/budget});
+    const ColumnAnswer got = Authorizer::ApplyWideMaskVectorized(
+        *ids, query.targets(), compiled, all, schema, true, &bytes_only);
+    EXPECT_EQ(bytes_only.ok(), budget == charge) << "budget " << budget;
+    if (budget == charge) {
+      EXPECT_EQ(got.size(), whole.size());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
