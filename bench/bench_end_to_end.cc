@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -113,6 +114,73 @@ void BM_EngineStatementRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineStatementRoundTrip);
+
+// A warm class-hit retrieve through the front end whose decision carries
+// about 30 permits, like perfbench's join_cold: three 4,096-row relations
+// chained by A = KEY + 1, three B-range views per relation and three
+// key-range join views per adjacent pair, with join_cold's bounds for
+// its first user. Each iteration runs the next of 256 siblings (R0.KEY
+// from 1,200 on: every constant sits between the same view bounds, so
+// one derivation serves them all). This isolates the layer after the
+// decision lookup: rendering the reply and the audit entry.
+void BM_RetrieveManyPermits(benchmark::State& state) {
+  constexpr int kRows = 4096;
+  constexpr int kSiblings = 256;
+  std::ostringstream script;
+  for (int r = 0; r < 3; ++r) {
+    const std::string rel = "R" + std::to_string(r);
+    script << "relation " << rel << " (KEY int, A int, B int)\n";
+    for (int k = 0; k < kRows; ++k) {
+      script << "insert into " << rel << " values (" << k << ", " << k + 1
+             << ", " << (k * 37) % 1000 << ")\n";
+    }
+    for (int v = 0; v < 3; ++v) {
+      const int lo = v * 330;
+      script << "view G" << r << "v" << v << " (" << rel << ".KEY, " << rel
+             << ".A, " << rel << ".B) where " << rel << ".B >= " << lo
+             << " and " << rel << ".B < " << lo + 400 << "\n"
+             << "permit G" << r << "v" << v << " to u\n";
+    }
+  }
+  for (int r = 0; r < 2; ++r) {
+    const std::string a = "R" + std::to_string(r);
+    const std::string b = "R" + std::to_string(r + 1);
+    for (int v = 0; v < 3; ++v) {
+      const int lo = v * 10923;
+      script << "view J" << r << "v" << v << " (" << a << ".KEY, " << a
+             << ".B, " << b << ".KEY, " << b << ".B) where " << a
+             << ".A = " << b << ".KEY and " << a << ".KEY >= " << lo
+             << " and " << a << ".KEY < " << lo + 8192 << "\n"
+             << "permit J" << r << "v" << v << " to u\n";
+    }
+  }
+  Engine engine;
+  VIEWAUTH_CHECK(engine.ExecuteScript(script.str()).ok());
+  std::vector<std::string> siblings;
+  for (int i = 0; i < kSiblings; ++i) {
+    const int c0 = 1200 + i;
+    siblings.push_back(
+        "retrieve (R0.KEY, R0.B, R1.KEY, R1.B, R2.KEY, R2.B) where "
+        "R0.A = R1.KEY and R1.A = R2.KEY and R0.KEY = " +
+        std::to_string(c0) + " and R1.KEY = " + std::to_string(c0 + 1) +
+        " and R2.KEY = " + std::to_string(c0 + 2) + " as u");
+  }
+  auto first = engine.Retrieve(siblings[0]);
+  VIEWAUTH_CHECK(first.ok());
+  engine.ResetAuthzStats();
+  size_t next = 0;
+  for (auto _ : state) {
+    auto out = engine.Execute(siblings[next]);
+    benchmark::DoNotOptimize(out);
+    next = (next + 1) % siblings.size();
+  }
+  const AuthzStats stats = engine.authz_stats();
+  state.counters["permits"] = static_cast<double>(first->permits().size());
+  state.counters["class_hit_ratio"] =
+      static_cast<double>(stats.class_hits) /
+      static_cast<double>(std::max(1LL, stats.retrieves));
+}
+BENCHMARK(BM_RetrieveManyPermits);
 
 // The cache counters behind one run, as JSON members.
 std::string StatsJson(const AuthzStats& stats, const std::string& indent) {

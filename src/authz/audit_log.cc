@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "authz/authz_cache.h"
+
 namespace viewauth {
 
 std::string_view AuditOutcomeToString(AuditOutcome outcome) {
@@ -24,6 +26,11 @@ std::string_view AuditOutcomeToString(AuditOutcome outcome) {
       return "error";
   }
   return "?";
+}
+
+std::string AuditEntry::permits() const {
+  return rendered_permits == nullptr ? std::string()
+                                     : rendered_permits->Join("; ");
 }
 
 void AuditLog::Record(AuditEntry entry) {
@@ -61,7 +68,7 @@ Relation AuditLog::Materialize() const {
          Value::String(entry.statement),
          Value::String(std::string(AuditOutcomeToString(entry.outcome))),
          Value::Int64(entry.affected), Value::Int64(entry.withheld),
-         Value::String(entry.permits)}));
+         Value::String(entry.permits())}));
   }
   return out;
 }
@@ -83,7 +90,7 @@ std::string AuditLog::ToString(int last_n) const {
       out << ")";
     }
     out << ": " << e.statement;
-    if (!e.permits.empty()) out << "  -- " << e.permits;
+    if (e.rendered_permits != nullptr) out << "  -- " << e.permits();
     out << "\n";
   }
   return out.str();

@@ -14,6 +14,7 @@
 #ifndef VIEWAUTH_AUTHZ_AUDIT_LOG_H_
 #define VIEWAUTH_AUTHZ_AUDIT_LOG_H_
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "storage/relation.h"
 
 namespace viewauth {
+
+class RenderedPermits;
 
 enum class AuditOutcome {
   kFullAccess = 0,
@@ -45,8 +48,12 @@ struct AuditEntry {
   // Rows delivered / affected; withheld counterpart where applicable.
   int affected = 0;
   int withheld = 0;
-  // The inferred permit statements accompanying a partial delivery.
-  std::string permits;
+  // The inferred permit statements accompanying a partial delivery,
+  // shared with the decision that rendered them; null otherwise.
+  std::shared_ptr<const RenderedPermits> rendered_permits;
+
+  // Those statements joined by "; "; empty when there are none.
+  std::string permits() const;
 };
 
 class AuditLog {

@@ -791,14 +791,19 @@ std::vector<InferredPermit> Authorizer::DescribeMask(
     const MetaRelation& mask) const {
   std::vector<std::string> display;
   for (const Attribute& column : mask.columns()) display.push_back(column.name);
-  return Describe(mask, display,
-                  std::vector<bool>(static_cast<size_t>(mask.arity()), true));
+  Decision described;
+  Describe(mask, display,
+           std::vector<bool>(static_cast<size_t>(mask.arity()), true),
+           &described);
+  return std::move(described.permits);
 }
 
-std::vector<InferredPermit> Authorizer::Describe(
-    const MetaRelation& mask, const std::vector<std::string>& display,
-    const std::vector<bool>& requested) const {
-  std::vector<InferredPermit> permits;
+void Authorizer::Describe(const MetaRelation& mask,
+                          const std::vector<std::string>& display,
+                          const std::vector<bool>& requested,
+                          Decision* decision) const {
+  std::vector<InferredPermit>& permits = decision->permits;
+  RenderedPermits rendered;
   std::set<std::string> seen;
   for (const MetaTuple& tuple : mask.tuples()) {
     InferredPermit permit;
@@ -851,12 +856,16 @@ std::vector<InferredPermit> Authorizer::Describe(
                       where_parts.end());
     permit.where = Join(where_parts, " and ");
 
-    std::string rendered = permit.ToString();
-    if (seen.insert(rendered).second) {
+    auto [it, fresh] = seen.insert(permit.ToString());
+    if (fresh) {
+      rendered.Add(*it);
       permits.push_back(std::move(permit));
     }
   }
-  return permits;
+  if (!permits.empty()) {
+    decision->rendered_permits =
+        std::make_shared<const RenderedPermits>(std::move(rendered));
+  }
 }
 
 Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
@@ -933,7 +942,7 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
       display[c] = answer_names[i];
       delivered[c] = true;
     }
-    decision->permits = Describe(mask, display, delivered);
+    Describe(mask, display, delivered, decision.get());
   }
   std::shared_ptr<const Decision> out = std::move(decision);
   if (use_cache) {

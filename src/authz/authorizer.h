@@ -386,10 +386,11 @@ class Authorizer {
   // Step 6, the one permit renderer: one statement per mask tuple that
   // projects a `requested` column, listing those columns and qualifying
   // them by the tuple's selection; `display` names every mask column.
-  std::vector<InferredPermit> Describe(const MetaRelation& mask,
-                                       const std::vector<std::string>& display,
-                                       const std::vector<bool>& requested)
-      const;
+  // Fills `decision`'s permits and their rendering, each statement
+  // rendered once.
+  void Describe(const MetaRelation& mask,
+                const std::vector<std::string>& display,
+                const std::vector<bool>& requested, Decision* decision) const;
 
   const DatabaseInstance* db_;
   const ViewCatalog* catalog_;

@@ -40,6 +40,26 @@ std::string InferredPermit::ToString() const {
   return out;
 }
 
+void RenderedPermits::Add(std::string_view permit) {
+  lines_ += permit;
+  ends_.push_back(lines_.size());
+  lines_ += '\n';
+}
+
+std::string_view RenderedPermits::permit(size_t i) const {
+  const size_t begin = i == 0 ? 0 : ends_[i - 1] + 1;
+  return std::string_view(lines_).substr(begin, ends_[i] - begin);
+}
+
+std::string RenderedPermits::Join(std::string_view separator) const {
+  std::string out;
+  for (size_t i = 0; i < size(); ++i) {
+    if (i > 0) out += separator;
+    out += permit(i);
+  }
+  return out;
+}
+
 AuthzStats& AuthzStats::operator+=(const AuthzStats& o) {
   retrieves += o.retrieves;
   prepared_hits += o.prepared_hits;

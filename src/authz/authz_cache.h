@@ -130,6 +130,30 @@ struct InferredPermit {
   std::string ToString() const;
 };
 
+// A decision's permit statements, rendered once when the decision is
+// built: the reply's tail, and the audit trail's PERMITS text, which is
+// the same statements joined by "; ". The decision and every audit entry
+// of a partial delivery share one instance.
+class RenderedPermits {
+ public:
+  // Appends one statement, as InferredPermit::ToString renders it.
+  void Add(std::string_view permit);
+
+  // "permit …\n" per statement, in order.
+  const std::string& lines() const { return lines_; }
+  size_t size() const { return ends_.size(); }
+  // The i-th statement, without its newline.
+  std::string_view permit(size_t i) const;
+  // The statements joined by `separator`.
+  std::string Join(std::string_view separator) const;
+
+ private:
+  std::string lines_;
+  // Where each statement's newline sits. A string constant may hold a
+  // newline itself, so the lines cannot be split on '\n'.
+  std::vector<size_t> ends_;
+};
+
 // The authorization decision for one (user, query): everything about a
 // retrieve that depends on the grants and not on the data. Immutable once
 // built; the cache and every result that used it share one instance.
@@ -143,6 +167,8 @@ struct Decision {
   // The permit statements describing the delivered portion; empty when
   // denied or full access.
   std::vector<InferredPermit> permits;
+  // `permits`, rendered; null exactly when `permits` is empty.
+  std::shared_ptr<const RenderedPermits> rendered_permits;
   // Nothing may be delivered: no mask tuple grants a requested column.
   bool denied = false;
   // The mask grants the entire answer (no permit statements accompany

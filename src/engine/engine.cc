@@ -88,9 +88,8 @@ Result<std::string> Engine::ExecuteParsed(const Statement& statement,
   // every other statement may mutate engine state and serializes on the
   // state mutex.
   if (const auto* retrieve = std::get_if<RetrieveStmt>(&statement)) {
-    std::vector<std::string> permits;
     VIEWAUTH_ASSIGN_OR_RETURN(AuthorizationResult result,
-                              RunRetrieve(*retrieve, limits, &permits));
+                              RunRetrieve(*retrieve, limits));
     if (result.denied) {
       return std::string(
           "permission denied: no permitted view covers this request");
@@ -98,7 +97,9 @@ Result<std::string> Engine::ExecuteParsed(const Statement& statement,
     TablePrintOptions print_options;
     print_options.caption = "result for " + UserOf(*retrieve) + ":";
     std::string out = PrintRelation(result.answer, print_options);
-    for (const std::string& permit : permits) out += permit + "\n";
+    if (const auto& rendered = result.decision->rendered_permits) {
+      out += rendered->lines();
+    }
     // The delivered answer is freed here, on the thread that built it.
     return out;
   }
@@ -625,13 +626,11 @@ Result<AuthorizationResult> Engine::Retrieve(
   if (retrieve == nullptr) {
     return Status::InvalidArgument("Retrieve expects a retrieve statement");
   }
-  std::vector<std::string> permits;
-  return RunRetrieve(*retrieve, /*limits=*/nullptr, &permits);
+  return RunRetrieve(*retrieve, /*limits=*/nullptr);
 }
 
-Result<AuthorizationResult> Engine::RunRetrieve(
-    const RetrieveStmt& stmt, const ExecLimits* limits,
-    std::vector<std::string>* permits) {
+Result<AuthorizationResult> Engine::RunRetrieve(const RetrieveStmt& stmt,
+                                                const ExecLimits* limits) {
   // Admission happens before the snapshot pin so a queued retrieve holds
   // no version alive; the ticket frees the slot only after the retrieve
   // fully unwinds.
@@ -672,6 +671,7 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     // are). Denied only when every branch is denied; full access only
     // when every branch is.
     auto merged = std::make_shared<Decision>();
+    RenderedPermits merged_permits;
     bool all_denied = true;
     bool all_full = true;
     std::set<std::string> permit_texts;
@@ -691,9 +691,14 @@ Result<AuthorizationResult> Engine::RunRetrieve(
           authorizer.Retrieve(user, query, options_, &ctx));
       all_denied = all_denied && branch_result.denied;
       all_full = all_full && branch_result.full_access;
-      for (const InferredPermit& permit : branch_result.permits()) {
-        if (permit_texts.insert(permit.ToString()).second) {
-          merged->permits.push_back(permit);
+      // The merged rendering reuses the branches' statements.
+      const std::vector<InferredPermit>& permits = branch_result.permits();
+      for (size_t k = 0; k < permits.size(); ++k) {
+        const std::string_view text =
+            branch_result.decision->rendered_permits->permit(k);
+        if (permit_texts.emplace(text).second) {
+          merged->permits.push_back(permits[k]);
+          merged_permits.Add(text);
         }
       }
       if (i == 0) {
@@ -720,7 +725,12 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     }
     result.denied = merged->denied = all_denied;
     result.full_access = merged->full_access = all_full;
-    if (result.full_access) merged->permits.clear();
+    if (result.full_access) {
+      merged->permits.clear();
+    } else if (!merged->permits.empty()) {
+      merged->rendered_permits =
+          std::make_shared<const RenderedPermits>(std::move(merged_permits));
+    }
     result.decision = std::move(merged);
     result.answer = ColumnAnswer(answer_union);
     result.raw_answer = RawAnswer(std::move(raw_union));
@@ -736,11 +746,8 @@ Result<AuthorizationResult> Engine::RunRetrieve(
     audit.outcome = AuditOutcome::kFullAccess;
   } else {
     audit.outcome = AuditOutcome::kPartial;
-    // Each permit renders once; the audit entry and the reply share it.
-    for (const InferredPermit& permit : result.permits()) {
-      permits->push_back(permit.ToString());
-    }
-    audit.permits = Join(*permits, "; ");
+    // The decision's rendering, shared with the reply.
+    audit.rendered_permits = result.decision->rendered_permits;
   }
   if (!result.denied) {
     audit.affected = result.answer.size();

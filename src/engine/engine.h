@@ -192,12 +192,11 @@ class Engine {
   }
   // The one retrieve path: admission, snapshot pin, ExecContext
   // registration, authorization of every or-branch, and the audit
-  // append. `permits` receives the inferred permits, rendered once for
-  // both the audit entry and the reply. The raw answer is freed before
-  // returning, on the calling thread.
+  // append, which shares the decision's rendered permits with the
+  // reply. The raw answer is freed before returning, on the calling
+  // thread.
   Result<AuthorizationResult> RunRetrieve(const RetrieveStmt& stmt,
-                                          const ExecLimits* limits,
-                                          std::vector<std::string>* permits);
+                                          const ExecLimits* limits);
   Result<std::string> ExecuteDelete(const DeleteStmt& stmt);
   Result<std::string> ExecuteModify(const ModifyStmt& stmt);
   Result<std::string> ExecuteDrop(const DropStmt& stmt);

@@ -224,11 +224,13 @@ bool Server::HandleRequest(Session* session, const std::string& user,
       VIEWAUTH_ASSIGN_OR_RETURN(Statement statement,
                                 ParseStatement(request.statement));
       VIEWAUTH_RETURN_NOT_OK(ApplySessionIdentity(&statement, user));
-      ExecLimits limits;
-      limits.deadline_ms = request.deadline_ms > 0
-                               ? static_cast<long long>(request.deadline_ms)
-                               : options_.default_deadline_ms;
-      return ExecuteStatement(statement, limits);
+      // A client's deadline can only tighten the server's default.
+      ExecLimits requested;
+      requested.deadline_ms = static_cast<long long>(request.deadline_ms);
+      ExecLimits server_default;
+      server_default.deadline_ms = options_.default_deadline_ms;
+      return ExecuteStatement(statement,
+                              TightenLimits(server_default, requested));
     }();
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);

@@ -47,7 +47,7 @@ TEST_F(AuditLogTest, RetrieveOutcomesRecorded) {
   EXPECT_EQ(log.entries()[0].user, "Brown");
   EXPECT_EQ(log.entries()[0].affected, 1);
   EXPECT_EQ(log.entries()[0].withheld, 1);  // the Apex row
-  EXPECT_NE(log.entries()[0].permits.find("SPONSOR = Acme"),
+  EXPECT_NE(log.entries()[0].permits().find("SPONSOR = Acme"),
             std::string::npos);
   EXPECT_EQ(log.entries()[1].outcome, AuditOutcome::kDenied);
   EXPECT_EQ(log.entries()[2].outcome, AuditOutcome::kFullAccess);

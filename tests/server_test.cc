@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -260,6 +261,35 @@ TEST_F(ServerTest, PerRequestDeadlinePropagatesIntoGovernor) {
   // without a deadline completes.
   auto full = (*client)->Execute(kCrossQuery);
   ASSERT_TRUE(full.ok()) << full.status();
+}
+
+TEST_F(ServerTest, ClientDeadlineCannotExceedServerDefault) {
+  ASSERT_TRUE(engine_.ExecuteScript(CrossProductScript(1000)).ok());
+  ServerOptions options;
+  options.default_deadline_ms = 1;
+  StartServer(&engine_, options);
+  auto client = Connect("Brown");
+  ASSERT_TRUE(client.ok()) << client.status();
+  // 2^32 - 1 ms, about 50 days, is tightened to the server's 1 ms.
+  auto longest = (*client)->Execute(kCrossQuery,
+                                    std::numeric_limits<uint32_t>::max());
+  ASSERT_FALSE(longest.ok());
+  EXPECT_TRUE(longest.status().IsDeadlineExceeded()) << longest.status();
+  // A request with no deadline gets the default.
+  auto unset = (*client)->Execute(kCrossQuery);
+  ASSERT_FALSE(unset.ok());
+  EXPECT_TRUE(unset.status().IsDeadlineExceeded()) << unset.status();
+
+  // Under a generous default, a shorter client deadline is kept.
+  client->reset();
+  server_->Stop();
+  options.default_deadline_ms = 600'000;
+  StartServer(&engine_, options);
+  client = Connect("Brown");
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto shorter = (*client)->Execute(kCrossQuery, /*deadline_ms=*/1);
+  ASSERT_FALSE(shorter.ok());
+  EXPECT_TRUE(shorter.status().IsDeadlineExceeded()) << shorter.status();
 }
 
 TEST_F(ServerTest, AdmissionShedIsAStructuredReply) {

@@ -58,7 +58,10 @@
 #  13. the full suite under ThreadSanitizer
 #  14. the full suite under AddressSanitizer + UndefinedBehaviorSanitizer
 #      (both sanitizer tiers include the torture + coherence tests and
-#      the group-commit path, the only commit path)
+#      the group-commit path, the only commit path; each builds only the
+#      `ctest_targets` target — the test binaries, the paper experiments
+#      and the lint tool — not the benches and examples, which ctest
+#      never runs)
 #
 # Prints a summary table and exits nonzero if any step failed.
 #
@@ -217,14 +220,14 @@ if [ "${VIEWAUTH_CHECK_SKIP_SANITIZERS:-0}" != "1" ]; then
   tsan_tier() {
     cmake -B build-tsan -S . -DVIEWAUTH_WERROR=ON \
       -DVIEWAUTH_SANITIZE=thread >/dev/null &&
-      cmake --build build-tsan -j "$JOBS" &&
+      cmake --build build-tsan -j "$JOBS" --target ctest_targets &&
       TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
         ctest --test-dir build-tsan --output-on-failure -j "$JOBS" "$@"
   }
   asan_tier() {
     cmake -B build-asan -S . -DVIEWAUTH_WERROR=ON \
       -DVIEWAUTH_SANITIZE=address,undefined >/dev/null &&
-      cmake --build build-asan -j "$JOBS" &&
+      cmake --build build-asan -j "$JOBS" --target ctest_targets &&
       ASAN_OPTIONS="halt_on_error=1:detect_leaks=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
         UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
         ctest --test-dir build-asan --output-on-failure -j "$JOBS" "$@"
