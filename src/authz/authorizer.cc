@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -157,7 +158,9 @@ class Delivery {
            Projected projected)
       : target_columns_(target_columns),
         grants_(num_tuples, std::vector<bool>(target_columns.size())),
-        relevant_(num_tuples, false) {
+        relevant_(num_tuples, false),
+        pattern_(num_tuples) {
+    std::map<std::vector<bool>, size_t> first_with;
     for (size_t t = 0; t < num_tuples; ++t) {
       for (size_t i = 0; i < target_columns.size(); ++i) {
         if (projected(t, target_columns[i])) {
@@ -165,11 +168,16 @@ class Delivery {
           relevant_[t] = true;
         }
       }
+      pattern_[t] = first_with.emplace(grants_[t], t).first->second;
     }
   }
 
   // Whether mask tuple t grants any delivered column.
   bool relevant(size_t t) const { return relevant_[t]; }
+
+  // The first mask tuple that grants exactly the delivered columns
+  // mask tuple t grants: tuples of one pattern deliver a row alike.
+  size_t pattern(size_t t) const { return pattern_[t]; }
 
   // Whether every relevant mask tuple grants every delivered column:
   // then each delivered row is its answer row's delivered cells, whichever
@@ -215,6 +223,7 @@ class Delivery {
   const std::vector<int>& target_columns_;
   std::vector<std::vector<bool>> grants_;
   std::vector<bool> relevant_;
+  std::vector<size_t> pattern_;
 };
 
 }  // namespace
@@ -715,7 +724,7 @@ ColumnAnswer Authorizer::ApplyWideMaskVectorized(
     const size_t hash = HashCells(arity, cell);
     auto same = [&](size_t r) {
       for (size_t k = 0; k < arity; ++k) {
-        if (!(out.cell(r, k) == cell(k))) return false;
+        if (!out.column(k).CellEquals(r, cell(k))) return false;
       }
       return true;
     };
@@ -736,6 +745,10 @@ ColumnAnswer Authorizer::ApplyWideMaskVectorized(
       ApproxTupleBytes(static_cast<int>(target_columns.size()));
   ColumnBatch batch;
   std::vector<uint32_t> sel;
+  // offered[p]: the last row offered to the filter as pattern p delivers
+  // it. A later tuple of that pattern would build the same row, which the
+  // filter drops, so each row is offered once per pattern.
+  std::vector<size_t> offered(num_tuples, SIZE_MAX);
   ExecMeter meter(ctx);
   const size_t row_count = rows.size();
   const size_t stride = static_cast<size_t>(rows.stride);
@@ -769,6 +782,9 @@ ColumnAnswer Authorizer::ApplyWideMaskVectorized(
           out.AppendRow(answer_cell);
           break;
         }
+        const size_t pattern = delivery.pattern(t);
+        if (offered[pattern] == wb + i) continue;
+        offered[pattern] = wb + i;
         deliver_first([&](size_t k) -> const Value& {
           return delivery.CellOf(t, k, answer_cell);
         });

@@ -40,11 +40,18 @@ bool EqualsIgnoreCaseAscii(std::string_view a, std::string_view b);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
+// The number of characters in the decimal form of `value`, with
+// thousands separators when `commas` is set.
+size_t DecimalSize(long long value, bool commas);
+// Writes the decimal form of `value` at `out`, with thousands separators
+// when `commas` is set ("250,000"), and returns the end of what it
+// wrote: DecimalSize(value, commas) characters, which `out` must have
+// room for. The one grouping implementation; the table printer writes
+// integer cells with it straight into the output.
+char* WriteDecimal(long long value, bool commas, char* out);
+
 // Formats an int64 with thousands separators, e.g. 250000 -> "250,000".
-// Used by the table printer to mirror the paper's figures.
 std::string FormatWithCommas(long long value);
-// Appends FormatWithCommas(value) to `out` without a temporary string.
-void AppendWithCommas(long long value, std::string* out);
 
 }  // namespace viewauth
 

@@ -96,12 +96,11 @@ Result<std::string> Engine::ExecuteParsed(const Statement& statement,
     }
     TablePrintOptions print_options;
     print_options.caption = "result for " + UserOf(*retrieve) + ":";
-    std::string out = PrintRelation(result.answer, print_options);
     if (const auto& rendered = result.decision->rendered_permits) {
-      out += rendered->lines();
+      print_options.trailer = rendered->lines();
     }
     // The delivered answer is freed here, on the thread that built it.
-    return out;
+    return PrintRelation(result.answer, print_options);
   }
   if (const auto* analyze = std::get_if<AnalyzeStmt>(&statement)) {
     const std::shared_ptr<const EngineState> snapshot = SnapshotNow();

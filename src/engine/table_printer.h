@@ -6,6 +6,7 @@
 #define VIEWAUTH_ENGINE_TABLE_PRINTER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/column_answer.h"
@@ -21,10 +22,14 @@ struct TablePrintOptions {
   bool sorted = true;
   // Optional caption printed above the table.
   std::string caption;
+  // Text written verbatim after the table's last line (a retrieve's
+  // permit statements), so a reply is sized and written once.
+  std::string_view trailer;
 };
 
 // Both overloads render through one body and print equal rows
-// identically; the second reads a delivered answer's column images.
+// identically; the second reads a delivered answer's column images,
+// sorting and formatting integer images as integers.
 std::string PrintRelation(const Relation& relation,
                           const TablePrintOptions& options = {});
 std::string PrintRelation(const ColumnAnswer& answer,

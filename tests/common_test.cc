@@ -189,29 +189,48 @@ uint32_t ReferenceCrc32(uint32_t crc, std::string_view data) {
 }
 
 TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length up to kMaxLength, then windows of lengths around 64 KiB
+  // and around a 114 KB reply frame, where the carry-less-multiply fold
+  // (64 bytes per step, 16-byte blocks after it, a table tail) does
+  // nearly all the work.
   constexpr size_t kMaxLength = 4096;
+  constexpr size_t kWindow = 80;
+  constexpr size_t kLongLengths[] = {65536, 114000};
+  constexpr size_t kLongest = 114000 + kWindow;
   constexpr size_t kMaxOffset = 8;
-  std::string buffer(kMaxLength + kMaxOffset, '\0');
+  std::string buffer(kLongest + kMaxOffset, '\0');
   uint32_t state = 0x12345678u;
   for (char& c : buffer) {
     state = state * 1664525u + 1013904223u;  // LCG: deterministic bytes
     c = static_cast<char>(state >> 24);
   }
   const std::string_view all(buffer);
+  auto checked = [&](size_t length) {
+    if (length <= kMaxLength) return true;
+    for (size_t center : kLongLengths) {
+      if (length + kWindow >= center && length <= center + kWindow) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (size_t offset = 0; offset < kMaxOffset; ++offset) {
     // The reference extends its previous prefix by one byte.
     uint32_t reference = kCrc32Init;
-    for (size_t length = 0; length <= kMaxLength; ++length) {
+    for (size_t length = 0; length <= kLongest; ++length) {
       if (length > 0) {
         reference =
             ReferenceCrc32(reference, all.substr(offset + length - 1, 1));
       }
+      if (!checked(length)) continue;
       ASSERT_EQ(Crc32(all.substr(offset, length)), reference)
           << "offset " << offset << " length " << length;
     }
   }
-  // Chunked updates of every size up to 17 agree with the one-shot value,
-  // so a running checksum may split its input anywhere.
+  // Chunked updates agree with the one-shot value, so a running checksum
+  // may split its input anywhere: every chunk size up to 17, then sizes
+  // on either side of the 16- and 64-byte fold boundaries, over a
+  // misaligned 114 KB input.
   const std::string_view data = all.substr(3, 1000);
   const uint32_t whole = ReferenceCrc32(kCrc32Init, data);
   for (size_t chunk = 1; chunk <= 17; ++chunk) {
@@ -221,6 +240,25 @@ TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
     }
     EXPECT_EQ(crc, whole) << "chunk " << chunk;
   }
+  const std::string_view long_data = all.substr(5, 114000);
+  const uint32_t long_whole = ReferenceCrc32(kCrc32Init, long_data);
+  for (size_t chunk : {15, 16, 17, 63, 64, 65, 79, 80, 127, 128, 129, 4099}) {
+    uint32_t crc = kCrc32Init;
+    for (size_t at = 0; at < long_data.size(); at += chunk) {
+      crc = Crc32Update(crc, long_data.substr(at, chunk));
+    }
+    EXPECT_EQ(crc, long_whole) << "chunk " << chunk;
+  }
+  // Chunks of changing size, so each call starts at another phase of
+  // the fold.
+  uint32_t crc = kCrc32Init;
+  size_t at = 0;
+  for (size_t step = 0; at < long_data.size(); ++step) {
+    const size_t chunk = 1 + (step * 37) % 200;
+    crc = Crc32Update(crc, long_data.substr(at, chunk));
+    at += chunk;
+  }
+  EXPECT_EQ(crc, long_whole) << "chunks of 1 to 200 bytes";
 }
 
 TEST(Crc32, DetectsSingleBitFlips) {
@@ -240,6 +278,33 @@ TEST(StrUtil, FormatWithCommas) {
   EXPECT_EQ(FormatWithCommas(250000), "250,000");
   EXPECT_EQ(FormatWithCommas(-1000), "-1,000");
   EXPECT_EQ(FormatWithCommas(1234567890), "1,234,567,890");
+  EXPECT_EQ(FormatWithCommas(INT64_MIN), "-9,223,372,036,854,775,808");
+  EXPECT_EQ(FormatWithCommas(INT64_MAX), "9,223,372,036,854,775,807");
+}
+
+TEST(StrUtil, WriteDecimalWritesDecimalSizeCharacters) {
+  std::vector<long long> values = {INT64_MIN, INT64_MIN + 1, INT64_MAX, 0};
+  for (long long power = 1; power <= INT64_MAX / 10; power *= 10) {
+    for (long long v : {power - 1, power, power + 1}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  for (long long v : values) {
+    for (bool commas : {false, true}) {
+      char text[32];
+      char* const end = WriteDecimal(v, commas, text);
+      const std::string written(text, end);
+      EXPECT_EQ(written.size(), DecimalSize(v, commas)) << v;
+      // std::to_string's digits, grouped by three from the right.
+      std::string expected = std::to_string(v);
+      const size_t first_digit = v < 0 ? 1 : 0;
+      for (size_t i = expected.size(); commas && i > first_digit + 3; i -= 3) {
+        expected.insert(i - 3, ",");
+      }
+      EXPECT_EQ(written, expected) << v;
+    }
+  }
 }
 
 

@@ -96,26 +96,35 @@ std::vector<TablePrintOptions> AllOptions() {
   return all;
 }
 
-// Matches the reference under every option combination; when every row
-// has the schema's arity, so does the relation's column answer, rendered
-// by the column-image overload and compared byte for byte with its
+// Matches the reference under every option combination, and with a
+// trailer after the table; when every row has the schema's arity, so
+// does the relation's column answer (integer images where a column's
+// cells are all Int64 or NULL), rendered by the column-image overload
+// and compared byte for byte with the reference and with its
 // Materialize()d relation.
 void ExpectMatchesReference(const Relation& rel) {
   const bool uniform =
       std::all_of(rel.begin(), rel.end(), [&](const Tuple& row) {
         return row.arity() == rel.schema().arity();
       });
-  for (const TablePrintOptions& options : AllOptions()) {
+  const ColumnAnswer answer = uniform ? ColumnAnswer(rel) : ColumnAnswer();
+  for (TablePrintOptions options : AllOptions()) {
     SCOPED_TRACE("sorted=" + std::to_string(options.sorted) +
                  " commas=" + std::to_string(options.thousands_separators) +
                  " caption='" + options.caption + "' null='" +
                  options.null_text + "'");
-    EXPECT_EQ(PrintRelation(rel, options),
-              ReferencePrintRelation(rel, options));
+    const std::string reference = ReferencePrintRelation(rel, options);
+    EXPECT_EQ(PrintRelation(rel, options), reference);
     if (uniform) {
-      const ColumnAnswer answer(rel);
+      EXPECT_EQ(PrintRelation(answer, options), reference);
       EXPECT_EQ(PrintRelation(answer, options),
                 PrintRelation(answer.Materialize(), options));
+    }
+    const std::string trailer = "permit (A) where A = 'x\ny'\npermit (B)\n";
+    options.trailer = trailer;
+    EXPECT_EQ(PrintRelation(rel, options), reference + trailer);
+    if (uniform) {
+      EXPECT_EQ(PrintRelation(answer, options), reference + trailer);
     }
   }
 }
@@ -204,6 +213,120 @@ TEST(TablePrinter, ColumnAnswerKeepsRowsAndOrder) {
     EXPECT_TRUE(back.row(i) == rel.row(i)) << "row " << i;
   }
   EXPECT_TRUE(back.Contains(rel.row(0)));  // the copy is still a set
+  ExpectMatchesReference(rel);
+}
+
+// The cells of `answer` and `rel` agree row for row, through cell() and
+// through Materialize().
+void ExpectSameCells(const ColumnAnswer& answer, const Relation& rel) {
+  ASSERT_EQ(answer.size(), rel.size());
+  const Relation back = answer.Materialize();
+  for (RowId r = 0; r < static_cast<RowId>(rel.size()); ++r) {
+    EXPECT_TRUE(back.row(r) == rel.row(r)) << "row " << r;
+    for (size_t c = 0; c < static_cast<size_t>(answer.arity()); ++c) {
+      EXPECT_EQ(answer.cell(static_cast<size_t>(r), c), rel.row(r).at(c))
+          << "row " << r << " column " << c;
+    }
+  }
+}
+
+TEST(TablePrinter, ColumnTurnsIntoValuesOnItsFirstOtherCell) {
+  RelationSchema schema =
+      RelationSchema::Make("T", {{"MIXED", ValueType::kInt64},
+                                 {"I", ValueType::kInt64}})
+          .value();
+  // Integers and NULLs, then one string or double, then integers again;
+  // the second column stays integers throughout.
+  for (const Value& other : {Value::String("text"), Value::Double(2.5)}) {
+    SCOPED_TRACE(other.ToString());
+    Relation rel(schema);
+    for (int i = 0; i < 200; ++i) {
+      Value mixed = i == 150  ? other
+                    : i % 9 == 0 ? Value::Null()
+                                 : Value::Int64((i * 7919) % 1000 - 500);
+      rel.InsertUnchecked(Tuple({std::move(mixed), Value::Int64(i - 100)}));
+    }
+    ColumnAnswer answer(schema);
+    for (RowId r = 0; r < static_cast<RowId>(rel.size()); ++r) {
+      answer.AppendRow(
+          [&](size_t c) -> const Value& { return rel.row(r).at(c); });
+      EXPECT_EQ(answer.column(0).is_int(), r < 150) << "row " << r;
+    }
+    EXPECT_TRUE(answer.column(1).is_int());
+    EXPECT_TRUE(answer.column(0).ints().empty());
+    ExpectSameCells(answer, rel);
+    EXPECT_TRUE(answer.column(0).CellEquals(150, other));
+    EXPECT_TRUE(answer.column(0).CellEquals(0, Value::Null()));
+    ExpectMatchesReference(rel);
+  }
+}
+
+TEST(TablePrinter, IntegerImagesSortNullFirstAndPrintExtremes) {
+  RelationSchema schema =
+      RelationSchema::Make("T", {{"K", ValueType::kInt64},
+                                 {"V", ValueType::kInt64}})
+          .value();
+  Relation rel(schema);
+  const std::vector<Value> keys = {
+      Value::Int64(5),        Value::Null(),          Value::Int64(INT64_MAX),
+      Value::Int64(-1),       Value::Int64(INT64_MIN), Value::Int64(0),
+      Value::Int64(-999),     Value::Int64(-1000),    Value::Int64(1000),
+      Value::Int64(-1234567), Value::Int64(999),      Value::Null()};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    // Two rows share a NULL key and differ in V, so V breaks the tie.
+    rel.InsertUnchecked(
+        Tuple({keys[i], keys[i].is_null() ? Value::Int64(static_cast<int64_t>(
+                                                  10 - i))
+                                          : Value::Null()}));
+  }
+  const ColumnAnswer answer(rel);
+  ASSERT_TRUE(answer.column(0).is_int());
+  ASSERT_TRUE(answer.column(1).is_int());
+  ExpectSameCells(answer, rel);
+  ExpectMatchesReference(rel);
+
+  // NULL keys first, V breaking their tie, then INT64_MIN.
+  std::vector<std::string> lines;
+  std::istringstream out(PrintRelation(answer));
+  for (std::string line; std::getline(out, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2 + keys.size());
+  EXPECT_EQ(lines[2], "| " + std::string(26, ' ').replace(0, 1, "-") +
+                          " | -1 |");
+  EXPECT_EQ(lines[3], "| " + std::string(26, ' ').replace(0, 1, "-") +
+                          " | 9  |");
+  EXPECT_EQ(lines[4], "| -9,223,372,036,854,775,808 | -  |");
+  EXPECT_EQ(lines[5], "| -1,234,567                 | -  |");
+  EXPECT_EQ(lines.back(), "| 9,223,372,036,854,775,807  | -  |");
+  TablePrintOptions plain;
+  plain.thousands_separators = false;
+  EXPECT_NE(PrintRelation(answer, plain).find("| -9223372036854775808 |"),
+            std::string::npos);
+}
+
+TEST(TablePrinter, AnswerMixingIntegerAndStringColumns) {
+  RelationSchema schema =
+      RelationSchema::Make("T", {{"NAME", ValueType::kString},
+                                 {"SALARY", ValueType::kInt64},
+                                 {"RANK", ValueType::kInt64}})
+          .value();
+  Relation rel(schema);
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 500; ++i) {
+    Value name = rng() % 11 == 0
+                     ? Value::Null()
+                     : Value::String("n" + std::to_string(rng() % 40));
+    Value salary = rng() % 13 == 0
+                       ? Value::Null()
+                       : Value::Int64(static_cast<int64_t>(rng() % 2000000) -
+                                      1000000);
+    rel.InsertUnchecked(Tuple({std::move(name), std::move(salary),
+                               Value::Int64(static_cast<int64_t>(rng() % 4))}));
+  }
+  const ColumnAnswer answer(rel);
+  EXPECT_FALSE(answer.column(0).is_int());
+  EXPECT_TRUE(answer.column(1).is_int());
+  EXPECT_TRUE(answer.column(2).is_int());
+  ExpectSameCells(answer, rel);
   ExpectMatchesReference(rel);
 }
 

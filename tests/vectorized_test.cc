@@ -837,6 +837,11 @@ class MaskScenario {
     const ColumnAnswer got = Authorizer::ApplyWideMaskVectorized(
         *ids, query.targets(), CompiledMask::Compile(*mask), all, schema,
         drop);
+    // R's cells are all Int64 or NULL, so every delivered column stays
+    // an integer image, and the comparison below reads those images.
+    for (size_t c = 0; c < static_cast<size_t>(got.arity()); ++c) {
+      EXPECT_TRUE(got.column(c).is_int()) << retrieve_text << " column " << c;
+    }
     const Relation rows = got.Materialize();
     EXPECT_EQ(want.size(), rows.size()) << retrieve_text;
     for (RowId i = 0; i < static_cast<RowId>(
@@ -881,6 +886,31 @@ TEST(RowIdMask, RowsEqualOnAPartialPatternAreDeliveredOnce) {
   for (const bool drop : {true, false}) {
     const Relation rows = scenario.KernelRows("retrieve (R.K, R.A)", drop);
     EXPECT_EQ(rows.size(), 7 + 40) << "drop=" << drop;
+  }
+}
+
+TEST(RowIdMask, TuplesOfOnePatternDeliverARowOnce) {
+  MaskScenario scenario;
+  for (int k = 0; k < 3000; ++k) {
+    scenario.Insert(Value::Int64(k), Value::Int64(k % 50),
+                    Value::Int64(k % 7));
+  }
+  // Three tuples withhold K and grant A and B, and most rows are
+  // accepted by more than one of them; between them sits a tuple of
+  // another pattern (K and A). Each row is offered once per pattern, and
+  // the delivered rows and their order are the interpretive plan's.
+  scenario.Permit("LOW", "(R.A, R.B) where R.A <= 30");
+  scenario.Permit("KEYS", "(R.K, R.A) where R.K < 100");
+  scenario.Permit("HIGH", "(R.A, R.B) where R.A >= 10");
+  scenario.Permit("SEVENS", "(R.A, R.B) where R.B <= 3");
+  for (const bool drop : {true, false}) {
+    int mask_tuples = 0;
+    const Relation rows =
+        scenario.KernelRows("retrieve (R.K, R.A, R.B)", drop, &mask_tuples);
+    EXPECT_EQ(mask_tuples, 4);
+    // 350 distinct (A, B) pairs, each with K withheld, and the first
+    // 100 rows with B withheld.
+    EXPECT_EQ(rows.size(), 350 + 100) << "drop=" << drop;
   }
 }
 

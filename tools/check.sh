@@ -61,7 +61,8 @@
 #      the group-commit path, the only commit path; each builds only the
 #      `ctest_targets` target — the test binaries, the paper experiments
 #      and the lint tool — not the benches and examples, which ctest
-#      never runs)
+#      never runs; both link the engine libraries shared, so the
+#      executables do not each carry an instrumented copy of them)
 #
 # Prints a summary table and exits nonzero if any step failed.
 #
@@ -219,14 +220,15 @@ fi
 if [ "${VIEWAUTH_CHECK_SKIP_SANITIZERS:-0}" != "1" ]; then
   tsan_tier() {
     cmake -B build-tsan -S . -DVIEWAUTH_WERROR=ON \
-      -DVIEWAUTH_SANITIZE=thread >/dev/null &&
+      -DVIEWAUTH_SANITIZE=thread -DBUILD_SHARED_LIBS=ON >/dev/null &&
       cmake --build build-tsan -j "$JOBS" --target ctest_targets &&
       TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
         ctest --test-dir build-tsan --output-on-failure -j "$JOBS" "$@"
   }
   asan_tier() {
     cmake -B build-asan -S . -DVIEWAUTH_WERROR=ON \
-      -DVIEWAUTH_SANITIZE=address,undefined >/dev/null &&
+      -DVIEWAUTH_SANITIZE=address,undefined -DBUILD_SHARED_LIBS=ON \
+      >/dev/null &&
       cmake --build build-asan -j "$JOBS" --target ctest_targets &&
       ASAN_OPTIONS="halt_on_error=1:detect_leaks=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
         UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
