@@ -32,8 +32,9 @@ struct EvalStats {
   long long intermediate_rows = 0;  // rows produced by non-root operators
   long long output_rows = 0;
   // Tuple objects constructed by the vectorized plan, which materializes
-  // only at the final projection (the canonical plan, which materializes
-  // every intermediate, does not count them).
+  // only at the final projection, MaterializeRowIds (column images
+  // gathered from row ids build none; the canonical plan, which
+  // materializes every intermediate, does not count them).
   long long tuples_materialized = 0;
   // Column batches processed by the vectorized plan: scan windows,
   // join-condition windows, and final-projection windows.

@@ -35,45 +35,6 @@ size_t JoinKeyHash(const KeyView& key) {
   return h;
 }
 
-// Drops each row of `rows` whose cells under `targets` equal an earlier
-// row's. The cells hash as their Tuple would and compare with Value
-// equality, so the rows kept are the ones Relation's identity index
-// would keep, in their order. Returns false once the governor trips.
-bool KeepFirstOfEachProjection(const std::vector<ColumnRef>& targets,
-                               RowIdAnswer* rows, ExecContext* ctx) {
-  const size_t stride = static_cast<size_t>(rows->stride);
-  const size_t row_count = rows->size();
-  auto same_projection = [&](size_t a, size_t b) {
-    return std::all_of(targets.begin(), targets.end(),
-                       [&](const ColumnRef& ref) {
-                         return rows->cell(a, ref) == rows->cell(b, ref);
-                       });
-  };
-  // Kept rows are compacted to the front as they are found, so a kept
-  // row's position is at most the position of the row checked against
-  // it.
-  FirstOfEqualRows first_of_equal;
-  size_t kept = 0;
-  ExecMeter meter(ctx);
-  for (size_t r = 0; r < row_count; ++r) {
-    if (!meter.TickRows(1)) return false;
-    const size_t h = HashCells(targets.size(), [&](size_t i) -> const Value& {
-      return rows->cell(r, targets[i]);
-    });
-    if (!first_of_equal.Keep(
-            h, kept, [&](size_t k) { return same_projection(k, r); })) {
-      continue;
-    }
-    if (kept != r) {
-      std::copy_n(rows->ids.begin() + static_cast<long>(r * stride), stride,
-                  rows->ids.begin() + static_cast<long>(kept * stride));
-    }
-    ++kept;
-  }
-  rows->ids.resize(kept * stride);
-  return true;
-}
-
 // Phase 3's loop, shared by both answer forms: calls `emit(r)` for each
 // row r of `rows` in batch windows, the governor ticked once per window
 // for the window's rows and their ApproxTupleBytes over `arity` cells.
@@ -93,13 +54,40 @@ void ProjectRowIds(const RowIdAnswer& rows, size_t arity, EvalStats* stats,
     for (size_t r = wb; r < wb + n; ++r) emit(r);
     if (stats != nullptr) ++stats->batches_evaluated;
   }
-  if (stats != nullptr) {
-    stats->tuples_materialized += static_cast<long long>(row_count);
-    stats->output_rows = static_cast<long long>(row_count);
-  }
+  if (stats != nullptr) stats->output_rows = static_cast<long long>(row_count);
 }
 
 }  // namespace
+
+bool KeepFirstOfEachProjection(const std::vector<ColumnRef>& targets,
+                               RowIdAnswer* rows, ExecContext* ctx) {
+  const size_t stride = static_cast<size_t>(rows->stride);
+  const size_t row_count = rows->size();
+  // Kept rows are compacted to the front as they are found, so a kept
+  // row's position is at most the position of the row checked against
+  // it.
+  FirstOfEqualRows first_of_equal;
+  size_t kept = 0;
+  ExecMeter meter(ctx);
+  for (size_t r = 0; r < row_count; ++r) {
+    if (!meter.TickRows(1)) return false;
+    if (!first_of_equal.Keep(
+            targets.size(), kept,
+            [&](size_t i) -> const Value& { return rows->cell(r, targets[i]); },
+            [&](size_t k, size_t i, const Value& cell) {
+              return rows->cell(k, targets[i]) == cell;
+            })) {
+      continue;
+    }
+    if (kept != r) {
+      std::copy_n(rows->ids.begin() + static_cast<long>(r * stride), stride,
+                  rows->ids.begin() + static_cast<long>(kept * stride));
+    }
+    ++kept;
+  }
+  rows->ids.resize(kept * stride);
+  return true;
+}
 
 RowIdAnswer AllRowsOf(const Relation& rel) {
   RowIdAnswer rows;
@@ -441,6 +429,7 @@ Relation MaterializeRowIds(const RowIdAnswer& rows,
     for (const ColumnRef& ref : targets) values.push_back(rows.cell(r, ref));
     result.AppendDistinct(Tuple(std::move(values)));
   });
+  if (stats != nullptr) stats->tuples_materialized += result.size();
   return result;
 }
 

@@ -85,6 +85,15 @@ Result<RowIdAnswer> EvaluateRowIds(const ConjunctiveQuery& query,
                                    EvalStats* stats = nullptr,
                                    ExecContext* ctx = nullptr);
 
+// Drops each row of `rows` whose cells under `targets` equal an earlier
+// row's, in place. The cells hash as their Tuple would and compare with
+// Value equality, so the rows kept are the ones Relation's identity
+// index would keep, in their order. EvaluateRowIds' distinct projection,
+// and the extended-mask flow's narrowing of the all-columns rows to the
+// query's targets. Returns false once the governor trips.
+bool KeepFirstOfEachProjection(const std::vector<ColumnRef>& targets,
+                               RowIdAnswer* rows, ExecContext* ctx);
+
 // Phase 3, the plan's one materialization point: the rows of `rows`
 // projected onto `targets`, in order, as a relation over `schema`. The
 // rows must be distinct under the projection (EvaluateRowIds' are). A

@@ -47,16 +47,6 @@ std::string DecisionCacheKey(std::string_view tag, std::string_view user,
   return key;
 }
 
-// S on the plan the options pick.
-Result<Relation> EvaluateData(const ConjunctiveQuery& query,
-                              const DatabaseInstance& db, const char* name,
-                              const AuthorizationOptions& options,
-                              EvalStats* stats, ExecContext* ctx) {
-  return options.use_optimized_data_plan
-             ? EvaluateVectorized(query, db, name, stats, ctx)
-             : EvaluateCanonical(query, db, name, stats, ctx);
-}
-
 // The product-column indices of the query's requested columns.
 std::vector<int> TargetColumns(const ConjunctiveQuery& query) {
   std::vector<int> targets;
@@ -721,14 +711,10 @@ ColumnAnswer Authorizer::ApplyWideMaskVectorized(
   FirstOfEqualRows first_of_equal;
   const size_t arity = target_columns.size();
   auto deliver_first = [&](auto cell) {
-    const size_t hash = HashCells(arity, cell);
-    auto same = [&](size_t r) {
-      for (size_t k = 0; k < arity; ++k) {
-        if (!out.column(k).CellEquals(r, cell(k))) return false;
-      }
-      return true;
-    };
-    if (first_of_equal.Keep(hash, static_cast<size_t>(out.size()), same)) {
+    if (first_of_equal.Keep(arity, static_cast<size_t>(out.size()), cell,
+                            [&](size_t r, size_t k, const Value& value) {
+                              return out.column(k).CellEquals(r, value);
+                            })) {
       out.AppendRow(cell);
     }
   };
@@ -972,35 +958,6 @@ Result<std::shared_ptr<const Decision>> Authorizer::DecisionFor(
   return out;
 }
 
-Status Authorizer::RetrieveExtended(const ConjunctiveQuery& query,
-                                    const AuthorizationOptions& options,
-                                    ExecContext* ctx, EvalStats* stats,
-                                    Relation* raw_answer,
-                                    Relation* wide_answer) const {
-  VIEWAUTH_ASSIGN_OR_RETURN(
-      *wide_answer, EvaluateData(query.WithAllColumnsProjected(), *db_,
-                                 "WIDE", options, stats, ctx));
-  if (ctx != nullptr && !ctx->ok()) return ctx->status();
-  const std::vector<int> target_columns = TargetColumns(query);
-  VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema answer_schema,
-                            query.OutputSchema("ANSWER"));
-  *raw_answer = Relation(std::move(answer_schema));
-  const long long answer_bytes =
-      ApproxTupleBytes(static_cast<int>(target_columns.size()));
-  // The wide rows are distinct, one per combination of atom rows. Only
-  // the vectorized plan relies on that: the canonical oracle keeps
-  // deduplicating, so the differential tier checks the rule here too.
-  const bool distinct =
-      options.use_optimized_data_plan && query.ProjectsDistinctRows();
-  ExecMeter meter(ctx);
-  for (const Tuple& row : *wide_answer) {
-    if (!meter.Tick(1, answer_bytes)) return ctx->status();
-    raw_answer->AddOutputRow(row.Project(target_columns), distinct);
-  }
-  stats->output_rows = raw_answer->size();
-  return Status::OK();
-}
-
 Result<AuthorizationResult> Authorizer::Retrieve(
     std::string_view user, const ConjunctiveQuery& query,
     const AuthorizationOptions& options, ExecContext* ctx) const {
@@ -1053,32 +1010,47 @@ Result<AuthorizationResult> Authorizer::RetrieveGoverned(
   result.denied = decision.denied;
   result.full_access = decision.full_access;
 
-  // S. Step 5 masks the rows it yields: the vectorized plan's row ids,
-  // the canonical plan's answer, or the extended flow's wide answer.
+  // S. Under extended masks step 5 masks the rows of the all-columns
+  // query, so that a restriction on a non-requested attribute is tested
+  // per row, and A is those rows over the targets; otherwise step 5
+  // masks A itself.
   VIEWAUTH_ASSIGN_OR_RETURN(RelationSchema answer_schema,
                             query.OutputSchema("ANSWER"));
-  const bool row_ids =
-      options.use_optimized_data_plan && !options.extended_masks;
+  std::optional<ConjunctiveQuery> wide;
+  if (options.extended_masks) wide = query.WithAllColumnsProjected();
+  const ConjunctiveQuery& masked = wide.has_value() ? *wide : query;
+  const bool vectorized = options.use_optimized_data_plan;
   start = SteadyClock::now();
-  RowIdAnswer ids;
-  Relation raw_answer;   // A, unless S yields row ids
-  Relation wide_answer;  // the extended flow's rows before projection
-  if (options.extended_masks) {
-    VIEWAUTH_RETURN_NOT_OK(RetrieveExtended(query, options, ctx,
-                                            &result.data_stats, &raw_answer,
-                                            &wide_answer));
-  } else if (row_ids) {
+  RowIdAnswer ids;       // A on the vectorized plan
+  RowIdAnswer wide_ids;  // its all-columns rows under extended masks
+  Relation rows;         // A on the canonical plan
+  Relation wide_rows;    // its all-columns rows under extended masks
+  if (vectorized) {
     VIEWAUTH_ASSIGN_OR_RETURN(
-        ids, EvaluateRowIds(query, *db_, &result.data_stats, ctx));
-    // Full access delivers A itself, gathered whole.
-    if (decision.full_access) {
-      result.answer = GatherRowIds(ids, query.targets(), answer_schema,
-                                   &result.data_stats, ctx);
+        ids, EvaluateRowIds(masked, *db_, &result.data_stats, ctx));
+    if (wide.has_value()) {
+      // The wide rows are distinct, one per combination of atom rows; A
+      // is a copy keeping the first of each projection onto the targets.
+      wide_ids = ids;
+      if (!query.ProjectsDistinctRows() &&
+          !KeepFirstOfEachProjection(query.targets(), &ids, ctx)) {
+        return ctx->status();
+      }
     }
   } else {
-    VIEWAUTH_ASSIGN_OR_RETURN(
-        raw_answer, EvaluateCanonical(query, *db_, "ANSWER",
-                                      &result.data_stats, ctx));
+    // The canonical oracle evaluates A and the wide rows independently.
+    VIEWAUTH_ASSIGN_OR_RETURN(rows, EvaluateCanonical(query, *db_, "ANSWER",
+                                                      &result.data_stats, ctx));
+    if (wide.has_value()) {
+      VIEWAUTH_ASSIGN_OR_RETURN(
+          wide_rows,
+          EvaluateCanonical(*wide, *db_, "WIDE", &result.data_stats, ctx));
+    }
+  }
+  // Full access delivers A itself, gathered whole.
+  if (vectorized && decision.full_access) {
+    result.answer = GatherRowIds(ids, query.targets(), answer_schema,
+                                 &result.data_stats, ctx);
   }
   stats.data_eval_micros += MicrosSince(start);
   if (ctx != nullptr && !ctx->ok()) return ctx->status();
@@ -1087,38 +1059,29 @@ Result<AuthorizationResult> Authorizer::RetrieveGoverned(
     result.answer = ColumnAnswer(answer_schema);
   } else if (decision.full_access) {
     // Delivered without accompanying permit statements.
-    if (!row_ids) result.answer = ColumnAnswer(raw_answer);
+    if (!vectorized) result.answer = ColumnAnswer(rows);
   } else {
     start = SteadyClock::now();
+    const std::vector<int> target_columns =
+        DeliveredColumns(query, wide.has_value());
     // A compiled mask exists exactly under the vectorized plan.
-    if (row_ids) {
+    if (vectorized) {
       result.answer = ApplyWideMaskVectorized(
-          ids, query.targets(), *decision.compiled,
-          DeliveredColumns(query, /*wide=*/false), answer_schema,
+          wide.has_value() ? wide_ids : ids, masked.targets(),
+          *decision.compiled, target_columns, answer_schema,
           options.drop_fully_masked_rows, ctx, &result.data_stats);
     } else {
-      const Relation& rows =
-          options.extended_masks ? wide_answer : raw_answer;
-      const std::vector<int> target_columns =
-          DeliveredColumns(query, options.extended_masks);
-      if (decision.compiled != nullptr) {
-        result.answer = ApplyWideMaskVectorized(
-            AllRowsOf(rows), ColumnsOf(rows), *decision.compiled,
-            target_columns, answer_schema, options.drop_fully_masked_rows,
-            ctx, &result.data_stats);
-      } else {
-        result.answer = ColumnAnswer(
-            ApplyWideMask(rows, decision.mask, target_columns, answer_schema,
-                          options.drop_fully_masked_rows, ctx));
-      }
+      result.answer = ColumnAnswer(ApplyWideMask(
+          wide.has_value() ? wide_rows : rows, decision.mask, target_columns,
+          answer_schema, options.drop_fully_masked_rows, ctx));
     }
     if (ctx != nullptr && !ctx->ok()) return ctx->status();
     stats.mask_apply_micros += MicrosSince(start);
   }
   result.raw_answer =
-      row_ids ? RawAnswer(std::move(ids), query.targets(),
-                          std::move(answer_schema))
-              : RawAnswer(std::move(raw_answer));
+      vectorized ? RawAnswer(std::move(ids), query.targets(),
+                             std::move(answer_schema))
+                 : RawAnswer(std::move(rows));
   return result;
 }
 

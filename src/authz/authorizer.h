@@ -149,10 +149,10 @@ struct MaskTrace {
 };
 
 // The unmasked answer A. The vectorized plan keeps S's row ids and
-// builds the rows only on Materialize(); the canonical plan and the
-// extended-mask flow own the rows. Row ids point into the database S
-// ran against, so a handle must not outlive it: the engine drops it
-// before releasing its snapshot.
+// builds the rows only on Materialize(); the canonical plan, the oracle,
+// owns the rows. Row ids point into the database S ran against, so a
+// handle must not outlive it: the engine drops it before releasing its
+// snapshot.
 class RawAnswer {
  public:
   RawAnswer() = default;
@@ -166,6 +166,12 @@ class RawAnswer {
 
   int size() const {
     return ids_.has_value() ? static_cast<int>(ids_->size()) : rows_.size();
+  }
+  // Cell `c` of row `r`, without building the row.
+  const Value& cell(size_t r, size_t c) const {
+    return ids_.has_value()
+               ? ids_->cell(r, targets_[c])
+               : rows_.row(static_cast<RowId>(r)).at(static_cast<int>(c));
   }
   // The rows, in S's order.
   Relation Materialize() const;
@@ -316,15 +322,6 @@ class Authorizer {
       std::string_view user, const ConjunctiveQuery& query,
       const AuthorizationOptions& options, ExecContext* ctx,
       AuthzCacheTxn* txn) const;
-  // S for the extended-mask flow (options.extended_masks): evaluates the
-  // answer before the final projection into `wide_answer`, so that mask
-  // predicates over non-requested attributes can be tested per row, and
-  // projects `raw_answer` from it. (The standard flow's S is one call.)
-  Status RetrieveExtended(const ConjunctiveQuery& query,
-                          const AuthorizationOptions& options,
-                          ExecContext* ctx, EvalStats* stats,
-                          Relation* raw_answer, Relation* wide_answer) const;
-
   // The prepared meta-relation of each relation of a query, by name.
   using Operands = std::map<std::string, std::shared_ptr<const MetaRelation>>;
 

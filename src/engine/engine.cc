@@ -657,12 +657,14 @@ Result<AuthorizationResult> Engine::RunRetrieve(const RetrieveStmt& stmt,
   ActiveContextGuard active(this, &ctx);
 
   AuthorizationResult result;
+  int unmasked_rows = 0;  // A's size, for the audit
   if (stmt.or_branches.empty()) {
     VIEWAUTH_ASSIGN_OR_RETURN(
         ConjunctiveQuery query,
         ConjunctiveQuery::FromRetrieve(state.db->schema(), stmt));
     VIEWAUTH_ASSIGN_OR_RETURN(
         result, authorizer.Retrieve(user, query, options_, &ctx));
+    unmasked_rows = result.raw_answer.size();
   } else {
     // Disjunctive retrieve: each conjunctive branch is authorized and
     // evaluated independently; the delivery is the union, under a merged
@@ -675,9 +677,13 @@ Result<AuthorizationResult> Engine::RunRetrieve(const RetrieveStmt& stmt,
     bool all_full = true;
     std::set<std::string> permit_texts;
     // The unions of the branches' delivered and unmasked answers, so
-    // that rows the branches share count once.
-    Relation answer_union;
-    Relation raw_union;
+    // that rows the branches share count once: later branches' new
+    // delivered rows join the first branch's answer, and the unmasked
+    // ones are only counted, each kept row named by its (branch, row).
+    FirstOfEqualRows delivered;
+    FirstOfEqualRows unmasked;
+    std::vector<RawAnswer> raws;
+    std::vector<std::pair<size_t, size_t>> kept_raws;
     for (size_t i = 0; i <= stmt.or_branches.size(); ++i) {
       const std::vector<Condition>& branch =
           i == 0 ? stmt.conditions : stmt.or_branches[i - 1];
@@ -700,28 +706,48 @@ Result<AuthorizationResult> Engine::RunRetrieve(const RetrieveStmt& stmt,
           merged_permits.Add(text);
         }
       }
+      raws.push_back(std::move(branch_result.raw_answer));
       if (i == 0) {
         merged->mask = branch_result.mask();
-        answer_union = branch_result.answer.Materialize();
-        raw_union = branch_result.raw_answer.Materialize();
         result = std::move(branch_result);
-        continue;
-      }
-      for (const Tuple& row : branch_result.answer.Materialize()) {
-        answer_union.InsertUnchecked(row);
-      }
-      for (const Tuple& row : branch_result.raw_answer.Materialize()) {
-        raw_union.InsertUnchecked(row);
-      }
-      // Branch masks combine only when their column layouts agree; under
-      // extended masks, branches over different relation sets carry
-      // different wide layouts and contribute their permits only.
-      if (branch_result.mask().arity() == merged->mask.arity()) {
+      } else if (branch_result.mask().columns() == merged->mask.columns()) {
+        // Branch masks combine only when their column layouts agree;
+        // under extended masks, branches over different relation sets
+        // carry different wide layouts and contribute their permits
+        // only.
         for (const MetaTuple& tuple : branch_result.mask().tuples()) {
           merged->mask.Add(tuple);
         }
       }
+      // The first branch's rows are recorded, the later ones' appended.
+      ColumnAnswer& answer = result.answer;
+      const ColumnAnswer& offered = i == 0 ? answer : branch_result.answer;
+      const size_t arity = static_cast<size_t>(answer.arity());
+      for (size_t r = 0; r < static_cast<size_t>(offered.size()); ++r) {
+        auto cell = [&](size_t k) { return offered.cell(r, k); };
+        const size_t row = i == 0 ? r : static_cast<size_t>(answer.size());
+        if (delivered.Keep(arity, row, cell,
+                           [&](size_t kept, size_t k, const Value& value) {
+                             return answer.column(k).CellEquals(kept, value);
+                           }) &&
+            i > 0) {
+          answer.AppendRow(cell);
+        }
+      }
+      const RawAnswer& raw = raws.back();
+      for (size_t r = 0; r < static_cast<size_t>(raw.size()); ++r) {
+        if (unmasked.Keep(
+                arity, kept_raws.size(),
+                [&](size_t k) -> const Value& { return raw.cell(r, k); },
+                [&](size_t kept, size_t k, const Value& value) {
+                  const auto [b, kept_r] = kept_raws[kept];
+                  return raws[b].cell(kept_r, k) == value;
+                })) {
+          kept_raws.emplace_back(i, r);
+        }
+      }
     }
+    unmasked_rows = static_cast<int>(kept_raws.size());
     result.denied = merged->denied = all_denied;
     result.full_access = merged->full_access = all_full;
     if (result.full_access) {
@@ -731,8 +757,6 @@ Result<AuthorizationResult> Engine::RunRetrieve(const RetrieveStmt& stmt,
           std::make_shared<const RenderedPermits>(std::move(merged_permits));
     }
     result.decision = std::move(merged);
-    result.answer = ColumnAnswer(answer_union);
-    result.raw_answer = RawAnswer(std::move(raw_union));
   }
 
   AuditEntry audit;
@@ -750,8 +774,7 @@ Result<AuthorizationResult> Engine::RunRetrieve(const RetrieveStmt& stmt,
   }
   if (!result.denied) {
     audit.affected = result.answer.size();
-    audit.withheld =
-        std::max(0, result.raw_answer.size() - result.answer.size());
+    audit.withheld = std::max(0, unmasked_rows - result.answer.size());
   }
   // The unmasked answer is not handed out: drop it here, on the thread
   // that built it, before the snapshot its row ids point into is

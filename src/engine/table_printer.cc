@@ -266,25 +266,6 @@ std::string RenderRows(const RelationSchema& schema, const Rows& rows,
 
 }  // namespace
 
-std::string PrintTable(const std::vector<std::string>& header,
-                       const std::vector<std::vector<std::string>>& rows,
-                       const std::string& caption) {
-  const std::vector<std::string_view> names(header.begin(), header.end());
-  std::vector<size_t> widths(names.size());
-  for (size_t c = 0; c < names.size(); ++c) widths[c] = names[c].size();
-  // A short row leaves blank cells; cells past the header are not shown.
-  for (const auto& row : rows) {
-    for (size_t c = 0; c < std::min(row.size(), names.size()); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
-    }
-  }
-  return WriteTable(names, widths, rows.size(), caption, {},
-                    [&](size_t i, size_t c, char* at) {
-                      if (c >= rows[i].size()) return;
-                      std::memcpy(at, rows[i][c].data(), rows[i][c].size());
-                    });
-}
-
 std::string PrintRelation(const Relation& relation,
                           const TablePrintOptions& options) {
   return RenderRows(relation.schema(), RelationRows(relation), options);

@@ -7,7 +7,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "storage/column_answer.h"
 #include "storage/relation.h"
@@ -34,13 +33,6 @@ std::string PrintRelation(const Relation& relation,
                           const TablePrintOptions& options = {});
 std::string PrintRelation(const ColumnAnswer& answer,
                           const TablePrintOptions& options = {});
-
-// Renders any rows-of-strings table with a header, in PrintRelation's
-// layout (both write through one layout function). A short row leaves
-// blank cells; cells past the header are not shown.
-std::string PrintTable(const std::vector<std::string>& header,
-                       const std::vector<std::vector<std::string>>& rows,
-                       const std::string& caption = "");
 
 }  // namespace viewauth
 

@@ -215,14 +215,6 @@ bool Relation::InsertUnchecked(Tuple tuple) {
   return true;
 }
 
-void Relation::AddOutputRow(Tuple tuple, bool distinct) {
-  if (distinct) {
-    AppendDistinct(std::move(tuple));
-  } else {
-    InsertUnchecked(std::move(tuple));
-  }
-}
-
 void Relation::Append(Tuple tuple, size_t probe_hash) {
   const RowId id = size_;
   AppendDistinct(std::move(tuple));

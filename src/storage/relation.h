@@ -121,10 +121,6 @@ class Relation {
   // relation stays a set for every later reader and writer. For operator
   // outputs that are distinct by construction.
   void AppendDistinct(Tuple tuple);
-  // AppendDistinct when `distinct` (the caller knows every row it adds
-  // is new, as ConjunctiveQuery::ProjectsDistinctRows proves for a
-  // projection), InsertUnchecked otherwise.
-  void AddOutputRow(Tuple tuple, bool distinct);
 
   // Removes a tuple if present; returns true if it was removed. Rows
   // after it move up one id: the chunks from the erased row's onward

@@ -58,19 +58,24 @@ size_t HashCells(size_t n, Cell cell) {
 
 // Keeps the first of each set of equal rows, the rule a Relation's
 // identity index applies: rows hash with HashCells and the caller
-// compares them with Value equality. Rows are named by the caller's
-// row numbers. Shared by the vectorized plan's distinct projection and
-// step 5's delivery filter, which keep rows without building Tuples.
+// compares them cell by cell with Value equality. Rows are named by the
+// caller's row numbers. Shared by the vectorized plan's distinct
+// projection, step 5's delivery filter and the union of a disjunctive
+// retrieve's branches, which keep rows without building Tuples.
 class FirstOfEqualRows {
  public:
-  // Records `row` under `hash` and returns true, unless `same(kept)`
-  // holds for a row `kept` recorded under `hash` before; then returns
-  // false and records nothing.
-  template <typename Same>
-  bool Keep(size_t hash, size_t row, Same same) {
+  // Records the row whose k-th cell is `cell(k)`, k < arity, as `row`
+  // and returns true, unless `equal(kept, k, cell(k))` holds for every
+  // k for a row `kept` recorded before; then returns false and records
+  // nothing.
+  template <typename Cell, typename Equal>
+  bool Keep(size_t arity, size_t row, Cell cell, Equal equal) {
+    const size_t hash = HashCells(arity, cell);
     auto [lo, hi] = kept_.equal_range(hash);
     for (auto it = lo; it != hi; ++it) {
-      if (same(it->second)) return false;
+      size_t k = 0;
+      while (k < arity && equal(it->second, k, cell(k))) ++k;
+      if (k == arity) return false;
     }
     kept_.emplace(hash, row);
     return true;

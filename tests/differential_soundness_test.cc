@@ -36,13 +36,16 @@
 
 #include "algebra/evaluator.h"
 #include "algebra/vectorized.h"
+#include "authz/audit_log.h"
 #include "authz/authorizer.h"
 #include "authz/authz_cache.h"
 #include "authz/constant_class.h"
 #include "calculus/conjunctive_query.h"
+#include "engine/engine.h"
 #include "engine/table_printer.h"
 #include "meta/view_store.h"
 #include "parser/ast.h"
+#include "parser/parser.h"
 #include "storage/relation.h"
 
 namespace viewauth {
@@ -593,6 +596,175 @@ TEST(DifferentialSoundness, WriteMixMutationScenarios) {
   EXPECT_GE(compared, 400);
   // The scenarios must actually exercise the cache across mutations.
   EXPECT_GT(cache_hits, 0);
+}
+
+// Disjunctive retrieves through the engine: the union of the branches'
+// answers and the audit's counts must not depend on the plan. A
+// canonical engine (no cache, canonical plan, interpretive masking) and
+// a default engine run the same scenario and the same random 2-3-branch
+// `or` retrieves, some branches overlapping by construction, some
+// joining a second relation, some scenarios under extended masks; the
+// rendered replies and each audit entry's outcome, affected and
+// withheld counts must be equal. Since both engines share the merge,
+// the counts are also checked against the union of the branches, each
+// retrieved alone, taken through Relation's identity index.
+TEST(DifferentialSoundness, DisjunctiveEngineScenarios) {
+  std::mt19937 rng(20261020);
+  std::uniform_int_distribution<int> val(0, 5);
+  std::uniform_int_distribution<int> rows(1, 12);
+  std::uniform_int_distribution<int> col(0, 2);
+  std::uniform_int_distribution<int> opd(0, 5);
+  std::uniform_int_distribution<int> ncond(1, 2);
+
+  auto random_columns = [&] {
+    std::vector<std::string> columns;
+    while (columns.empty()) {
+      for (int c = 0; c < 3; ++c) {
+        if (rng() % 2 == 0) columns.push_back(std::string("R.") + kColumns[c]);
+      }
+    }
+    return columns;
+  };
+  // `n` random conditions on R, joined by "and".
+  auto random_conditions = [&](int n) {
+    std::vector<std::string> conditions;
+    for (int i = 0; i < n; ++i) {
+      conditions.push_back(
+          std::string("R.") + kColumns[col(rng)] + " " +
+          std::string(ComparatorToString(static_cast<Comparator>(opd(rng)))) +
+          " " + std::to_string(val(rng)));
+    }
+    return conditions;
+  };
+  auto join = [](const std::vector<std::string>& parts, const char* sep) {
+    std::string out;
+    for (const std::string& part : parts) {
+      if (!out.empty()) out += sep;
+      out += part;
+    }
+    return out;
+  };
+
+  int compared = 0;
+  int partial = 0;
+  int withheld = 0;
+  for (int scenario = 0; scenario < 100 && !HasFailure(); ++scenario) {
+    std::vector<std::string> script = {"relation R (A int, B int, C int)",
+                                       "relation S (K int key, E int)"};
+    for (int i = rows(rng); i > 0; --i) {
+      script.push_back("insert into R values (" + std::to_string(val(rng)) +
+                       ", " + std::to_string(val(rng)) + ", " +
+                       std::to_string(val(rng)) + ")");
+    }
+    for (int k = 0; k <= 5; ++k) {
+      if (rng() % 2 == 0) {
+        script.push_back("insert into S values (" + std::to_string(k) +
+                         ", " + std::to_string(val(rng)) + ")");
+      }
+    }
+    // A view whose conditions contradict each other is refused by both
+    // engines alike, and its permit then fails too.
+    const int views = 1 + static_cast<int>(rng() % 3);
+    for (int v = 0; v < views; ++v) {
+      const std::string name = "V" + std::to_string(v);
+      std::string view = "view " + name + " (" + join(random_columns(), ", ") +
+                         ")";
+      const int n = static_cast<int>(rng() % 3);
+      if (n > 0) view += " where " + join(random_conditions(n), " and ");
+      script.push_back(view);
+      script.push_back("permit " + name + " to u");
+    }
+    if (rng() % 2 == 0) {
+      script.push_back("view VS (R.A, R.B, S.E) where R.A = S.K and " +
+                       random_conditions(1)[0]);
+      script.push_back("permit VS to u");
+    }
+
+    Engine canonical;
+    canonical.options().enable_authz_cache = false;
+    canonical.options().use_optimized_data_plan = false;
+    Engine fast;
+    const bool extended = rng() % 2 == 0;
+    canonical.options().extended_masks = extended;
+    fast.options().extended_masks = extended;
+    for (const std::string& statement : script) {
+      ASSERT_EQ(canonical.Execute(statement).ok(),
+                fast.Execute(statement).ok())
+          << statement;
+    }
+
+    for (int q = 0; q < 3 && !HasFailure(); ++q) {
+      std::vector<std::vector<std::string>> branches;
+      const int count = 2 + static_cast<int>(rng() % 2);
+      for (int b = 0; b < count; ++b) {
+        if (b > 0 && rng() % 3 == 0) {
+          // Overlapping: an earlier branch narrowed by one condition.
+          branches.push_back(branches[rng() % branches.size()]);
+          branches.back().push_back(random_conditions(1)[0]);
+        } else {
+          branches.push_back(random_conditions(ncond(rng)));
+        }
+        if (rng() % 4 == 0) branches.back().push_back("R.A = S.K");
+      }
+      const std::string head = "retrieve (" + join(random_columns(), ", ") +
+                               ") where ";
+      // The union oracle, independent of the engine's merge: each branch
+      // retrieved alone on the canonical leg, its delivered and raw rows
+      // unioned through Relation's identity index.
+      Relation delivered_union;
+      Relation raw_union;
+      bool all_denied = true;
+      std::vector<std::string> disjuncts;
+      for (const auto& branch : branches) {
+        disjuncts.push_back(join(branch, " and "));
+        auto stmt = ParseStatement(head + disjuncts.back());
+        ASSERT_TRUE(stmt.ok()) << stmt.status();
+        auto query = ConjunctiveQuery::FromRetrieve(
+            canonical.db().schema(), std::get<RetrieveStmt>(*stmt));
+        ASSERT_TRUE(query.ok()) << query.status();
+        auto alone = Authorizer(&canonical.db(), &canonical.catalog())
+                         .Retrieve("u", *query, canonical.options());
+        ASSERT_TRUE(alone.ok()) << alone.status();
+        all_denied = all_denied && alone->denied;
+        for (const Tuple& row : alone->answer.Materialize()) {
+          delivered_union.InsertUnchecked(row);
+        }
+        for (const Tuple& row : alone->raw_answer.Materialize()) {
+          raw_union.InsertUnchecked(row);
+        }
+      }
+      const std::string text = head + join(disjuncts, " or ") + " as u";
+      auto want = canonical.Execute(text);
+      ASSERT_TRUE(want.ok()) << text << ": " << want.status();
+      const AuditEntry want_audit = canonical.audit_log().entries().back();
+      EXPECT_EQ(want_audit.outcome == AuditOutcome::kDenied, all_denied)
+          << text;
+      if (!all_denied) {
+        EXPECT_EQ(want_audit.affected, delivered_union.size()) << text;
+        EXPECT_EQ(want_audit.withheld,
+                  std::max(0, raw_union.size() - delivered_union.size()))
+            << text;
+      }
+      // The repeat is served from the fast engine's cache.
+      for (int run = 0; run < 2; ++run) {
+        auto got = fast.Execute(text);
+        ASSERT_TRUE(got.ok()) << text << ": " << got.status();
+        EXPECT_EQ(NormalizeSyntheticVars(*got), NormalizeSyntheticVars(*want))
+            << "scenario " << scenario << ": " << text;
+        const AuditEntry got_audit = fast.audit_log().entries().back();
+        EXPECT_EQ(got_audit.outcome, want_audit.outcome) << text;
+        EXPECT_EQ(got_audit.affected, want_audit.affected) << text;
+        EXPECT_EQ(got_audit.withheld, want_audit.withheld) << text;
+        ++compared;
+      }
+      if (want_audit.outcome == AuditOutcome::kPartial) ++partial;
+      if (want_audit.withheld > 0) ++withheld;
+    }
+  }
+  EXPECT_GE(compared, 500);
+  // The campaign must reach partial deliveries that withhold rows.
+  EXPECT_GE(partial, 40);
+  EXPECT_GE(withheld, 40);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Tests for disjunctive retrieve statements (union of authorized
 // conjunctive branches).
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
@@ -125,6 +129,52 @@ TEST_F(DisjunctiveRetrieveTest, AuditCountsOverlappingBranchesOnce) {
   EXPECT_EQ(log.entries()[0].outcome, AuditOutcome::kPartial);
   EXPECT_EQ(log.entries()[0].affected, 1);
   EXPECT_EQ(log.entries()[0].withheld, 2);
+}
+
+// Under extended masks, branches over E x F and E x G carry wide masks
+// of equal arity but different columns. The merged mask keeps the
+// first branch's tuples only: a G tuple must not land under F's column
+// names.
+TEST_F(DisjunctiveRetrieveTest, MasksOfEqualArityCombineOnlyByLayout) {
+  auto setup = engine_.ExecuteScript(R"(
+    relation E (NAME string key, X int)
+    relation F (NAME string key, A int)
+    relation G (NAME string key, B int)
+    insert into E values (Jones, 1)
+    insert into F values (Jones, 2)
+    insert into G values (Jones, 3)
+    view EF (E.NAME, F.A) where E.NAME = F.NAME and F.A > 0
+    view EG (E.NAME, G.B) where E.NAME = G.NAME and G.B > 0
+    permit EF to u
+    permit EG to u
+  )");
+  ASSERT_TRUE(setup.ok()) << setup.status();
+  engine_.options().extended_masks = true;
+  auto first =
+      engine_.Retrieve("retrieve (E.NAME) where E.NAME = F.NAME as u");
+  auto second =
+      engine_.Retrieve("retrieve (E.NAME) where E.NAME = G.NAME as u");
+  auto both = engine_.Retrieve(
+      "retrieve (E.NAME) where E.NAME = F.NAME or E.NAME = G.NAME as u");
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_TRUE(both.ok()) << both.status();
+  ASSERT_EQ(both->mask().arity(), second->mask().arity());
+  ASSERT_FALSE(second->mask().tuples().empty());
+  auto keys = [](const MetaRelation& mask) {
+    std::vector<std::string> out;
+    for (const MetaTuple& tuple : mask.tuples()) {
+      out.push_back(tuple.StructuralKey(/*include_provenance=*/false));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(both->mask().columns(), first->mask().columns());
+  EXPECT_EQ(keys(both->mask()), keys(first->mask()));
+  // Both branches still deliver and contribute their permits.
+  EXPECT_EQ(both->answer.size(), 1);
+  EXPECT_EQ(both->permits().size(),
+            first->permits().size() + second->permits().size());
 }
 
 }  // namespace

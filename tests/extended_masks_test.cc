@@ -5,6 +5,7 @@
 
 #include "authz/authorizer.h"
 #include "engine/engine.h"
+#include "parser/parser.h"
 #include "tests/test_util.h"
 
 namespace viewauth {
@@ -172,6 +173,67 @@ TEST(ExtendedMasks, ExtensionIsMonotone) {
           << user << ": " << text;
     }
   }
+}
+
+// On the vectorized plan the extended flow masks S's row ids and
+// gathers the delivered cells into column images: no Tuple is built
+// between S and the answer, under partial or full access.
+TEST(ExtendedMasks, VectorizedPlanBuildsNoTuples) {
+  PaperDatabase fixture;
+  Authorizer authorizer = fixture.MakeAuthorizer();
+  ConjunctiveQuery partial_query = fixture.Query("retrieve (PROJECT.NUMBER)");
+  auto partial = authorizer.Retrieve("Brown", partial_query, Extended());
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  ASSERT_FALSE(partial->denied);
+  ASSERT_FALSE(partial->full_access);
+  EXPECT_EQ(partial->answer.size(), 1);
+  EXPECT_EQ(partial->data_stats.tuples_materialized, 0);
+
+  ConjunctiveQuery full_query = fixture.Query(
+      "retrieve (PROJECT.NUMBER, PROJECT.SPONSOR, PROJECT.BUDGET) "
+      "where PROJECT.SPONSOR = Acme");
+  auto full = authorizer.Retrieve("Brown", full_query, Extended());
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_TRUE(full->full_access);
+  EXPECT_EQ(full->answer.size(), 1);
+  EXPECT_EQ(full->data_stats.tuples_materialized, 0);
+}
+
+// A keyless relation whose requested projection repeats: the extended
+// flow's raw answer keeps one row per distinct projection of the wide
+// rows, as the canonical plan's projection does.
+TEST(ExtendedMasks, RawAnswerOfARepeatingProjectionMatchesCanonical) {
+  Engine engine;
+  auto setup = engine.ExecuteScript(R"(
+    relation STAFF (NAME string, TITLE string)
+    insert into STAFF values (Adams, clerk)
+    insert into STAFF values (Baker, clerk)
+    insert into STAFF values (Clark, manager)
+    view ADAMS (STAFF.TITLE) where STAFF.NAME = Adams
+    permit ADAMS to u
+  )");
+  ASSERT_TRUE(setup.ok()) << setup.status();
+  auto stmt = ParseStatement("retrieve (STAFF.TITLE)");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  auto query = ConjunctiveQuery::FromRetrieve(
+      engine.db().schema(), std::get<RetrieveStmt>(*stmt));
+  ASSERT_TRUE(query.ok()) << query.status();
+  const Authorizer authorizer(&engine.db(), &engine.catalog());
+
+  AuthorizationOptions canonical_options = Extended();
+  canonical_options.use_optimized_data_plan = false;
+  auto canonical = authorizer.Retrieve("u", *query, canonical_options);
+  auto vectorized = authorizer.Retrieve("u", *query, Extended());
+  ASSERT_TRUE(canonical.ok()) << canonical.status();
+  ASSERT_TRUE(vectorized.ok()) << vectorized.status();
+  ASSERT_EQ(canonical->raw_answer.size(), 2);
+  EXPECT_EQ(vectorized->raw_answer.size(), canonical->raw_answer.size());
+  EXPECT_EQ(vectorized->raw_answer.Materialize().SortedRows(),
+            canonical->raw_answer.Materialize().SortedRows());
+  // Only Adams's row passes the mask: the clerk title is delivered once.
+  ASSERT_EQ(vectorized->answer.size(), 1);
+  EXPECT_TRUE(vectorized->answer.Materialize().Contains(
+      Tuple({Value::String("clerk")})));
 }
 
 }  // namespace

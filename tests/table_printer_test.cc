@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace viewauth {
 namespace {
@@ -175,29 +177,6 @@ TEST(TablePrinter, StringsPrintRaw) {
   std::string out = PrintRelation(rel);
   EXPECT_NE(out.find("| x1* "), std::string::npos);
   EXPECT_EQ(out.find("'x1*'"), std::string::npos);  // no quoting in tables
-}
-
-TEST(TablePrinter, GenericTable) {
-  std::string out = PrintTable({"A", "LONG_HEADER"},
-                               {{"1", "2"}, {"333", "4"}}, "caption");
-  EXPECT_NE(out.find("caption"), std::string::npos);
-  EXPECT_NE(out.find("| A   | LONG_HEADER |"), std::string::npos);
-  EXPECT_NE(out.find("| 333 | 4           |"), std::string::npos);
-  // Ragged rows are padded.
-  std::string ragged = PrintTable({"A", "B"}, {{"only"}});
-  EXPECT_NE(ragged.find("| only |"), std::string::npos);
-}
-
-TEST(TablePrinter, GenericTableMatchesReference) {
-  const std::vector<std::vector<std::string>> rows = {
-      {"1", "2"}, {"333", "4"}, {"only"}, {}, {"x", "y", "past header"},
-      {"", "a much longer cell"}};
-  for (const char* caption : {"", "caption"}) {
-    EXPECT_EQ(PrintTable({"A", "LONG_HEADER"}, rows, caption),
-              ReferenceTable({"A", "LONG_HEADER"}, rows, caption));
-    EXPECT_EQ(PrintTable({"A", "B"}, {}, caption),
-              ReferenceTable({"A", "B"}, {}, caption));
-  }
 }
 
 TEST(TablePrinter, ColumnAnswerKeepsRowsAndOrder) {

@@ -6,7 +6,8 @@
 #   2. the regular test suite (differential + torture + coherence +
 #      network tiers excluded)
 #   3. the differential-soundness tier (slow, randomized; includes the
-#      write-mix mutation scenarios)
+#      write-mix mutation scenarios and the disjunctive engine
+#      scenarios)
 #   4. the crash-recovery torture tier (slow: a simulated crash at every
 #      byte boundary of log appends and compaction staging)
 #   5. the concurrent crash-torture tier: mutator + retriever threads
